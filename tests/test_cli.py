@@ -223,3 +223,15 @@ def test_main_json_output(capsys):
     assert code == EXIT_OK
     assert payload["verdict"] == "LEFT_STRICT"
     validate(payload, SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    json.loads((GOLDEN / "cli_text.json").read_text()),
+    ids=lambda entry: entry["argv"][0],
+)
+def test_golden_text_output(entry, capsys):
+    code = main(entry["argv"])
+    captured = capsys.readouterr()
+    assert (captured.out, code) == (entry["stdout"], entry["exit"])
+    assert captured.err.startswith(entry["stderr_prefix"])
