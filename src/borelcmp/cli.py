@@ -15,8 +15,9 @@ Verbs:
     selftest
 
 Exit codes: 0 for a completed computation (whatever the verdict), 1 for a
-usage or parse error, 2 for a domain error, and 3 for a false verdict when
-``--exit-verdict`` asks for it.  Verdicts are data, not failures.
+usage or parse error, 2 for a domain error, 3 for a false verdict when
+``--exit-verdict`` asks for it, and 4 for an internal error.  Verdicts are
+data, not failures.
 
 The ``family-*`` verbs operate on the default family (p = {2:w},
 q = {default=w}); ``family-new`` validates and describes an arbitrary one.
@@ -26,27 +27,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .duality import dual, rank
 from .errors import BorelcmpError, DomainError, ParseError
-from .groups import GroupExpr, dimension, is_compact
+from .groups import dimension, is_compact
 from .literals import (
     parse_group,
     parse_profile,
     parse_upset,
     render_dual,
     render_group,
-    render_mult,
 )
-from .posetlab import Family, MemberRef, UPSet, chain_demo, member_crosscheck, member_reduces, member_sequence
+from .posetlab import Family, MemberRef, chain_demo, member_crosscheck, member_reduces, member_sequence
 from .reducibility import EdgeReason, compare, reduces
 from .report import Report, certificate_payload
 from .supernatural import (
-    OMEGA,
-    SupernaturalProfile,
     canonical_sequence,
-    canonical_terms,
     deficit,
     multiplicity,
     oracle_drop_bound,
@@ -61,6 +57,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_FALSE_VERDICT = 3
+EXIT_INTERNAL = 4
+
+# A parsed command: the argparse namespace, with every literal argument
+# already turned into its engine value and its text kept in ``inputs``.
+Command = argparse.Namespace
 
 
 class UsageError(BorelcmpError):
@@ -72,164 +73,111 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class Command:
-    """A fully parsed command: literals already turned into engine values."""
-
-    verb: str
-    inputs: tuple = ()
-    g: GroupExpr | None = None
-    h: GroupExpr | None = None
-    q_profile: SupernaturalProfile | None = None
-    p_profile: SupernaturalProfile | None = None
-    a_set: UPSet | None = None
-    b_set: UPSet | None = None
-    family_p: SupernaturalProfile | None = None
-    family_q: SupernaturalProfile | None = None
-    power: int = 1
-    depth: int = 3
-    length: int | None = None
-    crosscheck: int | None = None
-    oracle_window: int | None = None
-    json_output: bool = False
-    show_certificate: bool = False
-    exit_verdict: bool = False
-
-
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="borelcmp", description=__doc__.strip().splitlines()[0])
+    parser.set_defaults(json_output=False)
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
-    reduce_p = verbs.add_parser("reduce", help="decide E(G) <= E(H)")
+    def verb(name, handler, help):
+        subparser = verbs.add_parser(name, help=help)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    reduce_p = verb("reduce", _reduce, "decide E(G) <= E(H)")
     reduce_p.add_argument("g")
     reduce_p.add_argument("h")
-    reduce_p.add_argument("--json", action="store_true")
-    reduce_p.add_argument("--certificate", action="store_true")
+    reduce_p.add_argument("--json", action="store_true", dest="json_output")
+    reduce_p.add_argument("--certificate", action="store_true", dest="show_certificate")
     reduce_p.add_argument("--exit-verdict", action="store_true")
 
-    compare_p = verbs.add_parser("compare", help="compare both directions")
+    compare_p = verb("compare", _compare, "compare both directions")
     compare_p.add_argument("g")
     compare_p.add_argument("h")
-    compare_p.add_argument("--json", action="store_true")
+    compare_p.add_argument("--json", action="store_true", dest="json_output")
 
-    dual_p = verbs.add_parser("dual", help="dual group of an expression")
+    dual_p = verb("dual", _dual, "dual group of an expression")
     dual_p.add_argument("g")
-    dual_p.add_argument("--json", action="store_true")
+    dual_p.add_argument("--json", action="store_true", dest="json_output")
 
-    dim_p = verbs.add_parser("dim", help="covering dimension")
-    dim_p.add_argument("g")
+    verb("dim", _dim, "covering dimension").add_argument("g")
+    verb("normalize", _normalize, "normalize an expression").add_argument("g")
 
-    normalize_p = verbs.add_parser("normalize", help="normalize an expression")
-    normalize_p.add_argument("g")
-
-    preceq_p = verbs.add_parser("preceq", help="profile embedding order")
-    preceq_p.add_argument("q")
-    preceq_p.add_argument("p")
+    preceq_p = verb("preceq", _preceq, "profile embedding order")
+    preceq_p.add_argument("q_profile", metavar="q")
+    preceq_p.add_argument("p_profile", metavar="p")
     preceq_p.add_argument("--oracle-window", type=int, metavar="N")
 
-    family_new = verbs.add_parser("family-new", help="validate and describe a family")
+    family_new = verb("family-new", _family_new, "validate and describe a family")
     family_new.add_argument("--p", dest="p")
     family_new.add_argument("--q", dest="q")
 
-    family_compare = verbs.add_parser("family-compare", help="order two members of the default family")
+    family_compare = verb("family-compare", _family_compare, "order two members of the default family")
     family_compare.add_argument("--a", required=True)
     family_compare.add_argument("--b", required=True)
     family_compare.add_argument("--power", type=int, default=1)
     family_compare.add_argument("--crosscheck", type=int, metavar="N")
 
-    family_expand = verbs.add_parser("family-expand", help="concrete member sequence prefix")
+    family_expand = verb("family-expand", _family_expand, "concrete member sequence prefix")
     family_expand.add_argument("--a", required=True)
     family_expand.add_argument("--len", type=int, required=True, dest="length")
 
-    family_demo = verbs.add_parser("family-demo", help="chain and antichain demo")
+    family_demo = verb("family-demo", _family_demo, "chain and antichain demo")
     family_demo.add_argument("--depth", type=int, default=3)
     family_demo.add_argument("--power", type=int, default=1)
 
-    verbs.add_parser("selftest", help="run the fast acceptance subset")
+    verb("selftest", _selftest, "run the fast acceptance subset")
     return parser
 
 
 def parse_command(argv) -> Command:
     """Parse and validate a full command line; no partial execution."""
-    namespace = build_parser().parse_args(list(argv))
-    verb = namespace.verb
+    command = build_parser().parse_args(list(argv))
+    for flag in ("oracle_window", "crosscheck"):
+        value = getattr(command, flag, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{flag.replace('_', '-')} must be positive")
+    # every literal argument of every verb, by dest, in the order of a report's
+    # inputs; built per call, so the parser names are looked up at call time
+    literals = (
+        ("g", parse_group), ("h", parse_group),
+        ("q_profile", parse_profile), ("p_profile", parse_profile),
+        ("p", parse_profile), ("q", parse_profile),
+        ("a", parse_upset), ("b", parse_upset),
+    )
+    given = [(dest, parse) for dest, parse in literals if getattr(command, dest, None) is not None]
+    command.inputs = tuple(getattr(command, dest) for dest, _ in given)
     try:
-        if verb in ("reduce", "compare"):
-            return Command(
-                verb,
-                inputs=(namespace.g, namespace.h),
-                g=parse_group(namespace.g),
-                h=parse_group(namespace.h),
-                json_output=namespace.json,
-                show_certificate=getattr(namespace, "certificate", False),
-                exit_verdict=getattr(namespace, "exit_verdict", False),
-            )
-        if verb in ("dual", "dim", "normalize"):
-            return Command(
-                verb,
-                inputs=(namespace.g,),
-                g=parse_group(namespace.g),
-                json_output=getattr(namespace, "json", False),
-            )
-        if verb == "preceq":
-            if namespace.oracle_window is not None and namespace.oracle_window < 1:
-                raise UsageError("--oracle-window must be positive")
-            return Command(
-                verb,
-                inputs=(namespace.q, namespace.p),
-                q_profile=parse_profile(namespace.q),
-                p_profile=parse_profile(namespace.p),
-                oracle_window=namespace.oracle_window,
-            )
-        if verb == "family-new":
-            inputs = []
-            family_p = family_q = None
-            if namespace.p is not None:
-                inputs.append(namespace.p)
-                family_p = parse_profile(namespace.p)
-            if namespace.q is not None:
-                inputs.append(namespace.q)
-                family_q = parse_profile(namespace.q)
-            return Command(verb, inputs=tuple(inputs), family_p=family_p, family_q=family_q)
-        if verb == "family-compare":
-            if namespace.crosscheck is not None and namespace.crosscheck < 1:
-                raise UsageError("--crosscheck must be positive")
-            return Command(
-                verb,
-                inputs=(namespace.a, namespace.b),
-                a_set=parse_upset(namespace.a),
-                b_set=parse_upset(namespace.b),
-                power=namespace.power,
-                crosscheck=namespace.crosscheck,
-            )
-        if verb == "family-expand":
-            return Command(
-                verb,
-                inputs=(namespace.a,),
-                a_set=parse_upset(namespace.a),
-                length=namespace.length,
-            )
-        if verb == "family-demo":
-            return Command(verb, depth=namespace.depth, power=namespace.power)
-        return Command(verb)
+        for dest, parse in given:
+            setattr(command, dest, parse(getattr(command, dest)))
     except ParseError as exc:
         raise UsageError(str(exc)) from exc
+    return command
 
 
-def _default_family() -> Family:
-    return Family.default()
+def run(command: Command):
+    """Run a parsed command's handler and build its report; domain errors
+    become exit code 2."""
+    try:
+        fields, code = command.handler(command)
+    except DomainError as exc:
+        fields, code = {"verdict": "ERROR", "diagnostics": (str(exc),)}, EXIT_DOMAIN
+    report = Report(
+        verb=command.verb,
+        inputs=command.inputs,
+        format="json" if command.json_output else "text",
+        **fields,
+    )
+    return report, code
 
 
-def _reason_text(value: str) -> str:
-    return value.removeprefix("RULE_")
+# -- one handler per verb: each returns (report fields, exit code) ---------------
 
-
-def _run_reduce(command: Command):
+def _reduce(command: Command):
     verdict = reduces(command.g, command.h)
     diagnostics = []
     if verdict.reducible:
         for w in verdict.certificate:
-            line = f"{w.left_index} -> {w.right_index} ({_reason_text(w.reason.value)})"
+            line = f"{w.left_index} -> {w.right_index} ({w.reason.value.removeprefix('RULE_')})"
             if command.show_certificate and w.reason is EdgeReason.RULE_SOL_SOL:
                 pairs = ", ".join(f"{g}^{d}" for g, d in w.deficit) or "none"
                 line += f" [surplus: {pairs}; total {w.total_deficit}]"
@@ -239,180 +187,123 @@ def _run_reduce(command: Command):
             f"violator K={{{', '.join(map(str, verdict.violator.K))}}} "
             f"N(K)={{{', '.join(map(str, verdict.violator.NK))}}}"
         )
-    report = Report(
-        verb="reduce",
-        inputs=command.inputs,
-        verdict=verdict.reducible,
-        certificate=certificate_payload(verdict),
-        diagnostics=tuple(diagnostics),
-        format="json" if command.json_output else "text",
-    )
-    code = EXIT_OK
-    if command.exit_verdict and not verdict.reducible:
-        code = EXIT_FALSE_VERDICT
-    return report, code
+    code = EXIT_FALSE_VERDICT if command.exit_verdict and not verdict.reducible else EXIT_OK
+    fields = {
+        "verdict": verdict.reducible,
+        "certificate": certificate_payload(verdict),
+        "diagnostics": tuple(diagnostics),
+    }
+    return fields, code
 
 
-def _run_preceq(command: Command):
+def _compare(command: Command):
+    return {"verdict": compare(command.g, command.h).value}, EXIT_OK
+
+
+def _dual(command: Command):
+    d = dual(command.g)
+    if is_compact(command.g):
+        note = f"rank {rank(d)} = dimension of the primal"
+    else:
+        note = "real factors are self-dual; rank applies to compact expressions only"
+    return {"verdict": render_dual(d), "diagnostics": (note,)}, EXIT_OK
+
+
+def _dim(command: Command):
+    return {"verdict": str(dimension(command.g))}, EXIT_OK
+
+
+def _normalize(command: Command):
+    return {"verdict": render_group(command.g)}, EXIT_OK
+
+
+def _preceq(command: Command):
     q, p = command.q_profile, command.p_profile
     holds = preceq(q, p)
-    d = deficit(q, p)
-    diagnostics = [f"deficit = {render_mult(d)}"]
+    diagnostics = [f"deficit = {deficit(q, p)}"]
     if not holds:
         witness = refutation_witness(q, p)
+        supply = multiplicity(p, witness)
+        diagnostics.append(f"witness prime {witness}: multiplicity w in q exceeds {supply} in p")
+    window = command.oracle_window
+    if window is not None and holds:
+        drop = oracle_drop_bound(q, p)
+        sample = canonical_sequence(q, drop + window)[drop:]
+        prefix_len = sufficient_prefix_length(p, sample)
+        ok = oracle_injection(sample, canonical_sequence(p, prefix_len))
         diagnostics.append(
-            f"witness prime {witness}: multiplicity w in q exceeds "
-            f"{render_mult(multiplicity(p, witness))} in p"
+            f"oracle: window of {window} terms after drop {drop} embeds in a "
+            f"prefix of {prefix_len} terms: {ok}"
         )
-    if command.oracle_window is not None:
-        window = command.oracle_window
-        if holds:
-            drop = oracle_drop_bound(q, p)
-            sample = canonical_sequence(q, drop + window)[drop:]
-            prefix_len = sufficient_prefix_length(p, sample)
-            ok = oracle_injection(sample, canonical_sequence(p, prefix_len))
-            diagnostics.append(
-                f"oracle: window of {window} terms after drop {drop} embeds in a "
-                f"prefix of {prefix_len} terms: {ok}"
-            )
-        else:
-            witness = refutation_witness(q, p)
-            needed = multiplicity(p, witness) + 1
-            terms = []
-            count = 0
-            for term in canonical_terms(q):
-                terms.append(term)
-                if term == witness:
-                    count += 1
-                    if count == needed:
-                        break
-            probe = canonical_sequence(p, 4 * len(terms) + 64)
-            ok = oracle_injection(terms, probe)
-            diagnostics.append(
-                f"oracle: window with {needed} occurrences of {witness} fails to embed: "
-                f"{not ok}"
-            )
-    return Report("preceq", command.inputs, holds, diagnostics=tuple(diagnostics)), EXIT_OK
+    elif window is not None:
+        needed = supply + 1
+        terms = canonical_sequence(q, sufficient_prefix_length(q, [witness] * needed))
+        probe = canonical_sequence(p, 4 * len(terms) + 64)
+        ok = oracle_injection(terms, probe)
+        diagnostics.append(
+            f"oracle: window with {needed} occurrences of {witness} fails to embed: {not ok}"
+        )
+    return {"verdict": holds, "diagnostics": tuple(diagnostics)}, EXIT_OK
 
 
-def run(command: Command):
-    """Dispatch a parsed command; domain errors become exit code 2."""
-    try:
-        return _dispatch(command)
-    except DomainError as exc:
-        report = Report(
-            verb=command.verb,
-            inputs=command.inputs,
-            verdict="ERROR",
-            diagnostics=(str(exc),),
-            format="json" if command.json_output else "text",
-        )
-        return report, EXIT_DOMAIN
+def _family_new(command: Command):
+    default = Family.default()
+    family = Family(
+        default.p if command.p is None else command.p,
+        default.q if command.q is None else command.q,
+    )
+    diagnostics = (
+        f"p = {family.p}",
+        f"q = {family.q}",
+        "d-enumeration starts " + ", ".join(map(str, family.d_terms(8))),
+    )
+    return {"verdict": "OK", "diagnostics": diagnostics}, EXIT_OK
 
 
-def _dispatch(command: Command):
-    verb = command.verb
-    if verb == "reduce":
-        return _run_reduce(command)
-    if verb == "compare":
-        outcome = compare(command.g, command.h)
-        return (
-            Report(
-                "compare",
-                command.inputs,
-                outcome.value,
-                format="json" if command.json_output else "text",
-            ),
-            EXIT_OK,
-        )
-    if verb == "dual":
-        d = dual(command.g)
-        diagnostics = []
-        if is_compact(command.g):
-            diagnostics.append(f"rank {rank(d)} = dimension of the primal")
-        else:
-            diagnostics.append("real factors are self-dual; rank applies to compact expressions only")
-        return (
-            Report(
-                "dual",
-                command.inputs,
-                render_dual(d),
-                diagnostics=tuple(diagnostics),
-                format="json" if command.json_output else "text",
-            ),
-            EXIT_OK,
-        )
-    if verb == "dim":
-        return Report("dim", command.inputs, str(dimension(command.g))), EXIT_OK
-    if verb == "normalize":
-        return Report("normalize", command.inputs, render_group(command.g)), EXIT_OK
-    if verb == "preceq":
-        return _run_preceq(command)
-    if verb == "family-new":
-        p = command.family_p if command.family_p is not None else SupernaturalProfile({2: OMEGA})
-        q = command.family_q if command.family_q is not None else SupernaturalProfile.all_omega()
-        family = Family(p, q)
-        d_preview = family.d_terms(8)
-        diagnostics = (
-            f"p = {p}",
-            f"q = {q}",
-            "d-enumeration starts " + ", ".join(map(str, d_preview)),
-        )
-        return Report("family-new", command.inputs, "OK", diagnostics=diagnostics), EXIT_OK
-    if verb == "family-compare":
-        family = _default_family()
-        m_a = MemberRef(family, command.a_set, command.power)
-        m_b = MemberRef(family, command.b_set, command.power)
-        verdict = member_reduces(m_a, m_b)
-        diagnostics = []
-        if command.crosscheck is not None:
-            report = member_crosscheck(m_a, m_b, command.crosscheck)
-            surplus = ", ".join(map(str, report.surplus_primes)) or "none"
-            diagnostics.append(
-                "crosscheck: "
-                + ("CONSISTENT" if report.consistent else "INCONSISTENT: " + "; ".join(report.notes))
-            )
-            diagnostics.append(
-                f"surplus primes ({'all' if report.surplus_finite else 'first shown'}): {surplus}"
-            )
-            diagnostics.append(
-                f"oracle drop search over {list(report.drops_tested)}: "
-                + (f"embeds from drop {report.successful_drop}" if report.successful_drop is not None else "no tested drop embeds")
-            )
-        return (
-            Report("family-compare", command.inputs, verdict, diagnostics=tuple(diagnostics)),
-            EXIT_OK,
-        )
-    if verb == "family-expand":
-        family = _default_family()
-        member = MemberRef(family, command.a_set, 1)
-        terms = member_sequence(member, command.length)
-        return (
-            Report("family-expand", command.inputs, ",".join(map(str, terms))),
-            EXIT_OK,
-        )
-    if verb == "family-demo":
-        family = _default_family()
-        demo = chain_demo(family, command.depth, command.power)
-        width = max(len(label) for label in demo.labels)
-        lines = [" " * (width + 2) + "  ".join(f"{label:>{width}}" for label in demo.labels)]
-        for label, row in zip(demo.labels, demo.matrix):
-            cells = "  ".join(f"{'yes' if cell else 'no':>{width}}" for cell in row)
-            lines.append(f"{label:>{width}}  {cells}")
-        lines.append("rows reduce to columns; power " + str(command.power))
-        return Report("family-demo", (), "OK", diagnostics=tuple(lines)), EXIT_OK
-    if verb == "selftest":
-        results = selftest_module.run_selftest()
-        diagnostics = tuple(
-            f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else "")
-            for name, ok, detail in results
-        )
-        all_ok = all(ok for _, ok, _ in results)
-        return (
-            Report("selftest", (), "PASS" if all_ok else "FAIL", diagnostics=diagnostics),
-            EXIT_OK if all_ok else EXIT_USAGE,
-        )
-    raise UsageError(f"unknown verb {verb!r}")
+def _family_compare(command: Command):
+    family = Family.default()
+    m_a = MemberRef(family, command.a, command.power)
+    m_b = MemberRef(family, command.b, command.power)
+    verdict = member_reduces(m_a, m_b)
+    if command.crosscheck is None:
+        return {"verdict": verdict}, EXIT_OK
+    report = member_crosscheck(m_a, m_b, command.crosscheck)
+    surplus = ", ".join(map(str, report.surplus_primes)) or "none"
+    diagnostics = (
+        "crosscheck: "
+        + ("CONSISTENT" if report.consistent else "INCONSISTENT: " + "; ".join(report.notes)),
+        f"surplus primes ({'all' if report.surplus_finite else 'first shown'}): {surplus}",
+        f"oracle drop search over {list(report.drops_tested)}: "
+        + (f"embeds from drop {report.successful_drop}" if report.successful_drop is not None else "no tested drop embeds"),
+    )
+    return {"verdict": verdict, "diagnostics": diagnostics}, EXIT_OK
+
+
+def _family_expand(command: Command):
+    terms = member_sequence(MemberRef(Family.default(), command.a, 1), command.length)
+    return {"verdict": ",".join(map(str, terms))}, EXIT_OK
+
+
+def _family_demo(command: Command):
+    demo = chain_demo(Family.default(), command.depth, command.power)
+    width = max(len(label) for label in demo.labels)
+    lines = [" " * (width + 2) + "  ".join(f"{label:>{width}}" for label in demo.labels)]
+    for label, row in zip(demo.labels, demo.matrix):
+        cells = "  ".join(f"{'yes' if cell else 'no':>{width}}" for cell in row)
+        lines.append(f"{label:>{width}}  {cells}")
+    lines.append("rows reduce to columns; power " + str(command.power))
+    return {"verdict": "OK", "diagnostics": tuple(lines)}, EXIT_OK
+
+
+def _selftest(command: Command):
+    results = selftest_module.run_selftest()
+    diagnostics = tuple(
+        f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else "")
+        for name, ok, detail in results
+    )
+    all_ok = all(ok for _, ok, _ in results)
+    code = EXIT_OK if all_ok else EXIT_USAGE
+    return {"verdict": "PASS" if all_ok else "FAIL", "diagnostics": diagnostics}, code
 
 
 def render_text(report: Report) -> str:
@@ -432,12 +323,14 @@ def render(report: Report) -> str:
 
 def main(argv=None) -> int:
     try:
-        command = parse_command(sys.argv[1:] if argv is None else argv)
+        report, code = run(parse_command(sys.argv[1:] if argv is None else argv))
+        print(render(report))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report, code = run(command)
-    print(render(report))
+    except Exception as exc:  # the process boundary: any other fault is exit 4
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

@@ -3,7 +3,7 @@
 Componentwise duals: the real line is self-dual, the circle dualizes to the
 integers, and a solenoid dualizes to the rank-1 subgroup of the rationals
 whose denominators are bounded by its profile.  A rank-1 type is therefore
-either the integers (ALL_ZERO) or a profile.
+given by a profile, the all-zero one being the integers.
 
 Between rank-1 groups every homomorphism is multiplication by a rational
 u/v, and a nonzero one from type ``a`` into type ``b`` exists exactly when a
@@ -49,28 +49,24 @@ _ZERO_PROFILE = SupernaturalProfile((), 0)
 class RationalType:
     """Isomorphism type of a rank-1 group: a subgroup of the rationals whose
     denominators' prime factorizations are bounded by ``profile``.  The
-    ``profile=None`` value is the distinguished all-zero type, the integers.
+    all-zero profile is the type of the integers.
     """
 
-    profile: SupernaturalProfile | None = None
+    profile: SupernaturalProfile = _ZERO_PROFILE
 
     def __post_init__(self):
-        if self.profile is not None and not isinstance(self.profile, SupernaturalProfile):
-            raise DomainError(f"rational type wants a profile or None, got {self.profile!r}")
+        if not isinstance(self.profile, SupernaturalProfile):
+            raise DomainError(f"rational type wants a profile, got {self.profile!r}")
 
     @property
     def is_integers(self) -> bool:
-        return self.profile is None
-
-    @property
-    def effective_profile(self) -> SupernaturalProfile:
-        return _ZERO_PROFILE if self.profile is None else self.profile
+        return self.profile == _ZERO_PROFILE
 
     def __str__(self):
-        return "Z" if self.profile is None else f"Q{self.profile}"
+        return "Z" if self.is_integers else f"Q{self.profile}"
 
 
-INTEGERS = RationalType(None)
+INTEGERS = RationalType()
 
 
 class DualComponentKind(Enum):
@@ -143,7 +139,7 @@ def hom_nonzero_exists(a: RationalType, b: RationalType) -> bool:
     >>> hom_nonzero_exists(RationalType(SupernaturalProfile({2: OMEGA})), INTEGERS)
     False
     """
-    return deficit(a.effective_profile, b.effective_profile) is not OMEGA
+    return deficit(a.profile, b.profile) is not OMEGA
 
 
 def dual_reduces(g: GroupExpr, h: GroupExpr) -> bool:

@@ -29,6 +29,7 @@ entries, which are factored during group normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from sympy import isprime
 
@@ -57,7 +58,6 @@ __all__ = [
     "parse_profile",
     "parse_sequence",
     "parse_upset",
-    "render_mult",
     "render_profile",
     "render_group",
     "render_dual",
@@ -181,11 +181,9 @@ def _parse_profile(p: _Parser) -> SupernaturalProfile:
     open_token = p.expect("{")
     entries = {}
     default: Mult = 0
-    saw_default = False
     if p.take("default"):
         p.expect("=")
         default = _parse_mult(p)
-        saw_default = True
     elif not p.at("}"):
         while True:
             token = p.peek()
@@ -202,8 +200,7 @@ def _parse_profile(p: _Parser) -> SupernaturalProfile:
             p.expect("default")
             p.expect("=")
             default = _parse_mult(p)
-            saw_default = True
-    if saw_default and default is not OMEGA and default != 0:
+    if default is not OMEGA and default != 0:
         raise ParseError("profile default must be 0 or w", open_token.pos)
     profile = SupernaturalProfile(entries, default)
     if not profile.has_infinite_total:
@@ -329,18 +326,13 @@ def parse_upset(text: str) -> UPSet:
     """Parse ``fin{1,3}``, ``cofin{0,2}``, or the general
     ``ups{except=0,3; from=8; period=4; word=0110}`` form."""
     p = _Parser(text)
-    if p.take("fin"):
-        p.expect("{")
-        members = _parse_nat_list(p, ("}",))
-        p.expect("}")
-        p.expect_end()
-        return UPSet.from_finite(members)
-    if p.take("cofin"):
-        p.expect("{")
-        excluded = _parse_nat_list(p, ("}",))
-        p.expect("}")
-        p.expect_end()
-        return UPSet.from_cofinite(excluded)
+    for keyword, build in (("fin", UPSet.from_finite), ("cofin", UPSet.from_cofinite)):
+        if p.take(keyword):
+            p.expect("{")
+            listed = _parse_nat_list(p, ("}",))
+            p.expect("}")
+            p.expect_end()
+            return build(listed)
     p.expect("ups")
     p.expect("{")
     members = []
@@ -382,48 +374,24 @@ def parse_upset(text: str) -> UPSet:
 
 # -- renderers ----------------------------------------------------------------
 
-def render_mult(m: Mult) -> str:
-    return "w" if m is OMEGA else str(m)
-
-
 def render_profile(p: SupernaturalProfile) -> str:
     return str(p)
+
+
+def _render_runs(items: tuple) -> str:
+    """Adjacent equal items grouped with powers and joined by `` x ``; ``1`` when empty."""
+    runs = ((str(item), len(list(run))) for item, run in groupby(items))
+    return " x ".join(text + (f"^{count}" if count > 1 else "") for text, count in runs) or "1"
 
 
 def render_group(g: GroupExpr) -> str:
     """Canonical text: adjacent equal atoms grouped with powers; reparses to
     the identical expression."""
-    if not g.factors:
-        return "1"
-    parts = []
-    run_atom = None
-    run_length = 0
-    for atom in g.factors + (None,):
-        if atom == run_atom:
-            run_length += 1
-            continue
-        if run_atom is not None:
-            parts.append(str(run_atom) + (f"^{run_length}" if run_length > 1 else ""))
-        run_atom = atom
-        run_length = 1
-    return " x ".join(parts)
+    return _render_runs(g.factors)
 
 
 def render_dual(d: DualExpr) -> str:
-    if not d.components:
-        return "1"
-    parts = []
-    run = None
-    count = 0
-    for component in d.components + (None,):
-        if component == run:
-            count += 1
-            continue
-        if run is not None:
-            parts.append(str(run) + (f"^{count}" if count > 1 else ""))
-        run = component
-        count = 1
-    return " x ".join(parts)
+    return _render_runs(d.components)
 
 
 def render_upset(s: UPSet) -> str:

@@ -40,6 +40,7 @@ from .supernatural import (
     OMEGA,
     SupernaturalProfile,
     canonical_terms,
+    minimal_period,
     multiplicity,
     oracle_injection,
     preceq,
@@ -95,11 +96,8 @@ class UPSet:
             raise DomainError(
                 f"exceptional bits cover {len(exceptional)} naturals but threshold is {threshold}"
             )
-        for d in range(1, period + 1):
-            if period % d == 0 and word == word[:d] * (period // d):
-                word = word[:d]
-                period = d
-                break
+        word = minimal_period(word)
+        period = len(word)
         while threshold > 0 and exceptional[threshold - 1] == word[(threshold - 1) % period]:
             threshold -= 1
             exceptional = exceptional[:threshold]

@@ -33,6 +33,7 @@ __all__ = [
     "SupernaturalProfile",
     "SeqSpec",
     "IntSeqSpec",
+    "minimal_period",
     "multiplicity",
     "profile_from_sequence",
     "factor_sequence",
@@ -147,13 +148,24 @@ class SupernaturalProfile:
             if gamma in seen:
                 raise DomainError(f"duplicate exception for prime {gamma}")
             seen[gamma] = _check_mult(value)
+        self._store(seen, default)
+
+    def _store(self, multiplicities: dict, default: Mult):
         canonical = tuple(
             (gamma, value)
-            for gamma, value in sorted(seen.items())
+            for gamma, value in sorted(multiplicities.items())
             if not _mult_eq(value, default)
         )
         object.__setattr__(self, "exceptions", canonical)
         object.__setattr__(self, "default", default)
+
+    @classmethod
+    def _of_primes(cls, multiplicities: dict, default: Mult) -> "SupernaturalProfile":
+        """A profile whose keys are known primes and values valid
+        multiplicities, built without testing them again."""
+        profile = object.__new__(cls)
+        profile._store(multiplicities, default)
+        return profile
 
     @classmethod
     def all_omega(cls) -> "SupernaturalProfile":
@@ -201,8 +213,8 @@ def _validated_word(entries: Iterable, minimum: int, what: str) -> tuple:
     return word
 
 
-def _minimal_period(word: tuple) -> tuple:
-    # smallest d | len(word) with word = word[:d] repeated
+def minimal_period(word: tuple) -> tuple:
+    """The shortest prefix of ``word`` whose repetition is ``word``."""
     n = len(word)
     for d in range(1, n + 1):
         if n % d == 0 and word == word[:d] * (n // d):
@@ -230,7 +242,7 @@ class IntSeqSpec:
         if not tail:
             raise DomainError("sequence tail must be nonempty (the sequence is infinite)")
         object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail", _minimal_period(tail))
+        object.__setattr__(self, "tail", minimal_period(tail))
 
     def term(self, i: int) -> int:
         if i < 0:
@@ -316,6 +328,15 @@ def _surplus(tq: Mult, tp: Mult) -> Mult:
     return tq - tp
 
 
+def _paired(q: SupernaturalProfile, p: SupernaturalProfile) -> Iterator[tuple]:
+    """(prime, multiplicity in q, multiplicity in p) for every exception prime
+    of either profile, ascending.  Reads the stored multiplicities: the
+    primes were validated when the profiles were built."""
+    in_q, in_p = dict(q.exceptions), dict(p.exceptions)
+    for gamma in sorted(in_q.keys() | in_p.keys()):
+        yield gamma, in_q.get(gamma, q.default), in_p.get(gamma, p.default)
+
+
 def deficit(q: SupernaturalProfile, p: SupernaturalProfile) -> Mult:
     """Total surplus of ``q`` over ``p``: the number of occurrences that must
     be dropped from Q's expansion before the rest embeds into P's.
@@ -331,8 +352,8 @@ def deficit(q: SupernaturalProfile, p: SupernaturalProfile) -> Mult:
     if q.default is OMEGA and p.default is not OMEGA:
         return OMEGA
     total = 0
-    for gamma in sorted({g for g, _ in q.exceptions} | {g for g, _ in p.exceptions}):
-        d = _surplus(q.multiplicity(gamma), p.multiplicity(gamma))
+    for _, tq, tp in _paired(q, p):
+        d = _surplus(tq, tp)
         if d is OMEGA:
             return OMEGA
         total += d
@@ -364,8 +385,8 @@ def finite_surplus_table(q: SupernaturalProfile, p: SupernaturalProfile) -> tupl
     if deficit(q, p) is OMEGA:
         raise DomainError("surplus table requested for an infinite deficit")
     table = []
-    for gamma in sorted({g for g, _ in q.exceptions} | {g for g, _ in p.exceptions}):
-        d = _surplus(q.multiplicity(gamma), p.multiplicity(gamma))
+    for gamma, tq, tp in _paired(q, p):
+        d = _surplus(tq, tp)
         if d != 0:
             table.append((gamma, d))
     return tuple(table)
@@ -377,17 +398,17 @@ def refutation_witness(q: SupernaturalProfile, p: SupernaturalProfile):
 
     Every failure of ``preceq`` in this representation has such a witness.
     """
-    keys = {g for g, _ in q.exceptions} | {g for g, _ in p.exceptions}
-    candidates = [
-        g for g in keys
-        if q.multiplicity(g) is OMEGA and p.multiplicity(g) is not OMEGA
-    ]
+    keys, candidates = set(), []
+    for gamma, tq, tp in _paired(q, p):
+        keys.add(gamma)
+        if tq is OMEGA and tp is not OMEGA:
+            candidates.append(gamma)
     if q.default is OMEGA and p.default is not OMEGA:
         gamma = 2
         while gamma in keys:
             gamma = int(nextprime(gamma))
         candidates.append(gamma)
-    return min(candidates) if candidates else None
+    return min(candidates, default=None)
 
 
 def profile_add(l: SupernaturalProfile, m: SupernaturalProfile) -> SupernaturalProfile:
@@ -397,9 +418,7 @@ def profile_add(l: SupernaturalProfile, m: SupernaturalProfile) -> SupernaturalP
     '{2:w, 3:w}'
     """
     default = OMEGA if (l.default is OMEGA or m.default is OMEGA) else 0
-    keys = {g for g, _ in l.exceptions} | {g for g, _ in m.exceptions}
-    exceptions = {g: l.multiplicity(g) + m.multiplicity(g) for g in keys}
-    return SupernaturalProfile(exceptions, default)
+    return SupernaturalProfile._of_primes({g: a + b for g, a, b in _paired(l, m)}, default)
 
 
 def interleave(l: SeqSpec, m: SeqSpec) -> SeqSpec:
@@ -493,17 +512,7 @@ def oracle_drop_bound(q: SupernaturalProfile, p: SupernaturalProfile) -> int:
     By then each surplus prime has shed its deficit-many early occurrences,
     so no window can demand more of a prime than ``p`` ever supplies.
     """
-    remaining = {gamma: d for gamma, d in finite_surplus_table(q, p)}
-    if not remaining:
-        return 0
-    for index, term in enumerate(canonical_terms(q)):
-        if term in remaining:
-            remaining[term] -= 1
-            if remaining[term] == 0:
-                del remaining[term]
-            if not remaining:
-                return index + 1
-    raise AssertionError("unreachable: finite surpluses are emitted in the finite phase")
+    return _covering_prefix_length(q, dict(finite_surplus_table(q, p)))
 
 
 def sufficient_prefix_length(p: SupernaturalProfile, window: Iterable) -> int:
@@ -519,6 +528,12 @@ def sufficient_prefix_length(p: SupernaturalProfile, window: Iterable) -> int:
                 f"window needs {count} occurrences of {gamma} but the profile carries "
                 f"{multiplicity(p, gamma)}"
             )
+    return _covering_prefix_length(p, need)
+
+
+def _covering_prefix_length(p: SupernaturalProfile, need: Mapping) -> int:
+    """Length of the shortest canonical prefix of ``p`` holding each prime
+    at least ``need[prime]`` times; ``p`` must supply that many."""
     missing = {gamma: count for gamma, count in need.items() if count > 0}
     if not missing:
         return 0
@@ -529,4 +544,4 @@ def sufficient_prefix_length(p: SupernaturalProfile, window: Iterable) -> int:
                 del missing[term]
             if not missing:
                 return index + 1
-    raise AssertionError("unreachable: every demanded prime recurs often enough")
+    raise AssertionError("unreachable: canonical_terms is infinite")

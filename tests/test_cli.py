@@ -8,6 +8,7 @@ import pathlib
 import pytest
 from jsonschema import validate
 
+from borelcmp import cli
 from borelcmp.cli import (
     EXIT_DOMAIN,
     EXIT_FALSE_VERDICT,
@@ -214,6 +215,18 @@ def test_main_usage_error(capsys):
     assert code == EXIT_USAGE
     assert "usage error" in captured.err
     assert "finite total" in captured.err
+    assert captured.out == ""
+
+
+def test_main_internal_error(monkeypatch, capsys):
+    def broken(g, h):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "reduces", broken)
+    code = main(["reduce", "T", "T"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.err == "internal error: RuntimeError: boom\n"
     assert captured.out == ""
 
 

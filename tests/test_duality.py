@@ -37,6 +37,13 @@ def test_dual_instances():
     assert dual(group(REAL)).components[0].kind is DualComponentKind.REAL_LINE
 
 
+def test_zero_profile_is_the_integers():
+    zero = RationalType(SupernaturalProfile({}))
+    assert zero == INTEGERS
+    assert hash(zero) == hash(INTEGERS)
+    assert str(zero) == "Z"
+
+
 def test_dual_componentwise_length(rng):
     for _ in range(30):
         g = make_expr(rng)
@@ -95,8 +102,8 @@ def test_hom_transitive(rng):
 def _truncated_required_exponent(a: RationalType, b: RationalType, gamma: int, level: int):
     """Exponent of gamma a numerator must carry so that multiplication maps
     the level-truncated type a into type b."""
-    ta = multiplicity(a.effective_profile, gamma)
-    tb = multiplicity(b.effective_profile, gamma)
+    ta = multiplicity(a.profile, gamma)
+    tb = multiplicity(b.profile, gamma)
     if tb is OMEGA:
         return 0
     ta_cut = level if ta is OMEGA else min(ta, level)

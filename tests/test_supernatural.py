@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from borelcmp import supernatural
 from borelcmp.errors import DomainError
 from borelcmp.supernatural import (
     OMEGA,
@@ -197,6 +198,27 @@ def test_preceq_iff_finite_deficit(q, p):
         assert witness is not None
         assert multiplicity(q, witness) is OMEGA
         assert multiplicity(p, witness) is not OMEGA
+
+
+def test_refutation_witness_is_the_least_prime():
+    # 3 has infinite surplus as an exception prime, 2 through q's default
+    assert refutation_witness(ALL_OMEGA, P({3: 4, 5: OMEGA})) == 2
+
+
+def test_profile_walks_read_stored_multiplicities(monkeypatch):
+    q, p, two_adic = P({2: 7, 3: OMEGA, 5: 2}), P({2: 5, 3: OMEGA, 7: OMEGA}), P({2: OMEGA})
+    total = P({2: 12, 3: OMEGA, 5: 2, 7: OMEGA})
+
+    def no_prime_tests(n):
+        raise AssertionError(f"isprime({n}) called on a stored exception prime")
+
+    monkeypatch.setattr(supernatural, "isprime", no_prime_tests)
+    assert deficit(q, p) == 4
+    assert preceq(q, p)
+    assert finite_surplus_table(q, p) == ((2, 2), (5, 2))
+    assert refutation_witness(two_adic, p) == 2
+    assert refutation_witness(q, p) is None
+    assert profile_add(q, p) == total
 
 
 def test_profiles_bireducible_examples():
