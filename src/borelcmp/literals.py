@@ -157,7 +157,10 @@ class _Parser:
         if token.kind != "num":
             raise ParseError(f"expected a number but found {self._describe(token)}", token.pos)
         self.advance()
-        return int(token.text)
+        try:
+            return int(token.text)
+        except ValueError:  # longer than the interpreter's integer-string conversion limit
+            raise ParseError(f"number of {len(token.text)} digits is too long", token.pos) from None
 
     def expect_end(self):
         token = self.peek()
@@ -202,7 +205,7 @@ def _parse_profile(p: _Parser) -> SupernaturalProfile:
             default = _parse_mult(p)
     if default is not OMEGA and default != 0:
         raise ParseError("profile default must be 0 or w", open_token.pos)
-    profile = SupernaturalProfile(entries, default)
+    profile = SupernaturalProfile._of_primes(entries, default)
     if not profile.has_infinite_total:
         raise ParseError(
             f"profile {profile} has finite total multiplicity; no infinite prime "

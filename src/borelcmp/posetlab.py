@@ -29,8 +29,10 @@ common power, so verdicts only compare members of equal power.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
+from itertools import filterfalse, islice
 from math import lcm
 
 from sympy import nextprime
@@ -39,9 +41,10 @@ from .errors import DomainError
 from .supernatural import (
     OMEGA,
     SupernaturalProfile,
+    _alternate,
+    _paired,
     canonical_terms,
     minimal_period,
-    multiplicity,
     oracle_injection,
     preceq,
 )
@@ -157,13 +160,7 @@ class UPSet:
         """First ``count`` elements of the complement, ascending."""
         if self.is_cofinite:
             raise DomainError("complement is finite; cannot enumerate that many elements")
-        out = []
-        n = 0
-        while len(out) < count:
-            if n not in self:
-                out.append(n)
-            n += 1
-        return tuple(out)
+        return tuple(islice(filterfalse(self.__contains__, itertools.count()), count))
 
     def __str__(self):
         from .literals import render_upset
@@ -198,16 +195,12 @@ def set_difference(a: UPSet, b: UPSet):
     there on, one element in the difference would drag its whole residue
     class along.
     """
+    def in_difference(n):
+        return n in a and n not in b
+
     if subset_star(a, b):
-        bound = max(a.threshold, b.threshold)
-        return True, tuple(n for n in range(bound) if n in a and n not in b)
-    sample = []
-    n = 0
-    while len(sample) < 8:
-        if n in a and n not in b:
-            sample.append(n)
-        n += 1
-    return False, tuple(sample)
+        return True, tuple(filter(in_difference, range(max(a.threshold, b.threshold))))
+    return False, tuple(islice(filter(in_difference, itertools.count()), 8))
 
 
 class Family:
@@ -217,8 +210,9 @@ class Family:
 
     Invariants: Q's relation reduces to P's (P preceq Q) and the d-set is
     infinite, which in this representation pins default(P) = 0 and
-    default(Q) = OMEGA.  The d-enumeration is sieved on demand into an
-    append-only cache guarded by a lock.
+    default(Q) = OMEGA.  The d-enumeration walks the primes on demand,
+    skipping the finitely many exception primes at which P's multiplicity
+    reaches Q's, into an append-only cache guarded by a lock.
     """
 
     def __init__(self, p: SupernaturalProfile, q: SupernaturalProfile):
@@ -233,8 +227,9 @@ class Family:
             raise DomainError("family requires p preceq q (q's relation reduces to p's)")
         self.p = p
         self.q = q
+        self._skipped = frozenset(gamma for gamma, tp, tq in _paired(p, q) if not tp < tq)
         self._d_cache: list = []
-        self._d_frontier = 1  # last integer sieved
+        self._d_frontier = 1  # last prime walked
         self._lock = threading.Lock()
 
     def __eq__(self, other):
@@ -248,7 +243,7 @@ class Family:
 
     @classmethod
     def default(cls) -> "Family":
-        return cls(SupernaturalProfile({2: OMEGA}), SupernaturalProfile.all_omega())
+        return cls(SupernaturalProfile._of_primes({2: OMEGA}, 0), SupernaturalProfile.all_omega())
 
     def _ensure_d_terms(self, k: int):
         # the cache is append-only: reads below len() never see it change
@@ -258,7 +253,7 @@ class Family:
             while len(self._d_cache) < k:
                 gamma = int(nextprime(self._d_frontier))
                 self._d_frontier = gamma
-                if multiplicity(self.p, gamma) < multiplicity(self.q, gamma):
+                if gamma not in self._skipped:
                     self._d_cache.append(gamma)
 
     def d_terms(self, k: int) -> tuple:
@@ -287,14 +282,6 @@ class MemberRef:
             raise DomainError(f"member power must be >= 1, got {self.power!r}")
 
 
-def _inner_term(family: Family, k: int, base_terms) -> int:
-    # (P_0' interleave base)(k)
-    i, r = divmod(k, 2)
-    if r == 0:
-        return family.d_term(3 * i)
-    return base_terms[i]
-
-
 def member_sequence(m: MemberRef, n: int) -> tuple:
     """First ``n`` terms of the member's concrete prime sequence.
 
@@ -304,25 +291,16 @@ def member_sequence(m: MemberRef, n: int) -> tuple:
     """
     if n < 0:
         raise DomainError(f"term count must be nonnegative, got {n}")
-    if n == 0:
+    if n == 0:  # even when p has no infinite sequence
         return ()
-    base_len = (n + 3) // 2  # enough base terms for either layering
-    base = []
-    for term in canonical_terms(m.family.p):
-        base.append(term)
-        if len(base) == base_len:
-            break
-    if m.a.is_cofinite:
-        return tuple(_inner_term(m.family, k, base) for k in range(n))
-    complement = m.a.complement_members((n + 1) // 2)
-    out = []
-    for k in range(n):
-        i, r = divmod(k, 2)
-        if r == 0:
-            out.append(m.family.d_term(1 + 3 * complement[i]))
-        else:
-            out.append(_inner_term(m.family, i, base))
-    return tuple(out)
+    family = m.family
+    # P_0' interleave base(P)
+    terms = _alternate(map(family.d_term, itertools.count(0, 3)), canonical_terms(family.p))
+    if not m.a.is_cofinite:
+        complement = filterfalse(m.a.__contains__, itertools.count())
+        # P_A' interleave (P_0' interleave base(P))
+        terms = _alternate((family.d_term(1 + 3 * c) for c in complement), terms)
+    return tuple(islice(terms, n))
 
 
 def _check_same_family(m_a: MemberRef, m_b: MemberRef):
@@ -375,11 +353,7 @@ def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> Cros
     finite, elements = set_difference(m_a.a, m_b.a)
     surplus = tuple(m_a.family.d_term(1 + 3 * c) for c in elements)
 
-    drops = [0]
-    d = 1
-    while d <= window:
-        drops.append(d)
-        d *= 2
+    drops = (0, *(1 << i for i in range(window.bit_length())))  # 0 and the powers of two <= window
     successful = None
     for drop in drops:
         target_window = member_sequence(m_b, drop + window)[drop:]
@@ -401,7 +375,7 @@ def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> Cros
         verdict=verdict,
         surplus_finite=finite,
         surplus_primes=surplus,
-        drops_tested=tuple(drops),
+        drops_tested=drops,
         successful_drop=successful,
         window=window,
         consistent=consistent,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain, cycle, islice, repeat
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -263,7 +264,8 @@ class SeqSpec(IntSeqSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        for entry in self.prefix + self.tail:
+        # each distinct entry once, in order, so the error names the first bad one
+        for entry in dict.fromkeys(self.prefix + self.tail):
             if not isprime(entry):
                 raise DomainError(f"sequence entry {entry} is not prime")
 
@@ -297,7 +299,7 @@ def profile_from_sequence(s: SeqSpec) -> SupernaturalProfile:
     for gamma in s.prefix:
         if gamma not in exceptions:
             exceptions[gamma] = s.prefix.count(gamma)
-    return SupernaturalProfile(exceptions, 0)
+    return SupernaturalProfile._of_primes(exceptions, 0)
 
 
 def factor_sequence(s: IntSeqSpec) -> SeqSpec:
@@ -392,6 +394,15 @@ def finite_surplus_table(q: SupernaturalProfile, p: SupernaturalProfile) -> tupl
     return tuple(table)
 
 
+def _primes_outside(excluded) -> Iterator[int]:
+    """The primes not in the finite set ``excluded``, ascending."""
+    gamma = 1
+    while True:
+        gamma = int(nextprime(gamma))
+        if gamma not in excluded:
+            yield gamma
+
+
 def refutation_witness(q: SupernaturalProfile, p: SupernaturalProfile):
     """The least prime with infinite surplus of ``q`` over ``p`` (OMEGA in q,
     finite in p), or None when ``preceq(q, p)`` holds.
@@ -404,10 +415,7 @@ def refutation_witness(q: SupernaturalProfile, p: SupernaturalProfile):
         if tq is OMEGA and tp is not OMEGA:
             candidates.append(gamma)
     if q.default is OMEGA and p.default is not OMEGA:
-        gamma = 2
-        while gamma in keys:
-            gamma = int(nextprime(gamma))
-        candidates.append(gamma)
+        candidates.append(next(_primes_outside(keys)))
     return min(candidates, default=None)
 
 
@@ -427,21 +435,20 @@ def interleave(l: SeqSpec, m: SeqSpec) -> SeqSpec:
     >>> interleave(SeqSpec((5,), (2,)), SeqSpec((), (3,)))
     SeqSpec(prefix=(5, 3), tail=(2, 3))
     """
-    start = 2 * max(len(l.prefix), len(m.prefix))
-    period = 2 * lcm(len(l.tail), len(m.tail))
+    start = max(len(l.prefix), len(m.prefix))
+    length = start + lcm(len(l.tail), len(m.tail))
+    woven = tuple(_alternate(l.terms(length), m.terms(length)))
+    return SeqSpec(woven[: 2 * start], woven[2 * start :])
 
-    def term(n):
-        k, r = divmod(n, 2)
-        return m.term(k) if r else l.term(k)
 
-    prefix = tuple(term(n) for n in range(start))
-    tail = tuple(term(n) for n in range(start, start + period))
-    return SeqSpec(prefix, tail)
+def _alternate(first: Iterable, second: Iterable) -> Iterator:
+    """first(0), second(0), first(1), second(1), ... until either runs out."""
+    return chain.from_iterable(zip(first, second))
 
 
 def canonical_terms(p: SupernaturalProfile) -> Iterator[int]:
     """The fixed representative sequence with profile ``p``, as an infinite
-    generator: finite-multiplicity exception primes first (ascending, with
+    iterator: finite-multiplicity exception primes first (ascending, with
     multiplicity), then the OMEGA-multiplicity primes forever.
 
     With default 0 the OMEGA primes cycle round-robin ascending; with
@@ -451,25 +458,12 @@ def canonical_terms(p: SupernaturalProfile) -> Iterator[int]:
     """
     if not p.has_infinite_total:
         raise DomainError(f"profile {p} has finite total multiplicity; no infinite sequence exists")
-    for gamma, count in p.finite_exceptions:
-        for _ in range(count):
-            yield gamma
+    head = chain.from_iterable(repeat(gamma, count) for gamma, count in p.finite_exceptions)
     if p.default is OMEGA:
-        excluded = {g for g, _ in p.exceptions}
-        pool: list = []
-        candidate = 1
-        round_size = 0
-        while True:
-            round_size += 1
-            while len(pool) < round_size:
-                candidate = int(nextprime(candidate))
-                if candidate not in excluded:
-                    pool.append(candidate)
-            yield from pool[:round_size]
-    else:
-        cycle = sorted(p.omega_primes)
-        while True:
-            yield from cycle
+        # round k is the running list of the first k primes outside the exceptions
+        rounds = accumulate([gamma] for gamma in _primes_outside({g for g, _ in p.exceptions}))
+        return chain(head, chain.from_iterable(rounds))
+    return chain(head, cycle(sorted(p.omega_primes)))
 
 
 def canonical_sequence(p: SupernaturalProfile, n: int) -> tuple:
@@ -482,12 +476,7 @@ def canonical_sequence(p: SupernaturalProfile, n: int) -> tuple:
     """
     if n < 0:
         raise DomainError(f"term count must be nonnegative, got {n}")
-    out = []
-    for term in canonical_terms(p):
-        if len(out) == n:
-            break
-        out.append(term)
-    return tuple(out)
+    return tuple(islice(canonical_terms(p), n))
 
 
 def oracle_injection(q_window: Iterable, p_pool: Iterable) -> bool:

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from borelcmp import literals, supernatural
 from borelcmp.groups import REAL, TORUS, GroupExpr, group, solenoid
 from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
@@ -47,3 +48,17 @@ def make_expr(rng: random.Random, max_factors: int = 4, compact: bool = False) -
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(987654321)
+
+
+@pytest.fixture
+def isprime_calls(monkeypatch) -> list:
+    """Records, in order, every number tested through the package's
+    bindings of ``isprime``."""
+    calls: list = []
+    for module in (supernatural, literals):
+        def counted(n, _isprime=module.isprime):
+            calls.append(n)
+            return _isprime(n)
+
+        monkeypatch.setattr(module, "isprime", counted)
+    return calls

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import shlex
 
 import pytest
 from jsonschema import validate
@@ -58,6 +59,7 @@ def test_parse_command_preceq():
         (["reduce", "R", "T", "--frobnicate"], "unrecognized"),
         (["preceq", "{2:w}", "{3:w}", "--oracle-window", "0"], "positive"),
         (["family-compare", "--a", "fin{1,}", "--b", "fin{}"], "expected a number"),
+        (["dim", "T^1" + "0" * 4400], "too long"),
     ],
 )
 def test_parse_command_usage_errors(argv, fragment):
@@ -236,6 +238,30 @@ def test_main_json_output(capsys):
     assert code == EXIT_OK
     assert payload["verdict"] == "LEFT_STRICT"
     validate(payload, SCHEMA)
+
+
+def _readme_transcript():
+    """(argv, stdout) for every ``$ borelcmp ...`` line of README.md: the
+    output is the lines below it up to a blank line or the closing fence."""
+    lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    examples = []
+    for index, line in enumerate(lines):
+        if line.startswith("$ borelcmp "):
+            shown = []
+            for out in lines[index + 1:]:
+                if not out or out.startswith("```"):
+                    break
+                shown.append(out + "\n")
+            examples.append((shlex.split(line)[2:], "".join(shown)))
+    return examples
+
+
+def test_readme_transcript(capsys):
+    examples = _readme_transcript()
+    assert examples
+    for argv, shown in examples:
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == shown, argv
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,14 @@ def test_parse_profile_rejects(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_parse_paths_test_each_prime_once(isprime_calls):
+    parse_profile("{2:w, 3:5, 5:7, 7:w}")
+    assert isprime_calls == [2, 3, 5, 7]
+    isprime_calls.clear()
+    parse_group("S[4,6,8|9]")
+    assert isprime_calls == [2, 3]
+
+
 def test_parse_sequence():
     assert parse_sequence("[4,6,8|9]") == IntSeqSpec((4, 6, 8), (9,))
     assert parse_sequence("[|2,3]") == IntSeqSpec((), (2, 3))

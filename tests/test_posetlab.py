@@ -34,19 +34,20 @@ def _sieve(count: int) -> list:
     return primes
 
 
-def _oracle_default_member_prefix(membership, n: int) -> list:
-    """Recompute a default-family member sequence from scratch.
+def _oracle_member_prefix(membership, n: int, base: list, skipped: set) -> list:
+    """Recompute a member sequence from scratch.
 
-    Default family: the base sequence is constant 2, and the d-enumeration
-    is every prime except 2, ascending.  Layering: even positions take
-    d[1+3c] over the complement of A ascending; odd positions take the inner
-    sequence, itself alternating d[3i] with the base.
+    ``base`` is a prefix of at least n terms of the family's base sequence
+    and the d-enumeration is every prime outside ``skipped``, ascending.
+    Layering: even positions take d[1+3c] over the complement of A
+    ascending; odd positions take the inner sequence, itself alternating
+    d[3i] with the base.
     """
-    d = [p for p in _sieve(4 * n + 40) if p != 2]
+    d = [p for p in _sieve(4 * n + 40) if p not in skipped]
 
     def inner(k):
         i, r = divmod(k, 2)
-        return d[3 * i] if r == 0 else 2
+        return d[3 * i] if r == 0 else base[i]
 
     complement = [c for c in range(8 * n + 80) if not membership(c)]
     cofinite = len(complement) <= 2  # for the sets used here
@@ -152,6 +153,11 @@ def test_d_enumeration_examples():
     assert capped.d_terms(3) == (3, 5, 7)
 
 
+def test_d_enumeration_tests_no_prime(isprime_calls):
+    assert len(Family.default().d_terms(1000)) == 1000
+    assert isprime_calls == []
+
+
 def test_d_enumeration_cache_is_thread_safe():
     fam = Family.default()
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -166,7 +172,7 @@ def test_member_sequence_worked_example_against_sieve_oracle():
     fam = Family.default()
     evens = UPSet.multiples_of(2)
     got = member_sequence(MemberRef(fam, evens), 4)
-    assert list(got) == _oracle_default_member_prefix(lambda n: n % 2 == 0, 4)
+    assert list(got) == _oracle_member_prefix(lambda n: n % 2 == 0, 4, [2] * 4, {2})
     assert got == (13, 3, 37, 2)
 
 
@@ -174,21 +180,28 @@ def test_member_sequence_cofinite_against_sieve_oracle():
     fam = Family.default()
     cofinite = UPSet.from_cofinite([0, 5])
     got = member_sequence(MemberRef(fam, cofinite), 4)
-    assert list(got) == _oracle_default_member_prefix(lambda n: n not in (0, 5), 4)
+    assert list(got) == _oracle_member_prefix(lambda n: n not in (0, 5), 4, [2] * 4, {2})
     assert got == (3, 2, 11, 2)
 
 
 def test_member_sequence_longer_prefixes_match_oracle():
-    fam = Family.default()
+    default = (Family.default(), [2] * 60, {2})
+    # the family-new golden family: base 5, 5, 3, 3, ...; 3 is no d-prime
+    other = (
+        Family(SupernaturalProfile({3: OMEGA, 5: 2}), SupernaturalProfile({2: 4}, OMEGA)),
+        [5, 5] + [3] * 58,
+        {3},
+    )
     cases = [
-        (UPSet.multiples_of(2), lambda n: n % 2 == 0),
-        (UPSet.multiples_of(4), lambda n: n % 4 == 0),
-        (UPSet((), 2, (False, True), threshold=0), lambda n: n % 2 == 1),
-        (UPSet.from_cofinite([]), lambda n: True),
+        (default, UPSet.multiples_of(2), lambda n: n % 2 == 0),
+        (default, UPSet.multiples_of(4), lambda n: n % 4 == 0),
+        (default, UPSet((), 2, (False, True), threshold=0), lambda n: n % 2 == 1),
+        (default, UPSet.from_cofinite([]), lambda n: True),
+        (other, UPSet.multiples_of(3), lambda n: n % 3 == 0),
     ]
-    for ups, membership in cases:
+    for (fam, base, skipped), ups, membership in cases:
         got = member_sequence(MemberRef(fam, ups), 60)
-        assert list(got) == _oracle_default_member_prefix(membership, 60)
+        assert list(got) == _oracle_member_prefix(membership, 60, base, skipped)
 
 
 def test_member_sequence_edges():

@@ -284,6 +284,8 @@ def test_canonical_sequence_examples():
     assert canonical_sequence(P({2: OMEGA, 3: OMEGA}), 5) == (2, 3, 2, 3, 2)
     with pytest.raises(DomainError):
         canonical_sequence(P({2: OMEGA}), -1)
+    with pytest.raises(DomainError):  # no infinite sequence, even for an empty prefix
+        canonical_sequence(P({2: 3}), 0)
 
 
 def test_canonical_sequence_dovetail_visits_every_prime_infinitely():
