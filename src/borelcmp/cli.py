@@ -151,7 +151,17 @@ def parse_command(argv) -> Command:
             setattr(command, dest, parse(getattr(command, dest)))
     except ParseError as exc:
         raise UsageError(str(exc)) from exc
+    except DomainError as exc:  # a well-formed literal out of the domain, e.g. over the factor cap
+        command.handler = _refusal(exc)
     return command
+
+
+def _refusal(error: DomainError):
+    """A handler that raises ``error``, which ``run`` reports as exit code 2."""
+    def refuse(command: Command):
+        raise error
+
+    return refuse
 
 
 def run(command: Command):

@@ -27,7 +27,7 @@ from enum import Enum
 
 from .errors import DomainError
 from .groups import TORUS, AtomKind, GroupExpr, group, is_compact
-from .matching import saturating_matching_or_violator
+from .matching import rule_rows, saturating_matching_or_violator
 from .supernatural import OMEGA, SupernaturalProfile, deficit
 
 __all__ = [
@@ -157,13 +157,8 @@ def dual_reduces(g: GroupExpr, h: GroupExpr) -> bool:
         raise DomainError("dual route is restricted to compact targets (no R factor)")
     targets = dual(g).components
     sources = dual(h).components
-    adjacency = [
-        [
-            j
-            for j in range(len(sources))
-            if hom_nonzero_exists(sources[j].rational_type, targets[i].rational_type)
-        ]
-        for i in range(len(targets))
-    ]
+    adjacency = rule_rows(
+        targets, sources, lambda t, s: hom_nonzero_exists(s.rational_type, t.rational_type)
+    )
     matching, _ = saturating_matching_or_violator(len(targets), len(sources), adjacency)
     return matching is not None

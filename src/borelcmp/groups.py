@@ -5,13 +5,15 @@ abelian, and one-dimensional, so the factor count is the covering dimension
 and compactness is just the absence of R factors.  Raw parse trees (with
 nested products, powers, and integer-sequence solenoids) normalize into this
 form; the trivial group is the empty product and is admitted so that every
-command-line operation is total.
+command-line operation is total.  One expression has at most ``MAX_FACTORS``
+(10^7) factors; a larger one is a ``DomainError`` before anything is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Mapping, Union
 
 from .errors import DomainError
@@ -37,6 +39,7 @@ __all__ = [
     "RawSolenoidSeq",
     "RawPower",
     "RawProduct",
+    "MAX_FACTORS",
     "normalize_group",
     "dimension",
     "is_compact",
@@ -154,31 +157,51 @@ class RawProduct:
 RawNode = Union[RawAtom, RawTrivial, RawSolenoidSeq, RawPower, RawProduct, GroupExpr]
 
 
+# Most factors one expression may normalize to.  The count is checked on the
+# raw tree, before any factor is built.
+MAX_FACTORS = 10**7
+
+
+def _factor_count(node: RawNode) -> int:
+    if isinstance(node, RawPower):
+        return _factor_count(node.base) * max(node.exponent, 0)  # _expand refuses a negative one
+    if isinstance(node, RawProduct):
+        return sum(map(_factor_count, node.parts))
+    if isinstance(node, GroupExpr):
+        return len(node.factors)
+    return 0 if isinstance(node, RawTrivial) else 1
+
+
+def _expand(node: RawNode) -> tuple:
+    if isinstance(node, GroupExpr):
+        return node.factors
+    if isinstance(node, RawAtom):
+        return (node.atom,)
+    if isinstance(node, RawTrivial):
+        return ()
+    if isinstance(node, RawSolenoidSeq):
+        return (Atom(AtomKind.SOLENOID, profile_from_sequence(factor_sequence(node.seq))),)
+    if isinstance(node, RawPower):
+        if node.exponent < 0:
+            raise DomainError(f"group exponent must be nonnegative, got {node.exponent}")
+        base = _expand(node.base)
+        return base * node.exponent if base else ()  # () * 10**30 would overflow
+    if isinstance(node, RawProduct):
+        return tuple(chain.from_iterable(map(_expand, node.parts)))
+    raise DomainError(f"not a group expression node: {node!r}")
+
+
 def normalize_group(node: RawNode) -> GroupExpr:
     """Flatten a raw tree to a factor list: powers expand, nested products
     splice, integer-sequence solenoids factor into prime solenoids, and the
     trivial atom contributes nothing.  Idempotent on normalized expressions.
+    More than ``MAX_FACTORS`` factors is a ``DomainError``.
     """
     if isinstance(node, GroupExpr):
         return node
-    if isinstance(node, RawAtom):
-        return GroupExpr((node.atom,))
-    if isinstance(node, RawTrivial):
-        return TRIVIAL_GROUP
-    if isinstance(node, RawSolenoidSeq):
-        profile = profile_from_sequence(factor_sequence(node.seq))
-        return GroupExpr((Atom(AtomKind.SOLENOID, profile),))
-    if isinstance(node, RawPower):
-        if node.exponent < 0:
-            raise DomainError(f"group exponent must be nonnegative, got {node.exponent}")
-        base = normalize_group(node.base)
-        return GroupExpr(base.factors * node.exponent)
-    if isinstance(node, RawProduct):
-        factors: tuple = ()
-        for part in node.parts:
-            factors += normalize_group(part).factors
-        return GroupExpr(factors)
-    raise DomainError(f"not a group expression node: {node!r}")
+    if _factor_count(node) > MAX_FACTORS:
+        raise DomainError(f"expression has more than {MAX_FACTORS} factors, the cap on one expression")
+    return GroupExpr(_expand(node))
 
 
 def dimension(g: GroupExpr) -> int:

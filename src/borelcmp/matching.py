@@ -1,64 +1,65 @@
 """Bipartite matching with certificate extraction.
 
-Inputs here are tiny (factor counts of group expressions), so a plain
-augmenting-path search is used.  What matters is the refutation: when no
-left-saturating matching exists, the set of left vertices reachable from an
-unmatched left vertex by alternating paths is a Hall violator, and its full
-neighborhood is strictly smaller (every reachable right vertex is matched
-back into the set, and the start vertex is not).
+Kuhn's augmenting-path search, run with an explicit stack.  The first left
+vertex whose search fails refutes every matching: the left vertices that
+search reached form a Hall violator K, and the right vertices it visited
+are exactly N(K), each matched back into K (the start vertex is not).  No
+later augmenting path can enter that set, so the search stops there.
+Left vertices may share one row object (``rule_rows`` gives equal atoms
+one); a search scans a shared row once, since every entry before its last
+stop has been visited.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 
-def _try_augment(u, adjacency, match_left, match_right, visited) -> bool:
-    for v in adjacency[u]:
-        if v in visited:
-            continue
-        visited.add(v)
-        if match_right[v] is None or _try_augment(match_right[v], adjacency, match_left, match_right, visited):
-            match_left[u] = v
-            match_right[v] = u
-            return True
-    return False
-
-
-def maximum_matching(num_left: int, num_right: int, adjacency: Sequence[Sequence[int]]):
-    """Kuhn's algorithm; returns (match_left, match_right) with None for
-    unmatched vertices.  Deterministic: vertices and edges in given order."""
-    match_left: list[Optional[int]] = [None] * num_left
-    match_right: list[Optional[int]] = [None] * num_right
-    for u in range(num_left):
-        _try_augment(u, adjacency, match_left, match_right, set())
-    return match_left, match_right
-
-
-def hall_violator(start: int, adjacency, match_right) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Alternating-path reachability from an unmatched left vertex: returns
-    (K, N(K)) with |N(K)| < |K| and N(K) the exact neighborhood of K."""
-    lefts = {start}
-    rights: set[int] = set()
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if v in rights:
-                continue
-            rights.add(v)
-            w = match_right[v]
-            if w is not None and w not in lefts:
-                lefts.add(w)
-                stack.append(w)
-    return tuple(sorted(lefts)), tuple(sorted(rights))
+def rule_rows(lefts: Sequence, rights: Sequence, related: Callable) -> list:
+    """Adjacency rows: row i lists the j with ``related(lefts[i], rights[j])``.
+    Equal left items share one row object, computed once."""
+    rows: dict = {}
+    adjacency = []
+    for item in lefts:
+        if item not in rows:
+            rows[item] = [j for j, other in enumerate(rights) if related(item, other)]
+        adjacency.append(rows[item])
+    return adjacency
 
 
 def saturating_matching_or_violator(num_left: int, num_right: int, adjacency):
     """Either a left-saturating matching (as the full match_left list) or a
-    Hall violator (K, N(K)); exactly one of the pair is None."""
-    match_left, match_right = maximum_matching(num_left, num_right, adjacency)
-    for u in range(num_left):
-        if match_left[u] is None:
-            return None, hall_violator(u, adjacency, match_right)
+    Hall violator (K, N(K)) as sorted tuples; exactly one of the pair is
+    None.  Deterministic: vertices and edges in given order."""
+    match_left: list[Optional[int]] = [None] * num_left
+    match_right: list[Optional[int]] = [None] * num_right
+    for root in range(num_left):
+        visited: set[int] = set()
+        resume: dict[int, int] = {}  # id(row) -> where its last scan stopped
+        path = [root]  # left vertices of the search, root first
+        via: list[int] = []  # via[k]: the right vertex leading from path[k] to path[k + 1]
+        while path:
+            row = adjacency[path[-1]]
+            i = resume.get(id(row), 0)
+            while i < len(row) and row[i] in visited:
+                i += 1
+            if i == len(row):  # dead end: back up one step
+                resume[id(row)] = i
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            resume[id(row)] = i + 1
+            v = row[i]
+            visited.add(v)
+            via.append(v)
+            if match_right[v] is None:  # augmenting path: flip it
+                for u, w in zip(path, via):
+                    match_left[u] = w
+                    match_right[w] = u
+                break
+            path.append(match_right[v])
+        else:  # the search from root failed
+            lefts = {root, *(match_right[v] for v in visited)}
+            return None, (tuple(sorted(lefts)), tuple(sorted(visited)))
     return match_left, None

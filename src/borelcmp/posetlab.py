@@ -293,6 +293,11 @@ def member_sequence(m: MemberRef, n: int) -> tuple:
         raise DomainError(f"term count must be nonnegative, got {n}")
     if n == 0:  # even when p has no infinite sequence
         return ()
+    return tuple(islice(_member_terms(m), n))
+
+
+def _member_terms(m: MemberRef):
+    """The member's concrete prime sequence as an infinite iterator."""
     family = m.family
     # P_0' interleave base(P)
     terms = _alternate(map(family.d_term, itertools.count(0, 3)), canonical_terms(family.p))
@@ -300,7 +305,7 @@ def member_sequence(m: MemberRef, n: int) -> tuple:
         complement = filterfalse(m.a.__contains__, itertools.count())
         # P_A' interleave (P_0' interleave base(P))
         terms = _alternate((family.d_term(1 + 3 * c) for c in complement), terms)
-    return tuple(islice(terms, n))
+    return terms
 
 
 def _check_same_family(m_a: MemberRef, m_b: MemberRef):
@@ -355,10 +360,13 @@ def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> Cros
 
     drops = (0, *(1 << i for i in range(window.bit_length())))  # 0 and the powers of two <= window
     successful = None
+    # both sequences are made once and extended as the drop grows
+    target_terms, source_terms = _member_terms(m_b), _member_terms(m_a)
+    target, prefix = [], []
     for drop in drops:
-        target_window = member_sequence(m_b, drop + window)[drop:]
-        prefix = member_sequence(m_a, 4 * (drop + window) + 64)
-        if oracle_injection(target_window, prefix):
+        target.extend(islice(target_terms, drop + window - len(target)))
+        prefix.extend(islice(source_terms, 4 * (drop + window) + 64 - len(prefix)))
+        if oracle_injection(target[drop:], prefix):
             successful = drop
             break
 

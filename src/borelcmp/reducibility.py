@@ -27,7 +27,7 @@ from enum import Enum
 
 from .errors import DomainError
 from .groups import REAL, TORUS, Atom, AtomKind, GroupExpr, solenoid
-from .matching import saturating_matching_or_violator
+from .matching import rule_rows, saturating_matching_or_violator
 from .supernatural import OMEGA, finite_surplus_table, preceq
 
 __all__ = [
@@ -136,7 +136,8 @@ def reduces(g: GroupExpr, h: GroupExpr) -> Verdict:
     """Decide reducibility of the product ``g`` into the product ``h``.
 
     Builds the bipartite graph with an edge (i, j) whenever factor i of
-    ``g`` reduces to factor j of ``h`` and looks for a matching saturating
+    ``g`` reduces to factor j of ``h`` (equal factors of ``g`` share one
+    row of the rule table) and looks for a matching saturating
     ``g``'s side.  Success returns the injective assignment with per-edge
     witnesses; failure returns a Hall violator.
     """
@@ -145,10 +146,7 @@ def reduces(g: GroupExpr, h: GroupExpr) -> Verdict:
         return Verdict(True, certificate=())
     if n == 0:
         return Verdict(False, violator=HallViolator(K=tuple(range(1, m + 1)), NK=()))
-    adjacency = [
-        [j for j in range(n) if atom_reduces(g.factors[i], h.factors[j])]
-        for i in range(m)
-    ]
+    adjacency = rule_rows(g.factors, h.factors, atom_reduces)
     matching, violator = saturating_matching_or_violator(m, n, adjacency)
     if matching is not None:
         witnesses = tuple(

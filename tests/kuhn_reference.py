@@ -1,0 +1,62 @@
+"""Reference implementation for the matching search: recursive Kuhn.
+
+A plain augmenting-path search over every left vertex, followed by an
+alternating-path reachability from the first unmatched left vertex.  Its
+recursion depth grows with the factor count, so it serves as an oracle on
+small graphs only.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+
+def _try_augment(u, adjacency, match_left, match_right, visited) -> bool:
+    for v in adjacency[u]:
+        if v in visited:
+            continue
+        visited.add(v)
+        if match_right[v] is None or _try_augment(match_right[v], adjacency, match_left, match_right, visited):
+            match_left[u] = v
+            match_right[v] = u
+            return True
+    return False
+
+
+def maximum_matching(num_left: int, num_right: int, adjacency: Sequence[Sequence[int]]):
+    """Kuhn's algorithm; returns (match_left, match_right) with None for
+    unmatched vertices.  Deterministic: vertices and edges in given order."""
+    match_left: list[Optional[int]] = [None] * num_left
+    match_right: list[Optional[int]] = [None] * num_right
+    for u in range(num_left):
+        _try_augment(u, adjacency, match_left, match_right, set())
+    return match_left, match_right
+
+
+def hall_violator(start: int, adjacency, match_right) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Alternating-path reachability from an unmatched left vertex: returns
+    (K, N(K)) with |N(K)| < |K| and N(K) the exact neighborhood of K."""
+    lefts = {start}
+    rights: set[int] = set()
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in adjacency[u]:
+            if v in rights:
+                continue
+            rights.add(v)
+            w = match_right[v]
+            if w is not None and w not in lefts:
+                lefts.add(w)
+                stack.append(w)
+    return tuple(sorted(lefts)), tuple(sorted(rights))
+
+
+def saturating_matching_or_violator(num_left: int, num_right: int, adjacency):
+    """Either a left-saturating matching (as the full match_left list) or a
+    Hall violator (K, N(K)); exactly one of the pair is None."""
+    match_left, match_right = maximum_matching(num_left, num_right, adjacency)
+    for u in range(num_left):
+        if match_left[u] is None:
+            return None, hall_violator(u, adjacency, match_right)
+    return match_left, None

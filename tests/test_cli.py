@@ -84,11 +84,20 @@ def test_exit_verdict_flag_maps_false_to_three():
     assert code == EXIT_OK
 
 
-def test_domain_error_exit_code():
-    report, code = run_argv(["family-new", "--p", "{default=w}", "--q", "{2:w}"])
-    assert code == EXIT_DOMAIN
-    assert report.verdict == "ERROR"
-    assert report.diagnostics
+def test_domain_error_exit_code(capsys):
+    for argv in (
+        ["family-new", "--p", "{default=w}", "--q", "{2:w}"],
+        # over the factor cap, refused while the literal is parsed
+        ["dim", "T^100000000000000000000"],
+        ["dim", "T^1" + "0" * 4200],
+        ["reduce", "T", "(R x T)^5000001", "--json"],
+    ):
+        report, code = run_argv(argv)
+        assert code == EXIT_DOMAIN
+        assert report.verdict == "ERROR"
+        assert report.diagnostics
+        assert main(argv) == EXIT_DOMAIN
+        assert "ERROR" in capsys.readouterr().out
 
 
 def test_reduce_report_content():
@@ -230,6 +239,12 @@ def test_main_internal_error(monkeypatch, capsys):
     assert code == cli.EXIT_INTERNAL == 4
     assert captured.err == "internal error: RuntimeError: boom\n"
     assert captured.out == ""
+
+
+def test_main_reduces_a_thousand_circles(capsys):
+    assert main(["reduce", "T^1000", "T^1000"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "REDUCIBLE" and len(lines) == 1001
 
 
 def test_main_json_output(capsys):

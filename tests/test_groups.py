@@ -6,6 +6,7 @@ import pytest
 
 from borelcmp.errors import DomainError
 from borelcmp.groups import (
+    MAX_FACTORS,
     REAL,
     TORUS,
     TRIVIAL_GROUP,
@@ -51,6 +52,21 @@ def test_normalize_power_and_trivial():
     assert parse_group("1") == TRIVIAL_GROUP
     assert parse_group("1^5 x T") == group(TORUS)
     assert parse_group("(T^2)^3") == group(*[TORUS] * 6)
+
+
+def test_normalize_caps_the_factor_count_before_building():
+    assert MAX_FACTORS >= 10**6  # the largest product the benchmark builds
+    assert len(normalize_group(RawPower(RawAtom(REAL), 10**6)).factors) == 10**6
+    for raw in (
+        RawPower(RawAtom(TORUS), MAX_FACTORS + 1),
+        RawPower(RawAtom(REAL), 10**4000),
+        RawProduct((RawPower(RawAtom(TORUS), MAX_FACTORS), RawAtom(REAL))),
+        RawPower(RawPower(RawAtom(TORUS), 10**6), 10**6),
+    ):
+        with pytest.raises(DomainError, match="more than 10000000 factors"):
+            normalize_group(raw)
+    # a power of the trivial group stays trivial, however large
+    assert parse_group("1^1" + "0" * 30 + " x (T^0)^1" + "0" * 30) == TRIVIAL_GROUP
 
 
 def test_normalize_rejects_negative_exponent():

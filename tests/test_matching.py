@@ -1,0 +1,71 @@
+"""Matching search: the iterative search against the recursive reference."""
+
+from __future__ import annotations
+
+import random
+
+from borelcmp import reducibility
+from borelcmp.literals import parse_group
+from borelcmp.matching import rule_rows, saturating_matching_or_violator
+
+import kuhn_reference
+
+
+def _random_graph(rng: random.Random):
+    """A bipartite graph whose left vertices draw their rows from a small
+    pool, so that many rows are one shared list object; each row lists its
+    right vertices in shuffled order."""
+    num_left, num_right = rng.randrange(0, 9), rng.randrange(0, 9)
+    pool = []
+    for _ in range(rng.randrange(1, 4)):
+        row = [v for v in range(num_right) if rng.random() < 0.4]
+        rng.shuffle(row)
+        pool.append(row)
+    adjacency = [rng.choice(pool) if rng.random() < 0.8 else list(rng.choice(pool))
+                 for _ in range(num_left)]
+    return num_left, num_right, adjacency
+
+
+def test_search_equals_recursive_reference():
+    rng = random.Random(20240601)
+    outcomes = {True: 0, False: 0}
+    for _ in range(12000):
+        num_left, num_right, adjacency = _random_graph(rng)
+        expected = kuhn_reference.saturating_matching_or_violator(num_left, num_right, adjacency)
+        assert saturating_matching_or_violator(num_left, num_right, adjacency) == expected
+        outcomes[expected[0] is not None] += 1
+    assert min(outcomes.values()) > 1000
+
+
+def test_search_leaves_its_input_alone():
+    row = [2, 0, 1]
+    adjacency = [row, row, [1]]
+    assert saturating_matching_or_violator(3, 3, adjacency) == ([0, 2, 1], None)
+    assert adjacency == [[2, 0, 1], [2, 0, 1], [1]] and adjacency[0] is adjacency[1]
+
+
+def test_rule_rows_shares_one_row_per_distinct_left_item():
+    calls = []
+
+    def related(a, b):
+        calls.append((a, b))
+        return a <= b
+
+    rows = rule_rows([2, 1, 2, 2], [3, 1, 2], related)
+    assert rows == [[0, 2], [0, 1, 2], [0, 2], [0, 2]]
+    assert rows[0] is rows[2] is rows[3] and rows[0] is not rows[1]
+    assert len(calls) == 6
+
+
+def test_reduces_evaluates_the_rule_table_once_per_distinct_source_atom(monkeypatch):
+    calls = []
+
+    def counted(a, b, _atom_reduces=reducibility.atom_reduces):
+        calls.append((a, b))
+        return _atom_reduces(a, b)
+
+    monkeypatch.setattr(reducibility, "atom_reduces", counted)
+    g = parse_group("Sol{2:w,3:5,5:7,7:w}^300")
+    h = parse_group("Sol{2:w,7:w,5:3}^300")
+    assert reducibility.reduces(g, h).reducible
+    assert len(calls) == 300

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from borelcmp import posetlab
 from borelcmp.errors import DomainError
 from borelcmp.posetlab import (
     Family,
@@ -323,6 +324,48 @@ def test_crosscheck_fuzz_never_inconsistent(rng):
         m_b = MemberRef(fam, random_ups())
         report = member_crosscheck(m_a, m_b, 200)
         assert report.consistent, (m_a.a, m_b.a, report)
+
+
+def _terms_made(monkeypatch, run):
+    """``run()`` and the number of terms it drew from the streams member
+    sequences are made of: d-enumeration lookups and base-sequence terms."""
+    made = [0]
+
+    def d_term(self, i, _d_term=Family.d_term):
+        made[0] += 1
+        return _d_term(self, i)
+
+    def canonical_terms(p, _canonical_terms=posetlab.canonical_terms):
+        for term in _canonical_terms(p):
+            made[0] += 1
+            yield term
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Family, "d_term", d_term)
+        patch.setattr(posetlab, "canonical_terms", canonical_terms)
+        result = run()
+    return result, made[0]
+
+
+def test_crosscheck_makes_each_member_sequence_once(monkeypatch):
+    fam = Family.default()
+    evens = MemberRef(fam, UPSet.multiples_of(2))
+    odds = MemberRef(fam, UPSet((), 2, (False, True), threshold=0))
+    report, made = _terms_made(monkeypatch, lambda: member_crosscheck(evens, odds, 1000))
+    assert report.successful_drop is None and report.drops_tested[-1] == 512
+    # the longest target window ends at 512 + 1000, the longest source prefix at 4 * 1512 + 64
+    _, needed = _terms_made(monkeypatch, lambda: (member_sequence(odds, 1512), member_sequence(evens, 6112)))
+    assert made == needed + len(report.surplus_primes)
+
+
+def test_crosscheck_succeeding_at_drop_zero_makes_one_window_and_one_prefix(monkeypatch):
+    fam = Family.default()
+    evens = MemberRef(fam, UPSet.multiples_of(2))
+    mult4 = MemberRef(fam, UPSet.multiples_of(4))
+    report, made = _terms_made(monkeypatch, lambda: member_crosscheck(mult4, evens, 100))
+    assert report.successful_drop == 0 and report.surplus_primes == ()
+    _, needed = _terms_made(monkeypatch, lambda: (member_sequence(evens, 100), member_sequence(mult4, 464)))
+    assert made == needed
 
 
 # -- chain demo ----------------------------------------------------------------------

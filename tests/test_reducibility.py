@@ -142,6 +142,17 @@ def test_matching_equals_brute_force(rng):
             assert len(verdict.violator.NK) < len(verdict.violator.K)
 
 
+@pytest.mark.parametrize(
+    "g_text, h_text",
+    [("T^1000", "T^1000"), ("R^500 x T^500", "T^500 x R^500"), ("R^1000 x T", "T^1000")],
+)
+def test_large_products_need_no_recursion(g_text, h_text):
+    g, h = parse_group(g_text), parse_group(h_text)
+    verdict = reduces(g, h)
+    assert verdict.reducible == (g_text != "R^1000 x T")
+    assert verify_certificate(g, h, verdict)
+
+
 def test_dimension_monotone(rng):
     for _ in range(150):
         g, h = make_expr(rng), make_expr(rng)
