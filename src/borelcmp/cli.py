@@ -59,6 +59,16 @@ EXIT_DOMAIN = 2
 EXIT_FALSE_VERDICT = 3
 EXIT_INTERNAL = 4
 
+# Size options: flag -> (dest, largest accepted value).  Their work grows
+# with the value (``--depth`` doubles the period of the demo's sets), so a
+# larger value is a domain error, refused before any work starts.
+SIZE_CAPS = {
+    "--depth": ("depth", 22),
+    "--len": ("length", 10**5),
+    "--oracle-window": ("oracle_window", 10**6),
+    "--crosscheck": ("crosscheck", 10**4),
+}
+
 # A parsed command: the argparse namespace, with every literal argument
 # already turned into its engine value and its text kept in ``inputs``.
 Command = argparse.Namespace
@@ -136,6 +146,10 @@ def parse_command(argv) -> Command:
         value = getattr(command, flag, None)
         if value is not None and value < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be positive")
+    for flag, (dest, cap) in SIZE_CAPS.items():
+        value = getattr(command, dest, None)
+        if value is not None and value > cap:
+            command.handler = _refusal(DomainError(f"{flag} {value} is over its cap of {cap}"))
     # every literal argument of every verb, by dest, in the order of a report's
     # inputs; built per call, so the parser names are looked up at call time
     literals = (

@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from sympy import isprime
-
 from .errors import DomainError, ParseError
 from .groups import (
     REAL,
@@ -49,6 +47,7 @@ from .groups import (
     normalize_group,
 )
 from .posetlab import UPSet
+from .primes import isprime
 from .supernatural import OMEGA, IntSeqSpec, Mult, SupernaturalProfile
 from .duality import DualComponentKind, DualExpr
 

@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from itertools import filterfalse, islice
 from math import lcm
 
-from sympy import nextprime
-
 from .errors import DomainError
+from .primes import nextprime
 from .supernatural import (
     OMEGA,
     SupernaturalProfile,

@@ -232,11 +232,9 @@ def verify_certificate(g: GroupExpr, h: GroupExpr, v: Verdict) -> bool:
         return False
     if any(not 1 <= i <= m for i in K):
         return False
-    neighborhood = set()
-    for i in K:
-        for j in range(1, n + 1):
-            if atom_reduces(g.factors[i - 1], h.factors[j - 1]):
-                neighborhood.add(j)
+    # one rule-table row per distinct atom of K
+    sources = dict.fromkeys(g.factors[i - 1] for i in K)
+    neighborhood = {j + 1 for row in rule_rows(sources, h.factors, atom_reduces) for j in row}
     if tuple(sorted(neighborhood)) != tuple(sorted(v.violator.NK)):
         return False
     return len(v.violator.NK) < len(K)

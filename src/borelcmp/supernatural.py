@@ -24,9 +24,8 @@ from itertools import accumulate, chain, cycle, islice, repeat
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
-from sympy import factorint, isprime, nextprime
-
 from .errors import DomainError
+from .primes import factorint, isprime, nextprime
 
 __all__ = [
     "OMEGA",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pathlib
 import shlex
+import time
 
 import pytest
 from jsonschema import validate
@@ -245,6 +246,46 @@ def test_main_reduces_a_thousand_circles(capsys):
     assert main(["reduce", "T^1000", "T^1000"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "REDUCIBLE" and len(lines) == 1001
+
+
+def test_main_refuses_a_semiprime_over_the_factoring_budget(capsys):
+    # two 90-bit primes: factoring their product used to run without end
+    semiprime = 618970019668049015295030157 * 928455029464802529184826323
+    start = time.perf_counter()
+    code = main(["reduce", f"S[{semiprime}|3]", "T"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_DOMAIN
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "ERROR" and "factoring budget" in lines[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family-demo", "--depth", "40"],  # a word of 2^39 bits before the cap
+        ["family-demo", "--depth", "23"],
+        ["family-expand", "--a", "fin{1}", "--len", "100001"],
+        ["preceq", "{2:w}", "{2:w}", "--oracle-window", "1000001"],
+        ["family-compare", "--a", "fin{1}", "--b", "fin{2}", "--crosscheck", "10001"],
+    ],
+)
+def test_size_options_over_their_caps_are_refused_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == EXIT_DOMAIN
+    assert time.perf_counter() - start < 1.0
+    flag, value = argv[-2:]
+    message = f"{flag} {value} is over its cap of {cli.SIZE_CAPS[flag][1]}"
+    assert capsys.readouterr().out.splitlines() == ["ERROR", message]
+
+
+def test_size_options_at_their_caps_are_accepted():
+    for argv, handler in (
+        (["family-demo", "--depth", "22"], cli._family_demo),
+        (["family-expand", "--a", "fin{1}", "--len", "100000"], cli._family_expand),
+        (["preceq", "{2:w}", "{2:w}", "--oracle-window", "1000000"], cli._preceq),
+        (["family-compare", "--a", "fin{1}", "--b", "fin{2}", "--crosscheck", "10000"], cli._family_compare),
+    ):
+        assert parse_command(argv).handler is handler
 
 
 def test_main_json_output(capsys):

@@ -10,6 +10,7 @@ import borelcmp.duality
 import borelcmp.groups
 import borelcmp.literals
 import borelcmp.posetlab
+import borelcmp.primes
 import borelcmp.reducibility
 import borelcmp.supernatural
 
@@ -20,6 +21,7 @@ MODULES = [
     borelcmp.duality,
     borelcmp.posetlab,
     borelcmp.literals,
+    borelcmp.primes,
 ]
 
 

@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from borelcmp import reducibility
 from borelcmp.errors import DomainError
 from borelcmp.groups import REAL, TORUS, TRIVIAL_GROUP, GroupExpr, dimension, group, solenoid
 from borelcmp.literals import parse_group
@@ -151,6 +152,40 @@ def test_large_products_need_no_recursion(g_text, h_text):
     verdict = reduces(g, h)
     assert verdict.reducible == (g_text != "R^1000 x T")
     assert verify_certificate(g, h, verdict)
+
+
+def test_negative_verification_evaluates_one_row_per_distinct_source_atom(monkeypatch):
+    g, h = parse_group("R^1000 x T"), parse_group("T^1000")
+    verdict = reduces(g, h)
+    assert len(verdict.violator.K) == 1001
+    calls = []
+
+    def counted(a, b, _atom_reduces=reducibility.atom_reduces):
+        calls.append((a, b))
+        return _atom_reduces(a, b)
+
+    monkeypatch.setattr(reducibility, "atom_reduces", counted)
+    assert verify_certificate(g, h, verdict)
+    # two distinct atoms in K, each checked against 1,000 targets
+    assert len(calls) <= 2000
+
+
+@pytest.mark.parametrize(
+    "g_text, h_text",
+    [("R^1000 x T", "T^1000"), ("Sol{2:w}^3 x T", "Sol{2:w} x T x R")],
+)
+def test_tampered_violators_are_rejected(g_text, h_text):
+    g, h = parse_group(g_text), parse_group(h_text)
+    verdict = reduces(g, h)
+    assert verify_certificate(g, h, verdict)
+    K, NK = verdict.violator.K, verdict.violator.NK
+    outside = next(j for j in range(1, len(h.factors) + 2) if j not in NK)
+    for bad in (
+        HallViolator(K, tuple(sorted(NK + (outside,)))),  # one index added to N(K)
+        HallViolator(K[1:], NK),  # one member of K dropped
+        HallViolator(K, NK[:-1]),  # N(K) shrunk
+    ):
+        assert not verify_certificate(g, h, Verdict(False, violator=bad)), bad
 
 
 def test_dimension_monotone(rng):
