@@ -61,6 +61,9 @@ __all__ = [
     "render_group",
     "render_dual",
     "render_upset",
+    "MAX_SET_FROM",
+    "MAX_SET_PERIOD",
+    "MAX_SET_LISTED",
 ]
 
 _KEYWORDS = (
@@ -311,6 +314,14 @@ def parse_group(text: str) -> GroupExpr:
 
 # -- ultimately periodic sets -------------------------------------------------
 
+# Caps on a set literal: its work and memory grow with ``from`` (a
+# ``ups{from=N; period=1; word=1}`` literal has N flips), with ``period``
+# and with the number of listed values.
+MAX_SET_FROM = 10**6
+MAX_SET_PERIOD = 10**6
+MAX_SET_LISTED = 10**5
+
+
 def _parse_nat_list(p: _Parser, closers: tuple) -> list:
     values = []
     if p.peek().kind == "num":
@@ -324,9 +335,19 @@ def _parse_nat_list(p: _Parser, closers: tuple) -> list:
     return values
 
 
+def _check_cap(what: str, value: int, cap: int):
+    if value > cap:
+        raise DomainError(f"{what} {value} is over its cap of {cap}")
+
+
 def parse_upset(text: str) -> UPSet:
     """Parse ``fin{1,3}``, ``cofin{0,2}``, or the general
-    ``ups{except=0,3; from=8; period=4; word=0110}`` form."""
+    ``ups{except=0,3; from=8; period=4; word=0110}`` form.
+
+    ``from`` and ``period`` are capped at ``MAX_SET_FROM`` and
+    ``MAX_SET_PERIOD``, and each list at ``MAX_SET_LISTED`` entries; over a
+    cap the literal is a ``DomainError``.  Listed values are not capped.
+    """
     p = _Parser(text)
     for keyword, build in (("fin", UPSet.from_finite), ("cofin", UPSet.from_cofinite)):
         if p.take(keyword):
@@ -334,6 +355,7 @@ def parse_upset(text: str) -> UPSet:
             listed = _parse_nat_list(p, ("}",))
             p.expect("}")
             p.expect_end()
+            _check_cap(f"{keyword} list length", len(listed), MAX_SET_LISTED)
             return build(listed)
     p.expect("ups")
     p.expect("{")
@@ -359,17 +381,14 @@ def parse_upset(text: str) -> UPSet:
     p.advance()
     p.expect("}")
     p.expect_end()
+    _check_cap("except list length", len(members), MAX_SET_LISTED)
+    _check_cap("from", threshold, MAX_SET_FROM)
+    _check_cap("period", period, MAX_SET_PERIOD)
     for member in members:
         if member >= threshold:
             raise ParseError(f"except entry {member} is not below from={threshold}")
-    member_set = set(members)
     try:
-        return UPSet(
-            tuple(n in member_set for n in range(threshold)),
-            period,
-            tuple(bit == "1" for bit in bits_text),
-            threshold=threshold,
-        )
+        return UPSet.from_word(members, threshold, period, (bit == "1" for bit in bits_text))
     except DomainError as exc:
         raise ParseError(str(exc), bits_token.pos) from exc
 
@@ -397,11 +416,9 @@ def render_dual(d: DualExpr) -> str:
 
 
 def render_upset(s: UPSet) -> str:
-    if s.is_finite:
-        return "fin{" + ",".join(str(n) for n in s.members_below(s.threshold)) + "}"
-    if s.is_cofinite:
-        missing = [str(n) for n in range(s.threshold) if n not in s]
-        return "cofin{" + ",".join(missing) + "}"
+    if s.is_finite or s.is_cofinite:  # the flips are the listed elements
+        keyword = "fin" if s.is_finite else "cofin"
+        return keyword + "{" + ",".join(map(str, sorted(s.flips))) + "}"
     members = s.members_below(s.threshold)
     bits = "".join("1" if b else "0" for b in s.word)
     inner = f"from={s.threshold}; period={s.period}; word={bits}"

@@ -25,25 +25,37 @@ prefixes for oracle cross-checks.
 The n-dimensional member group is the n-th power of the member solenoid;
 the power law for products makes the order on members insensitive to a
 common power, so verdicts only compare members of equal power.
+
+The sets A are ultimately periodic and stored sparsely (``UPSet``): a
+period, the residues that lie in A from some point on, and the finitely
+many naturals that break that rule.  Almost inclusion is decided on
+residue classes modulo the gcd of the two periods (``subset_star``), so no
+operation walks the lcm of the periods or the span of the exceptions:
+
+>>> fine, odds = UPSet.multiples_of(2 ** 40), UPSet(2, frozenset({1}))
+>>> subset_star(fine, UPSet.multiples_of(2)), subset_star(fine, odds)
+(True, False)
+>>> subset_star(UPSet.from_finite([10 ** 30]), odds)
+True
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import filterfalse, islice
-from math import lcm
+from math import gcd
 
 from .errors import DomainError
-from .primes import nextprime
+from .primes import factorint, nextprime
 from .supernatural import (
     OMEGA,
     SupernaturalProfile,
     _alternate,
     _paired,
     canonical_terms,
-    minimal_period,
     oracle_injection,
     preceq,
 )
@@ -64,102 +76,126 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UPSet:
-    """Ultimately periodic subset of the naturals.
+    """Ultimately periodic subset of the naturals, stored sparsely.
 
-    Membership of n is ``exceptional[n]`` for n below ``threshold`` and
-    ``word[n % period]`` from the threshold on.  Canonical form: the word is
-    reduced to its minimal period and the threshold is minimal, so two
-    UPSets are structurally equal iff they are the same set.
+    From some point on, n is a member iff ``n % period`` is in ``residues``;
+    ``flips`` holds the naturals whose membership differs from that
+    periodic rule, and ``threshold`` is ``max(flips) + 1`` (0 without
+    flips).  Canonical form: the residues are reduced to the minimal period,
+    so two UPSets are structurally equal iff they are the same set.  A
+    finite set, a cofinite one or the multiples of k costs its listed
+    elements, not its largest element or k.
 
     >>> evens = UPSet.multiples_of(2)
     >>> 4 in evens, 7 in evens
     (True, False)
-    >>> UPSet.from_finite([0, 2]) == UPSet((True, False, True), 2, (True, False), threshold=3)
-    False
-    >>> UPSet.multiples_of(2) == UPSet((True, False, True), 2, (True, False), threshold=3)
+    >>> UPSet(4, frozenset({0, 2})) == evens
     True
+    >>> grown = UPSet.from_membership((False, True, True), 2, (True, False))
+    >>> grown.period, sorted(grown.residues), sorted(grown.flips), grown.threshold
+    (2, [0], [0, 1], 2)
+
+    ``exceptional`` and ``word`` are the dense bits below the threshold and
+    over one period, built on access:
+
+    >>> grown.exceptional, grown.word
+    ((False, True), (True, False))
     """
 
-    exceptional: tuple = ()
     period: int = 1
-    word: tuple = (False,)
-    threshold: int = 0
+    residues: frozenset = frozenset()
+    flips: frozenset = frozenset()
+    threshold: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        exceptional = tuple(bool(b) for b in self.exceptional)
-        word = tuple(bool(b) for b in self.word)
-        period = self.period
-        threshold = self.threshold
-        if not isinstance(period, int) or period < 1:
-            raise DomainError(f"period must be a positive integer, got {period!r}")
-        if len(word) != period:
-            raise DomainError(f"word length {len(word)} does not match period {period}")
-        if len(exceptional) != threshold:
-            raise DomainError(
-                f"exceptional bits cover {len(exceptional)} naturals but threshold is {threshold}"
-            )
-        word = minimal_period(word)
-        period = len(word)
-        while threshold > 0 and exceptional[threshold - 1] == word[(threshold - 1) % period]:
-            threshold -= 1
-            exceptional = exceptional[:threshold]
-        object.__setattr__(self, "exceptional", exceptional)
-        object.__setattr__(self, "word", word)
+        period = _checked_period(self.period)
+        residues, flips = frozenset(self.residues), frozenset(self.flips)
+        for n in itertools.chain(residues, flips):
+            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+                raise DomainError(f"residues and flips must be naturals, got {n!r}")
+        if residues and max(residues) >= period:
+            raise DomainError(f"residue {max(residues)} is not below period {period}")
+        period, residues = _minimal_rule(period, residues)
         object.__setattr__(self, "period", period)
-        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "flips", flips)
+        object.__setattr__(self, "threshold", max(flips) + 1 if flips else 0)
+
+    @classmethod
+    def from_word(cls, members, threshold: int, period: int, word) -> "UPSet":
+        """The listed ``members`` below ``threshold``, then membership
+        ``word[n % period]`` from ``threshold`` on."""
+        word = tuple(word)
+        if len(word) != _checked_period(period):
+            raise DomainError(f"word length {len(word)} does not match period {period}")
+        members = frozenset(members)
+        if members and max(members) >= threshold:
+            raise DomainError(f"member {max(members)} is not below threshold {threshold}")
+        residues = [r for r, bit in enumerate(word) if bit]
+        ruled = (n for r in residues for n in range(r, threshold, period))  # the rule's members below
+        return cls(period, frozenset(residues), members.symmetric_difference(ruled))
 
     @classmethod
     def from_membership(cls, bits, period: int, word) -> "UPSet":
+        """Membership ``bits[n]`` below ``len(bits)`` and ``word[n % period]``
+        from there on."""
         bits = tuple(bits)
-        return cls(bits, period, tuple(word), threshold=len(bits))
+        return cls.from_word((n for n, bit in enumerate(bits) if bit), len(bits), period, word)
 
     @classmethod
     def from_finite(cls, members) -> "UPSet":
-        members = set(members)
-        for n in members:
-            if not isinstance(n, int) or n < 0:
-                raise DomainError(f"set members must be naturals, got {n!r}")
-        bound = max(members) + 1 if members else 0
-        return cls.from_membership((n in members for n in range(bound)), 1, (False,))
+        return cls(1, frozenset(), members)
 
     @classmethod
     def from_cofinite(cls, excluded) -> "UPSet":
-        excluded = set(excluded)
-        for n in excluded:
-            if not isinstance(n, int) or n < 0:
-                raise DomainError(f"excluded elements must be naturals, got {n!r}")
-        bound = max(excluded) + 1 if excluded else 0
-        return cls.from_membership((n not in excluded for n in range(bound)), 1, (True,))
+        return cls(1, frozenset({0}), excluded)
 
     @classmethod
     def multiples_of(cls, k: int) -> "UPSet":
         if k < 1:
             raise DomainError(f"multiples_of wants a positive modulus, got {k}")
-        return cls((), k, tuple(i == 0 for i in range(k)), threshold=0)
+        return cls(k, frozenset({0}))
 
     def __contains__(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n < self.threshold:
-            return self.exceptional[n]
-        return self.word[n % self.period]
+        return n >= 0 and (n % self.period in self.residues) != (n in self.flips)
+
+    @property
+    def exceptional(self) -> tuple:
+        return tuple(map(self.__contains__, range(self.threshold)))
+
+    @property
+    def word(self) -> tuple:
+        return tuple(r in self.residues for r in range(self.period))
 
     @property
     def is_finite(self) -> bool:
-        return not any(self.word)
+        return not self.residues
 
     @property
     def is_cofinite(self) -> bool:
-        return all(self.word)
+        return len(self.residues) == self.period
+
+    def ascending(self, members: bool = True):
+        """The members ascending, or with ``members=False`` the non-members,
+        as an iterator; its cost is the elements it yields plus the flips."""
+        period, flips = self.period, self.flips
+        block = sorted(self.residues)
+        ruled = iter(())  # the periodic rule's elements of the wanted kind
+        if members and block:
+            ruled = (start + r for start in itertools.count(0, period) for r in block)
+        elif not members and len(block) < period:
+            ruled = (start + r for start in itertools.count(0, period) for r in _gaps(block, period))
+        flipped_in = sorted(n for n in flips if (n % period in self.residues) != members)
+        return _merged(filterfalse(flips.__contains__, ruled), flipped_in)
 
     def members_below(self, bound: int) -> tuple:
-        return tuple(n for n in range(bound) if n in self)
+        return tuple(itertools.takewhile(bound.__gt__, self.ascending()))
 
     def complement_members(self, count: int) -> tuple:
         """First ``count`` elements of the complement, ascending."""
         if self.is_cofinite:
             raise DomainError("complement is finite; cannot enumerate that many elements")
-        return tuple(islice(filterfalse(self.__contains__, itertools.count()), count))
+        return tuple(islice(self.ascending(members=False), count))
 
     def __str__(self):
         from .literals import render_upset
@@ -167,39 +203,83 @@ class UPSet:
         return render_upset(self)
 
 
+def _checked_period(period) -> int:
+    if isinstance(period, bool) or not isinstance(period, int) or period < 1:
+        raise DomainError(f"period must be a positive integer, got {period!r}")
+    return period
+
+
+def _minimal_rule(period: int, residues: frozenset):
+    """``(period, residues)`` reduced to the minimal period.
+
+    The shifts mod ``period`` that fix the residue set form a subgroup of
+    order e, and the minimal period is period / e.  Each orbit of that
+    subgroup has e residues, so e divides gcd(period, |residues|): try
+    one prime factor of the gcd at a time.
+    """
+    if not residues or len(residues) == period:
+        return 1, frozenset({0}) if residues else frozenset()
+    e = 1
+    for prime, power in factorint(gcd(period, len(residues))).items():
+        for _ in range(power):
+            shift = period // (e * prime)
+            if not all((r + shift) % period in residues for r in residues):
+                break
+            e *= prime
+    period //= e
+    return period, frozenset(r for r in residues if r < period)
+
+
+def _merged(ascending, extra: list):
+    """The ascending iterator with the sorted, disjoint ``extra`` merged in."""
+    extra = iter(extra)
+    pending = next(extra, None)
+    for n in ascending:
+        while pending is not None and pending < n:
+            yield pending
+            pending = next(extra, None)
+        yield n
+    if pending is not None:
+        yield pending
+        yield from extra
+
+
+def _gaps(block: list, period: int):
+    """The residues mod ``period`` missing from the sorted ``block``."""
+    start = 0
+    for r in itertools.chain(block, (period,)):
+        yield from range(start, r)
+        start = r + 1
+
+
 def subset_star(a: UPSet, b: UPSet) -> bool:
     """Almost inclusion: the difference a minus b is finite.
 
-    Beyond both thresholds membership is periodic, so the difference is
-    finite iff no residue class (mod the common period) lies in ``a``'s
-    word but outside ``b``'s.
+    Beyond both thresholds membership is periodic.  With g = gcd of the
+    periods, the class of residue r mod a.period meets exactly the
+    b.period / g residues mod b.period congruent to r mod g (Chinese
+    remainder theorem), so it lies in ``b`` iff ``b`` has all of them.
 
     >>> subset_star(UPSet.multiples_of(4), UPSet.multiples_of(2))
     True
     >>> subset_star(UPSet.multiples_of(2), UPSet.multiples_of(4))
     False
     """
-    common = lcm(a.period, b.period)
-    return all(
-        b.word[r % b.period]
-        for r in range(common)
-        if a.word[r % a.period]
-    )
+    g = gcd(a.period, b.period)
+    per_class = Counter(r % g for r in b.residues)
+    return all(per_class[r % g] == b.period // g for r in a.residues)
 
 
 def set_difference(a: UPSet, b: UPSet):
     """(finite?, elements): all of a minus b when finite, else the first few.
 
-    A finite difference lives entirely below the larger threshold: from
-    there on, one element in the difference would drag its whole residue
-    class along.
+    A finite difference lies among the flips of ``a`` and ``b``: elsewhere
+    both sets follow their periodic rules, and a ⊆* b makes a's rule a
+    subset of b's.
     """
-    def in_difference(n):
-        return n in a and n not in b
-
     if subset_star(a, b):
-        return True, tuple(filter(in_difference, range(max(a.threshold, b.threshold))))
-    return False, tuple(islice(filter(in_difference, itertools.count()), 8))
+        return True, tuple(sorted(n for n in a.flips | b.flips if n in a and n not in b))
+    return False, tuple(islice(filterfalse(b.__contains__, a.ascending()), 8))
 
 
 class Family:
@@ -301,7 +381,7 @@ def _member_terms(m: MemberRef):
     # P_0' interleave base(P)
     terms = _alternate(map(family.d_term, itertools.count(0, 3)), canonical_terms(family.p))
     if not m.a.is_cofinite:
-        complement = filterfalse(m.a.__contains__, itertools.count())
+        complement = m.a.ascending(members=False)
         # P_A' interleave (P_0' interleave base(P))
         terms = _alternate((family.d_term(1 + 3 * c) for c in complement), terms)
     return terms
@@ -412,7 +492,7 @@ def chain_demo(f: Family, depth: int = 3, power: int = 1) -> ChainDemo:
     labels = [f"mult({2 ** i})" for i in range(depth)]
     sets.append(UPSet.multiples_of(2))
     labels.append("evens")
-    sets.append(UPSet((), 2, (False, True), threshold=0))
+    sets.append(UPSet(2, frozenset({1})))
     labels.append("odds")
     members = tuple(MemberRef(f, s, power) for s in sets)
     matrix = tuple(

@@ -24,6 +24,7 @@ from borelcmp.cli import (
     run,
 )
 from borelcmp.groups import REAL, TORUS, group, solenoid
+from borelcmp.literals import MAX_SET_FROM, MAX_SET_LISTED, MAX_SET_PERIOD
 from borelcmp.report import Report
 from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
@@ -286,6 +287,34 @@ def test_size_options_at_their_caps_are_accepted():
         (["family-compare", "--a", "fin{1}", "--b", "fin{2}", "--crosscheck", "10000"], cli._family_compare),
     ):
         assert parse_command(argv).handler is handler
+
+
+def _listed(n):
+    return ",".join(map(str, range(n)))
+
+
+@pytest.mark.parametrize(
+    "what, cap, literal",
+    [
+        ("from", MAX_SET_FROM, lambda n: f"ups{{from={n}; period=1; word=0}}"),
+        ("period", MAX_SET_PERIOD, lambda n: f"ups{{from=0; period={n}; word=1{'0' * (n - 1)}}}"),
+        ("fin list length", MAX_SET_LISTED, lambda n: f"fin{{{_listed(n)}}}"),
+        ("cofin list length", MAX_SET_LISTED, lambda n: f"cofin{{{_listed(n)}}}"),
+        ("except list length", MAX_SET_LISTED, lambda n: f"ups{{except={_listed(n)}; from={n}; period=2; word=10}}"),
+    ],
+)
+def test_set_literal_caps(what, cap, literal, capsys):
+    argv = ["family-compare", "--a", literal(cap), "--b", "ups{from=0; period=2; word=10}"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out in ("REDUCIBLE\n", "NOT REDUCIBLE\n")
+    argv[2] = literal(cap + 1)
+    assert main(argv) == EXIT_DOMAIN
+    assert capsys.readouterr().out.splitlines() == ["ERROR", f"{what} {cap + 1} is over its cap of {cap}"]
+
+
+def test_set_literal_member_values_are_not_capped(capsys):
+    assert main(["family-compare", "--a", f"fin{{{10**30}}}", "--b", f"cofin{{{10**30}}}"]) == EXIT_OK
+    assert capsys.readouterr().out == "REDUCIBLE\n"
 
 
 def test_main_json_output(capsys):

@@ -135,11 +135,10 @@ def test_upset_render_round_trip(rng):
         threshold = rng.randrange(0, 6)
         period = rng.randrange(1, 5)
         samples.append(
-            UPSet(
+            UPSet.from_membership(
                 tuple(rng.random() < 0.5 for _ in range(threshold)),
                 period,
                 tuple(rng.random() < 0.5 for _ in range(period)),
-                threshold=threshold,
             )
         )
     for s in samples:

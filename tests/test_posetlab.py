@@ -65,18 +65,18 @@ def _oracle_member_prefix(membership, n: int, base: list, skipped: set) -> list:
 # -- UPSet ---------------------------------------------------------------------
 
 def test_upset_canonicalization():
-    assert UPSet((), 4, (True, False, True, False), threshold=0) == UPSet.multiples_of(2)
-    grown = UPSet((True, False, True, False), 2, (True, False), threshold=4)
+    assert UPSet.from_membership((), 4, (True, False, True, False)) == UPSet.multiples_of(2)
+    grown = UPSet.from_membership((True, False, True, False), 2, (True, False))
     assert grown == UPSet.multiples_of(2)
     assert grown.threshold == 0
     with pytest.raises(DomainError):
-        UPSet((), 0, ())
+        UPSet.from_membership((), 0, ())
     with pytest.raises(DomainError):
-        UPSet((), 2, (True,))
+        UPSet.from_membership((), 2, (True,))
 
 
 def test_upset_membership_and_classes():
-    fancy = UPSet((True, False, False, True), 3, (False, True, False), threshold=4)
+    fancy = UPSet.from_membership((True, False, False, True), 3, (False, True, False))
     members = [n for n in range(12) if n in fancy]
     assert members == [0, 3, 4, 7, 10]
     assert UPSet.from_finite([1, 3]).is_finite
@@ -88,7 +88,7 @@ def test_upset_membership_and_classes():
 def test_subset_star_examples():
     anything = UPSet.multiples_of(3)
     assert subset_star(UPSet.from_finite([1, 3]), anything)
-    evens, odds = UPSet.multiples_of(2), UPSet((), 2, (False, True), threshold=0)
+    evens, odds = UPSet.multiples_of(2), UPSet.from_membership((), 2, (False, True))
     assert not subset_star(evens, odds)
     assert subset_star(evens, evens)
 
@@ -101,8 +101,8 @@ def test_subset_star_is_a_preorder():
         UPSet.multiples_of(2),
         UPSet.multiples_of(4),
         UPSet.multiples_of(6),
-        UPSet((), 2, (False, True), threshold=0),
-        UPSet((True, True), 3, (True, False, False), threshold=2),
+        UPSet.from_membership((), 2, (False, True)),
+        UPSet.from_membership((True, True), 3, (True, False, False)),
     ]
     for a in sets:
         assert subset_star(a, a)
@@ -113,9 +113,9 @@ def test_subset_star_is_a_preorder():
 
 def test_subset_star_ignores_finite_perturbation():
     evens = UPSet.multiples_of(2)
-    perturbed = UPSet((False, False, True, True, True), 2, (True, False), threshold=5)
+    perturbed = UPSet.from_membership((False, False, True, True, True), 2, (True, False))
     # drop 0 and 2, add 3: still the evens modulo a finite set
-    for other in (UPSet.multiples_of(4), UPSet.multiples_of(2), UPSet((), 2, (False, True), threshold=0)):
+    for other in (UPSet.multiples_of(4), UPSet.multiples_of(2), UPSet.from_membership((), 2, (False, True))):
         assert subset_star(evens, other) == subset_star(perturbed, other)
         assert subset_star(other, evens) == subset_star(other, perturbed)
 
@@ -126,7 +126,7 @@ def test_set_difference_classification():
     finite, elements = set_difference(UPSet.multiples_of(2), UPSet.multiples_of(4))
     assert not finite
     assert list(elements)[:3] == [2, 6, 10]
-    grown = UPSet((False, True, True, True), 2, (True, False), threshold=4)
+    grown = UPSet.from_membership((False, True, True, True), 2, (True, False))
     finite, elements = set_difference(grown, UPSet.multiples_of(2))
     assert finite and elements == (1, 3)
 
@@ -196,7 +196,7 @@ def test_member_sequence_longer_prefixes_match_oracle():
     cases = [
         (default, UPSet.multiples_of(2), lambda n: n % 2 == 0),
         (default, UPSet.multiples_of(4), lambda n: n % 4 == 0),
-        (default, UPSet((), 2, (False, True), threshold=0), lambda n: n % 2 == 1),
+        (default, UPSet.from_membership((), 2, (False, True)), lambda n: n % 2 == 1),
         (default, UPSet.from_cofinite([]), lambda n: True),
         (other, UPSet.multiples_of(3), lambda n: n % 3 == 0),
     ]
@@ -235,9 +235,9 @@ def test_member_sequence_terms_prime_and_star_layer_exact():
 def test_member_reduces_examples():
     fam = Family.default()
     evens = MemberRef(fam, UPSet.multiples_of(2))
-    odds = MemberRef(fam, UPSet((), 2, (False, True), threshold=0))
+    odds = MemberRef(fam, UPSet.from_membership((), 2, (False, True)))
     mult4 = MemberRef(fam, UPSet.multiples_of(4))
-    padded = MemberRef(fam, UPSet((False, True, True, True, False, True), 2, (True, False), threshold=6))
+    padded = MemberRef(fam, UPSet.from_membership((False, True, True, True, False, True), 2, (True, False)))
     assert member_reduces(mult4, evens)
     assert not member_reduces(evens, odds)
     assert not member_reduces(odds, evens)
@@ -268,7 +268,7 @@ def test_member_strictness_transfers():
 def test_crosscheck_antichain():
     fam = Family.default()
     evens = MemberRef(fam, UPSet.multiples_of(2))
-    odds = MemberRef(fam, UPSet((), 2, (False, True), threshold=0))
+    odds = MemberRef(fam, UPSet.from_membership((), 2, (False, True)))
     report = member_crosscheck(evens, odds, 100)
     assert report.consistent
     assert not report.verdict
@@ -296,7 +296,7 @@ def test_crosscheck_identical_member():
 
 def test_crosscheck_finite_nonzero_surplus_needs_a_drop():
     fam = Family.default()
-    bigger = MemberRef(fam, UPSet((True, True), 2, (True, False), threshold=2))  # evens plus {1}
+    bigger = MemberRef(fam, UPSet.from_membership((True, True), 2, (True, False)))  # evens plus {1}
     evens = MemberRef(fam, UPSet.multiples_of(2))
     report = member_crosscheck(bigger, evens, 80)
     assert report.verdict and report.surplus_primes == (fam.d_term(4),)
@@ -313,11 +313,10 @@ def test_crosscheck_fuzz_never_inconsistent(rng):
             word = tuple(rng.random() < 0.5 for _ in range(period))
             if not any(word):
                 word = word[:-1] + (True,)  # keep the set infinite
-            return UPSet(
+            return UPSet.from_membership(
                 tuple(rng.random() < 0.5 for _ in range(threshold)),
                 period,
                 word,
-                threshold=threshold,
             )
 
         m_a = MemberRef(fam, random_ups())
@@ -350,7 +349,7 @@ def _terms_made(monkeypatch, run):
 def test_crosscheck_makes_each_member_sequence_once(monkeypatch):
     fam = Family.default()
     evens = MemberRef(fam, UPSet.multiples_of(2))
-    odds = MemberRef(fam, UPSet((), 2, (False, True), threshold=0))
+    odds = MemberRef(fam, UPSet.from_membership((), 2, (False, True)))
     report, made = _terms_made(monkeypatch, lambda: member_crosscheck(evens, odds, 1000))
     assert report.successful_drop is None and report.drops_tested[-1] == 512
     # the longest target window ends at 512 + 1000, the longest source prefix at 4 * 1512 + 64
