@@ -1,7 +1,7 @@
 """Text forms: parsing and rendering of group, profile, sequence, and
 ultimately-periodic-set literals.
 
-Grammar (whitespace insignificant, case sensitive):
+Grammar (whitespace insignificant, case sensitive, ``nat`` is ``[0-9]+``):
 
     group    := term (('x' | '*') term)*
     term     := atom ('^' nat)?
@@ -28,8 +28,9 @@ entries, which are factored during group normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from itertools import groupby
+from typing import NamedTuple
 
 from .errors import DomainError, ParseError
 from .groups import (
@@ -61,33 +62,23 @@ __all__ = [
     "render_group",
     "render_dual",
     "render_upset",
+    "MAX_GROUP_NESTING",
     "MAX_SET_FROM",
     "MAX_SET_PERIOD",
     "MAX_SET_LISTED",
 ]
 
-_KEYWORDS = (
-    "default",
-    "except",
-    "period",
-    "cofin",
-    "word",
-    "from",
-    "Sol",
-    "ups",
-    "fin",
-    "R",
-    "T",
-    "S",
-    "w",
-    "x",
+# One alternative per token kind, tried in order, so a keyword must come after
+# every keyword it is a prefix of (``S`` after ``Sol``).  ``bad`` catches every
+# other character.
+_TOKEN = re.compile(
+    r"(?P<space>\s+)|(?P<num>[0-9]+)|(?P<punct>[{}\[\]():,;=|^*])"
+    r"|(?P<kw>default|except|period|cofin|word|from|Sol|ups|fin|R|T|S|w|x)|(?P<bad>.)",
+    re.DOTALL,
 )
 
-_PUNCT = set("{}[]():,;=|^*")
 
-
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'num', 'kw', 'punct', 'end'
     text: str
     pos: int
@@ -95,40 +86,21 @@ class _Token:
 
 def _tokenize(text: str) -> list:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, i))
-            i += 1
-            continue
-        for kw in _KEYWORDS:
-            if text.startswith(kw, i):
-                tokens.append(_Token("kw", kw, i))
-                i += len(kw)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", match.start())
+        if kind != "space":
+            tokens.append(_Token(kind, match.group(), match.start()))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0  # open parentheses around the current group
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -140,7 +112,8 @@ class _Parser:
         return token
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "num"
+        """True if the next token is the keyword or punctuation ``text``."""
+        return self.peek().text == text
 
     def take(self, text: str) -> bool:
         if self.at(text):
@@ -150,7 +123,7 @@ class _Parser:
 
     def expect(self, text: str) -> _Token:
         token = self.peek()
-        if token.text != text or token.kind == "num":
+        if token.text != text:
             raise ParseError(f"expected {text!r} but found {self._describe(token)}", token.pos)
         return self.advance()
 
@@ -172,6 +145,14 @@ class _Parser:
     @staticmethod
     def _describe(token: _Token) -> str:
         return "end of input" if token.kind == "end" else repr(token.text)
+
+
+def _parse_nats(p: _Parser) -> list:
+    """``nat (',' nat)*``"""
+    values = [p.expect_nat()]
+    while p.take(","):
+        values.append(p.expect_nat())
+    return values
 
 
 # -- multiplicities and profiles ---------------------------------------------
@@ -230,18 +211,9 @@ def parse_profile(text: str) -> SupernaturalProfile:
 
 def _parse_sequence(p: _Parser) -> IntSeqSpec:
     open_token = p.expect("[")
-    prefix = []
-    tail = []
-    if not p.at("|"):
-        while True:
-            prefix.append(p.expect_nat())
-            if not p.take(","):
-                break
+    prefix = [] if p.at("|") else _parse_nats(p)
     p.expect("|")
-    while True:
-        tail.append(p.expect_nat())
-        if not p.take(","):
-            break
+    tail = _parse_nats(p)
     p.expect("]")
     try:
         return IntSeqSpec(tuple(prefix), tuple(tail))
@@ -259,6 +231,12 @@ def parse_sequence(text: str) -> IntSeqSpec:
 
 # -- groups -------------------------------------------------------------------
 
+# Cap on nested parentheses in a group literal: the parser and group
+# normalization recurse once per level, and Python's stack gives out
+# between 200 and 400 levels.
+MAX_GROUP_NESTING = 100
+
+
 def _parse_atom(p: _Parser) -> RawNode:
     token = p.peek()
     if p.take("R"):
@@ -271,8 +249,12 @@ def _parse_atom(p: _Parser) -> RawNode:
     if p.take("S"):
         return RawSolenoidSeq(_parse_sequence(p))
     if p.take("("):
+        if p.depth == MAX_GROUP_NESTING:
+            raise ParseError(f"parentheses nest deeper than {MAX_GROUP_NESTING} levels", token.pos)
+        p.depth += 1
         inner = _parse_group(p)
         p.expect(")")
+        p.depth -= 1
         return inner
     if token.kind == "num" and token.text == "1":
         p.advance()
@@ -322,16 +304,13 @@ MAX_SET_PERIOD = 10**6
 MAX_SET_LISTED = 10**5
 
 
-def _parse_nat_list(p: _Parser, closers: tuple) -> list:
-    values = []
-    if p.peek().kind == "num":
-        while True:
-            values.append(p.expect_nat())
-            if not p.take(","):
-                break
+def _parse_nat_list(p: _Parser, closer: str) -> list:
+    """An optional ``nats`` list, then ``closer``, which is consumed."""
+    values = _parse_nats(p) if p.peek().kind == "num" else []
     token = p.peek()
-    if token.text not in closers:
+    if token.text != closer:
         raise ParseError(f"expected a number but found {p._describe(token)}", token.pos)
+    p.advance()
     return values
 
 
@@ -352,8 +331,7 @@ def parse_upset(text: str) -> UPSet:
     for keyword, build in (("fin", UPSet.from_finite), ("cofin", UPSet.from_cofinite)):
         if p.take(keyword):
             p.expect("{")
-            listed = _parse_nat_list(p, ("}",))
-            p.expect("}")
+            listed = _parse_nat_list(p, "}")
             p.expect_end()
             _check_cap(f"{keyword} list length", len(listed), MAX_SET_LISTED)
             return build(listed)
@@ -362,8 +340,7 @@ def parse_upset(text: str) -> UPSet:
     members = []
     if p.take("except"):
         p.expect("=")
-        members = _parse_nat_list(p, (";",))
-        p.expect(";")
+        members = _parse_nat_list(p, ";")
     p.expect("from")
     p.expect("=")
     threshold = p.expect_nat()

@@ -330,7 +330,7 @@ class Family:
             return
         with self._lock:
             while len(self._d_cache) < k:
-                gamma = int(nextprime(self._d_frontier))
+                gamma = nextprime(self._d_frontier)
                 self._d_frontier = gamma
                 if gamma not in self._skipped:
                     self._d_cache.append(gamma)

@@ -234,11 +234,9 @@ class IntSeqSpec:
     prefix: tuple = ()
     tail: tuple = ()
 
-    _entry_floor = 1
-
     def __post_init__(self):
-        prefix = _validated_word(self.prefix, self._entry_floor, type(self).__name__)
-        tail = _validated_word(self.tail, self._entry_floor, type(self).__name__)
+        prefix = _validated_word(self.prefix, 1, type(self).__name__)
+        tail = _validated_word(self.tail, 1, type(self).__name__)
         if not tail:
             raise DomainError("sequence tail must be nonempty (the sequence is infinite)")
         object.__setattr__(self, "prefix", prefix)
@@ -313,8 +311,8 @@ def factor_sequence(s: IntSeqSpec) -> SeqSpec:
     def expand(entries):
         out = []
         for entry in entries:
-            for gamma, exponent in sorted(factorint(entry).items()):
-                out.extend([int(gamma)] * exponent)
+            for gamma, exponent in factorint(entry).items():
+                out.extend([gamma] * exponent)
         return tuple(out)
 
     return SeqSpec(expand(s.prefix), expand(s.tail))
@@ -397,7 +395,7 @@ def _primes_outside(excluded) -> Iterator[int]:
     """The primes not in the finite set ``excluded``, ascending."""
     gamma = 1
     while True:
-        gamma = int(nextprime(gamma))
+        gamma = nextprime(gamma)
         if gamma not in excluded:
             yield gamma
 

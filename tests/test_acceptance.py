@@ -12,7 +12,7 @@ import random
 from collections import Counter
 
 from borelcmp.duality import INTEGERS, RationalType, dual, dual_reduces, hom_nonzero_exists, rank
-from borelcmp.groups import REAL, TORUS, GroupExpr, dimension, group, solenoid
+from borelcmp.groups import REAL, TORUS, dimension, group, solenoid
 from borelcmp.literals import parse_group
 from borelcmp.posetlab import Family, MemberRef, UPSet, chain_demo, member_crosscheck, member_sequence
 from borelcmp.reducibility import (
@@ -36,7 +36,9 @@ from borelcmp.supernatural import (
     sufficient_prefix_length,
 )
 
-from conftest import make_expr, make_profile
+from borelcmp.selftest import brute_force_reducible, random_expr, random_profile
+
+from conftest import trial_division_primes
 
 
 def _report(number: int, name: str):
@@ -70,7 +72,7 @@ def test_criterion_02_closed_form_agreement():
 def test_criterion_03_atom_rule_table():
     rng = random.Random(3003)
     for _ in range(12):
-        s = group(solenoid(make_profile(rng)))
+        s = group(solenoid(random_profile(rng)))
         assert compare(group(REAL), s) is ComparisonOutcome.LEFT_STRICT
         assert compare(s, group(TORUS)) is ComparisonOutcome.LEFT_STRICT
         a = s.factors[0]
@@ -85,7 +87,7 @@ def test_criterion_03_atom_rule_table():
 def test_criterion_04_two_path_agreement():
     rng = random.Random(4004)
     for _ in range(1000):
-        p, q = make_profile(rng), make_profile(rng)
+        p, q = random_profile(rng), random_profile(rng)
         primal = atom_reduces(solenoid(p), solenoid(q))
         dual_path = hom_nonzero_exists(RationalType(q), RationalType(p))
         assert primal == dual_path, (p, q)
@@ -111,26 +113,14 @@ def test_criterion_05_power_law():
 
 # -- 6 ---------------------------------------------------------------------------
 
-def _brute_force(g: GroupExpr, h: GroupExpr) -> bool:
-    m, n = len(g.factors), len(h.factors)
-    if m == 0:
-        return True
-    if m > n:
-        return False
-    return any(
-        all(atom_reduces(g.factors[i], h.factors[j]) for i, j in enumerate(assignment))
-        for assignment in itertools.permutations(range(n), m)
-    )
-
-
 def test_criterion_06_matching_vs_brute_force():
     rng = random.Random(6006)
     positives = negatives = 0
     for _ in range(500):
-        g = make_expr(rng, max_factors=6)
-        h = make_expr(rng, max_factors=6)
+        g = random_expr(rng, max_factors=6)
+        h = random_expr(rng, max_factors=6)
         verdict = reduces(g, h)
-        assert verdict.reducible == _brute_force(g, h)
+        assert verdict.reducible == brute_force_reducible(g, h)
         assert verify_certificate(g, h, verdict)
         if verdict.reducible:
             positives += 1
@@ -147,7 +137,7 @@ def test_criterion_07_oracle_consistency():
     rng = random.Random(7007)
     sound = refuted = 0
     for _ in range(1000):
-        q, p = make_profile(rng), make_profile(rng)
+        q, p = random_profile(rng), random_profile(rng)
         if preceq(q, p):
             sound += 1
             drop = oracle_drop_bound(q, p)
@@ -196,19 +186,9 @@ def test_criterion_08_poset_embedding_demo():
 
 # -- 9 ---------------------------------------------------------------------------
 
-def _sieve(count: int) -> list:
-    primes: list = []
-    n = 2
-    while len(primes) < count:
-        if all(n % p for p in primes):
-            primes.append(n)
-        n += 1
-    return primes
-
-
 def test_criterion_09_worked_member_prefix():
     # independent recomputation: trial-division sieve, explicit layering
-    d = [p for p in _sieve(60) if p != 2]
+    d = [p for p in trial_division_primes(60) if p != 2]
 
     def inner(k):
         i, r = divmod(k, 2)
@@ -232,11 +212,11 @@ def test_criterion_10_duality_instances():
     assert dual(group(TORUS)).components[0].rational_type == INTEGERS
     rng = random.Random(1010)
     for _ in range(25):
-        p = make_profile(rng)
+        p = random_profile(rng)
         assert dual(group(solenoid(p))).components[0].rational_type == RationalType(p)
         assert not dual_reduces(group(TORUS), group(solenoid(p)))
     for _ in range(100):
-        g = make_expr(rng, compact=True)
+        g = random_expr(rng, compact=True)
         assert rank(dual(g)) == dimension(g)
     _report(10, "dual instances and rank = dimension on 100 compact expressions")
 
@@ -245,7 +225,7 @@ def test_criterion_10_duality_instances():
 
 def test_criterion_11_preorder_laws():
     rng = random.Random(1111)
-    pool = [make_expr(rng, 4) for _ in range(80)]
+    pool = [random_expr(rng, 4) for _ in range(80)]
     for g in pool:
         assert reduces(g, g).reducible
     hits = 0
@@ -256,9 +236,9 @@ def test_criterion_11_preorder_laws():
             assert reduces(g, k).reducible
     # constructed chains keep transitivity non-vacuous
     for _ in range(200):
-        g = make_expr(rng, 3)
-        h = g * make_expr(rng, 2)
-        k = h * make_expr(rng, 2)
+        g = random_expr(rng, 3)
+        h = g * random_expr(rng, 2)
+        k = h * random_expr(rng, 2)
         assert reduces(g, h).reducible and reduces(h, k).reducible
         assert reduces(g, k).reducible
         hits += 1

@@ -231,6 +231,14 @@ def test_main_usage_error(capsys):
     assert captured.out == ""
 
 
+def test_main_refuses_deep_nesting_as_a_usage_error(capsys):
+    code = main(["normalize", "(" * 400 + "T" + ")" * 400])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err == "usage error: parentheses nest deeper than 100 levels (at position 100)\n"
+    assert captured.out == ""
+
+
 def test_main_internal_error(monkeypatch, capsys):
     def broken(g, h):
         raise RuntimeError("boom")

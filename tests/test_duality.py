@@ -21,7 +21,7 @@ from borelcmp.literals import parse_group
 from borelcmp.reducibility import atom_reduces, reduces
 from borelcmp.supernatural import OMEGA, SupernaturalProfile, multiplicity, preceq
 
-from conftest import make_expr, make_profile
+from borelcmp.selftest import random_expr, random_profile
 
 PROBE_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -46,7 +46,7 @@ def test_zero_profile_is_the_integers():
 
 def test_dual_componentwise_length(rng):
     for _ in range(30):
-        g = make_expr(rng)
+        g = random_expr(rng)
         assert len(dual(g).components) == len(g.factors)
 
 
@@ -55,7 +55,7 @@ def test_double_dual_at_type_level(rng):
     # recovers the type: Z <-> circle, profile type <-> solenoid
     assert dual(group(TORUS)).components[0].rational_type.is_integers
     for _ in range(20):
-        p = make_profile(rng)
+        p = random_profile(rng)
         t = dual(group(solenoid(p))).components[0].rational_type
         assert t.profile == p
         assert dual(group(solenoid(t.profile))).components[0].rational_type == t
@@ -73,7 +73,7 @@ def test_rank_examples():
 
 def test_rank_equals_dimension_on_compact(rng):
     for _ in range(120):
-        g = make_expr(rng, compact=True)
+        g = random_expr(rng, compact=True)
         assert rank(dual(g)) == dimension(g)
 
 
@@ -90,7 +90,7 @@ def test_hom_examples():
 
 
 def test_hom_transitive(rng):
-    types = [INTEGERS] + [RationalType(make_profile(rng)) for _ in range(25)]
+    types = [INTEGERS] + [RationalType(random_profile(rng)) for _ in range(25)]
     hits = 0
     for a, b, c in itertools.product(types, repeat=3):
         if hom_nonzero_exists(a, b) and hom_nonzero_exists(b, c):
@@ -150,7 +150,7 @@ def test_hom_criterion_against_brute_force_multipliers(rng):
             RationalType(SupernaturalProfile({2: OMEGA})),
         ),
     ]
-    pairs += [(RationalType(make_profile(rng)), RationalType(make_profile(rng))) for _ in range(8)]
+    pairs += [(RationalType(random_profile(rng)), RationalType(random_profile(rng))) for _ in range(8)]
     for a, b in pairs:
         claimed = hom_nonzero_exists(a, b)
         if claimed:
@@ -194,14 +194,14 @@ def test_dual_agrees_with_primal_on_corner_cases(rng):
 
 def test_dual_agrees_with_primal_randomized(rng):
     for _ in range(550):
-        g = make_expr(rng, max_factors=5, compact=True)
-        h = make_expr(rng, max_factors=5, compact=True)
+        g = random_expr(rng, max_factors=5, compact=True)
+        h = random_expr(rng, max_factors=5, compact=True)
         assert dual_reduces(g, h) == reduces(g, h).reducible
 
 
 def test_two_path_agreement_for_solenoid_atoms(rng):
     for _ in range(400):
-        p, q = make_profile(rng), make_profile(rng)
+        p, q = random_profile(rng), random_profile(rng)
         primal = atom_reduces(solenoid(p), solenoid(q))
         through_duals = hom_nonzero_exists(RationalType(q), RationalType(p))
         assert primal == through_duals == preceq(q, p)

@@ -27,7 +27,7 @@ from borelcmp.groups import (
 from borelcmp.literals import parse_group
 from borelcmp.supernatural import OMEGA, IntSeqSpec, SupernaturalProfile
 
-from conftest import make_expr
+from borelcmp.selftest import random_expr
 
 
 def test_atom_invariants():
@@ -81,7 +81,7 @@ def test_normalize_rejects_bad_sequence_entries():
 
 def test_normalize_idempotent(rng):
     for _ in range(50):
-        g = make_expr(rng)
+        g = random_expr(rng)
         assert normalize_group(g) == g
     raw = RawProduct((RawPower(RawProduct((RawAtom(REAL), RawTrivial())), 3), RawAtom(TORUS)))
     once = normalize_group(raw)
@@ -96,7 +96,7 @@ def test_dimension_examples():
 
 def test_dimension_additive(rng):
     for _ in range(30):
-        g, h = make_expr(rng), make_expr(rng)
+        g, h = random_expr(rng), random_expr(rng)
         assert dimension(g * h) == dimension(g) + dimension(h)
 
 

@@ -7,6 +7,7 @@ import pytest
 from borelcmp.errors import ParseError
 from borelcmp.groups import REAL, TORUS, group, solenoid
 from borelcmp.literals import (
+    MAX_GROUP_NESTING,
     parse_group,
     parse_profile,
     parse_sequence,
@@ -18,7 +19,7 @@ from borelcmp.literals import (
 from borelcmp.posetlab import UPSet
 from borelcmp.supernatural import OMEGA, IntSeqSpec, SupernaturalProfile
 
-from conftest import make_expr, make_profile
+from borelcmp.selftest import random_expr, random_profile
 
 
 def test_parse_profile_forms():
@@ -78,15 +79,40 @@ def test_parse_group_diagnostics_carry_position():
     assert "trailing" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, char, position",
+    [("T^\u0663", "\u0663", 2), ("T^\u00b2", "\u00b2", 2), ("R x T^\uff13", "\uff13", 6)],
+    ids=["arabic-indic", "superscript", "fullwidth"],
+)
+def test_parse_group_refuses_non_ascii_digits(text, char, position):
+    with pytest.raises(ParseError) as err:
+        parse_group(text)
+    assert str(err.value) == f"unexpected character {char!r} (at position {position})"
+
+
+def _nested(depth: int) -> str:
+    return "(" * depth + "T" + " x T)" * depth
+
+
+def test_parse_group_nesting_cap():
+    assert len(parse_group(_nested(MAX_GROUP_NESTING)).factors) == MAX_GROUP_NESTING + 1
+    for depth in (MAX_GROUP_NESTING + 1, 10**5):
+        with pytest.raises(ParseError) as err:
+            parse_group(_nested(depth))
+        assert str(err.value) == (
+            f"parentheses nest deeper than {MAX_GROUP_NESTING} levels (at position {MAX_GROUP_NESTING})"
+        )
+
+
 def test_group_render_round_trip(rng):
     for _ in range(120):
-        g = make_expr(rng, max_factors=5)
+        g = random_expr(rng, max_factors=5)
         assert parse_group(render_group(g)) == g
 
 
 def test_profile_render_round_trip(rng):
     for _ in range(120):
-        p = make_profile(rng)
+        p = random_profile(rng)
         assert parse_profile(render_profile(p)) == p
 
 

@@ -22,18 +22,10 @@ from borelcmp.posetlab import (
 )
 from borelcmp.supernatural import OMEGA, SupernaturalProfile, multiplicity, oracle_injection
 
+from conftest import trial_division_primes
+
 
 # -- independent oracle: trial-division sieve, no package machinery ------------
-
-def _sieve(count: int) -> list:
-    primes: list = []
-    n = 2
-    while len(primes) < count:
-        if all(n % p for p in primes):
-            primes.append(n)
-        n += 1
-    return primes
-
 
 def _oracle_member_prefix(membership, n: int, base: list, skipped: set) -> list:
     """Recompute a member sequence from scratch.
@@ -44,7 +36,7 @@ def _oracle_member_prefix(membership, n: int, base: list, skipped: set) -> list:
     ascending; odd positions take the inner sequence, itself alternating
     d[3i] with the base.
     """
-    d = [p for p in _sieve(4 * n + 40) if p not in skipped]
+    d = [p for p in trial_division_primes(4 * n + 40) if p not in skipped]
 
     def inner(k):
         i, r = divmod(k, 2)

@@ -9,7 +9,7 @@ import pytest
 
 from borelcmp import reducibility
 from borelcmp.errors import DomainError
-from borelcmp.groups import REAL, TORUS, TRIVIAL_GROUP, GroupExpr, dimension, group, solenoid
+from borelcmp.groups import REAL, TORUS, TRIVIAL_GROUP, dimension, group, solenoid
 from borelcmp.literals import parse_group
 from borelcmp.reducibility import (
     ComparisonOutcome,
@@ -25,20 +25,7 @@ from borelcmp.reducibility import (
 )
 from borelcmp.supernatural import OMEGA, SupernaturalProfile, preceq
 
-from conftest import make_atom, make_expr, make_profile
-
-
-def brute_force_reducible(g: GroupExpr, h: GroupExpr) -> bool:
-    """Exhaustive search over all injective assignments of factors."""
-    m, n = len(g.factors), len(h.factors)
-    if m == 0:
-        return True
-    if m > n:
-        return False
-    return any(
-        all(atom_reduces(g.factors[i], h.factors[j]) for i, j in enumerate(assignment))
-        for assignment in itertools.permutations(range(n), m)
-    )
+from borelcmp.selftest import brute_force_reducible, random_atom, random_expr, random_profile
 
 
 # -- atom rules ----------------------------------------------------------------
@@ -52,7 +39,7 @@ def test_atom_rule_examples():
 
 def test_atom_rule_table_full(rng):
     for _ in range(25):
-        s, t = solenoid(make_profile(rng)), solenoid(make_profile(rng))
+        s, t = solenoid(random_profile(rng)), solenoid(random_profile(rng))
         assert atom_reduces(REAL, REAL)
         assert atom_reduces(REAL, TORUS)
         assert atom_reduces(REAL, s)
@@ -86,7 +73,7 @@ def test_reduces_violator_example():
 
 def test_reduces_identity(rng):
     for _ in range(40):
-        g = make_expr(rng)
+        g = random_expr(rng)
         verdict = reduces(g, g)
         assert verdict.reducible
         assert verify_certificate(g, g, verdict)
@@ -125,7 +112,7 @@ def test_closed_form_agreement_exhaustive():
 
 
 def test_power_law(rng):
-    atoms = [REAL, TORUS, solenoid(make_profile(rng)), solenoid(make_profile(rng))]
+    atoms = [REAL, TORUS, solenoid(random_profile(rng)), solenoid(random_profile(rng))]
     for a, b in itertools.product(atoms, repeat=2):
         for m, n in itertools.product(range(1, 6), repeat=2):
             expected = m <= n and atom_reduces(a, b)
@@ -134,8 +121,8 @@ def test_power_law(rng):
 
 def test_matching_equals_brute_force(rng):
     for _ in range(300):
-        g = make_expr(rng, max_factors=6)
-        h = make_expr(rng, max_factors=6)
+        g = random_expr(rng, max_factors=6)
+        h = random_expr(rng, max_factors=6)
         verdict = reduces(g, h)
         assert verdict.reducible == brute_force_reducible(g, h)
         assert verify_certificate(g, h, verdict)
@@ -190,15 +177,15 @@ def test_tampered_violators_are_rejected(g_text, h_text):
 
 def test_dimension_monotone(rng):
     for _ in range(150):
-        g, h = make_expr(rng), make_expr(rng)
+        g, h = random_expr(rng), random_expr(rng)
         if reduces(g, h).reducible:
             assert dimension(g) <= dimension(h)
 
 
 def test_monotone_growth(rng):
     for _ in range(120):
-        g, h = make_expr(rng, 4), make_expr(rng, 4)
-        extra = make_atom(rng)
+        g, h = random_expr(rng, 4), random_expr(rng, 4)
+        extra = random_atom(rng)
         if reduces(g * group(extra), h).reducible:
             assert reduces(g, h).reducible
         if reduces(g, h).reducible:
@@ -206,7 +193,7 @@ def test_monotone_growth(rng):
 
 
 def test_preorder_reflexive_transitive(rng):
-    pool = [make_expr(rng, 3) for _ in range(50)]
+    pool = [random_expr(rng, 3) for _ in range(50)]
     for g in pool:
         assert reduces(g, g).reducible
     hits = 0
@@ -229,7 +216,7 @@ def test_compare_examples():
 
 def test_strictness_chain_between_real_and_torus(rng):
     for _ in range(10):
-        sol = group(solenoid(make_profile(rng)))
+        sol = group(solenoid(random_profile(rng)))
         assert compare(group(REAL), sol) is ComparisonOutcome.LEFT_STRICT
         assert compare(sol, group(TORUS)) is ComparisonOutcome.LEFT_STRICT
 
@@ -292,8 +279,8 @@ def _tampered_variants(g, h, verdict: Verdict):
 def test_certificate_tampering_detected(rng):
     tampered_total = 0
     for _ in range(200):
-        g = make_expr(rng, 5)
-        h = make_expr(rng, 5)
+        g = random_expr(rng, 5)
+        h = random_expr(rng, 5)
         verdict = reduces(g, h)
         assert verify_certificate(g, h, verdict)
         for bad in _tampered_variants(g, h, verdict):

@@ -32,7 +32,9 @@ from borelcmp.supernatural import (
     sufficient_prefix_length,
 )
 
-from conftest import PRIME_POOL, make_profile
+from borelcmp.selftest import random_profile
+
+from conftest import PRIME_POOL
 
 
 def P(exceptions, default=0):
@@ -167,7 +169,7 @@ def _bump(rng, profile):
 
 
 def test_preceq_transitive_on_random_triples(rng):
-    pool = [make_profile(rng) for _ in range(60)]
+    pool = [random_profile(rng) for _ in range(60)]
     hits = 0
     for _ in range(1000):
         r, q, p = (rng.choice(pool) for _ in range(3))
@@ -177,7 +179,7 @@ def test_preceq_transitive_on_random_triples(rng):
     assert hits > 0
     # constructed chains keep the law from being tested vacuously
     for _ in range(300):
-        r = make_profile(rng)
+        r = random_profile(rng)
         q = _bump(rng, r)
         p = _bump(rng, q)
         assert preceq(r, q) and preceq(q, p) and preceq(r, p)
@@ -329,7 +331,7 @@ def test_oracle_injection_examples():
 def test_oracle_agreement_soundness(rng):
     pairs = 0
     while pairs < 60:
-        q, p = make_profile(rng), make_profile(rng)
+        q, p = random_profile(rng), random_profile(rng)
         if not preceq(q, p):
             continue
         pairs += 1
@@ -348,7 +350,7 @@ def test_oracle_agreement_soundness(rng):
 def test_oracle_agreement_refutation(rng):
     pairs = 0
     while pairs < 60:
-        q, p = make_profile(rng), make_profile(rng)
+        q, p = random_profile(rng), random_profile(rng)
         if preceq(q, p):
             continue
         pairs += 1
