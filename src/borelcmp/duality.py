@@ -24,10 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import chain, repeat, starmap
+from operator import itemgetter
 
 from .errors import DomainError
-from .groups import TORUS, AtomKind, GroupExpr, group, is_compact
-from .matching import rule_rows, saturating_matching_or_violator
+from .groups import TORUS, AtomKind, GroupExpr, dimension, group, is_compact
+from .matching import run_rows, saturating_matching_or_violator
 from .supernatural import OMEGA, SupernaturalProfile, deficit
 
 __all__ = [
@@ -91,13 +94,21 @@ class DualComponent:
 
 
 _REAL_LINE = DualComponent(DualComponentKind.REAL_LINE)
+_INTEGERS_COMPONENT = DualComponent(DualComponentKind.RANK1, INTEGERS)
 
 
 @dataclass(frozen=True)
 class DualExpr:
-    """Dual of a group expression, componentwise (one entry per factor)."""
+    """Dual of a group expression, componentwise, as ``(component, count)``
+    runs: one run per run of the expression, since distinct atoms have
+    distinct duals.  ``components`` (one entry per factor) is built on first
+    use only."""
 
-    components: tuple = ()
+    runs: tuple = ()
+
+    @cached_property
+    def components(self) -> tuple:
+        return tuple(chain.from_iterable(starmap(repeat, self.runs)))
 
 
 def dual(g: GroupExpr) -> DualExpr:
@@ -107,26 +118,25 @@ def dual(g: GroupExpr) -> DualExpr:
     >>> str(dual(group(TORUS)).components[0])
     'Z'
     """
-    components = []
-    for atom in g.factors:
+    runs = []
+    for atom, count in g.runs:
         if atom.kind is AtomKind.REAL:
-            components.append(_REAL_LINE)
+            component = _REAL_LINE
         elif atom.kind is AtomKind.TORUS:
-            components.append(DualComponent(DualComponentKind.RANK1, INTEGERS))
+            component = _INTEGERS_COMPONENT
         else:
-            components.append(
-                DualComponent(DualComponentKind.RANK1, RationalType(atom.profile))
-            )
-    return DualExpr(tuple(components))
+            component = DualComponent(DualComponentKind.RANK1, RationalType(atom.profile))
+        runs.append((component, count))
+    return DualExpr(tuple(runs))
 
 
 def rank(d: DualExpr) -> int:
     """Torsion-free rank of the dual of a compact expression: each rank-1
     component contributes one.  The rank/dimension identity is stated for
     compact groups, so a real-line component is out of domain here."""
-    if any(c.kind is DualComponentKind.REAL_LINE for c in d.components):
+    if any(c.kind is DualComponentKind.REAL_LINE for c, _ in d.runs):
         raise DomainError("rank is defined here only for duals of compact expressions")
-    return len(d.components)
+    return sum(map(itemgetter(1), d.runs))
 
 
 def hom_nonzero_exists(a: RationalType, b: RationalType) -> bool:
@@ -155,10 +165,10 @@ def dual_reduces(g: GroupExpr, h: GroupExpr) -> bool:
         raise DomainError("dual route requires a compact source (no R factor)")
     if not is_compact(h):
         raise DomainError("dual route is restricted to compact targets (no R factor)")
-    targets = dual(g).components
-    sources = dual(h).components
-    adjacency = rule_rows(
+    targets = dual(g).runs
+    sources = dual(h).runs
+    adjacency = run_rows(
         targets, sources, lambda t, s: hom_nonzero_exists(s.rational_type, t.rational_type)
     )
-    matching, _ = saturating_matching_or_violator(len(targets), len(sources), adjacency)
+    matching, _ = saturating_matching_or_violator(dimension(g), dimension(h), adjacency)
     return matching is not None

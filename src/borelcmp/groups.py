@@ -1,19 +1,26 @@
 """Symbolic group expressions: finite products of R, T, and solenoids.
 
-An expression is a flat, ordered list of atoms.  Each atom is connected,
-abelian, and one-dimensional, so the factor count is the covering dimension
-and compactness is just the absence of R factors.  Raw parse trees (with
-nested products, powers, and integer-sequence solenoids) normalize into this
-form; the trivial group is the empty product and is admitted so that every
-command-line operation is total.  One expression has at most ``MAX_FACTORS``
-(10^7) factors; a larger one is a ``DomainError`` before anything is built.
+An expression is a flat, ordered product of atoms, stored as runs: a tuple
+of ``(atom, count)`` pairs in which adjacent atoms differ and every count is
+at least 1, so ``T^10000000`` is one pair.  Each atom is connected, abelian,
+and one-dimensional, so the factor count (the sum of the run counts) is the
+covering dimension and compactness is just the absence of R factors.  Raw
+parse trees (with nested products, powers, and integer-sequence solenoids)
+normalize into this form, merging equal atoms where parts meet, so
+``(T x R x T)^2`` is T, R, T^2, R, T.  The per-factor tuple
+``GroupExpr.factors`` is derived only when a caller reads it.  The trivial
+group is the empty product and is admitted so that every command-line
+operation is total.  One expression has at most ``MAX_FACTORS`` (10^7)
+factors; a larger one is a ``DomainError`` before anything is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from functools import cached_property
+from itertools import accumulate, chain, repeat, starmap
+from operator import itemgetter
 from typing import Mapping, Union
 
 from .errors import DomainError
@@ -41,6 +48,7 @@ __all__ = [
     "RawProduct",
     "MAX_FACTORS",
     "normalize_group",
+    "run_ends",
     "dimension",
     "is_compact",
 ]
@@ -93,25 +101,72 @@ def solenoid(profile: Union[SupernaturalProfile, Mapping], default=0) -> Atom:
     return Atom(AtomKind.SOLENOID, profile)
 
 
+def _check_atom(atom):
+    if not isinstance(atom, Atom):
+        raise DomainError(f"group factor must be an Atom, got {atom!r}")
+
+
+def _joined(parts) -> tuple:
+    """Concatenated canonical runs, merging equal atoms where parts meet."""
+    runs: list = []
+    for part in parts:
+        if runs and part and runs[-1][0] == part[0][0]:
+            runs[-1] = (runs[-1][0], runs[-1][1] + part[0][1])
+            runs.extend(part[1:])
+        else:
+            runs.extend(part)
+    return tuple(runs)
+
+
+def _power(runs: tuple, exponent: int) -> tuple:
+    """Canonical runs repeated ``exponent`` times, without a loop over the copies."""
+    if exponent == 0 or not runs:
+        return ()
+    (first, first_count), (last, last_count) = runs[0], runs[-1]
+    if len(runs) == 1:
+        return ((first, first_count * exponent),)
+    if first != last:
+        return runs * exponent
+    seam = ((last, last_count + first_count),) + runs[1:-1]
+    return runs[:-1] + seam * (exponent - 1) + runs[-1:]
+
+
 @dataclass(frozen=True)
 class GroupExpr:
-    """Normalized product: a finite ordered tuple of atoms (empty = trivial)."""
+    """Normalized product as canonical runs: ``(atom, count)`` pairs with
+    adjacent atoms distinct and counts positive (empty = trivial).  The
+    constructor merges adjacent equal atoms and drops zero counts, so equal
+    products are equal values with equal hashes."""
 
-    factors: tuple = ()
+    runs: tuple = ()
 
     def __post_init__(self):
-        factors = tuple(self.factors)
-        for atom in factors:
-            if not isinstance(atom, Atom):
-                raise DomainError(f"group factor must be an Atom, got {atom!r}")
-        object.__setattr__(self, "factors", factors)
+        for atom, count in self.runs:
+            _check_atom(atom)
+            if not isinstance(count, int) or count < 0:
+                raise DomainError(f"run count must be a natural number, got {count!r}")
+        object.__setattr__(self, "runs", _joined(((atom, count),) for atom, count in self.runs if count))
+
+    @classmethod
+    def _of_canonical(cls, runs: tuple) -> "GroupExpr":
+        """Wrap runs that are canonical by construction (``_joined`` and
+        ``_power`` of canonical runs), skipping the per-run pass of the
+        constructor."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "runs", runs)
+        return g
+
+    @cached_property
+    def factors(self) -> tuple:
+        """One atom per factor, built on first use only; the engine reads ``runs``."""
+        return tuple(chain.from_iterable(starmap(repeat, self.runs)))
 
     @property
     def is_trivial(self) -> bool:
-        return not self.factors
+        return not self.runs
 
     def __mul__(self, other: "GroupExpr") -> "GroupExpr":
-        return GroupExpr(self.factors + other.factors)
+        return GroupExpr._of_canonical(_joined((self.runs, other.runs)))
 
     def __str__(self):
         from .literals import render_group
@@ -123,7 +178,13 @@ TRIVIAL_GROUP = GroupExpr(())
 
 
 def group(*atoms: Atom) -> GroupExpr:
-    return GroupExpr(tuple(atoms))
+    return GroupExpr(tuple((atom, 1) for atom in atoms))
+
+
+def run_ends(g: GroupExpr) -> list:
+    """Cumulative run counts: factor ``i`` (0-based) lies in run
+    ``bisect_right(run_ends(g), i)``."""
+    return list(accumulate(map(itemgetter(1), g.runs)))
 
 
 # Raw parse trees, as produced by the literal parser.
@@ -168,47 +229,49 @@ def _factor_count(node: RawNode) -> int:
     if isinstance(node, RawProduct):
         return sum(map(_factor_count, node.parts))
     if isinstance(node, GroupExpr):
-        return len(node.factors)
+        return dimension(node)
     return 0 if isinstance(node, RawTrivial) else 1
 
 
 def _expand(node: RawNode) -> tuple:
+    """Canonical runs of a raw tree."""
     if isinstance(node, GroupExpr):
-        return node.factors
+        return node.runs
     if isinstance(node, RawAtom):
-        return (node.atom,)
+        _check_atom(node.atom)
+        return ((node.atom, 1),)
     if isinstance(node, RawTrivial):
         return ()
     if isinstance(node, RawSolenoidSeq):
-        return (Atom(AtomKind.SOLENOID, profile_from_sequence(factor_sequence(node.seq))),)
+        return ((Atom(AtomKind.SOLENOID, profile_from_sequence(factor_sequence(node.seq))), 1),)
     if isinstance(node, RawPower):
         if node.exponent < 0:
             raise DomainError(f"group exponent must be nonnegative, got {node.exponent}")
-        base = _expand(node.base)
-        return base * node.exponent if base else ()  # () * 10**30 would overflow
+        return _power(_expand(node.base), node.exponent)
     if isinstance(node, RawProduct):
-        return tuple(chain.from_iterable(map(_expand, node.parts)))
+        return _joined(map(_expand, node.parts))
     raise DomainError(f"not a group expression node: {node!r}")
 
 
 def normalize_group(node: RawNode) -> GroupExpr:
-    """Flatten a raw tree to a factor list: powers expand, nested products
-    splice, integer-sequence solenoids factor into prime solenoids, and the
-    trivial atom contributes nothing.  Idempotent on normalized expressions.
+    """Flatten a raw tree to canonical runs: powers multiply run counts,
+    nested products splice with equal atoms merged where they meet,
+    integer-sequence solenoids factor into prime solenoids, and the trivial
+    atom contributes nothing.  Idempotent on normalized expressions.
     More than ``MAX_FACTORS`` factors is a ``DomainError``.
     """
     if isinstance(node, GroupExpr):
         return node
     if _factor_count(node) > MAX_FACTORS:
         raise DomainError(f"expression has more than {MAX_FACTORS} factors, the cap on one expression")
-    return GroupExpr(_expand(node))
+    return GroupExpr._of_canonical(_expand(node))
 
 
 def dimension(g: GroupExpr) -> int:
     """Covering dimension: every atom is one-dimensional, so count factors."""
-    return len(g.factors)
+    return sum(map(itemgetter(1), g.runs))
 
 
 def is_compact(g: GroupExpr) -> bool:
     """True iff no R factor (torus and solenoid factors are compact)."""
-    return all(atom.kind is not AtomKind.REAL for atom in g.factors)
+    return all(atom.kind is not AtomKind.REAL for atom, _ in g.runs)

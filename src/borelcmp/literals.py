@@ -29,7 +29,6 @@ entries, which are factored during group normalization.
 from __future__ import annotations
 
 import re
-from itertools import groupby
 from typing import NamedTuple
 
 from .errors import DomainError, ParseError
@@ -376,20 +375,19 @@ def render_profile(p: SupernaturalProfile) -> str:
     return str(p)
 
 
-def _render_runs(items: tuple) -> str:
-    """Adjacent equal items grouped with powers and joined by `` x ``; ``1`` when empty."""
-    runs = ((str(item), len(list(run))) for item, run in groupby(items))
-    return " x ".join(text + (f"^{count}" if count > 1 else "") for text, count in runs) or "1"
+def _render_runs(runs: tuple) -> str:
+    """``(item, count)`` runs as powers joined by `` x ``; ``1`` when empty."""
+    return " x ".join(str(item) + (f"^{count}" if count > 1 else "") for item, count in runs) or "1"
 
 
 def render_group(g: GroupExpr) -> str:
-    """Canonical text: adjacent equal atoms grouped with powers; reparses to
-    the identical expression."""
-    return _render_runs(g.factors)
+    """Canonical text: one power per run; reparses to the identical
+    expression."""
+    return _render_runs(g.runs)
 
 
 def render_dual(d: DualExpr) -> str:
-    return _render_runs(d.components)
+    return _render_runs(d.runs)
 
 
 def render_upset(s: UPSet) -> str:

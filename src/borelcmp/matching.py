@@ -5,7 +5,7 @@ vertex whose search fails refutes every matching: the left vertices that
 search reached form a Hall violator K, and the right vertices it visited
 are exactly N(K), each matched back into K (the start vertex is not).  No
 later augmenting path can enter that set, so the search stops there.
-Left vertices may share one row object (``rule_rows`` gives equal atoms
+Left vertices may share one row object (``run_rows`` gives equal atoms
 one); a search scans a shared row once, since every entry before its last
 stop has been visited.
 """
@@ -15,15 +15,23 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 
-def rule_rows(lefts: Sequence, rights: Sequence, related: Callable) -> list:
-    """Adjacency rows: row i lists the j with ``related(lefts[i], rights[j])``.
-    Equal left items share one row object, computed once."""
+def run_rows(lefts: Sequence, rights: Sequence, related: Callable) -> list:
+    """Adjacency rows for vertices given as ``(item, count)`` runs, numbered
+    run after run: row i lists the j whose item ``related`` relates to the
+    item of left vertex i.  Equal left items share one row object, computed
+    with one ``related`` call per right run."""
     rows: dict = {}
-    adjacency = []
-    for item in lefts:
-        if item not in rows:
-            rows[item] = [j for j, other in enumerate(rights) if related(item, other)]
-        adjacency.append(rows[item])
+    adjacency: list = []
+    for item, count in lefts:
+        row = rows.get(item)
+        if row is None:
+            row = rows[item] = []
+            start = 0
+            for other, width in rights:
+                if related(item, other):
+                    row.extend(range(start, start + width))
+                start += width
+        adjacency += [row] * count
     return adjacency
 
 

@@ -22,12 +22,14 @@ nontrivial reduces to it.  All factor indices in certificates are 1-based.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat, starmap
 
 from .errors import DomainError
-from .groups import REAL, TORUS, Atom, AtomKind, GroupExpr, solenoid
-from .matching import rule_rows, saturating_matching_or_violator
+from .groups import REAL, TORUS, Atom, AtomKind, GroupExpr, dimension, run_ends, solenoid
+from .matching import run_rows, saturating_matching_or_violator
 from .supernatural import OMEGA, finite_surplus_table, preceq
 
 __all__ = [
@@ -124,35 +126,44 @@ def edge_reason(a: Atom, b: Atom) -> EdgeReason:
     return EdgeReason.RULE_SOL_SOL
 
 
-def _witness(i: int, j: int, a: Atom, b: Atom) -> EdgeWitness:
+def _edge(a: Atom, b: Atom) -> tuple:
+    """Reason and surplus table of an edge from atom ``a`` to atom ``b``."""
     reason = edge_reason(a, b)
-    table = ()
     if reason is EdgeReason.RULE_SOL_SOL:
-        table = finite_surplus_table(b.profile, a.profile)
-    return EdgeWitness(i + 1, j + 1, reason, table)
+        return reason, finite_surplus_table(b.profile, a.profile)
+    return reason, ()
 
 
 def reduces(g: GroupExpr, h: GroupExpr) -> Verdict:
     """Decide reducibility of the product ``g`` into the product ``h``.
 
     Builds the bipartite graph with an edge (i, j) whenever factor i of
-    ``g`` reduces to factor j of ``h`` (equal factors of ``g`` share one
-    row of the rule table) and looks for a matching saturating
-    ``g``'s side.  Success returns the injective assignment with per-edge
-    witnesses; failure returns a Hall violator.
+    ``g`` reduces to factor j of ``h`` (the factors of one atom of ``g``
+    share one row of the rule table, built with one rule-table lookup per
+    run of ``h``) and looks for a matching saturating ``g``'s side.
+    Success returns the injective assignment with per-edge witnesses, whose
+    reasons and surplus tables are computed once per pair of atoms;
+    failure returns a Hall violator.
     """
-    m, n = len(g.factors), len(h.factors)
+    m, n = dimension(g), dimension(h)
     if m == 0:
         return Verdict(True, certificate=())
     if n == 0:
         return Verdict(False, violator=HallViolator(K=tuple(range(1, m + 1)), NK=()))
-    adjacency = rule_rows(g.factors, h.factors, atom_reduces)
+    adjacency = run_rows(g.runs, h.runs, atom_reduces)
     matching, violator = saturating_matching_or_violator(m, n, adjacency)
     if matching is not None:
-        witnesses = tuple(
-            _witness(i, j, g.factors[i], h.factors[j]) for i, j in enumerate(matching)
-        )
-        return Verdict(True, certificate=witnesses)
+        ends = run_ends(h)
+        sources = chain.from_iterable(starmap(repeat, g.runs))
+        edges: dict = {}
+        witnesses = []
+        for i, (a, j) in enumerate(zip(sources, matching)):
+            b = h.runs[bisect_right(ends, j)][0]
+            edge = edges.get((a, b))
+            if edge is None:
+                edge = edges[a, b] = _edge(a, b)
+            witnesses.append(EdgeWitness(i + 1, j + 1, *edge))
+        return Verdict(True, certificate=tuple(witnesses))
     lefts, rights = violator
     return Verdict(
         False,
@@ -200,7 +211,8 @@ def verify_certificate(g: GroupExpr, h: GroupExpr, v: Verdict) -> bool:
     N(K) must be exactly the rule-table neighborhood of K, with |N(K)| < |K|.
     Malformed indices make the certificate invalid rather than raising.
     """
-    m, n = len(g.factors), len(h.factors)
+    m, n = dimension(g), dimension(h)
+    g_ends, h_ends = run_ends(g), run_ends(h)
     if v.reducible:
         if v.certificate is None or v.violator is not None:
             return False
@@ -210,19 +222,15 @@ def verify_certificate(g: GroupExpr, h: GroupExpr, v: Verdict) -> bool:
         rights = [w.right_index for w in v.certificate]
         if len(set(rights)) != len(rights):
             return False
+        expected: dict = {}  # per pair of atoms: (reason, surplus table), or None off the table
         for w in v.certificate:
             if not 1 <= w.right_index <= n:
                 return False
-            a = g.factors[w.left_index - 1]
-            b = h.factors[w.right_index - 1]
-            if not atom_reduces(a, b):
-                return False
-            if w.reason is not edge_reason(a, b):
-                return False
-            if w.reason is EdgeReason.RULE_SOL_SOL:
-                if w.deficit != finite_surplus_table(b.profile, a.profile):
-                    return False
-            elif w.deficit:
+            a = g.runs[bisect_right(g_ends, w.left_index - 1)][0]
+            b = h.runs[bisect_right(h_ends, w.right_index - 1)][0]
+            if (a, b) not in expected:
+                expected[a, b] = _edge(a, b) if atom_reduces(a, b) else None
+            if (w.reason, w.deficit) != expected[a, b]:
                 return False
         return True
     if v.violator is None or v.certificate is not None:
@@ -230,11 +238,16 @@ def verify_certificate(g: GroupExpr, h: GroupExpr, v: Verdict) -> bool:
     K = v.violator.K
     if not K or len(set(K)) != len(K):
         return False
-    if any(not 1 <= i <= m for i in K):
+    if any(not isinstance(i, int) or not 1 <= i <= m for i in K):
         return False
-    # one rule-table row per distinct atom of K
-    sources = dict.fromkeys(g.factors[i - 1] for i in K)
-    neighborhood = {j + 1 for row in rule_rows(sources, h.factors, atom_reduces) for j in row}
-    if tuple(sorted(neighborhood)) != tuple(sorted(v.violator.NK)):
+    # the distinct atoms of K, each tested once per run of h
+    sources = list(dict.fromkeys(g.runs[r][0] for r in sorted({bisect_right(g_ends, i - 1) for i in K})))
+    neighborhood = []
+    start = 0
+    for b, count in h.runs:
+        if any(atom_reduces(a, b) for a in sources):
+            neighborhood.extend(range(start + 1, start + count + 1))
+        start += count
+    if neighborhood != sorted(v.violator.NK):
         return False
     return len(v.violator.NK) < len(K)

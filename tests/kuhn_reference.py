@@ -1,14 +1,32 @@
-"""Reference implementation for the matching search: recursive Kuhn.
+"""Reference implementations for the matching layer.
 
-A plain augmenting-path search over every left vertex, followed by an
+``saturating_matching_or_violator`` is recursive Kuhn: a plain
+augmenting-path search over every left vertex, followed by an
 alternating-path reachability from the first unmatched left vertex.  Its
 recursion depth grows with the factor count, so it serves as an oracle on
 small graphs only.
+
+``rule_rows`` builds adjacency rows one factor at a time, as the engine did
+before products were stored as runs; the run-based rows must equal its rows
+and share row objects the same way, since the iterative search's result
+depends on that sharing.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
+
+
+def rule_rows(lefts: Sequence, rights: Sequence, related: Callable) -> list:
+    """Adjacency rows: row i lists the j with ``related(lefts[i], rights[j])``.
+    Equal left items share one row object, computed once."""
+    rows: dict = {}
+    adjacency = []
+    for item in lefts:
+        if item not in rows:
+            rows[item] = [j for j, other in enumerate(rights) if related(item, other)]
+        adjacency.append(rows[item])
+    return adjacency
 
 
 def _try_augment(u, adjacency, match_left, match_right, visited) -> bool:

@@ -54,6 +54,25 @@ def test_normalize_power_and_trivial():
     assert parse_group("(T^2)^3") == group(*[TORUS] * 6)
 
 
+def test_products_are_canonical_runs():
+    t2 = group(TORUS, TORUS)
+    assert t2 == parse_group("T^2") == parse_group("T x T") == GroupExpr(((TORUS, 1), (REAL, 0), (TORUS, 1)))
+    assert hash(t2) == hash(parse_group("T^2")) == hash(parse_group("T x T"))
+    assert t2.runs == ((TORUS, 2),)
+    boundary = parse_group("(T x R x T)^2")
+    assert boundary.runs == ((TORUS, 1), (REAL, 1), (TORUS, 2), (REAL, 1), (TORUS, 1))
+    assert boundary.factors == (TORUS, REAL, TORUS, TORUS, REAL, TORUS)
+    assert str(boundary) == "T x R x T^2 x R x T"
+    assert (group(REAL, TORUS) * group(TORUS, REAL)).runs == ((REAL, 1), (TORUS, 2), (REAL, 1))
+    sol = solenoid({2: OMEGA})
+    assert parse_group("Sol{2:w} x (Sol{2:w})^3 x 1 x Sol{2:w}").runs == ((sol, 5),)
+    assert parse_group("(T^2 x R x T)^3").runs == ((TORUS, 2), (REAL, 1), (TORUS, 3), (REAL, 1), (TORUS, 3),
+                                                   (REAL, 1), (TORUS, 1))
+    for bad in ((("T", 1),), ((TORUS, -1),), ((TORUS, 1.5),)):
+        with pytest.raises(DomainError):
+            GroupExpr(bad)
+
+
 def test_normalize_caps_the_factor_count_before_building():
     assert MAX_FACTORS >= 10**6  # the largest product the benchmark builds
     assert len(normalize_group(RawPower(RawAtom(REAL), 10**6)).factors) == 10**6

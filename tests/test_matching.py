@@ -1,4 +1,5 @@
-"""Matching search: the iterative search against the recursive reference."""
+"""Matching layer: the iterative search against the recursive reference,
+and run-based rule-table rows against per-factor ones."""
 
 from __future__ import annotations
 
@@ -6,9 +7,10 @@ import random
 
 from borelcmp import reducibility
 from borelcmp.literals import parse_group
-from borelcmp.matching import rule_rows, saturating_matching_or_violator
+from borelcmp.matching import run_rows, saturating_matching_or_violator
 
 import kuhn_reference
+from kuhn_reference import rule_rows
 
 
 def _random_graph(rng: random.Random):
@@ -57,6 +59,30 @@ def test_rule_rows_shares_one_row_per_distinct_left_item():
     assert len(calls) == 6
 
 
+def _expanded(runs):
+    return [item for item, count in runs for _ in range(count)]
+
+
+def test_run_rows_equal_per_factor_rows_and_share_them_alike():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        lefts, rights = ([(rng.randrange(3), rng.randrange(1, 4)) for _ in range(rng.randrange(0, 5))]
+                         for _ in range(2))
+        calls = []
+
+        def related(a, b):
+            calls.append((a, b))
+            return a <= b
+
+        rows = run_rows(lefts, rights, related)
+        expected = rule_rows(_expanded(lefts), _expanded(rights), lambda a, b: a <= b)
+        assert rows == expected
+        first_alike = [[next(k for k, other in enumerate(adjacency) if other is row) for row in adjacency]
+                       for adjacency in (rows, expected)]
+        assert first_alike[0] == first_alike[1]
+        assert len(calls) == len({item for item, _ in lefts}) * len(rights)
+
+
 def test_reduces_evaluates_the_rule_table_once_per_distinct_source_atom(monkeypatch):
     calls = []
 
@@ -68,4 +94,4 @@ def test_reduces_evaluates_the_rule_table_once_per_distinct_source_atom(monkeypa
     g = parse_group("Sol{2:w,3:5,5:7,7:w}^300")
     h = parse_group("Sol{2:w,7:w,5:3}^300")
     assert reducibility.reduces(g, h).reducible
-    assert len(calls) == 300
+    assert len(calls) == 1  # one distinct source atom, one target run

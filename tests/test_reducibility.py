@@ -4,13 +4,26 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
 from borelcmp import reducibility
+from borelcmp.duality import dual, dual_reduces, rank
 from borelcmp.errors import DomainError
-from borelcmp.groups import REAL, TORUS, TRIVIAL_GROUP, dimension, group, solenoid
-from borelcmp.literals import parse_group
+from borelcmp.groups import (
+    REAL,
+    TORUS,
+    TRIVIAL_GROUP,
+    GroupExpr,
+    RawPower,
+    dimension,
+    group,
+    normalize_group,
+    solenoid,
+)
+from borelcmp.literals import parse_group, render_dual, render_group
+from borelcmp.matching import saturating_matching_or_violator
 from borelcmp.reducibility import (
     ComparisonOutcome,
     EdgeReason,
@@ -19,13 +32,15 @@ from borelcmp.reducibility import (
     Verdict,
     atom_reduces,
     compare,
+    edge_reason,
     reduces,
     rt_closed_form,
     verify_certificate,
 )
-from borelcmp.supernatural import OMEGA, SupernaturalProfile, preceq
+from borelcmp.supernatural import OMEGA, SupernaturalProfile, finite_surplus_table, preceq
 
 from borelcmp.selftest import brute_force_reducible, random_atom, random_expr, random_profile
+from kuhn_reference import rule_rows
 
 
 # -- atom rules ----------------------------------------------------------------
@@ -175,6 +190,12 @@ def test_tampered_violators_are_rejected(g_text, h_text):
         assert not verify_certificate(g, h, Verdict(False, violator=bad)), bad
 
 
+def test_fractional_violator_indices_are_rejected():
+    g, h = parse_group("R^2"), parse_group("T")
+    assert reduces(g, h).violator == HallViolator((1, 2), (1,))
+    assert not verify_certificate(g, h, Verdict(False, violator=HallViolator((1, 1.5), (1,))))
+
+
 def test_dimension_monotone(rng):
     for _ in range(150):
         g, h = random_expr(rng), random_expr(rng)
@@ -298,6 +319,76 @@ def test_certificate_cross_claims_rejected():
     assert not verify_certificate(
         g, h, Verdict(True, certificate=verdict.certificate, violator=HallViolator((1,), ()))
     )
+
+
+# -- runs against the per-factor engine ------------------------------------------
+
+def _per_factor_verdict(g, h):
+    """The verdict as the engine built it one factor at a time: per-factor
+    rule-table rows into the same search, and one witness per edge."""
+    m, n = len(g.factors), len(h.factors)
+    if m == 0:
+        return Verdict(True, certificate=())
+    if n == 0:
+        return Verdict(False, violator=HallViolator(K=tuple(range(1, m + 1)), NK=()))
+    matching, violator = saturating_matching_or_violator(m, n, rule_rows(g.factors, h.factors, atom_reduces))
+    if matching is None:
+        K, NK = violator
+        return Verdict(False, violator=HallViolator(tuple(i + 1 for i in K), tuple(j + 1 for j in NK)))
+    witnesses = []
+    for i, j in enumerate(matching):
+        a, b = g.factors[i], h.factors[j]
+        reason = edge_reason(a, b)
+        table = finite_surplus_table(b.profile, a.profile) if reason is EdgeReason.RULE_SOL_SOL else ()
+        witnesses.append(EdgeWitness(i + 1, j + 1, reason, table))
+    return Verdict(True, certificate=tuple(witnesses))
+
+
+def _powered_expr(rng, compact):
+    """A random product with random powers on its factors and on the whole;
+    checks that its runs are canonical and expand to the right factors."""
+    base = random_expr(rng, max_factors=4, compact=compact)
+    runs = tuple((atom, rng.choice((0, 1, 1, 2, 3))) for atom in base.factors)
+    exponent = rng.choice((1, 1, 2, 3))
+    g = normalize_group(RawPower(GroupExpr(runs), exponent))
+    assert g.factors == tuple(atom for atom, count in runs for _ in range(count)) * exponent
+    assert all(count >= 1 for _, count in g.runs)
+    assert all(a != b for (a, _), (b, _) in zip(g.runs, g.runs[1:]))
+    return g
+
+
+def test_runs_give_the_per_factor_verdict():
+    rng = random.Random(20261018)
+    outcomes = {True: 0, False: 0}
+    for _ in range(5000):
+        compact = rng.random() < 0.5
+        g, h = _powered_expr(rng, compact), _powered_expr(rng, compact)
+        verdict = reduces(g, h)
+        assert verdict == _per_factor_verdict(g, h)
+        assert verify_certificate(g, h, verdict)
+        if compact:
+            assert dual_reduces(g, h) == verdict.reducible
+        outcomes[verdict.reducible] += 1
+    assert min(outcomes.values()) > 1000
+
+
+def test_products_at_the_factor_cap_build_no_per_factor_tuple():
+    reals, torus, tori = parse_group("R^10000000"), parse_group("T"), parse_group("T^10000000")
+    for g in (reals, tori):
+        verdict = reduces(g, torus)
+        assert verdict.violator == HallViolator((1, 2), (1,))
+        assert verify_certificate(g, torus, verdict)
+        assert dimension(g) == 10**7
+        assert render_group(g) == str(g.runs[0][0]) + "^10000000"
+    duals = dual(reals), dual(tori)
+    assert [render_dual(d) for d in duals] == ["R^10000000", "Z^10000000"]
+    assert rank(duals[1]) == 10**7
+    with pytest.raises(DomainError):
+        rank(duals[0])
+    assert not any("factors" in vars(g) for g in (reals, torus, tori))
+    assert not any("components" in vars(d) for d in duals)
+    small = parse_group("T^3")
+    assert len(small.factors) == 3 and "factors" in vars(small)  # the check above can fail
 
 
 def test_solenoid_witness_deficit_is_recomputable():
