@@ -101,11 +101,6 @@ def solenoid(profile: Union[SupernaturalProfile, Mapping], default=0) -> Atom:
     return Atom(AtomKind.SOLENOID, profile)
 
 
-def _check_atom(atom):
-    if not isinstance(atom, Atom):
-        raise DomainError(f"group factor must be an Atom, got {atom!r}")
-
-
 def _joined(parts) -> tuple:
     """Concatenated canonical runs, merging equal atoms where parts meet."""
     runs: list = []
@@ -141,20 +136,16 @@ class GroupExpr:
     runs: tuple = ()
 
     def __post_init__(self):
-        for atom, count in self.runs:
-            _check_atom(atom)
+        runs = tuple(self.runs)
+        for run in runs:
+            if not (isinstance(run, tuple) and len(run) == 2):
+                raise DomainError(f"group run must be an (atom, count) pair, got {run!r}")
+            atom, count = run
+            if not isinstance(atom, Atom):
+                raise DomainError(f"group factor must be an Atom, got {atom!r}")
             if not isinstance(count, int) or count < 0:
                 raise DomainError(f"run count must be a natural number, got {count!r}")
-        object.__setattr__(self, "runs", _joined(((atom, count),) for atom, count in self.runs if count))
-
-    @classmethod
-    def _of_canonical(cls, runs: tuple) -> "GroupExpr":
-        """Wrap runs that are canonical by construction (``_joined`` and
-        ``_power`` of canonical runs), skipping the per-run pass of the
-        constructor."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "runs", runs)
-        return g
+        object.__setattr__(self, "runs", _joined((run,) for run in runs if run[1]))
 
     @cached_property
     def factors(self) -> tuple:
@@ -166,7 +157,7 @@ class GroupExpr:
         return not self.runs
 
     def __mul__(self, other: "GroupExpr") -> "GroupExpr":
-        return GroupExpr._of_canonical(_joined((self.runs, other.runs)))
+        return GroupExpr(_joined((self.runs, other.runs)))
 
     def __str__(self):
         from .literals import render_group
@@ -238,7 +229,6 @@ def _expand(node: RawNode) -> tuple:
     if isinstance(node, GroupExpr):
         return node.runs
     if isinstance(node, RawAtom):
-        _check_atom(node.atom)
         return ((node.atom, 1),)
     if isinstance(node, RawTrivial):
         return ()
@@ -264,7 +254,7 @@ def normalize_group(node: RawNode) -> GroupExpr:
         return node
     if _factor_count(node) > MAX_FACTORS:
         raise DomainError(f"expression has more than {MAX_FACTORS} factors, the cap on one expression")
-    return GroupExpr._of_canonical(_expand(node))
+    return GroupExpr(_expand(node))
 
 
 def dimension(g: GroupExpr) -> int:

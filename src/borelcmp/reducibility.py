@@ -216,6 +216,8 @@ def verify_certificate(g: GroupExpr, h: GroupExpr, v: Verdict) -> bool:
     if v.reducible:
         if v.certificate is None or v.violator is not None:
             return False
+        if any(not isinstance(i, int) for w in v.certificate for i in (w.left_index, w.right_index)):
+            return False
         covered = sorted(w.left_index for w in v.certificate)
         if covered != list(range(1, m + 1)):
             return False

@@ -68,7 +68,7 @@ def test_products_are_canonical_runs():
     assert parse_group("Sol{2:w} x (Sol{2:w})^3 x 1 x Sol{2:w}").runs == ((sol, 5),)
     assert parse_group("(T^2 x R x T)^3").runs == ((TORUS, 2), (REAL, 1), (TORUS, 3), (REAL, 1), (TORUS, 3),
                                                    (REAL, 1), (TORUS, 1))
-    for bad in ((("T", 1),), ((TORUS, -1),), ((TORUS, 1.5),)):
+    for bad in ((("T", 1),), ((TORUS, -1),), ((TORUS, 1.5),), (TORUS, REAL), ((TORUS, 1, 1),)):
         with pytest.raises(DomainError):
             GroupExpr(bad)
 

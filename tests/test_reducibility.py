@@ -196,6 +196,18 @@ def test_fractional_violator_indices_are_rejected():
     assert not verify_certificate(g, h, Verdict(False, violator=HallViolator((1, 1.5), (1,))))
 
 
+def test_fractional_certificate_indices_are_rejected():
+    g, h = parse_group("T^3"), parse_group("T^2")
+    assert not reduces(g, h).reducible
+    witness = reduces(h, h).certificate[0]
+    for pairs in (
+        ((1, 1), (2, 1.5), (3, 2)),  # distinct in-range right indices, all in the T run
+        ((1, 1), (1.5, 2), (3, 2.5)),
+    ):
+        forged = tuple(dataclasses.replace(witness, left_index=i, right_index=j) for i, j in pairs)
+        assert not verify_certificate(g, h, Verdict(True, certificate=forged)), pairs
+
+
 def test_dimension_monotone(rng):
     for _ in range(150):
         g, h = random_expr(rng), random_expr(rng)
