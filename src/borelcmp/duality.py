@@ -118,14 +118,21 @@ def dual(g: GroupExpr) -> DualExpr:
     >>> str(dual(group(TORUS)).components[0])
     'Z'
     """
+    # One component per distinct atom object.  Keyed by identity: a power
+    # repeats the same atom objects, and hashing a solenoid atom costs more
+    # than building its run; ``g`` keeps every key alive.
+    components: dict = {}
     runs = []
     for atom, count in g.runs:
-        if atom.kind is AtomKind.REAL:
-            component = _REAL_LINE
-        elif atom.kind is AtomKind.TORUS:
-            component = _INTEGERS_COMPONENT
-        else:
-            component = DualComponent(DualComponentKind.RANK1, RationalType(atom.profile))
+        component = components.get(id(atom))
+        if component is None:
+            if atom.kind is AtomKind.REAL:
+                component = _REAL_LINE
+            elif atom.kind is AtomKind.TORUS:
+                component = _INTEGERS_COMPONENT
+            else:
+                component = DualComponent(DualComponentKind.RANK1, RationalType(atom.profile))
+            components[id(atom)] = component
         runs.append((component, count))
     return DualExpr(tuple(runs))
 

@@ -376,8 +376,17 @@ def render_profile(p: SupernaturalProfile) -> str:
 
 
 def _render_runs(runs: tuple) -> str:
-    """``(item, count)`` runs as powers joined by `` x ``; ``1`` when empty."""
-    return " x ".join(str(item) + (f"^{count}" if count > 1 else "") for item, count in runs) or "1"
+    """``(item, count)`` runs as powers joined by `` x ``; ``1`` when empty.
+    Each distinct item object is formatted once, looked up by identity as in
+    ``duality.dual``."""
+    names: dict = {}
+    parts = []
+    for item, count in runs:
+        name = names.get(id(item))
+        if name is None:
+            name = names[id(item)] = str(item)
+        parts.append(name + f"^{count}" if count > 1 else name)
+    return " x ".join(parts) or "1"
 
 
 def render_group(g: GroupExpr) -> str:

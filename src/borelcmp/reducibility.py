@@ -11,10 +11,13 @@ The atom-level rule table:
 Note the direction reversal in the solenoid/solenoid cell: the *target's*
 profile must embed into the *source's*.  A product reduces to a product
 exactly when an injective assignment of source factors to target factors
-exists with every assigned pair in the table; this is decided by bipartite
-matching, and the outcome ships either the assignment (with a per-edge
-reason and, for solenoid pairs, the recomputable surplus table) or a Hall
-violator refuting every assignment.
+exists with every assigned pair in the table.  Equal atoms can be swapped
+for one another, so this is decided on classes of equal atoms by a
+capacitated flow (``matching.class_flow``), at a cost that depends on the
+number of distinct atoms and not on their counts.  The outcome ships either
+the assignment, one edge per source factor (with a per-edge reason and, for
+solenoid pairs, the recomputable surplus table), or a Hall violator
+refuting every assignment.
 
 The trivial group (empty product) reduces to everything, and nothing
 nontrivial reduces to it.  All factor indices in certificates are 1-based.
@@ -25,11 +28,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat, starmap
+from itertools import chain
 
 from .errors import DomainError
 from .groups import REAL, TORUS, Atom, AtomKind, GroupExpr, dimension, run_ends, solenoid
-from .matching import run_rows, saturating_matching_or_violator
+from .matching import class_flow
+from .matching import saturating_matching_or_violator  # noqa: F401  bench/tracing.py patches this binding
 from .supernatural import OMEGA, finite_surplus_table, preceq
 
 __all__ = [
@@ -134,44 +138,91 @@ def _edge(a: Atom, b: Atom) -> tuple:
     return reason, ()
 
 
+def _classes(runs: tuple) -> tuple:
+    """The distinct atoms of ``runs`` in first-seen order, their total
+    counts, and the class index of every run."""
+    index: dict = {}
+    counts: list = []
+    of_run = []
+    for atom, count in runs:
+        c = index.setdefault(atom, len(counts))
+        if c == len(counts):
+            counts.append(count)
+        else:
+            counts[c] += count
+        of_run.append(c)
+    return list(index), counts, of_run
+
+
 def reduces(g: GroupExpr, h: GroupExpr) -> Verdict:
     """Decide reducibility of the product ``g`` into the product ``h``.
 
-    Builds the bipartite graph with an edge (i, j) whenever factor i of
-    ``g`` reduces to factor j of ``h`` (the factors of one atom of ``g``
-    share one row of the rule table, built with one rule-table lookup per
-    run of ``h``) and looks for a matching saturating ``g``'s side.
-    Success returns the injective assignment with per-edge witnesses, whose
-    reasons and surplus tables are computed once per pair of atoms;
-    failure returns a Hall violator.
+    Equal atoms are interchangeable, so the factors are grouped into
+    classes, one per distinct atom with its total count.  The rule table is
+    evaluated once per pair of a source class and a target class, and
+    ``class_flow`` routes every source class into the target classes its
+    row allows; a full routing is Hall's condition for the factors.  The
+    verdict still lists factors, by this canonical rule:
+
+    - Positive: the source factors are taken from last to first, and each
+      takes the lowest unused target factor of the next target class (in
+      order of first appearance in ``h``) that the flow of its class still
+      routes to.  Each witness carries the reason and surplus table of its
+      pair of atoms, computed once per pair.
+    - Negative: C is the set of source classes that an unrouted class
+      reaches in the residual graph of a maximum flow, and N(C) the target
+      factors their rows reach.  K is the first |N(C)| + 1 factors of the
+      classes in C, in index order, and N(K) the exact rule-table
+      neighborhood of K's classes, so |N(K)| <= |N(C)| < |K|.
     """
-    m, n = dimension(g), dimension(h)
-    if m == 0:
-        return Verdict(True, certificate=())
-    if n == 0:
-        return Verdict(False, violator=HallViolator(K=tuple(range(1, m + 1)), NK=()))
-    adjacency = run_rows(g.runs, h.runs, atom_reduces)
-    matching, violator = saturating_matching_or_violator(m, n, adjacency)
-    if matching is not None:
-        ends = run_ends(h)
-        sources = chain.from_iterable(starmap(repeat, g.runs))
-        edges: dict = {}
-        witnesses = []
-        for i, (a, j) in enumerate(zip(sources, matching)):
-            b = h.runs[bisect_right(ends, j)][0]
-            edge = edges.get((a, b))
-            if edge is None:
-                edge = edges[a, b] = _edge(a, b)
-            witnesses.append(EdgeWitness(i + 1, j + 1, *edge))
+    sources, caps, source_of = _classes(g.runs)
+    targets, room, target_of = _classes(h.runs)
+    rows = [[t for t, b in enumerate(targets) if atom_reduces(a, b)] for a in sources]
+    flow, violator = class_flow(caps, room, rows)
+    if flow is not None:
+        spans: list = [[] for _ in targets]  # the 1-based target factors of each class, run by run
+        start = 1
+        for (_, count), t in zip(h.runs, target_of):
+            spans[t].append(range(start, start + count))
+            start += count
+        free = [chain.from_iterable(ranges) for ranges in spans]  # lowest unused first
+        # per source class, its routes from the last target class back, so pop() takes the next one
+        routes = [[[t, amount, _edge(a, targets[t])] for t, amount in sorted(out.items(), reverse=True)]
+                  for a, out in zip(sources, flow)]
+        witnesses: list = []
+        end = sum(caps)
+        for (_, count), s in zip(reversed(g.runs), reversed(source_of)):
+            route = routes[s]
+            for i in range(end, end - count, -1):
+                t, amount, edge = route[-1]
+                witnesses.append(EdgeWitness(i, next(free[t]), *edge))
+                if amount == 1:
+                    route.pop()
+                else:
+                    route[-1][1] = amount - 1
+            end -= count
+        witnesses.reverse()
         return Verdict(True, certificate=tuple(witnesses))
-    lefts, rights = violator
-    return Verdict(
-        False,
-        violator=HallViolator(
-            K=tuple(i + 1 for i in lefts),
-            NK=tuple(j + 1 for j in rights),
-        ),
-    )
+    C, NC = violator
+    in_C = set(C)
+    need = sum(room[t] for t in NC) + 1
+    K: list = []
+    reach: set = set()
+    start = 0
+    for (_, count), s in zip(g.runs, source_of):
+        if s in in_C:
+            K += range(start + 1, start + min(count, need - len(K)) + 1)
+            reach.update(rows[s])
+            if len(K) == need:
+                break
+        start += count
+    NK: list = []
+    start = 1
+    for (_, count), t in zip(h.runs, target_of):
+        if t in reach:
+            NK += range(start, start + count)
+        start += count
+    return Verdict(False, violator=HallViolator(K=tuple(K), NK=tuple(NK)))
 
 
 def rt_closed_form(c0: int, e0: int, c1: int, e1: int) -> bool:

@@ -4,7 +4,9 @@
 augmenting-path search over every left vertex, followed by an
 alternating-path reachability from the first unmatched left vertex.  Its
 recursion depth grows with the factor count, so it serves as an oracle on
-small graphs only.
+small graphs only.  ``alternating_reach`` starts that reachability from
+every unmatched left vertex at once, which is the per-factor form of the
+violator ``reduces`` derives from its class flow.
 
 ``rule_rows`` builds adjacency rows one factor at a time, as the engine did
 before products were stored as runs; the run-based rows must equal its rows
@@ -67,6 +69,25 @@ def hall_violator(start: int, adjacency, match_right) -> tuple[tuple[int, ...], 
             if w is not None and w not in lefts:
                 lefts.add(w)
                 stack.append(w)
+    return tuple(sorted(lefts)), tuple(sorted(rights))
+
+
+def alternating_reach(adjacency, match_left, match_right) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Breadth-first alternating-path reachability from every unmatched left
+    vertex of a maximum matching: the left vertices reached, and their
+    neighborhood, both sorted.  The left set is the same for every maximum
+    matching (it is the set of left vertices that some maximum matching
+    leaves unmatched)."""
+    lefts = [u for u, v in enumerate(match_left) if v is None]
+    seen, rights = set(lefts), set()
+    for u in lefts:  # grows while it is read
+        for v in adjacency[u]:
+            if v not in rights:
+                rights.add(v)
+                w = match_right[v]
+                if w not in seen:
+                    seen.add(w)
+                    lefts.append(w)
     return tuple(sorted(lefts)), tuple(sorted(rights))
 
 

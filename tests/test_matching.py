@@ -1,13 +1,20 @@
-"""Matching layer: the iterative search against the recursive reference,
-and run-based rule-table rows against per-factor ones."""
+"""Matching layer: the class flow against brute force, the iterative search
+against the recursive reference, and run-based rule-table rows against
+per-factor ones."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from borelcmp import reducibility
+import pytest
+
+from borelcmp import matching, reducibility
+from borelcmp.groups import REAL, TORUS, group, solenoid
 from borelcmp.literals import parse_group
-from borelcmp.matching import run_rows, saturating_matching_or_violator
+from borelcmp.matching import class_flow, run_rows, saturating_matching_or_violator
+from borelcmp.selftest import brute_force_reducible
+from borelcmp.supernatural import OMEGA
 
 import kuhn_reference
 from kuhn_reference import rule_rows
@@ -95,3 +102,83 @@ def test_reduces_evaluates_the_rule_table_once_per_distinct_source_atom(monkeypa
     h = parse_group("Sol{2:w,7:w,5:3}^300")
     assert reducibility.reduces(g, h).reducible
     assert len(calls) == 1  # one distinct source atom, one target run
+
+
+def _hall_holds(caps, room, rows):
+    """Hall's condition for multisets, by brute force over every set of
+    source classes."""
+    for size in range(1, len(caps) + 1):
+        for chosen in itertools.combinations(range(len(caps)), size):
+            reach = {t for s in chosen for t in rows[s]}
+            if sum(caps[s] for s in chosen) > sum(room[t] for t in reach):
+                return False
+    return True
+
+
+def test_class_flow_routes_exactly_when_hall_holds():
+    rng = random.Random(20261019)
+    outcomes = {True: 0, False: 0}
+    for _ in range(4000):
+        caps = [rng.randrange(1, 6) for _ in range(rng.randrange(0, 5))]
+        room = [rng.randrange(1, 6) for _ in range(rng.randrange(0, 5))]
+        rows = [[t for t in range(len(room)) if rng.random() < 0.5] for _ in caps]
+        for row in rows:
+            rng.shuffle(row)
+        flow, violator = class_flow(caps, room, rows)
+        assert (flow is None) != (violator is None)
+        assert (flow is not None) == _hall_holds(caps, room, rows)
+        if flow is not None:
+            for s, out in enumerate(flow):
+                assert sum(out.values()) == caps[s]
+                assert all(t in rows[s] and amount > 0 for t, amount in out.items())
+            for t, limit in enumerate(room):
+                assert sum(out.get(t, 0) for out in flow) <= limit
+        else:
+            C, NC = violator
+            assert C == tuple(sorted(set(C))) and NC == tuple(sorted({t for s in C for t in rows[s]}))
+            assert sum(room[t] for t in NC) < sum(caps[s] for s in C)
+        outcomes[flow is not None] += 1
+    assert min(outcomes.values()) > 1000
+
+
+def test_class_flow_rounds_do_not_grow_with_the_counts():
+    # R^n x T^n into T^n x R^n: the greedy fill sends R into T, and one
+    # augmenting path of n units moves it over to R
+    n = 10**12
+    flow, violator = class_flow([n, n], [n, n], [[0, 1], [0]])
+    assert violator is None and flow == [{1: n}, {0: n}]
+    assert class_flow([n + 1], [n], [[0]]) == (None, ((0,), (0,)))
+
+
+@pytest.fixture
+def no_per_factor_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-factor search called")
+
+    for module in (matching, reducibility):
+        monkeypatch.setattr(module, "saturating_matching_or_violator", refuse)
+
+
+def test_reduces_needs_no_per_factor_search(no_per_factor_search):
+    atoms = (REAL, TORUS, solenoid({2: OMEGA}), solenoid({2: OMEGA, 3: OMEGA}))
+    products = [group(*factors) for size in range(4) for factors in itertools.product(atoms, repeat=size)]
+    for g, h in itertools.product(products, repeat=2):
+        verdict = reducibility.reduces(g, h)
+        assert verdict.reducible == brute_force_reducible(g, h)
+        assert reducibility.verify_certificate(g, h, verdict)
+    g = parse_group("T^100000")
+    assert reducibility.reduces(g, g).reducible
+
+
+def test_reduces_on_a_power_of_one_atom_evaluates_the_rule_table_once(monkeypatch):
+    calls = []
+
+    def counted(a, b, _atom_reduces=reducibility.atom_reduces):
+        calls.append((a, b))
+        return _atom_reduces(a, b)
+
+    monkeypatch.setattr(reducibility, "atom_reduces", counted)
+    g = parse_group("T^1000")
+    verdict = reducibility.reduces(g, g)
+    assert verdict.reducible and len(verdict.certificate) == 1000
+    assert len(calls) <= 1

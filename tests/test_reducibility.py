@@ -23,23 +23,21 @@ from borelcmp.groups import (
     solenoid,
 )
 from borelcmp.literals import parse_group, render_dual, render_group
-from borelcmp.matching import saturating_matching_or_violator
 from borelcmp.reducibility import (
     ComparisonOutcome,
     EdgeReason,
-    EdgeWitness,
     HallViolator,
     Verdict,
     atom_reduces,
     compare,
-    edge_reason,
     reduces,
     rt_closed_form,
     verify_certificate,
 )
-from borelcmp.supernatural import OMEGA, SupernaturalProfile, finite_surplus_table, preceq
+from borelcmp.supernatural import OMEGA, SupernaturalProfile, preceq
 
 from borelcmp.selftest import brute_force_reducible, random_atom, random_expr, random_profile
+import kuhn_reference
 from kuhn_reference import rule_rows
 
 
@@ -101,6 +99,31 @@ def test_reduces_closed_form_instance():
     assert reasons == ["RULE_R_ANY", "RULE_R_ANY", "RULE_T_T"]
 
 
+@pytest.mark.parametrize(
+    "g_text, h_text, expected",
+    [
+        # one source class split over two target classes: the last factor takes the lower one
+        ("R^3", "T x R^2", ((1, 3), (2, 2), (3, 1))),
+        # an augmenting path moves R out of the T class (R^2 x T^2 -> T^2 x R^2),
+        # or part of it (R^3 x T -> T^2 x R^2)
+        ("R^2 x T^2", "T^2 x R^2", ((1, 4), (2, 3), (3, 2), (4, 1))),
+        ("R^3 x T", "T^2 x R^2", ((1, 4), (2, 3), (3, 2), (4, 1))),
+        # two source classes into one target class, taken from the last factor on
+        ("R x T x R", "T^3", ((1, 3), (2, 2), (3, 1))),
+        # K holds |N(C)| + 1 factors of both classes in C, not only the factor without edges
+        ("T x R^2", "R", HallViolator((1, 2), (1,))),
+    ],
+)
+def test_verdicts_follow_the_canonical_rule(g_text, h_text, expected):
+    g, h = parse_group(g_text), parse_group(h_text)
+    verdict = reduces(g, h)
+    if verdict.reducible:
+        assert tuple((w.left_index, w.right_index) for w in verdict.certificate) == expected
+    else:
+        assert verdict.violator == expected
+    assert verify_certificate(g, h, verdict)
+
+
 def test_trivial_group_rules():
     assert reduces(TRIVIAL_GROUP, parse_group("R x T")).reducible
     assert reduces(TRIVIAL_GROUP, TRIVIAL_GROUP).reducible
@@ -147,7 +170,13 @@ def test_matching_equals_brute_force(rng):
 
 @pytest.mark.parametrize(
     "g_text, h_text",
-    [("T^1000", "T^1000"), ("R^500 x T^500", "T^500 x R^500"), ("R^1000 x T", "T^1000")],
+    [
+        ("T^1000", "T^1000"),
+        ("R^500 x T^500", "T^500 x R^500"),
+        ("R^1000 x T", "T^1000"),
+        ("T^100000", "T^100000"),
+        ("R^50000 x T^50000", "T^50000 x R^50000"),
+    ],
 )
 def test_large_products_need_no_recursion(g_text, h_text):
     g, h = parse_group(g_text), parse_group(h_text)
@@ -333,27 +362,22 @@ def test_certificate_cross_claims_rejected():
     )
 
 
-# -- runs against the per-factor engine ------------------------------------------
+# -- classes against the per-factor engine ------------------------------------
 
-def _per_factor_verdict(g, h):
-    """The verdict as the engine built it one factor at a time: per-factor
-    rule-table rows into the same search, and one witness per edge."""
-    m, n = len(g.factors), len(h.factors)
-    if m == 0:
-        return Verdict(True, certificate=())
-    if n == 0:
-        return Verdict(False, violator=HallViolator(K=tuple(range(1, m + 1)), NK=()))
-    matching, violator = saturating_matching_or_violator(m, n, rule_rows(g.factors, h.factors, atom_reduces))
-    if matching is None:
-        K, NK = violator
-        return Verdict(False, violator=HallViolator(tuple(i + 1 for i in K), tuple(j + 1 for j in NK)))
-    witnesses = []
-    for i, j in enumerate(matching):
-        a, b = g.factors[i], h.factors[j]
-        reason = edge_reason(a, b)
-        table = finite_surplus_table(b.profile, a.profile) if reason is EdgeReason.RULE_SOL_SOL else ()
-        witnesses.append(EdgeWitness(i + 1, j + 1, reason, table))
-    return Verdict(True, certificate=tuple(witnesses))
+def _per_factor_outcome(g, h):
+    """The verdict and violator rule of ``reduces``, computed one factor at a
+    time: a maximum matching from the recursive Kuhn reference on per-factor
+    rule-table rows; on failure, the source factors that alternating paths
+    from every unmatched one reach, the first |N| + 1 of them as K, and K's
+    exact neighborhood as N(K)."""
+    adjacency = rule_rows(g.factors, h.factors, atom_reduces)
+    match_left, match_right = kuhn_reference.maximum_matching(len(g.factors), len(h.factors), adjacency)
+    if None not in match_left:
+        return True, None
+    lefts, rights = kuhn_reference.alternating_reach(adjacency, match_left, match_right)
+    K = lefts[: len(rights) + 1]
+    NK = sorted({j for i in K for j in adjacency[i]})
+    return False, HallViolator(tuple(i + 1 for i in K), tuple(j + 1 for j in NK))
 
 
 def _powered_expr(rng, compact):
@@ -376,7 +400,7 @@ def test_runs_give_the_per_factor_verdict():
         compact = rng.random() < 0.5
         g, h = _powered_expr(rng, compact), _powered_expr(rng, compact)
         verdict = reduces(g, h)
-        assert verdict == _per_factor_verdict(g, h)
+        assert (verdict.reducible, verdict.violator) == _per_factor_outcome(g, h)
         assert verify_certificate(g, h, verdict)
         if compact:
             assert dual_reduces(g, h) == verdict.reducible
