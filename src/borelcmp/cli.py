@@ -17,7 +17,8 @@ Verbs:
 Exit codes: 0 for a completed computation (whatever the verdict), 1 for a
 usage or parse error, 2 for a domain error, 3 for a false verdict when
 ``--exit-verdict`` asks for it, and 4 for an internal error.  Verdicts are
-data, not failures.
+data, not failures, and a reader that closes stdout early changes no exit
+code.
 
 The ``family-*`` verbs operate on the default family (p = {2:w},
 q = {default=w}); ``family-new`` validates and describes an arbitrary one.
@@ -26,6 +27,7 @@ q = {default=w}); ``family-new`` validates and describes an arbitrary one.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .duality import dual, rank
@@ -348,7 +350,13 @@ def render(report: Report) -> str:
 def main(argv=None) -> int:
     try:
         report, code = run(parse_command(sys.argv[1:] if argv is None else argv))
-        print(render(report))
+        try:
+            print(render(report), flush=True)
+        except BrokenPipeError:  # the reader of stdout went away; the report stands
+            # what is left in the buffer goes to devnull, so the flush at exit stays silent
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -44,17 +44,20 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import filterfalse, islice
 from math import gcd
 
 from .errors import DomainError
-from .primes import factorint, nextprime
+from .primes import factorint
+from .primes import nextprime  # noqa: F401  bench/tracing.py patches this binding
 from .supernatural import (
     OMEGA,
     SupernaturalProfile,
     _alternate,
     _paired,
+    _primes_outside,
     canonical_terms,
     oracle_injection,
     preceq,
@@ -111,8 +114,7 @@ class UPSet:
         period = _checked_period(self.period)
         residues, flips = frozenset(self.residues), frozenset(self.flips)
         for n in itertools.chain(residues, flips):
-            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-                raise DomainError(f"residues and flips must be naturals, got {n!r}")
+            _checked_natural(n, "a residue or flip")
         if residues and max(residues) >= period:
             raise DomainError(f"residue {max(residues)} is not below period {period}")
         period, residues = _minimal_rule(period, residues)
@@ -203,6 +205,12 @@ class UPSet:
         return render_upset(self)
 
 
+def _checked_natural(n, what: str) -> int:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise DomainError(f"{what} must be a natural number, got {n!r}")
+    return n
+
+
 def _checked_period(period) -> int:
     if isinstance(period, bool) or not isinstance(period, int) or period < 1:
         raise DomainError(f"period must be a positive integer, got {period!r}")
@@ -282,6 +290,13 @@ def set_difference(a: UPSet, b: UPSet):
     return False, tuple(islice(filterfalse(b.__contains__, a.ascending()), 8))
 
 
+# A growth of the d-cache walks past the prime asked for by as many primes
+# as the cache holds, but at most _D_STEP: geometric growth for short
+# walks, and few primes walked in vain past the sieve cap, where each
+# costs a primality test.
+_D_STEP = 1 << 12
+
+
 class Family:
     """The (P, Q) pair generating one embedded copy of the poset, together
     with the ascending enumeration of the primes strictly more frequent in
@@ -308,7 +323,7 @@ class Family:
         self.q = q
         self._skipped = frozenset(gamma for gamma, tp, tq in _paired(p, q) if not tp < tq)
         self._d_cache: list = []
-        self._d_frontier = 1  # last prime walked
+        self._d_walk = _primes_outside(self._skipped)  # the d-primes not yet cached
         self._lock = threading.Lock()
 
     def __eq__(self, other):
@@ -326,25 +341,31 @@ class Family:
 
     def _ensure_d_terms(self, k: int):
         # the cache is append-only: reads below len() never see it change
-        if len(self._d_cache) >= k:
+        cache = self._d_cache
+        if len(cache) >= k:
             return
         with self._lock:
-            while len(self._d_cache) < k:
-                gamma = nextprime(self._d_frontier)
-                self._d_frontier = gamma
-                if gamma not in self._skipped:
-                    self._d_cache.append(gamma)
+            if len(cache) < k:
+                grown = k + min(len(cache), _D_STEP)
+                cache.extend(islice(self._d_walk, grown - len(cache)))
 
     def d_terms(self, k: int) -> tuple:
         """First ``k`` primes gamma with multiplicity(p, gamma) < (q, gamma)."""
-        if k < 0:
-            raise DomainError(f"count must be nonnegative, got {k}")
-        self._ensure_d_terms(k)
+        self._ensure_d_terms(_checked_natural(k, "count"))
         return tuple(self._d_cache[:k])
 
     def d_term(self, i: int) -> int:
-        self._ensure_d_terms(i + 1)
+        """d_i, counting from 0."""
+        self._ensure_d_terms(_checked_natural(i, "index") + 1)
         return self._d_cache[i]
+
+    def _d_at(self, indices) -> Iterator[int]:
+        """d_i for each natural i of ``indices`` in turn, read from the cache."""
+        cache = self._d_cache
+        for i in indices:
+            if i >= len(cache):
+                self._ensure_d_terms(i + 1)
+            yield cache[i]
 
 
 @dataclass(frozen=True)
@@ -379,11 +400,11 @@ def _member_terms(m: MemberRef):
     """The member's concrete prime sequence as an infinite iterator."""
     family = m.family
     # P_0' interleave base(P)
-    terms = _alternate(map(family.d_term, itertools.count(0, 3)), canonical_terms(family.p))
+    terms = _alternate(family._d_at(itertools.count(0, 3)), canonical_terms(family.p))
     if not m.a.is_cofinite:
         complement = m.a.ascending(members=False)
         # P_A' interleave (P_0' interleave base(P))
-        terms = _alternate((family.d_term(1 + 3 * c) for c in complement), terms)
+        terms = _alternate(family._d_at(1 + 3 * c for c in complement), terms)
     return terms
 
 
@@ -435,7 +456,7 @@ def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> Cros
         raise DomainError(f"window must be positive, got {window}")
     verdict = member_reduces(m_a, m_b)
     finite, elements = set_difference(m_a.a, m_b.a)
-    surplus = tuple(m_a.family.d_term(1 + 3 * c) for c in elements)
+    surplus = tuple(m_a.family._d_at(1 + 3 * c for c in elements))
 
     drops = (0, *(1 << i for i in range(window.bit_length())))  # 0 and the powers of two <= window
     successful = None

@@ -8,6 +8,12 @@
 * ``nextprime`` finds the next flag set in the same sieve, which doubles
   on demand up to ``SIEVE_CAP``; past the cap it tests the candidates
   6k +- 1 in turn.
+* ``primes_after`` is the one lazy walk over the primes.  It chains
+  ``compress(range(lo, hi, 2), flags[lo:hi:2])`` over the odd numbers of
+  the same sieve, in chunks that span 64 numbers first and double up to
+  2^16, so a caller that takes one prime copies 32 bytes, and a long walk
+  runs in C with no Python frame per prime; past ``SIEVE_CAP`` it goes on
+  with one ``nextprime`` per prime.
 * ``factorint`` trial-divides by the primes below 2^16, recognizes a prime
   cofactor with ``isprime`` and splits a composite one with Pollard-Brent
   (Brent 1980) within ``FACTOR_BUDGET`` steps; past the budget it raises
@@ -21,17 +27,22 @@ concurrent callers only ever see a complete sieve.
 from __future__ import annotations
 
 import threading
-from itertools import compress, count
+from collections.abc import Iterable, Iterator
+from itertools import chain, compress, count
 from math import gcd, isqrt, prod
 
 from .errors import DomainError
 
-__all__ = ["isprime", "nextprime", "factorint", "SIEVE_CAP", "FACTOR_BUDGET"]
+__all__ = ["isprime", "nextprime", "primes_after", "factorint", "SIEVE_CAP", "FACTOR_BUDGET"]
 
 # The sieve starts at _INITIAL_LIMIT and doubles up to SIEVE_CAP (one
 # byte per number: 16 MB).
 _INITIAL_LIMIT = 1 << 16
 SIEVE_CAP = 1 << 24
+
+# The span of numbers one chunk of ``primes_after`` reads from the sieve:
+# the first, doubled per chunk up to the last.
+_FIRST_CHUNK, _LAST_CHUNK = 1 << 6, 1 << 16
 
 # Pollard-Brent steps (one modular squaring each) that one ``factorint``
 # call may spend, shared by all its splits; enough to split a product of
@@ -123,6 +134,34 @@ def nextprime(n: int) -> int:
             if candidate > n and isprime(candidate):
                 return candidate
         k += 6
+
+
+def primes_after(n: int) -> Iterator[int]:
+    """The primes greater than ``n``, ascending, as an infinite iterator.
+
+    >>> from itertools import islice
+    >>> list(islice(primes_after(1), 5)), next(primes_after(2**22))
+    ([2, 3, 5, 7, 11], 4194319)
+    """
+    return chain.from_iterable(_prime_chunks(max(n + 1, 0)))
+
+
+def _prime_chunks(lo: int) -> Iterator[Iterable[int]]:
+    """The primes from ``lo`` on in consecutive ascending runs: 2, then
+    compressed slices of the sieve's odd numbers, each read when the run
+    before it is used up, then past the cap one run per prime that
+    ``nextprime`` finds."""
+    if lo <= 2:
+        yield (2,)
+    lo, size = max(lo, 3) | 1, _FIRST_CHUNK  # odd from here on, as size is even
+    while lo < SIEVE_CAP:
+        hi = min(lo + size, SIEVE_CAP)
+        yield compress(range(lo, hi, 2), _SIEVE.covering(hi - 1)[lo:hi:2])
+        lo, size = hi, min(2 * size, _LAST_CHUNK)
+    p = lo - 1
+    while True:
+        p = nextprime(p)
+        yield (p,)
 
 
 def factorint(n: int) -> dict:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, cycle, islice, repeat
+from itertools import accumulate, chain, cycle, filterfalse, islice, repeat
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DomainError
-from .primes import factorint, isprime, nextprime
+from .primes import factorint, isprime, primes_after
 
 __all__ = [
     "OMEGA",
@@ -393,11 +393,7 @@ def finite_surplus_table(q: SupernaturalProfile, p: SupernaturalProfile) -> tupl
 
 def _primes_outside(excluded) -> Iterator[int]:
     """The primes not in the finite set ``excluded``, ascending."""
-    gamma = 1
-    while True:
-        gamma = nextprime(gamma)
-        if gamma not in excluded:
-            yield gamma
+    return filterfalse(excluded.__contains__, primes_after(1))
 
 
 def refutation_witness(q: SupernaturalProfile, p: SupernaturalProfile):

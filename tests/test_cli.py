@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import time
 
 import pytest
@@ -249,6 +252,17 @@ def test_main_internal_error(monkeypatch, capsys):
     assert code == cli.EXIT_INTERNAL == 4
     assert captured.err == "internal error: RuntimeError: boom\n"
     assert captured.out == ""
+
+
+def test_a_reader_that_closes_stdout_early_changes_no_exit_code():
+    # about 590 KB of terms, far more than a pipe holds: a write meets the closed pipe
+    argv = [sys.executable, "-m", "borelcmp.cli", "family-expand", "--a", "fin{}", "--len", "100000"]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert child.stdout.read(10) == b"5,3,13,2,2"
+        child.stdout.close()
+        assert child.stderr.read() == b""
+        assert child.wait(timeout=60) == EXIT_OK
 
 
 def test_main_reduces_a_thousand_circles(capsys):

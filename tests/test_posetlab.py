@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import sympy
 
-from borelcmp import posetlab
+from borelcmp import posetlab, primes
 from borelcmp.errors import DomainError
 from borelcmp.posetlab import (
     Family,
@@ -144,6 +146,10 @@ def test_d_enumeration_examples():
         SupernaturalProfile({2: OMEGA, 3: 4}), SupernaturalProfile.all_omega()
     )
     assert capped.d_terms(3) == (3, 5, 7)
+    # 65537 lies inside a chunk of the prime walk, not at its start
+    skips = Family(SupernaturalProfile({2: OMEGA, 65537: OMEGA}), SupernaturalProfile.all_omega())
+    expected = [p for p in sympy.primerange(0, 80_000) if p not in (2, 65537)][:7000]
+    assert expected[-1] > 65537 and skips.d_terms(7000) == tuple(expected)
 
 
 def test_d_enumeration_tests_no_prime(isprime_calls):
@@ -152,11 +158,46 @@ def test_d_enumeration_tests_no_prime(isprime_calls):
 
 
 def test_d_enumeration_cache_is_thread_safe():
+    serial = Family.default().d_terms(50_000)
+    assert serial[:4] == (3, 5, 7, 11)
+    # mixed sizes cross several growths of the cache, each one contended
+    sizes = [1, 50_000, 7, 4_097, 31_000, 200, 12_345, 49_999, 3, 20_000, 8_192, 40_000] * 3
     fam = Family.default()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda k: fam.d_terms(200), range(32)))
-    assert all(r == results[0] for r in results)
-    assert results[0][:4] == (3, 5, 7, 11)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda k: (fam.d_term(k - 1), fam.d_terms(k)), sizes))
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == [(serial[k - 1], serial[:k]) for k in sizes]
+
+
+@pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3", None])
+def test_d_enumeration_rejects_an_index_that_is_no_natural(bad):
+    fresh, used = Family.default(), Family.default()
+    used.d_terms(5)
+    for fam in (fresh, used):
+        with pytest.raises(DomainError):
+            fam.d_term(bad)
+        with pytest.raises(DomainError):
+            fam.d_terms(bad)
+
+
+def test_member_terms_need_no_nextprime_call_below_the_sieve_cap(monkeypatch):
+    def walk(fam):
+        evens = MemberRef(fam, UPSet.multiples_of(2))
+        mult4 = MemberRef(fam, UPSet.multiples_of(4))
+        return member_sequence(evens, 10_000), member_crosscheck(evens, mult4, 1000)
+
+    expected = walk(Family.default())
+
+    def no_call(n):
+        raise AssertionError(f"nextprime({n}) called")
+
+    monkeypatch.setattr(primes, "nextprime", no_call)
+    monkeypatch.setattr(posetlab, "nextprime", no_call)
+    assert walk(Family.default()) == expected
 
 
 # -- member sequences -------------------------------------------------------------
@@ -322,9 +363,10 @@ def _terms_made(monkeypatch, run):
     sequences are made of: d-enumeration lookups and base-sequence terms."""
     made = [0]
 
-    def d_term(self, i, _d_term=Family.d_term):
-        made[0] += 1
-        return _d_term(self, i)
+    def d_at(self, indices, _d_at=Family._d_at):
+        for term in _d_at(self, indices):
+            made[0] += 1
+            yield term
 
     def canonical_terms(p, _canonical_terms=posetlab.canonical_terms):
         for term in _canonical_terms(p):
@@ -332,7 +374,7 @@ def _terms_made(monkeypatch, run):
             yield term
 
     with monkeypatch.context() as patch:
-        patch.setattr(Family, "d_term", d_term)
+        patch.setattr(Family, "_d_at", d_at)
         patch.setattr(posetlab, "canonical_terms", canonical_terms)
         result = run()
     return result, made[0]

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 from bisect import bisect_right
+from itertools import islice
 
 import pytest
 import sympy
@@ -19,7 +20,7 @@ from sympy.ntheory.primetest import is_strong_lucas_prp
 import borelcmp
 from borelcmp import primes
 from borelcmp.errors import DomainError
-from borelcmp.primes import factorint, isprime, nextprime
+from borelcmp.primes import factorint, isprime, nextprime, primes_after
 
 # The two 90-bit primes whose product the benchmark's cli_mix reduces.
 P90 = 618970019668049015295030157
@@ -73,6 +74,33 @@ def test_known_primes(n):
 def test_nextprime_past_the_sieve_cap():
     for n in (primes.SIEVE_CAP - 1, primes.SIEVE_CAP, 10**12, 10**30):
         assert nextprime(n) == sympy.nextprime(n)
+
+
+def _nextprime_walk(n: int, count: int) -> list:
+    """The ``count`` primes after ``n``, one ``nextprime`` call each."""
+    walked = []
+    for _ in range(count):
+        n = nextprime(n)
+        walked.append(n)
+    return walked
+
+
+def test_primes_after_matches_nextprime():
+    assert list(islice(primes_after(1), 100_000)) == _nextprime_walk(1, 100_000)
+    # the initial sieve and the largest chunk both span 2^16 numbers
+    for n in [-3, 0, 1, 2, 3, *range(2**16 - 40, 2**16 + 40), 2**17 + 5, 10**6]:
+        assert list(islice(primes_after(n), 50)) == _nextprime_walk(n, 50), n
+
+
+def test_primes_after_goes_on_past_the_sieve_cap(monkeypatch):
+    cap = 2**16 + 1001  # odd, so the last chunk ends at an odd bound
+    monkeypatch.setattr(primes, "SIEVE_CAP", cap)
+    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+    known = list(sympy.primerange(0, cap + 5000))
+    assert list(islice(primes_after(1), len(known))) == known
+    for n in range(cap - 30, cap + 30):
+        assert list(islice(primes_after(n), 20)) == known[bisect_right(known, n):][:20], n
+    assert len(primes._SIEVE.flags) == cap
 
 
 def test_factorint_agrees_with_sympy():
