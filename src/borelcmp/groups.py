@@ -147,6 +147,14 @@ class GroupExpr:
                 raise DomainError(f"run count must be a natural number, got {count!r}")
         object.__setattr__(self, "runs", _joined((run,) for run in runs if run[1]))
 
+    @classmethod
+    def _of_runs(cls, runs: tuple) -> "GroupExpr":
+        """An expression whose runs are known canonical, built without
+        checking or joining them again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "runs", runs)
+        return g
+
     @cached_property
     def factors(self) -> tuple:
         """One atom per factor, built on first use only; the engine reads ``runs``."""
@@ -157,7 +165,7 @@ class GroupExpr:
         return not self.runs
 
     def __mul__(self, other: "GroupExpr") -> "GroupExpr":
-        return GroupExpr(_joined((self.runs, other.runs)))
+        return GroupExpr._of_runs(_joined((self.runs, other.runs)))
 
     def __str__(self):
         from .literals import render_group
@@ -254,7 +262,7 @@ def normalize_group(node: RawNode) -> GroupExpr:
         return node
     if _factor_count(node) > MAX_FACTORS:
         raise DomainError(f"expression has more than {MAX_FACTORS} factors, the cap on one expression")
-    return GroupExpr(_expand(node))
+    return GroupExpr._of_runs(_expand(node))
 
 
 def dimension(g: GroupExpr) -> int:

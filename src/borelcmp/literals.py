@@ -24,12 +24,16 @@ from ``from`` on.  ``fin{...}`` lists the members of a finite set and
 Profile literals must describe an infinite prime multiset (a multiplicity
 ``w`` somewhere or default ``w``); sequence literals may contain composite
 entries, which are factored during group normalization.
+
+The parser reads the token texts of one ``findall`` pass and keeps no
+positions.  A ``ParseError`` names the offending token's position, which
+is recomputed by scanning the text again only when the error is raised.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from .errors import DomainError, ParseError
 from .groups import (
@@ -67,83 +71,76 @@ __all__ = [
     "MAX_SET_LISTED",
 ]
 
-# One alternative per token kind, tried in order, so a keyword must come after
-# every keyword it is a prefix of (``S`` after ``Sol``).  ``bad`` catches every
-# other character.
+# Token texts, one alternative per kind: numbers, punctuation, keywords.  The
+# alternatives are tried in order, so a keyword must come after every keyword
+# it is a prefix of (``S`` after ``Sol``).  ``findall`` skips every character
+# no token starts at: whitespace, and characters outside the alphabet.
+# ``_ALPHABET`` matches the longest prefix made of tokens and whitespace, so
+# the first character it stops at is the first one outside; it runs only on
+# a bad literal, since its backtracking state grows with the prefix.
 _TOKEN = re.compile(
-    r"(?P<space>\s+)|(?P<num>[0-9]+)|(?P<punct>[{}\[\]():,;=|^*])"
-    r"|(?P<kw>default|except|period|cofin|word|from|Sol|ups|fin|R|T|S|w|x)|(?P<bad>.)",
-    re.DOTALL,
+    r"[0-9]+|[{}\[\]():,;=|^*]|default|except|period|cofin|word|from|Sol|ups|fin|R|T|S|w|x"
 )
+_ALPHABET = re.compile(rf"(?:\s+|{_TOKEN.pattern})*")
 
 
-class _Token(NamedTuple):
-    kind: str  # 'num', 'kw', 'punct', 'end'
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {match.group()!r}", match.start())
-        if kind != "space":
-            tokens.append(_Token(kind, match.group(), match.start()))
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+def _describe(token: str) -> str:
+    return repr(token) if token else "end of input"
 
 
 class _Parser:
+    """Recursive descent over token texts, which end in a ``""`` sentinel.
+    A token's position in the text is found only when an error needs it."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN.findall(text)
+        if sum(map(len, self.tokens)) != sum(map(len, text.split())):  # findall skipped a non-space
+            end = _ALPHABET.match(text).end()
+            raise ParseError(f"unexpected character {text[end]!r}", end)
+        self.tokens.append("")
+        self.text = text
         self.index = 0
         self.depth = 0  # open parentheses around the current group
 
-    def peek(self) -> _Token:
+    def pos(self, index: int) -> int:
+        """Position in the text of token ``index``, by scanning the text again."""
+        if index >= len(self.tokens) - 1:
+            return len(self.text)
+        return next(islice(_TOKEN.finditer(self.text), index, None)).start()
+
+    def error(self, message: str, index: int) -> ParseError:
+        return ParseError(message, self.pos(index))
+
+    def peek(self) -> str:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        if token.kind != "end":
-            self.index += 1
-        return token
-
-    def at(self, text: str) -> bool:
-        """True if the next token is the keyword or punctuation ``text``."""
-        return self.peek().text == text
-
     def take(self, text: str) -> bool:
-        if self.at(text):
-            self.advance()
+        """Consume the next token if it is the keyword or punctuation ``text``."""
+        if self.tokens[self.index] == text:
+            self.index += 1
             return True
         return False
 
-    def expect(self, text: str) -> _Token:
-        token = self.peek()
-        if token.text != text:
-            raise ParseError(f"expected {text!r} but found {self._describe(token)}", token.pos)
-        return self.advance()
+    def expect(self, text: str):
+        token = self.tokens[self.index]
+        if token != text:
+            raise self.error(f"expected {text!r} but found {_describe(token)}", self.index)
+        self.index += 1
 
     def expect_nat(self) -> int:
-        token = self.peek()
-        if token.kind != "num":
-            raise ParseError(f"expected a number but found {self._describe(token)}", token.pos)
-        self.advance()
+        token = self.tokens[self.index]
+        if not token.isdigit():  # only number tokens hold digits, and only ASCII ones
+            raise self.error(f"expected a number but found {_describe(token)}", self.index)
+        self.index += 1
         try:
-            return int(token.text)
+            return int(token)
         except ValueError:  # longer than the interpreter's integer-string conversion limit
-            raise ParseError(f"number of {len(token.text)} digits is too long", token.pos) from None
+            raise self.error(f"number of {len(token)} digits is too long", self.index - 1) from None
 
     def expect_end(self):
-        token = self.peek()
-        if token.kind != "end":
-            raise ParseError(f"unexpected trailing {self._describe(token)}", token.pos)
-
-    @staticmethod
-    def _describe(token: _Token) -> str:
-        return "end of input" if token.kind == "end" else repr(token.text)
+        token = self.tokens[self.index]
+        if token:
+            raise self.error(f"unexpected trailing {_describe(token)}", self.index)
 
 
 def _parse_nats(p: _Parser) -> list:
@@ -163,20 +160,21 @@ def _parse_mult(p: _Parser) -> Mult:
 
 
 def _parse_profile(p: _Parser) -> SupernaturalProfile:
-    open_token = p.expect("{")
+    open_index = p.index
+    p.expect("{")
     entries = {}
     default: Mult = 0
     if p.take("default"):
         p.expect("=")
         default = _parse_mult(p)
-    elif not p.at("}"):
+    elif p.peek() != "}":
         while True:
-            token = p.peek()
+            index = p.index
             gamma = p.expect_nat()
             if not isprime(gamma):
-                raise ParseError(f"profile key {gamma} is not prime", token.pos)
+                raise p.error(f"profile key {gamma} is not prime", index)
             if gamma in entries:
-                raise ParseError(f"duplicate profile key {gamma}", token.pos)
+                raise p.error(f"duplicate profile key {gamma}", index)
             p.expect(":")
             entries[gamma] = _parse_mult(p)
             if not p.take(","):
@@ -186,13 +184,13 @@ def _parse_profile(p: _Parser) -> SupernaturalProfile:
             p.expect("=")
             default = _parse_mult(p)
     if default is not OMEGA and default != 0:
-        raise ParseError("profile default must be 0 or w", open_token.pos)
+        raise p.error("profile default must be 0 or w", open_index)
     profile = SupernaturalProfile._of_primes(entries, default)
     if not profile.has_infinite_total:
-        raise ParseError(
+        raise p.error(
             f"profile {profile} has finite total multiplicity; no infinite prime "
             "sequence realizes it (some multiplicity must be w, or the default)",
-            open_token.pos,
+            open_index,
         )
     p.expect("}")
     return profile
@@ -209,15 +207,16 @@ def parse_profile(text: str) -> SupernaturalProfile:
 # -- integer sequences --------------------------------------------------------
 
 def _parse_sequence(p: _Parser) -> IntSeqSpec:
-    open_token = p.expect("[")
-    prefix = [] if p.at("|") else _parse_nats(p)
+    open_index = p.index
+    p.expect("[")
+    prefix = [] if p.peek() == "|" else _parse_nats(p)
     p.expect("|")
     tail = _parse_nats(p)
     p.expect("]")
     try:
         return IntSeqSpec(tuple(prefix), tuple(tail))
     except DomainError as exc:
-        raise ParseError(str(exc), open_token.pos) from exc
+        raise p.error(str(exc), open_index) from exc
 
 
 def parse_sequence(text: str) -> IntSeqSpec:
@@ -236,29 +235,30 @@ def parse_sequence(text: str) -> IntSeqSpec:
 MAX_GROUP_NESTING = 100
 
 
+# Atoms of one token; raw nodes are immutable, so each is built once.
+_SIMPLE_ATOMS = {"R": RawAtom(REAL), "T": RawAtom(TORUS), "1": RawTrivial()}
+
+
 def _parse_atom(p: _Parser) -> RawNode:
-    token = p.peek()
-    if p.take("R"):
-        return RawAtom(REAL)
-    if p.take("T"):
-        return RawAtom(TORUS)
-    if p.take("Sol"):
-        profile = _parse_profile(p)
-        return RawAtom(Atom(AtomKind.SOLENOID, profile))
-    if p.take("S"):
+    index = p.index
+    token = p.tokens[index]
+    p.index += 1
+    simple = _SIMPLE_ATOMS.get(token)
+    if simple is not None:
+        return simple
+    if token == "Sol":
+        return RawAtom(Atom(AtomKind.SOLENOID, _parse_profile(p)))
+    if token == "S":
         return RawSolenoidSeq(_parse_sequence(p))
-    if p.take("("):
+    if token == "(":
         if p.depth == MAX_GROUP_NESTING:
-            raise ParseError(f"parentheses nest deeper than {MAX_GROUP_NESTING} levels", token.pos)
+            raise p.error(f"parentheses nest deeper than {MAX_GROUP_NESTING} levels", index)
         p.depth += 1
         inner = _parse_group(p)
         p.expect(")")
         p.depth -= 1
         return inner
-    if token.kind == "num" and token.text == "1":
-        p.advance()
-        return RawTrivial()
-    raise ParseError(f"expected a group atom but found {p._describe(token)}", token.pos)
+    raise p.error(f"expected a group atom but found {_describe(token)}", index)
 
 
 def _parse_term(p: _Parser) -> RawNode:
@@ -270,7 +270,9 @@ def _parse_term(p: _Parser) -> RawNode:
 
 def _parse_group(p: _Parser) -> RawNode:
     parts = [_parse_term(p)]
-    while p.take("x") or p.take("*"):
+    tokens = p.tokens
+    while tokens[p.index] in ("x", "*"):
+        p.index += 1
         parts.append(_parse_term(p))
     return RawProduct(tuple(parts)) if len(parts) > 1 else parts[0]
 
@@ -305,11 +307,9 @@ MAX_SET_LISTED = 10**5
 
 def _parse_nat_list(p: _Parser, closer: str) -> list:
     """An optional ``nats`` list, then ``closer``, which is consumed."""
-    values = _parse_nats(p) if p.peek().kind == "num" else []
-    token = p.peek()
-    if token.text != closer:
-        raise ParseError(f"expected a number but found {p._describe(token)}", token.pos)
-    p.advance()
+    values = _parse_nats(p) if p.peek().isdigit() else []
+    if not p.take(closer):
+        raise p.error(f"expected a number but found {_describe(p.peek())}", p.index)
     return values
 
 
@@ -336,9 +336,10 @@ def parse_upset(text: str) -> UPSet:
             return build(listed)
     p.expect("ups")
     p.expect("{")
-    members = []
+    members, members_index = [], 0
     if p.take("except"):
         p.expect("=")
+        members_index = p.index  # entry k is token members_index + 2k
         members = _parse_nat_list(p, ";")
     p.expect("from")
     p.expect("=")
@@ -350,23 +351,23 @@ def parse_upset(text: str) -> UPSet:
     p.expect(";")
     p.expect("word")
     p.expect("=")
-    bits_token = p.peek()
-    bits_text = bits_token.text
-    if bits_token.kind != "num" or set(bits_text) - {"0", "1"}:
-        raise ParseError(f"word must be a string of 0/1 bits, found {p._describe(bits_token)}", bits_token.pos)
-    p.advance()
+    bits_index = p.index
+    bits_text = p.peek()
+    if not bits_text.isdigit() or set(bits_text) - {"0", "1"}:
+        raise p.error(f"word must be a string of 0/1 bits, found {_describe(bits_text)}", bits_index)
+    p.index += 1
     p.expect("}")
     p.expect_end()
     _check_cap("except list length", len(members), MAX_SET_LISTED)
     _check_cap("from", threshold, MAX_SET_FROM)
     _check_cap("period", period, MAX_SET_PERIOD)
-    for member in members:
+    for k, member in enumerate(members):
         if member >= threshold:
-            raise ParseError(f"except entry {member} is not below from={threshold}")
+            raise p.error(f"except entry {member} is not below from={threshold}", members_index + 2 * k)
     try:
         return UPSet.from_word(members, threshold, period, (bit == "1" for bit in bits_text))
     except DomainError as exc:
-        raise ParseError(str(exc), bits_token.pos) from exc
+        raise p.error(str(exc), bits_index) from exc
 
 
 # -- renderers ----------------------------------------------------------------

@@ -27,7 +27,7 @@ from borelcmp.groups import (
 from borelcmp.literals import parse_group
 from borelcmp.supernatural import OMEGA, IntSeqSpec, SupernaturalProfile
 
-from borelcmp.selftest import random_expr
+from borelcmp.selftest import random_atom, random_expr
 
 
 def test_atom_invariants():
@@ -123,3 +123,37 @@ def test_is_compact_examples():
     assert is_compact(parse_group("T x Sol{2:w}"))
     assert not is_compact(parse_group("R"))
     assert is_compact(TRIVIAL_GROUP)
+
+
+def _random_tree(rng, depth=3):
+    """A raw tree as the parser builds it, plus normalized leaves."""
+    pick = rng.randrange(6 if depth else 3)
+    if pick == 0:
+        return RawAtom(random_atom(rng))
+    if pick == 1:
+        return RawTrivial()
+    if pick == 2:
+        return random_expr(rng)
+    if pick == 3:
+        return RawPower(_random_tree(rng, depth - 1), rng.randrange(4))
+    return RawProduct(tuple(_random_tree(rng, depth - 1) for _ in range(rng.randrange(4))))
+
+
+def test_trusted_runs_are_canonical(rng):
+    """``normalize_group`` and ``*`` skip the constructor's checks; their
+    runs must be what the checking constructor would make of them."""
+    for _ in range(300):
+        g = normalize_group(_random_tree(rng))
+        h = g * normalize_group(_random_tree(rng))
+        for expr in (g, h):
+            checked = GroupExpr(expr.runs)
+            assert checked == expr and hash(checked) == hash(expr)
+
+
+def test_parsed_powers_are_not_checked_again(monkeypatch):
+    def refuse(self):
+        raise AssertionError("runs checked again")
+
+    monkeypatch.setattr(GroupExpr, "__post_init__", refuse)
+    g = parse_group("(T x Sol{2:w})^500000")
+    assert len(g.runs) == 10**6 and dimension(g) == 10**6

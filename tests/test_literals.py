@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
+import re
 
-from borelcmp.errors import ParseError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import literal_reference
+from borelcmp import literals
+from borelcmp.errors import BorelcmpError, ParseError
 from borelcmp.groups import REAL, TORUS, group, solenoid
 from borelcmp.literals import (
     MAX_GROUP_NESTING,
+    _Parser,
     parse_group,
     parse_profile,
     parse_sequence,
@@ -169,3 +176,114 @@ def test_upset_render_round_trip(rng):
         )
     for s in samples:
         assert parse_upset(render_upset(s)) == s
+
+
+# Every ParseError raise site of the literal parsers, with its exact message
+# and position.  The ``except`` entry is the one site that gave no position
+# before; it now names the entry.
+@pytest.mark.parametrize(
+    "kind, text, message, position",
+    [
+        ("group", "R x Q", "unexpected character 'Q'", 4),
+        ("group", "T x\n(R x o)", "unexpected character 'o'", 9),
+        ("group", "R x T T", "unexpected trailing 'T'", 6),
+        ("group", "R x", "expected a group atom but found end of input", 3),
+        ("group", "R x ^2", "expected a group atom but found '^'", 4),
+        ("group", "T^x", "expected a number but found 'x'", 2),
+        ("group", "T^1" + "0" * 4400, "number of 4401 digits is too long", 2),
+        ("group", "(" * 101 + "T" + ")" * 101, "parentheses nest deeper than 100 levels", 100),
+        ("group", "(T x R", "expected ')' but found end of input", 6),
+        ("group", "S[2|1]", "IntSeqSpec entries must be integers > 1, got 1", 1),
+        ("group", "S{2:w}", "expected '[' but found '{'", 1),
+        ("group", "Sol{4:w}", "profile key 4 is not prime", 4),
+        ("group", "Sol{2:w, 2:w}", "duplicate profile key 2", 9),
+        ("group", "Sol{default=3}", "profile default must be 0 or w", 3),
+        ("group", "Sol{2:3}", "profile {2:3} has finite total multiplicity; no infinite prime sequence "
+                              "realizes it (some multiplicity must be w, or the default)", 3),
+        ("profile", "{2 w}", "expected ':' but found 'w'", 3),
+        ("profile", "{2:w", "expected '}' but found end of input", 4),
+        ("profile", "{2:w; w}", "expected 'default' but found 'w'", 6),
+        ("profile", "{default=w} x", "unexpected trailing 'x'", 12),
+        ("profile", "{2:w; default=x}", "expected a number but found 'x'", 14),
+        ("sequence", "[2|]", "expected a number but found ']'", 3),
+        ("sequence", "[2,3", "expected '|' but found end of input", 4),
+        ("sequence", "[|2,3] 4", "unexpected trailing '4'", 7),
+        ("sequence", "[2|1]", "IntSeqSpec entries must be integers > 1, got 1", 0),
+        ("upset", "set{}", "unexpected character 's'", 0),
+        ("upset", "fin{1,}", "expected a number but found '}'", 6),
+        ("upset", "fin{1 2}", "expected a number but found '2'", 6),
+        ("upset", "cofin{0", "expected a number but found end of input", 7),
+        ("upset", "fin{1} x", "unexpected trailing 'x'", 7),
+        ("upset", "ups{from=1; period=2}", "expected ';' but found '}'", 20),
+        ("upset", "ups{from=0; period=2; word=12}", "word must be a string of 0/1 bits, found '12'", 27),
+        ("upset", "ups{from=0; period=2; word=x}", "word must be a string of 0/1 bits, found 'x'", 27),
+        ("upset", "ups{from=2; period=2; word=101}", "word length 3 does not match period 2", 27),
+        ("upset", "ups{except=0,9; from=4; period=1; word=1}", "except entry 9 is not below from=4", 13),
+        ("upset", "ups{from=0; period=2; word=10} x", "unexpected trailing 'x'", 31),
+    ],
+)
+def test_parse_error_messages(kind, text, message, position):
+    with pytest.raises(ParseError) as err:
+        getattr(literals, f"parse_{kind}")(text)
+    assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+
+# Pieces of literals: every token, a few longer runs of them, and characters
+# outside the alphabet (a letter, two non-ASCII digits) or whitespace.
+_PIECES = (
+    tuple("0123456789{}[]():,;=|^*")
+    + ("default", "except", "period", "cofin", "word", "from", "Sol", "ups", "fin", "R", "T", "S", "w", "x")
+    + ("Sol{2:w}", "S[4,6|9]", " x ", "^2", "ups{", "from=0; ", "period=2; ", "word=10}", "fin{1,3}")
+    + ("o", "\u0663", "\u00b2", " ", "\n")
+)
+
+# Valid literals of every kind, for edits that fail deep inside them.
+_LITERALS = (
+    "R^2 x T x Sol{2:6, 3:w}",
+    "(T x S[4,6|9])^3 * 1 x (R)",
+    "Sol{ 2 : 5 ; default = w }",
+    "{2:6,3:w; default=0}",
+    "{default=w}",
+    "[4,6,8 | 9]",
+    "[|2,3]",
+    "fin{1,3}",
+    "cofin{}",
+    "ups{except=0,3; from=8; period=4; word=0110}",
+)
+
+
+@st.composite
+def _edited_literals(draw):
+    """A valid literal, cut into words, spaces and single characters, with
+    up to three spans of those parts replaced by pieces."""
+    parts = re.findall(r"\w+|\s+|\W", draw(st.sampled_from(_LITERALS)))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(parts)))
+        end = draw(st.integers(start, min(len(parts), start + 2)))
+        parts[start:end] = [draw(st.sampled_from(_PIECES + ("",)))]
+    return "".join(parts)
+
+
+def _outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except BorelcmpError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+
+
+@given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=20).map("".join), _edited_literals()))
+@settings(max_examples=600, deadline=None)
+def test_front_end_matches_reference(text):
+    try:
+        reference = literal_reference.tokenize(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            _Parser(text)
+        assert (str(err.value), err.value.position) == (str(exc), exc.position)
+    else:
+        p = _Parser(text)
+        assert p.tokens == [token.text for token in reference]
+        assert [p.pos(i) for i in range(len(p.tokens))] == [token.pos for token in reference]
+    for kind in ("group", "profile", "sequence", "upset"):
+        name = f"parse_{kind}"
+        assert _outcome(getattr(literals, name), text) == _outcome(getattr(literal_reference, name), text)
