@@ -42,7 +42,6 @@ True
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -197,7 +196,7 @@ class UPSet:
         """First ``count`` elements of the complement, ascending."""
         if self.is_cofinite:
             raise DomainError("complement is finite; cannot enumerate that many elements")
-        return tuple(islice(self.ascending(members=False), count))
+        return tuple(islice(self.ascending(members=False), _checked_natural(count, "count")))
 
     def __str__(self):
         from .literals import render_upset
@@ -205,9 +204,11 @@ class UPSet:
         return render_upset(self)
 
 
-def _checked_natural(n, what: str) -> int:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise DomainError(f"{what} must be a natural number, got {n!r}")
+def _checked_natural(n, what: str, least: int = 0, wanted: str = "a natural number") -> int:
+    """``n``, an int and no bool, when it is at least ``least``; else a
+    DomainError saying that ``what`` must be ``wanted``."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        raise DomainError(f"{what} must be {wanted}, got {n!r}")
     return n
 
 
@@ -290,26 +291,23 @@ def set_difference(a: UPSet, b: UPSet):
     return False, tuple(islice(filterfalse(b.__contains__, a.ascending()), 8))
 
 
-# A growth of the d-cache walks past the prime asked for by as many primes
-# as the cache holds, but at most _D_STEP: geometric growth for short
-# walks, and few primes walked in vain past the sieve cap, where each
-# costs a primality test.
-_D_STEP = 1 << 12
-
-
+@dataclass(frozen=True)
 class Family:
-    """The (P, Q) pair generating one embedded copy of the poset, together
-    with the ascending enumeration of the primes strictly more frequent in
-    Q than in P.
+    """The (P, Q) pair generating one embedded copy of the poset.
 
-    Invariants: Q's relation reduces to P's (P preceq Q) and the d-set is
-    infinite, which in this representation pins default(P) = 0 and
-    default(Q) = OMEGA.  The d-enumeration walks the primes on demand,
-    skipping the finitely many exception primes at which P's multiplicity
-    reaches Q's, into an append-only cache guarded by a lock.
+    Invariants: Q's relation reduces to P's (P preceq Q) and the d-set, the
+    primes strictly more frequent in Q than in P, is infinite, which in this
+    representation pins default(P) = 0 and default(Q) = OMEGA.  The
+    d-enumeration d_0 < d_1 < ... is walked afresh on each use: the prime
+    walk, skipping the finitely many exception primes at which P's
+    multiplicity reaches Q's.
     """
 
-    def __init__(self, p: SupernaturalProfile, q: SupernaturalProfile):
+    p: SupernaturalProfile
+    q: SupernaturalProfile
+
+    def __post_init__(self):
+        p, q = self.p, self.q
         if not isinstance(p, SupernaturalProfile) or not isinstance(q, SupernaturalProfile):
             raise DomainError("family wants two supernatural profiles")
         if p.default is OMEGA or q.default is not OMEGA:
@@ -319,18 +317,6 @@ class Family:
             )
         if not preceq(p, q):
             raise DomainError("family requires p preceq q (q's relation reduces to p's)")
-        self.p = p
-        self.q = q
-        self._skipped = frozenset(gamma for gamma, tp, tq in _paired(p, q) if not tp < tq)
-        self._d_cache: list = []
-        self._d_walk = _primes_outside(self._skipped)  # the d-primes not yet cached
-        self._lock = threading.Lock()
-
-    def __eq__(self, other):
-        return isinstance(other, Family) and self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.p, self.q))
 
     def __repr__(self):
         return f"Family(p={self.p}, q={self.q})"
@@ -339,33 +325,27 @@ class Family:
     def default(cls) -> "Family":
         return cls(SupernaturalProfile._of_primes({2: OMEGA}, 0), SupernaturalProfile.all_omega())
 
-    def _ensure_d_terms(self, k: int):
-        # the cache is append-only: reads below len() never see it change
-        cache = self._d_cache
-        if len(cache) >= k:
-            return
-        with self._lock:
-            if len(cache) < k:
-                grown = k + min(len(cache), _D_STEP)
-                cache.extend(islice(self._d_walk, grown - len(cache)))
+    def _d_walk(self) -> Iterator[int]:
+        """A fresh iterator over d_0, d_1, d_2, ..."""
+        return _primes_outside({gamma for gamma, tp, tq in _paired(self.p, self.q) if not tp < tq})
 
     def d_terms(self, k: int) -> tuple:
         """First ``k`` primes gamma with multiplicity(p, gamma) < (q, gamma)."""
-        self._ensure_d_terms(_checked_natural(k, "count"))
-        return tuple(self._d_cache[:k])
+        return tuple(islice(self._d_walk(), _checked_natural(k, "count")))
 
     def d_term(self, i: int) -> int:
         """d_i, counting from 0."""
-        self._ensure_d_terms(_checked_natural(i, "index") + 1)
-        return self._d_cache[i]
+        return next(islice(self._d_walk(), _checked_natural(i, "index"), None))
 
-    def _d_at(self, indices) -> Iterator[int]:
-        """d_i for each natural i of ``indices`` in turn, read from the cache."""
-        cache = self._d_cache
-        for i in indices:
-            if i >= len(cache):
-                self._ensure_d_terms(i + 1)
-            yield cache[i]
+
+def _at_positions(items: Iterator, positions) -> Iterator:
+    """The items of ``items`` at the naturals ``positions``, in turn.  The
+    positions must ascend: every caller passes a set's complement walked
+    ascending or a sorted set difference."""
+    taken = 0  # the items drawn so far
+    for i in positions:
+        yield next(islice(items, i - taken, None))
+        taken = i + 1
 
 
 @dataclass(frozen=True)
@@ -378,8 +358,7 @@ class MemberRef:
     power: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.power, int) or self.power < 1:
-            raise DomainError(f"member power must be >= 1, got {self.power!r}")
+        _checked_natural(self.power, "member power", 1, ">= 1")
 
 
 def member_sequence(m: MemberRef, n: int) -> tuple:
@@ -389,22 +368,23 @@ def member_sequence(m: MemberRef, n: int) -> tuple:
     >>> member_sequence(MemberRef(fam, UPSet.multiples_of(2)), 4)
     (13, 3, 37, 2)
     """
-    if n < 0:
-        raise DomainError(f"term count must be nonnegative, got {n}")
+    _checked_natural(n, "term count", wanted="nonnegative")
     if n == 0:  # even when p has no infinite sequence
         return ()
     return tuple(islice(_member_terms(m), n))
 
 
 def _member_terms(m: MemberRef):
-    """The member's concrete prime sequence as an infinite iterator."""
+    """The member's concrete prime sequence as an infinite iterator, made
+    from one walk of the d-enumeration."""
     family = m.family
+    zero_walk, a_walk = itertools.tee(family._d_walk())
     # P_0' interleave base(P)
-    terms = _alternate(family._d_at(itertools.count(0, 3)), canonical_terms(family.p))
+    terms = _alternate(islice(zero_walk, 0, None, 3), canonical_terms(family.p))
     if not m.a.is_cofinite:
-        complement = m.a.ascending(members=False)
         # P_A' interleave (P_0' interleave base(P))
-        terms = _alternate(family._d_at(1 + 3 * c for c in complement), terms)
+        a_layer = _at_positions(islice(a_walk, 1, None, 3), m.a.ascending(members=False))
+        terms = _alternate(a_layer, terms)
     return terms
 
 
@@ -452,11 +432,10 @@ def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> Cros
     Inconsistencies are recorded in the report, never raised.
     """
     _check_same_family(m_a, m_b)
-    if window < 1:
-        raise DomainError(f"window must be positive, got {window}")
+    _checked_natural(window, "window", 1, "positive")
     verdict = member_reduces(m_a, m_b)
     finite, elements = set_difference(m_a.a, m_b.a)
-    surplus = tuple(m_a.family._d_at(1 + 3 * c for c in elements))
+    surplus = tuple(_at_positions(islice(m_a.family._d_walk(), 1, None, 3), elements))
 
     drops = (0, *(1 << i for i in range(window.bit_length())))  # 0 and the powers of two <= window
     successful = None
@@ -507,8 +486,7 @@ def chain_demo(f: Family, depth: int = 3, power: int = 1) -> ChainDemo:
     The chain is strictly decreasing in the order and the final pair is
     incomparable, which is the desk-scale shape of the embedded poset.
     """
-    if depth < 2:
-        raise DomainError(f"chain depth must be >= 2, got {depth}")
+    _checked_natural(depth, "chain depth", 2, ">= 2")
     sets = [UPSet.multiples_of(2 ** i) for i in range(depth)]
     labels = [f"mult({2 ** i})" for i in range(depth)]
     sets.append(UPSet.multiples_of(2))

@@ -5,21 +5,20 @@
   first 12 prime bases, which is exact below 3.18 * 10^23 (Sorenson and
   Webster, Math. Comp. 86, 2017), and above that bound Baillie-PSW: a
   strong base-2 test plus a strong Lucas test with Selfridge's parameters.
-* ``nextprime`` finds the next flag set in the same sieve, which doubles
-  on demand up to ``SIEVE_CAP``; past the cap it tests the candidates
-  6k +- 1 in turn.
-* ``primes_after`` is the one lazy walk over the primes.  It chains
+* ``primes_after`` is the one prime search: a lazy walk that chains
   ``compress(range(lo, hi, 2), flags[lo:hi:2])`` over the odd numbers of
-  the same sieve, in chunks that span 64 numbers first and double up to
-  2^16, so a caller that takes one prime copies 32 bytes, and a long walk
-  runs in C with no Python frame per prime; past ``SIEVE_CAP`` it goes on
-  with one ``nextprime`` per prime.
+  the same sieve, which doubles on demand up to ``SIEVE_CAP``, in chunks
+  that span 64 numbers first and double up to 2^16, so a caller that takes
+  one prime copies 32 bytes, and a long walk runs in C with no Python
+  frame per prime; past ``SIEVE_CAP`` it tests the candidates 6k +- 1 in
+  turn.
+* ``nextprime(n)`` is the first prime of ``primes_after(n)``.
 * ``factorint`` trial-divides by the primes below 2^16, recognizes a prime
   cofactor with ``isprime`` and splits a composite one with Pollard-Brent
   (Brent 1980) within ``FACTOR_BUDGET`` steps; past the budget it raises
   :class:`DomainError` instead of running on.
 
-The sieve is the one cache of the module: process-wide primality flags,
+The sieve is the one cache of the package: process-wide primality flags,
 a fact that never changes, replaced whole under a lock when it grows, so
 concurrent callers only ever see a complete sieve.
 """
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Iterator
-from itertools import chain, compress, count
+from itertools import chain, compress, count, dropwhile
 from math import gcd, isqrt, prod
 
 from .errors import DomainError
@@ -119,21 +118,7 @@ def nextprime(n: int) -> int:
     >>> nextprime(1), nextprime(13), nextprime(2**22)
     (2, 17, 4194319)
     """
-    bound = n
-    while True:
-        flags = _SIEVE.covering(bound)
-        p = flags.find(1, max(n + 1, 0))
-        if p >= 0:
-            return p
-        if len(flags) <= bound:  # n is at or past the cap
-            break
-        bound = len(flags)
-    k = n // 6 * 6
-    while True:
-        for candidate in (k + 1, k + 5):
-            if candidate > n and isprime(candidate):
-                return candidate
-        k += 6
+    return next(primes_after(n))
 
 
 def primes_after(n: int) -> Iterator[int]:
@@ -149,8 +134,8 @@ def primes_after(n: int) -> Iterator[int]:
 def _prime_chunks(lo: int) -> Iterator[Iterable[int]]:
     """The primes from ``lo`` on in consecutive ascending runs: 2, then
     compressed slices of the sieve's odd numbers, each read when the run
-    before it is used up, then past the cap one run per prime that
-    ``nextprime`` finds."""
+    before it is used up, then past the cap the candidates 6k +- 1 that
+    ``isprime`` accepts."""
     if lo <= 2:
         yield (2,)
     lo, size = max(lo, 3) | 1, _FIRST_CHUNK  # odd from here on, as size is even
@@ -158,10 +143,8 @@ def _prime_chunks(lo: int) -> Iterator[Iterable[int]]:
         hi = min(lo + size, SIEVE_CAP)
         yield compress(range(lo, hi, 2), _SIEVE.covering(hi - 1)[lo:hi:2])
         lo, size = hi, min(2 * size, _LAST_CHUNK)
-    p = lo - 1
-    while True:
-        p = nextprime(p)
-        yield (p,)
+    candidates = chain.from_iterable((k + 1, k + 5) for k in count(lo // 6 * 6, 6))
+    yield filter(isprime, dropwhile(lo.__gt__, candidates))
 
 
 def factorint(n: int) -> dict:

@@ -190,7 +190,7 @@ class SupernaturalProfile:
 
     @property
     def has_infinite_total(self) -> bool:
-        return self.default is OMEGA or bool(self.omega_primes)
+        return self.default is OMEGA or any(v is OMEGA for _, v in self.exceptions)
 
     def __str__(self):
         parts = ", ".join(f"{g}:{v}" for g, v in self.exceptions)
@@ -292,11 +292,7 @@ def profile_from_sequence(s: SeqSpec) -> SupernaturalProfile:
     >>> str(profile_from_sequence(SeqSpec((2, 2, 2, 3, 2, 2, 2), (3,))))
     '{2:6, 3:w}'
     """
-    exceptions = {gamma: OMEGA for gamma in s.tail}
-    for gamma in s.prefix:
-        if gamma not in exceptions:
-            exceptions[gamma] = s.prefix.count(gamma)
-    return SupernaturalProfile._of_primes(exceptions, 0)
+    return SupernaturalProfile._of_primes({**Counter(s.prefix), **dict.fromkeys(s.tail, OMEGA)}, 0)
 
 
 def factor_sequence(s: IntSeqSpec) -> SeqSpec:

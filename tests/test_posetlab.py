@@ -289,6 +289,33 @@ def test_member_reduces_requires_matching_family_and_power():
         member_reduces(a, MemberRef(fam, UPSet.multiples_of(2), power=2))
 
 
+_EVENS = MemberRef(Family.default(), UPSet.multiples_of(2))
+
+# each call with a count that is no natural number, or below the least the
+# entry point allows, and the message it raises
+_BAD_COUNTS = [
+    (lambda: member_sequence(_EVENS, 2.5), "term count must be nonnegative, got 2.5"),
+    (lambda: member_sequence(_EVENS, -1), "term count must be nonnegative, got -1"),
+    (lambda: UPSet.multiples_of(2).complement_members(2.5), "count must be a natural number, got 2.5"),
+    (lambda: UPSet.multiples_of(2).complement_members(-1), "count must be a natural number, got -1"),
+    (lambda: member_crosscheck(_EVENS, _EVENS, 2.5), "window must be positive, got 2.5"),
+    (lambda: member_crosscheck(_EVENS, _EVENS, window=True), "window must be positive, got True"),
+    (lambda: member_crosscheck(_EVENS, _EVENS, 0), "window must be positive, got 0"),
+    (lambda: chain_demo(Family.default(), 2.5), "chain depth must be >= 2, got 2.5"),
+    (lambda: chain_demo(Family.default(), 1), "chain depth must be >= 2, got 1"),
+    (lambda: MemberRef(Family.default(), UPSet(), power=True), "member power must be >= 1, got True"),
+    (lambda: MemberRef(Family.default(), UPSet(), power=2.5), "member power must be >= 1, got 2.5"),
+    (lambda: MemberRef(Family.default(), UPSet(), power=0), "member power must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("call, message", _BAD_COUNTS, ids=[message for _, message in _BAD_COUNTS])
+def test_entry_points_refuse_counts_that_are_no_natural_number(call, message):
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 def test_member_strictness_transfers():
     fam = Family.default()
     evens = MemberRef(fam, UPSet.multiples_of(2))
@@ -360,11 +387,12 @@ def test_crosscheck_fuzz_never_inconsistent(rng):
 
 def _terms_made(monkeypatch, run):
     """``run()`` and the number of terms it drew from the streams member
-    sequences are made of: d-enumeration lookups and base-sequence terms."""
+    sequences are made of: d-primes picked at positions (the P_A' layer and
+    the surplus primes) and base-sequence terms."""
     made = [0]
 
-    def d_at(self, indices, _d_at=Family._d_at):
-        for term in _d_at(self, indices):
+    def at_positions(items, positions, _at_positions=posetlab._at_positions):
+        for term in _at_positions(items, positions):
             made[0] += 1
             yield term
 
@@ -374,7 +402,7 @@ def _terms_made(monkeypatch, run):
             yield term
 
     with monkeypatch.context() as patch:
-        patch.setattr(Family, "_d_at", d_at)
+        patch.setattr(posetlab, "_at_positions", at_positions)
         patch.setattr(posetlab, "canonical_terms", canonical_terms)
         result = run()
     return result, made[0]

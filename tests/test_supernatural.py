@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import time
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from borelcmp import supernatural
 from borelcmp.errors import DomainError
+from borelcmp.literals import parse_group
+from borelcmp.primes import primes_after
 from borelcmp.supernatural import (
     OMEGA,
     IntSeqSpec,
@@ -105,6 +109,40 @@ def test_profile_from_sequence_examples():
     assert profile_from_sequence(SeqSpec((5, 5, 7), (2, 3))) == P(
         {2: OMEGA, 3: OMEGA, 5: 2, 7: 1}
     )
+
+
+def _profile_by_counting_each_prime(s: SeqSpec) -> SupernaturalProfile:
+    """The definition: OMEGA for a tail prime, else its count in the prefix."""
+    exceptions = {gamma: OMEGA for gamma in s.tail}
+    for gamma in s.prefix:
+        if gamma not in exceptions:
+            exceptions[gamma] = s.prefix.count(gamma)
+    return SupernaturalProfile(exceptions)
+
+
+@given(seqspecs())
+@settings(max_examples=200)
+def test_profile_from_sequence_matches_the_definition(s):
+    assert profile_from_sequence(s) == _profile_by_counting_each_prime(s)
+
+
+def test_profile_from_sequence_is_linear_in_the_prefix():
+    # the first 30,000 primes, each once: counting each prime's occurrences
+    # in turn would read the prefix 30,000 times
+    s = SeqSpec(tuple(islice(primes_after(1), 30_000)), (3,))
+    start = time.perf_counter()
+    profile = profile_from_sequence(s)
+    assert time.perf_counter() - start < 1.0
+    assert len(profile.exceptions) == 30_000 and profile.multiplicity(3) is OMEGA
+
+
+def test_parsing_solenoids_builds_no_omega_prime_set(monkeypatch):
+    def refuse(self):
+        raise AssertionError("omega_primes built")
+
+    monkeypatch.setattr(SupernaturalProfile, "omega_primes", property(refuse))
+    g = parse_group("Sol{2:w, 3:5} x Sol{7:w}^2 x T")
+    assert str(g) == "Sol{2:w, 3:5} x Sol{7:w}^2 x T"
 
 
 # -- factor_sequence ----------------------------------------------------------
