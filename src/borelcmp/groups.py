@@ -158,7 +158,7 @@ class GroupExpr:
     @cached_property
     def factors(self) -> tuple:
         """One atom per factor, built on first use only; the engine reads ``runs``."""
-        return tuple(chain.from_iterable(starmap(repeat, self.runs)))
+        return tuple(_Expansion(self.runs))
 
     @property
     def is_trivial(self) -> bool:
@@ -171,6 +171,24 @@ class GroupExpr:
         from .literals import render_group
 
         return render_group(self)
+
+
+class _Expansion:
+    """The factors of runs, iterable and sized.  ``tuple`` reads the size
+    first and allocates the result once; from a plain iterator it grows the
+    result step by step, and a step that cannot grow in place copies it, so
+    the peak memory of a large expansion would depend on the heap layout."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: tuple):
+        self.runs = runs
+
+    def __len__(self):
+        return sum(map(itemgetter(1), self.runs))
+
+    def __iter__(self):
+        return chain.from_iterable(starmap(repeat, self.runs))
 
 
 TRIVIAL_GROUP = GroupExpr(())

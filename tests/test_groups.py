@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
+
 import pytest
 
 from borelcmp.errors import DomainError
@@ -86,6 +89,23 @@ def test_normalize_caps_the_factor_count_before_building():
             normalize_group(raw)
     # a power of the trivial group stays trivial, however large
     assert parse_group("1^1" + "0" * 30 + " x (T^0)^1" + "0" * 30) == TRIVIAL_GROUP
+
+
+def test_factors_allocate_the_tuple_once():
+    """The per-factor tuple is allocated at its final size.  Grown from an
+    iterator it passes through larger buffers, and through a copy whenever a
+    step cannot grow in place, so the peak memory of a large expansion
+    varied from one process to the next."""
+    g = parse_group("R^700000 x T^300000")
+    tracemalloc.start()
+    try:
+        factors = g.factors
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert factors == (REAL,) * 700_000 + (TORUS,) * 300_000
+    assert peak < sys.getsizeof(factors) + 4096
+    assert TRIVIAL_GROUP.factors == () and group(TORUS, REAL).factors == (TORUS, REAL)
 
 
 def test_normalize_rejects_negative_exponent():
