@@ -22,6 +22,11 @@ code.
 
 The ``family-*`` verbs operate on the default family (p = {2:w},
 q = {default=w}); ``family-new`` validates and describes an arbitrary one.
+
+A process loads only what its verb runs.  Every verb loads the product
+engine.  ``dual`` adds the dual route (``duality``) and the ``family-*``
+verbs the poset laboratory (``posetlab``); ``selftest`` loads both and the
+``selftest`` module.  ``--json`` adds the standard ``json`` module.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import argparse
 import os
 import sys
 
-from .duality import dual, rank
 from .errors import BorelcmpError, DomainError, ParseError
 from .groups import dimension, is_compact
 from .literals import (
@@ -40,7 +44,6 @@ from .literals import (
     render_dual,
     render_group,
 )
-from .posetlab import Family, MemberRef, chain_demo, member_crosscheck, member_reduces, member_sequence
 from .reducibility import EdgeReason, compare, reduces
 from .report import Report, certificate_payload
 from .supernatural import (
@@ -53,7 +56,6 @@ from .supernatural import (
     refutation_witness,
     sufficient_prefix_length,
 )
-from . import selftest as selftest_module
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,6 +76,21 @@ SIZE_CAPS = {
 # A parsed command: the argparse namespace, with every literal argument
 # already turned into its engine value and its text kept in ``inputs``.
 Command = argparse.Namespace
+
+
+# bench/tracing.py patches these bindings; they resolve to the poset lab's
+# functions, which the handlers look up on ``posetlab`` at call time.  Kept
+# only for the tracer, like the tracer imports in ``reducibility`` and
+# ``posetlab`` (ROADMAP items 1/4).
+_TRACED_POSETLAB = ("member_crosscheck", "member_sequence", "chain_demo")
+
+
+def __getattr__(name):
+    if name not in _TRACED_POSETLAB:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import posetlab
+
+    return getattr(posetlab, name)
 
 
 class UsageError(BorelcmpError):
@@ -227,6 +244,8 @@ def _compare(command: Command):
 
 
 def _dual(command: Command):
+    from .duality import dual, rank
+
     d = dual(command.g)
     if is_compact(command.g):
         note = f"rank {rank(d)} = dimension of the primal"
@@ -273,6 +292,8 @@ def _preceq(command: Command):
 
 
 def _family_new(command: Command):
+    from .posetlab import Family
+
     default = Family.default()
     family = Family(
         default.p if command.p is None else command.p,
@@ -287,13 +308,15 @@ def _family_new(command: Command):
 
 
 def _family_compare(command: Command):
-    family = Family.default()
-    m_a = MemberRef(family, command.a, command.power)
-    m_b = MemberRef(family, command.b, command.power)
-    verdict = member_reduces(m_a, m_b)
+    from . import posetlab
+
+    family = posetlab.Family.default()
+    m_a = posetlab.MemberRef(family, command.a, command.power)
+    m_b = posetlab.MemberRef(family, command.b, command.power)
+    verdict = posetlab.member_reduces(m_a, m_b)
     if command.crosscheck is None:
         return {"verdict": verdict}, EXIT_OK
-    report = member_crosscheck(m_a, m_b, command.crosscheck)
+    report = posetlab.member_crosscheck(m_a, m_b, command.crosscheck)
     surplus = ", ".join(map(str, report.surplus_primes)) or "none"
     diagnostics = (
         "crosscheck: "
@@ -306,12 +329,17 @@ def _family_compare(command: Command):
 
 
 def _family_expand(command: Command):
-    terms = member_sequence(MemberRef(Family.default(), command.a, 1), command.length)
+    from . import posetlab
+
+    member = posetlab.MemberRef(posetlab.Family.default(), command.a, 1)
+    terms = posetlab.member_sequence(member, command.length)
     return {"verdict": ",".join(map(str, terms))}, EXIT_OK
 
 
 def _family_demo(command: Command):
-    demo = chain_demo(Family.default(), command.depth, command.power)
+    from . import posetlab
+
+    demo = posetlab.chain_demo(posetlab.Family.default(), command.depth, command.power)
     width = max(len(label) for label in demo.labels)
     lines = [" " * (width + 2) + "  ".join(f"{label:>{width}}" for label in demo.labels)]
     for label, row in zip(demo.labels, demo.matrix):
@@ -322,7 +350,9 @@ def _family_demo(command: Command):
 
 
 def _selftest(command: Command):
-    results = selftest_module.run_selftest()
+    from .selftest import run_selftest
+
+    results = run_selftest()
     diagnostics = tuple(
         f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else "")
         for name, ok, detail in results

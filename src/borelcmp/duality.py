@@ -43,7 +43,14 @@ __all__ = [
     "rank",
     "hom_nonzero_exists",
     "dual_reduces",
+    "MAX_DUAL_COMPONENTS",
 ]
+
+# The most components (factors) each side of ``dual_reduces`` may have.  Its
+# Kuhn search has one vertex per component and is quadratic in their number:
+# T^3000 -> T^3000 and Sol{2:w}^1500 x T^1500 -> T^1500 x Sol{2:w}^1500
+# take 3-4 s each; past the cap the call is a ``DomainError``.
+MAX_DUAL_COMPONENTS = 3000
 
 _ZERO_PROFILE = SupernaturalProfile((), 0)
 
@@ -167,15 +174,21 @@ def dual_reduces(g: GroupExpr, h: GroupExpr) -> bool:
     component of ``dual(h)`` to a component of ``dual(g)`` when a nonzero
     homomorphism exists between them; reducibility holds iff a matching
     saturates ``dual(g)``'s side.  Must agree with the primal engine.
+    Each side may have at most ``MAX_DUAL_COMPONENTS`` factors.
     """
     if not is_compact(g):
         raise DomainError("dual route requires a compact source (no R factor)")
     if not is_compact(h):
         raise DomainError("dual route is restricted to compact targets (no R factor)")
+    left, right = dimension(g), dimension(h)
+    if max(left, right) > MAX_DUAL_COMPONENTS:
+        raise DomainError(
+            f"dual route takes at most {MAX_DUAL_COMPONENTS} components a side, got {left} and {right}"
+        )
     targets = dual(g).runs
     sources = dual(h).runs
     adjacency = run_rows(
         targets, sources, lambda t, s: hom_nonzero_exists(s.rational_type, t.rational_type)
     )
-    matching, _ = saturating_matching_or_violator(dimension(g), dimension(h), adjacency)
+    matching, _ = saturating_matching_or_violator(left, right, adjacency)
     return matching is not None

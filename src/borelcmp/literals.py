@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParseError
 from .groups import (
@@ -50,10 +51,12 @@ from .groups import (
     RawTrivial,
     normalize_group,
 )
-from .posetlab import UPSet
 from .primes import isprime
 from .supernatural import OMEGA, IntSeqSpec, Mult, SupernaturalProfile
-from .duality import DualComponentKind, DualExpr
+
+if TYPE_CHECKING:  # annotations only: the dual route and the poset lab load on first use
+    from .duality import DualExpr
+    from .posetlab import UPSet
 
 __all__ = [
     "parse_group",
@@ -326,6 +329,8 @@ def parse_upset(text: str) -> UPSet:
     ``MAX_SET_PERIOD``, and each list at ``MAX_SET_LISTED`` entries; over a
     cap the literal is a ``DomainError``.  Listed values are not capped.
     """
+    from .posetlab import UPSet
+
     p = _Parser(text)
     for keyword, build in (("fin", UPSet.from_finite), ("cofin", UPSet.from_cofinite)):
         if p.take(keyword):

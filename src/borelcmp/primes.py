@@ -13,8 +13,10 @@
   frame per prime; past ``SIEVE_CAP`` it tests the candidates 6k +- 1 in
   turn.
 * ``nextprime(n)`` is the first prime of ``primes_after(n)``.
-* ``factorint`` trial-divides by the primes below 2^16, recognizes a prime
-  cofactor with ``isprime`` and splits a composite one with Pollard-Brent
+* ``factorint`` trial-divides by the primes below 2^16, stopping at the
+  first prime whose square exceeds the cofactor, which is then 1 or prime.
+  Only a cofactor left after every prime below 2^16 goes to ``isprime``,
+  and a composite one is split with Pollard-Brent
   (Brent 1980) within ``FACTOR_BUDGET`` steps; past the budget it raises
   :class:`DomainError` instead of running on.
 
@@ -159,8 +161,10 @@ def factorint(n: int) -> dict:
         raise DomainError(f"only positive integers are factored, got {n}")
     original, factors = n, {}
     for p in compress(range(_INITIAL_LIMIT), _SIEVE.covering(0)):
-        if p * p > n:
-            break
+        if p * p > n:  # no prime below p divides the cofactor, so it is 1 or prime
+            if n > 1:
+                factors[n] = 1
+            return factors
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p

@@ -19,7 +19,6 @@ deterministic: no timestamps, fixed ordering everywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Union
 
@@ -52,6 +51,8 @@ class Report:
         return payload
 
     def to_json(self) -> str:
+        import json  # loaded by the --json path only
+
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
@@ -67,6 +68,8 @@ class Report:
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
+        import json
+
         return cls.from_dict(json.loads(text))
 
 

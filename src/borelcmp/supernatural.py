@@ -266,6 +266,16 @@ class SeqSpec(IntSeqSpec):
             if not isprime(entry):
                 raise DomainError(f"sequence entry {entry} is not prime")
 
+    @classmethod
+    def _of_primes(cls, prefix: tuple, tail: tuple) -> "SeqSpec":
+        """A sequence whose entries are known prime, checked as an
+        :class:`IntSeqSpec` only."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "prefix", prefix)
+        object.__setattr__(s, "tail", tail)
+        IntSeqSpec.__post_init__(s)
+        return s
+
 
 ProfileLike = Union[SupernaturalProfile, SeqSpec]
 
@@ -311,7 +321,7 @@ def factor_sequence(s: IntSeqSpec) -> SeqSpec:
                 out.extend([gamma] * exponent)
         return tuple(out)
 
-    return SeqSpec(expand(s.prefix), expand(s.tail))
+    return SeqSpec._of_primes(expand(s.prefix), expand(s.tail))
 
 
 def _surplus(tq: Mult, tp: Mult) -> Mult:

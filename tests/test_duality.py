@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
+from borelcmp import duality
 from borelcmp.duality import (
     INTEGERS,
+    MAX_DUAL_COMPONENTS,
     DualComponentKind,
     RationalType,
     dual,
@@ -175,6 +178,29 @@ def test_dual_reduces_rejects_real_factors():
         dual_reduces(parse_group("R"), parse_group("T"))
     with pytest.raises(DomainError):
         dual_reduces(parse_group("T"), parse_group("R x T"))
+
+
+def test_dual_reduces_refuses_a_side_past_the_component_cap():
+    cap, half = MAX_DUAL_COMPONENTS, MAX_DUAL_COMPONENTS // 2
+    past = (
+        (f"T^{cap + 1}", "T"),
+        ("T", f"T^{cap + 1}"),
+        (f"Sol{{2:w}}^{half + 1} x T^{half}", f"T^{half} x Sol{{2:w}}^{half}"),
+        (f"T^{cap}", f"T^{cap} x Sol{{2:w}}"),
+    )
+    start = time.perf_counter()
+    for g, h in past:
+        with pytest.raises(DomainError, match="components a side"):
+            dual_reduces(parse_group(g), parse_group(h))
+    assert time.perf_counter() - start < 1.0  # refused before any dual is built
+
+
+def test_dual_reduces_answers_at_the_component_cap(monkeypatch):
+    monkeypatch.setattr(duality, "MAX_DUAL_COMPONENTS", 4)
+    assert dual_reduces(parse_group("Sol{2:w}^2 x T^2"), parse_group("T^4"))
+    assert not dual_reduces(parse_group("T^4"), parse_group("Sol{2:w}^2 x T^2"))
+    with pytest.raises(DomainError, match="at most 4 components a side, got 5 and 4"):
+        dual_reduces(parse_group("T^5"), parse_group("T^4"))
 
 
 def test_dual_agrees_with_primal_on_corner_cases(rng):

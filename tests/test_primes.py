@@ -21,6 +21,7 @@ import borelcmp
 from borelcmp import primes
 from borelcmp.errors import DomainError
 from borelcmp.primes import factorint, isprime, nextprime, primes_after
+from borelcmp.supernatural import IntSeqSpec, factor_sequence
 
 # The two 90-bit primes whose product the benchmark's cli_mix reduces.
 P90 = 618970019668049015295030157
@@ -114,6 +115,29 @@ def test_factorint_agrees_with_sympy():
         for _ in range(rng.randrange(0, 3)):
             n *= rng.choice(large)
         assert factorint(n) == sympy.factorint(n), n
+
+
+def test_factorint_around_the_end_of_trial_division_agrees_with_sympy():
+    # 65521 is the last prime below 2^16 and 65537 the first above: a cofactor
+    # past every trial divisor is prime or splits through Pollard-Brent
+    for n in (65521, 65537, 2 * 65537, 65521**2, 65537**2, 65521 * 65537, 3 * 65537**2,
+              65537 * 65539 * 65543, 2**31 - 1, (2**31 - 1) * 65537):
+        assert factorint(n) == sympy.factorint(n), n
+
+
+def test_factoring_a_prime_sequence_runs_no_miller_rabin(monkeypatch):
+    """Trial division stops at the first prime whose square exceeds the
+    cofactor, which is then 1 or prime, and ``factor_sequence`` keeps the
+    primes it finds without testing them again: from a fresh sieve of 2^16,
+    the first 15,000 primes (up to 163,841) need no Miller-Rabin round."""
+    first = tuple(islice(primes_after(1), 15_000))
+    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+    calls = []
+    strong = primes._strong_probable_prime
+    monkeypatch.setattr(primes, "_strong_probable_prime", lambda n, a: calls.append(n) or strong(n, a))
+    assert factor_sequence(IntSeqSpec((), first)).tail == first
+    assert calls == []
+    assert isprime(first[-1]) and calls  # the counter sees the rounds it should
 
 
 def test_factorint_of_a_semiprime_of_90_bit_primes_stops_at_the_budget():
