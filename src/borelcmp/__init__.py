@@ -75,7 +75,7 @@ __version__ = "0.1.0"
 # The public names of the modules that load on first use, by module.
 _LAZY_MODULES = {
     "duality": (
-        "INTEGERS", "DualComponent", "DualExpr", "RationalType",
+        "INTEGERS", "DualExpr", "RationalType",
         "dual", "dual_reduces", "hom_nonzero_exists", "rank",
     ),
     "posetlab": (

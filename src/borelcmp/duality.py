@@ -3,15 +3,17 @@
 Componentwise duals: the real line is self-dual, the circle dualizes to the
 integers, and a solenoid dualizes to the rank-1 subgroup of the rationals
 whose denominators are bounded by its profile.  A rank-1 type is therefore
-given by a profile, the all-zero one being the integers.
+given by a profile, the all-zero one being the integers.  A dual component
+is accordingly either the atom ``REAL`` itself or a ``RationalType``, which
+renders as ``Z`` or ``Q{...}``.
 
 Between rank-1 groups every homomorphism is multiplication by a rational
 u/v, and a nonzero one from type ``a`` into type ``b`` exists exactly when a
 fixed numerator u can absorb all of ``a``'s surplus denominators: per prime,
 the image's denominator multiplicity is a's minus the multiplicity of u, so
 a single u suffices iff the surplus of ``a`` over ``b`` is finite in total.
-That makes the existence test the same deficit computation as the primal
-profile order, which is the point of the cross-check: for compact
+That makes the existence test the primal profile order ``preceq`` itself,
+which is the point of the cross-check: for compact
 expressions, matching dual components (targets drawn from the source
 expression's dual) must reproduce the primal verdict.  Any nonzero hom
 between rank-1 groups has rank-0, hence torsion, cokernel, so a matching
@@ -23,21 +25,17 @@ side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat, starmap
 from operator import itemgetter
 
 from .errors import DomainError
-from .groups import TORUS, AtomKind, GroupExpr, dimension, group, is_compact
+from .groups import REAL, TORUS, AtomKind, GroupExpr, _Expansion, dimension, group, is_compact
 from .matching import run_rows, saturating_matching_or_violator
-from .supernatural import OMEGA, SupernaturalProfile, deficit
+from .supernatural import OMEGA, SupernaturalProfile, preceq
 
 __all__ = [
     "RationalType",
     "INTEGERS",
-    "DualComponentKind",
-    "DualComponent",
     "DualExpr",
     "dual",
     "rank",
@@ -79,43 +77,18 @@ class RationalType:
 INTEGERS = RationalType()
 
 
-class DualComponentKind(Enum):
-    REAL_LINE = "REAL_LINE"
-    RANK1 = "RANK1"
-
-
-@dataclass(frozen=True)
-class DualComponent:
-    kind: DualComponentKind
-    rational_type: RationalType | None = None
-
-    def __post_init__(self):
-        if self.kind is DualComponentKind.RANK1:
-            if not isinstance(self.rational_type, RationalType):
-                raise DomainError("RANK1 dual component requires a rational type")
-        elif self.rational_type is not None:
-            raise DomainError("REAL_LINE dual component carries no rational type")
-
-    def __str__(self):
-        return "R" if self.kind is DualComponentKind.REAL_LINE else str(self.rational_type)
-
-
-_REAL_LINE = DualComponent(DualComponentKind.REAL_LINE)
-_INTEGERS_COMPONENT = DualComponent(DualComponentKind.RANK1, INTEGERS)
-
-
 @dataclass(frozen=True)
 class DualExpr:
     """Dual of a group expression, componentwise, as ``(component, count)``
     runs: one run per run of the expression, since distinct atoms have
-    distinct duals.  ``components`` (one entry per factor) is built on first
-    use only."""
+    distinct duals.  A component is ``REAL`` or a ``RationalType``.
+    ``components`` (one entry per factor) is built on first use only."""
 
     runs: tuple = ()
 
     @cached_property
     def components(self) -> tuple:
-        return tuple(chain.from_iterable(starmap(repeat, self.runs)))
+        return tuple(_Expansion(self.runs))
 
 
 def dual(g: GroupExpr) -> DualExpr:
@@ -134,11 +107,11 @@ def dual(g: GroupExpr) -> DualExpr:
         component = components.get(id(atom))
         if component is None:
             if atom.kind is AtomKind.REAL:
-                component = _REAL_LINE
+                component = REAL
             elif atom.kind is AtomKind.TORUS:
-                component = _INTEGERS_COMPONENT
+                component = INTEGERS
             else:
-                component = DualComponent(DualComponentKind.RANK1, RationalType(atom.profile))
+                component = RationalType(atom.profile)
             components[id(atom)] = component
         runs.append((component, count))
     return DualExpr(tuple(runs))
@@ -148,7 +121,7 @@ def rank(d: DualExpr) -> int:
     """Torsion-free rank of the dual of a compact expression: each rank-1
     component contributes one.  The rank/dimension identity is stated for
     compact groups, so a real-line component is out of domain here."""
-    if any(c.kind is DualComponentKind.REAL_LINE for c, _ in d.runs):
+    if any(c is REAL for c, _ in d.runs):
         raise DomainError("rank is defined here only for duals of compact expressions")
     return sum(map(itemgetter(1), d.runs))
 
@@ -156,14 +129,15 @@ def rank(d: DualExpr) -> int:
 def hom_nonzero_exists(a: RationalType, b: RationalType) -> bool:
     """Is there a nonzero homomorphism from the group of type ``a`` into the
     group of type ``b``?  Holds iff the surplus of ``a``'s denominator
-    profile over ``b``'s is finite (a single numerator absorbs it).
+    profile over ``b``'s is finite (a single numerator absorbs it), that is
+    iff ``preceq(a.profile, b.profile)``.
 
     >>> hom_nonzero_exists(INTEGERS, RationalType(SupernaturalProfile({2: OMEGA})))
     True
     >>> hom_nonzero_exists(RationalType(SupernaturalProfile({2: OMEGA})), INTEGERS)
     False
     """
-    return deficit(a.profile, b.profile) is not OMEGA
+    return preceq(a.profile, b.profile)
 
 
 def dual_reduces(g: GroupExpr, h: GroupExpr) -> bool:
@@ -187,8 +161,6 @@ def dual_reduces(g: GroupExpr, h: GroupExpr) -> bool:
         )
     targets = dual(g).runs
     sources = dual(h).runs
-    adjacency = run_rows(
-        targets, sources, lambda t, s: hom_nonzero_exists(s.rational_type, t.rational_type)
-    )
+    adjacency = run_rows(targets, sources, lambda t, s: hom_nonzero_exists(s, t))
     matching, _ = saturating_matching_or_violator(left, right, adjacency)
     return matching is not None

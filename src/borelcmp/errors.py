@@ -17,3 +17,11 @@ class ParseError(BorelcmpError):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
+
+
+def checked_natural(n, message: str, least: int = 0) -> int:
+    """``n``, an int and no bool, when it is at least ``least``; else a
+    DomainError of ``message`` followed by the value."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        raise DomainError(f"{message}, got {n!r}")
+    return n

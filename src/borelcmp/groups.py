@@ -12,6 +12,11 @@ normalize into this form, merging equal atoms where parts meet, so
 group is the empty product and is admitted so that every command-line
 operation is total.  One expression has at most ``MAX_FACTORS`` (10^7)
 factors; a larger one is a ``DomainError`` before anything is built.
+
+A raw tree's leaves are the values they denote: an ``Atom`` for ``R``,
+``T`` and ``Sol{...}``, the ``IntSeqSpec`` of an ``S[...]`` literal, and
+``TRIVIAL_GROUP`` (or any other ``GroupExpr``) for ``1``.  Only powers and
+products, which carry structure, have node types of their own.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from itertools import accumulate, chain, repeat, starmap
 from operator import itemgetter
 from typing import Mapping, Union
 
-from .errors import DomainError
+from .errors import DomainError, checked_natural
 from .supernatural import (
     OMEGA,
     IntSeqSpec,
@@ -41,9 +46,6 @@ __all__ = [
     "TRIVIAL_GROUP",
     "group",
     "solenoid",
-    "RawAtom",
-    "RawTrivial",
-    "RawSolenoidSeq",
     "RawPower",
     "RawProduct",
     "MAX_FACTORS",
@@ -143,8 +145,7 @@ class GroupExpr:
             atom, count = run
             if not isinstance(atom, Atom):
                 raise DomainError(f"group factor must be an Atom, got {atom!r}")
-            if not isinstance(count, int) or count < 0:
-                raise DomainError(f"run count must be a natural number, got {count!r}")
+            checked_natural(count, "run count must be a natural number")
         object.__setattr__(self, "runs", _joined((run,) for run in runs if run[1]))
 
     @classmethod
@@ -207,24 +208,12 @@ def run_ends(g: GroupExpr) -> list:
 # Raw parse trees, as produced by the literal parser.
 
 @dataclass(frozen=True)
-class RawAtom:
-    atom: Atom
-
-
-@dataclass(frozen=True)
-class RawTrivial:
-    pass
-
-
-@dataclass(frozen=True)
-class RawSolenoidSeq:
-    seq: IntSeqSpec
-
-
-@dataclass(frozen=True)
 class RawPower:
     base: "RawNode"
     exponent: int
+
+    def __post_init__(self):
+        checked_natural(self.exponent, "group exponent must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -232,7 +221,7 @@ class RawProduct:
     parts: tuple
 
 
-RawNode = Union[RawAtom, RawTrivial, RawSolenoidSeq, RawPower, RawProduct, GroupExpr]
+RawNode = Union[Atom, IntSeqSpec, RawPower, RawProduct, GroupExpr]
 
 
 # Most factors one expression may normalize to.  The count is checked on the
@@ -242,27 +231,23 @@ MAX_FACTORS = 10**7
 
 def _factor_count(node: RawNode) -> int:
     if isinstance(node, RawPower):
-        return _factor_count(node.base) * max(node.exponent, 0)  # _expand refuses a negative one
+        return _factor_count(node.base) * node.exponent
     if isinstance(node, RawProduct):
         return sum(map(_factor_count, node.parts))
     if isinstance(node, GroupExpr):
         return dimension(node)
-    return 0 if isinstance(node, RawTrivial) else 1
+    return 1  # an Atom or an IntSeqSpec
 
 
 def _expand(node: RawNode) -> tuple:
     """Canonical runs of a raw tree."""
     if isinstance(node, GroupExpr):
         return node.runs
-    if isinstance(node, RawAtom):
-        return ((node.atom, 1),)
-    if isinstance(node, RawTrivial):
-        return ()
-    if isinstance(node, RawSolenoidSeq):
-        return ((Atom(AtomKind.SOLENOID, profile_from_sequence(factor_sequence(node.seq))), 1),)
+    if isinstance(node, Atom):
+        return ((node, 1),)
+    if isinstance(node, IntSeqSpec):
+        return ((Atom(AtomKind.SOLENOID, profile_from_sequence(factor_sequence(node))), 1),)
     if isinstance(node, RawPower):
-        if node.exponent < 0:
-            raise DomainError(f"group exponent must be nonnegative, got {node.exponent}")
         return _power(_expand(node.base), node.exponent)
     if isinstance(node, RawProduct):
         return _joined(map(_expand, node.parts))
@@ -273,7 +258,7 @@ def normalize_group(node: RawNode) -> GroupExpr:
     """Flatten a raw tree to canonical runs: powers multiply run counts,
     nested products splice with equal atoms merged where they meet,
     integer-sequence solenoids factor into prime solenoids, and the trivial
-    atom contributes nothing.  Idempotent on normalized expressions.
+    group contributes nothing.  Idempotent on normalized expressions.
     More than ``MAX_FACTORS`` factors is a ``DomainError``.
     """
     if isinstance(node, GroupExpr):

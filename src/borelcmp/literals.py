@@ -40,15 +40,13 @@ from .errors import DomainError, ParseError
 from .groups import (
     REAL,
     TORUS,
+    TRIVIAL_GROUP,
     Atom,
     AtomKind,
     GroupExpr,
-    RawAtom,
     RawNode,
     RawPower,
     RawProduct,
-    RawSolenoidSeq,
-    RawTrivial,
     normalize_group,
 )
 from .primes import isprime
@@ -238,8 +236,8 @@ def parse_sequence(text: str) -> IntSeqSpec:
 MAX_GROUP_NESTING = 100
 
 
-# Atoms of one token; raw nodes are immutable, so each is built once.
-_SIMPLE_ATOMS = {"R": RawAtom(REAL), "T": RawAtom(TORUS), "1": RawTrivial()}
+# Atoms of one token, as the values they denote.
+_SIMPLE_ATOMS = {"R": REAL, "T": TORUS, "1": TRIVIAL_GROUP}
 
 
 def _parse_atom(p: _Parser) -> RawNode:
@@ -250,9 +248,9 @@ def _parse_atom(p: _Parser) -> RawNode:
     if simple is not None:
         return simple
     if token == "Sol":
-        return RawAtom(Atom(AtomKind.SOLENOID, _parse_profile(p)))
+        return Atom(AtomKind.SOLENOID, _parse_profile(p))
     if token == "S":
-        return RawSolenoidSeq(_parse_sequence(p))
+        return _parse_sequence(p)
     if token == "(":
         if p.depth == MAX_GROUP_NESTING:
             raise p.error(f"parentheses nest deeper than {MAX_GROUP_NESTING} levels", index)

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from itertools import filterfalse, islice
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, checked_natural
 from .primes import factorint
 from .primes import nextprime  # noqa: F401  bench/tracing.py patches this binding
 from .supernatural import (
@@ -110,10 +110,10 @@ class UPSet:
     threshold: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        period = _checked_period(self.period)
+        period = checked_natural(self.period, "period must be a positive integer", 1)
         residues, flips = frozenset(self.residues), frozenset(self.flips)
         for n in itertools.chain(residues, flips):
-            _checked_natural(n, "a residue or flip")
+            checked_natural(n, "a residue or flip must be a natural number")
         if residues and max(residues) >= period:
             raise DomainError(f"residue {max(residues)} is not below period {period}")
         period, residues = _minimal_rule(period, residues)
@@ -126,8 +126,9 @@ class UPSet:
     def from_word(cls, members, threshold: int, period: int, word) -> "UPSet":
         """The listed ``members`` below ``threshold``, then membership
         ``word[n % period]`` from ``threshold`` on."""
+        checked_natural(threshold, "threshold must be a natural number")
         word = tuple(word)
-        if len(word) != _checked_period(period):
+        if len(word) != checked_natural(period, "period must be a positive integer", 1):
             raise DomainError(f"word length {len(word)} does not match period {period}")
         members = frozenset(members)
         if members and max(members) >= threshold:
@@ -196,26 +197,13 @@ class UPSet:
         """First ``count`` elements of the complement, ascending."""
         if self.is_cofinite:
             raise DomainError("complement is finite; cannot enumerate that many elements")
-        return tuple(islice(self.ascending(members=False), _checked_natural(count, "count")))
+        count = checked_natural(count, "count must be a natural number")
+        return tuple(islice(self.ascending(members=False), count))
 
     def __str__(self):
         from .literals import render_upset
 
         return render_upset(self)
-
-
-def _checked_natural(n, what: str, least: int = 0, wanted: str = "a natural number") -> int:
-    """``n``, an int and no bool, when it is at least ``least``; else a
-    DomainError saying that ``what`` must be ``wanted``."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < least:
-        raise DomainError(f"{what} must be {wanted}, got {n!r}")
-    return n
-
-
-def _checked_period(period) -> int:
-    if isinstance(period, bool) or not isinstance(period, int) or period < 1:
-        raise DomainError(f"period must be a positive integer, got {period!r}")
-    return period
 
 
 def _minimal_rule(period: int, residues: frozenset):
@@ -331,11 +319,12 @@ class Family:
 
     def d_terms(self, k: int) -> tuple:
         """First ``k`` primes gamma with multiplicity(p, gamma) < (q, gamma)."""
-        return tuple(islice(self._d_walk(), _checked_natural(k, "count")))
+        return tuple(islice(self._d_walk(), checked_natural(k, "count must be a natural number")))
 
     def d_term(self, i: int) -> int:
         """d_i, counting from 0."""
-        return next(islice(self._d_walk(), _checked_natural(i, "index"), None))
+        i = checked_natural(i, "index must be a natural number")
+        return next(islice(self._d_walk(), i, None))
 
 
 def _at_positions(items: Iterator, positions) -> Iterator:
@@ -358,7 +347,7 @@ class MemberRef:
     power: int = 1
 
     def __post_init__(self):
-        _checked_natural(self.power, "member power", 1, ">= 1")
+        checked_natural(self.power, "member power must be >= 1", 1)
 
 
 def member_sequence(m: MemberRef, n: int) -> tuple:
@@ -368,7 +357,7 @@ def member_sequence(m: MemberRef, n: int) -> tuple:
     >>> member_sequence(MemberRef(fam, UPSet.multiples_of(2)), 4)
     (13, 3, 37, 2)
     """
-    _checked_natural(n, "term count", wanted="nonnegative")
+    checked_natural(n, "term count must be nonnegative")
     if n == 0:  # even when p has no infinite sequence
         return ()
     return tuple(islice(_member_terms(m), n))
@@ -432,7 +421,7 @@ def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> Cros
     Inconsistencies are recorded in the report, never raised.
     """
     _check_same_family(m_a, m_b)
-    _checked_natural(window, "window", 1, "positive")
+    checked_natural(window, "window must be positive", 1)
     verdict = member_reduces(m_a, m_b)
     finite, elements = set_difference(m_a.a, m_b.a)
     surplus = tuple(_at_positions(islice(m_a.family._d_walk(), 1, None, 3), elements))
@@ -486,7 +475,7 @@ def chain_demo(f: Family, depth: int = 3, power: int = 1) -> ChainDemo:
     The chain is strictly decreasing in the order and the final pair is
     incomparable, which is the desk-scale shape of the embedded poset.
     """
-    _checked_natural(depth, "chain depth", 2, ">= 2")
+    checked_natural(depth, "chain depth must be >= 2", 2)
     sets = [UPSet.multiples_of(2 ** i) for i in range(depth)]
     labels = [f"mult({2 ** i})" for i in range(depth)]
     sets.append(UPSet.multiples_of(2))

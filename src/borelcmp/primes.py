@@ -32,7 +32,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, compress, count, dropwhile
 from math import gcd, isqrt, prod
 
-from .errors import DomainError
+from .errors import DomainError, checked_natural
 
 __all__ = ["isprime", "nextprime", "primes_after", "factorint", "SIEVE_CAP", "FACTOR_BUDGET"]
 
@@ -157,8 +157,7 @@ def factorint(n: int) -> dict:
     >>> factorint(360), factorint(1)
     ({2: 3, 3: 2, 5: 1}, {})
     """
-    if n < 1:
-        raise DomainError(f"only positive integers are factored, got {n}")
+    checked_natural(n, "only positive integers are factored", 1)
     original, factors = n, {}
     for p in compress(range(_INITIAL_LIMIT), _SIEVE.covering(0)):
         if p * p > n:  # no prime below p divides the cofactor, so it is 1 or prime

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from .errors import DomainError
+from .errors import DomainError, checked_natural
 from .groups import REAL, TORUS, Atom, AtomKind, GroupExpr, dimension, run_ends, solenoid
 from .matching import class_flow
 from .matching import saturating_matching_or_violator  # noqa: F401  bench/tracing.py patches this binding
@@ -235,8 +235,7 @@ def rt_closed_form(c0: int, e0: int, c1: int, e1: int) -> bool:
     False
     """
     for value in (c0, e0, c1, e1):
-        if value < 0:
-            raise DomainError(f"factor counts must be natural numbers, got {value}")
+        checked_natural(value, "factor counts must be natural numbers")
     return e0 <= e1 and c0 + e0 <= c1 + e1
 
 

@@ -164,7 +164,7 @@ def _check_duality(rng):
     if str(dual(group(TORUS)).components[0]) != "Z":
         return False, "dual of the circle is not the integers"
     p = SupernaturalProfile({2: OMEGA})
-    if dual(group(solenoid(p))).components[0].rational_type != RationalType(p):
+    if dual(group(solenoid(p))).components[0] != RationalType(p):
         return False, "solenoid dual type mismatch"
     if dual_reduces(group(TORUS), group(solenoid(p))):
         return False, "circle into solenoid must fail on the dual route"

@@ -7,12 +7,14 @@ Only profiles with finitely many exceptions over a default of ``0`` or
 and every cofinitely-divisible profile.
 
 The preorder ``Q preceq P`` (an injection eventually matching Q's terms into
-P's) is decided through a deficit sum: per prime, the surplus of Q's
-multiplicity over P's.  Dropping the finitely many surplus occurrences of Q
-leaves a sub-multiset of P at every prime, which maps injectively into P's
-occurrences; conversely an infinite deficit defeats every injection because
-cofinitely many Q-positions would need distinct P-positions carrying a prime
-P runs out of.  ``oracle_injection`` plus the drop/window helpers give an
+P's) is inclusion of OMEGA-supports: every prime of multiplicity OMEGA in Q
+has multiplicity OMEGA in P.  The reason is the deficit sum, per prime the
+surplus of Q's multiplicity over P's, which is finite exactly then.
+Dropping the finitely many surplus occurrences of Q leaves a sub-multiset
+of P at every prime, which maps injectively into P's occurrences;
+conversely an infinite deficit defeats every injection because cofinitely
+many Q-positions would need distinct P-positions carrying a prime P runs
+out of.  ``oracle_injection`` plus the drop/window helpers give an
 independent finite-scale check of exactly this argument.
 """
 
@@ -24,7 +26,7 @@ from itertools import accumulate, chain, cycle, filterfalse, islice, repeat
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import DomainError
+from .errors import DomainError, checked_natural
 from .primes import factorint, isprime, primes_after
 
 __all__ = [
@@ -243,15 +245,13 @@ class IntSeqSpec:
         object.__setattr__(self, "tail", minimal_period(tail))
 
     def term(self, i: int) -> int:
-        if i < 0:
-            raise DomainError(f"sequence index must be nonnegative, got {i}")
+        checked_natural(i, "sequence index must be nonnegative")
         if i < len(self.prefix):
             return self.prefix[i]
         return self.tail[(i - len(self.prefix)) % len(self.tail)]
 
     def terms(self, n: int) -> tuple:
-        if n < 0:
-            raise DomainError(f"term count must be nonnegative, got {n}")
+        checked_natural(n, "term count must be nonnegative")
         return tuple(self.term(i) for i in range(n))
 
 
@@ -324,15 +324,6 @@ def factor_sequence(s: IntSeqSpec) -> SeqSpec:
     return SeqSpec._of_primes(expand(s.prefix), expand(s.tail))
 
 
-def _surplus(tq: Mult, tp: Mult) -> Mult:
-    """How far Q's multiplicity exceeds P's (0 when it does not)."""
-    if tq <= tp:
-        return 0
-    if tq is OMEGA:
-        return OMEGA
-    return tq - tp
-
-
 def _paired(q: SupernaturalProfile, p: SupernaturalProfile) -> Iterator[tuple]:
     """(prime, multiplicity in q, multiplicity in p) for every exception prime
     of either profile, ascending.  Reads the stored multiplicities: the
@@ -354,20 +345,18 @@ def deficit(q: SupernaturalProfile, p: SupernaturalProfile) -> Mult:
     >>> deficit(SupernaturalProfile({2: OMEGA}), SupernaturalProfile({3: OMEGA}))
     OMEGA
     """
-    if q.default is OMEGA and p.default is not OMEGA:
+    try:
+        table = finite_surplus_table(q, p)
+    except DomainError:
         return OMEGA
-    total = 0
-    for _, tq, tp in _paired(q, p):
-        d = _surplus(tq, tp)
-        if d is OMEGA:
-            return OMEGA
-        total += d
-    return total
+    return sum(surplus for _, surplus in table)
 
 
 def preceq(q: SupernaturalProfile, p: SupernaturalProfile) -> bool:
     """Eventual multiset embedding: Q's terms injectively match into P's
-    from some point on.  Decided by finiteness of the deficit.
+    from some point on.  Decided as inclusion of OMEGA-supports; a
+    default-OMEGA profile's support is cofinite, the complement of its
+    exception primes (each finite), so there it is inclusion of keys.
 
     >>> p = SupernaturalProfile({2: 5, 3: OMEGA})
     >>> preceq(SupernaturalProfile({2: 7, 3: OMEGA}), p)
@@ -375,7 +364,11 @@ def preceq(q: SupernaturalProfile, p: SupernaturalProfile) -> bool:
     >>> preceq(SupernaturalProfile.all_omega(), SupernaturalProfile({2: OMEGA}))
     False
     """
-    return deficit(q, p) is not OMEGA
+    if q.default is OMEGA:
+        return p.default is OMEGA and {g for g, _ in p.exceptions} <= {g for g, _ in q.exceptions}
+    if p.default is OMEGA:
+        return q.omega_primes.isdisjoint(g for g, _ in p.exceptions)
+    return q.omega_primes <= p.omega_primes
 
 
 def profiles_bireducible(p: SupernaturalProfile, q: SupernaturalProfile) -> bool:
@@ -386,15 +379,13 @@ def profiles_bireducible(p: SupernaturalProfile, q: SupernaturalProfile) -> bool
 
 def finite_surplus_table(q: SupernaturalProfile, p: SupernaturalProfile) -> tuple:
     """Per-prime positive surpluses of ``q`` over ``p`` as (prime, surplus)
-    pairs, ascending.  Requires a finite deficit."""
-    if deficit(q, p) is OMEGA:
+    pairs, ascending, from one pass over the exception primes.  Requires a
+    finite deficit: no surplus of OMEGA, at a listed prime or at the
+    cofinitely many primes where q's default OMEGA meets p's default 0."""
+    surpluses = [(gamma, tq, tp) for gamma, tq, tp in _paired(q, p) if tq > tp]
+    if (q.default is OMEGA and p.default is not OMEGA) or any(tq is OMEGA for _, tq, _ in surpluses):
         raise DomainError("surplus table requested for an infinite deficit")
-    table = []
-    for gamma, tq, tp in _paired(q, p):
-        d = _surplus(tq, tp)
-        if d != 0:
-            table.append((gamma, d))
-    return tuple(table)
+    return tuple((gamma, tq - tp) for gamma, tq, tp in surpluses)
 
 
 def _primes_outside(excluded) -> Iterator[int]:
@@ -473,8 +464,7 @@ def canonical_sequence(p: SupernaturalProfile, n: int) -> tuple:
     >>> canonical_sequence(SupernaturalProfile({2: OMEGA, 3: OMEGA}), 5)
     (2, 3, 2, 3, 2)
     """
-    if n < 0:
-        raise DomainError(f"term count must be nonnegative, got {n}")
+    checked_natural(n, "term count must be nonnegative")
     return tuple(islice(canonical_terms(p), n))
 
 

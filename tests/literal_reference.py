@@ -15,8 +15,7 @@ import re
 from typing import NamedTuple
 
 from borelcmp.errors import DomainError, ParseError
-from borelcmp.groups import REAL, TORUS, Atom, AtomKind, RawAtom, RawPower, RawProduct, RawSolenoidSeq
-from borelcmp.groups import RawTrivial, normalize_group
+from borelcmp.groups import REAL, TORUS, TRIVIAL_GROUP, Atom, AtomKind, RawPower, RawProduct, normalize_group
 from borelcmp.literals import MAX_GROUP_NESTING, MAX_SET_FROM, MAX_SET_LISTED, MAX_SET_PERIOD
 from borelcmp.posetlab import UPSet
 from borelcmp.primes import isprime
@@ -156,13 +155,13 @@ def _sequence(p: Parser) -> IntSeqSpec:
 def _atom(p: Parser):
     token = p.peek()
     if p.take("R"):
-        return RawAtom(REAL)
+        return REAL
     if p.take("T"):
-        return RawAtom(TORUS)
+        return TORUS
     if p.take("Sol"):
-        return RawAtom(Atom(AtomKind.SOLENOID, _profile(p)))
+        return Atom(AtomKind.SOLENOID, _profile(p))
     if p.take("S"):
-        return RawSolenoidSeq(_sequence(p))
+        return _sequence(p)
     if p.take("("):
         if p.depth == MAX_GROUP_NESTING:
             raise ParseError(f"parentheses nest deeper than {MAX_GROUP_NESTING} levels", token.pos)
@@ -173,7 +172,7 @@ def _atom(p: Parser):
         return inner
     if token.kind == "num" and token.text == "1":
         p.advance()
-        return RawTrivial()
+        return TRIVIAL_GROUP
     raise ParseError(f"expected a group atom but found {describe(token)}", token.pos)
 
 

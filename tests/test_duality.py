@@ -11,7 +11,6 @@ from borelcmp import duality
 from borelcmp.duality import (
     INTEGERS,
     MAX_DUAL_COMPONENTS,
-    DualComponentKind,
     RationalType,
     dual,
     dual_reduces,
@@ -32,12 +31,12 @@ PROBE_PRIMES = (2, 3, 5, 7, 11, 13)
 # -- dual ----------------------------------------------------------------------
 
 def test_dual_instances():
-    assert dual(group(TORUS)).components[0].rational_type == INTEGERS
+    assert dual(group(TORUS)).components[0] == INTEGERS
     sol = solenoid({2: 6, 3: OMEGA})
-    assert dual(group(sol)).components[0].rational_type == RationalType(sol.profile)
-    rationals = dual(parse_group("Sol{default=w}")).components[0].rational_type
+    assert dual(group(sol)).components[0] == RationalType(sol.profile)
+    rationals = dual(parse_group("Sol{default=w}")).components[0]
     assert rationals == RationalType(SupernaturalProfile.all_omega())
-    assert dual(group(REAL)).components[0].kind is DualComponentKind.REAL_LINE
+    assert dual(group(REAL)).components[0] is REAL
 
 
 def test_zero_profile_is_the_integers():
@@ -56,12 +55,12 @@ def test_dual_componentwise_length(rng):
 def test_double_dual_at_type_level(rng):
     # reconstructing the primal atom from a rank-1 type and dualizing again
     # recovers the type: Z <-> circle, profile type <-> solenoid
-    assert dual(group(TORUS)).components[0].rational_type.is_integers
+    assert dual(group(TORUS)).components[0].is_integers
     for _ in range(20):
         p = random_profile(rng)
-        t = dual(group(solenoid(p))).components[0].rational_type
+        t = dual(group(solenoid(p))).components[0]
         assert t.profile == p
-        assert dual(group(solenoid(t.profile))).components[0].rational_type == t
+        assert dual(group(solenoid(t.profile))).components[0] == t
 
 
 # -- rank ------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from borelcmp.duality import INTEGERS, dual
 from borelcmp.errors import DomainError
 from borelcmp.groups import (
     MAX_FACTORS,
@@ -16,18 +17,15 @@ from borelcmp.groups import (
     Atom,
     AtomKind,
     GroupExpr,
-    RawAtom,
     RawPower,
     RawProduct,
-    RawSolenoidSeq,
-    RawTrivial,
     dimension,
     group,
     is_compact,
     normalize_group,
     solenoid,
 )
-from borelcmp.literals import parse_group
+from borelcmp.literals import parse_group, parse_group_raw
 from borelcmp.supernatural import OMEGA, IntSeqSpec, SupernaturalProfile
 
 from borelcmp.selftest import random_atom, random_expr
@@ -78,12 +76,12 @@ def test_products_are_canonical_runs():
 
 def test_normalize_caps_the_factor_count_before_building():
     assert MAX_FACTORS >= 10**6  # the largest product the benchmark builds
-    assert len(normalize_group(RawPower(RawAtom(REAL), 10**6)).factors) == 10**6
+    assert len(normalize_group(RawPower(REAL, 10**6)).factors) == 10**6
     for raw in (
-        RawPower(RawAtom(TORUS), MAX_FACTORS + 1),
-        RawPower(RawAtom(REAL), 10**4000),
-        RawProduct((RawPower(RawAtom(TORUS), MAX_FACTORS), RawAtom(REAL))),
-        RawPower(RawPower(RawAtom(TORUS), 10**6), 10**6),
+        RawPower(TORUS, MAX_FACTORS + 1),
+        RawPower(REAL, 10**4000),
+        RawProduct((RawPower(TORUS, MAX_FACTORS), REAL)),
+        RawPower(RawPower(TORUS, 10**6), 10**6),
     ):
         with pytest.raises(DomainError, match="more than 10000000 factors"):
             normalize_group(raw)
@@ -92,37 +90,61 @@ def test_normalize_caps_the_factor_count_before_building():
 
 
 def test_factors_allocate_the_tuple_once():
-    """The per-factor tuple is allocated at its final size.  Grown from an
-    iterator it passes through larger buffers, and through a copy whenever a
-    step cannot grow in place, so the peak memory of a large expansion
-    varied from one process to the next."""
+    """The per-factor tuple, like a dual's per-component tuple, is allocated
+    at its final size.  Grown from an iterator it passes through larger
+    buffers, and through a copy whenever a step cannot grow in place, so the
+    peak memory of a large expansion varied from one process to the next."""
     g = parse_group("R^700000 x T^300000")
-    tracemalloc.start()
-    try:
-        factors = g.factors
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert factors == (REAL,) * 700_000 + (TORUS,) * 300_000
-    assert peak < sys.getsizeof(factors) + 4096
+    dual_power = dual(parse_group("(R^7 x T^3)^100000"))
+    for expanded, expected in (
+        (lambda: g.factors, (REAL,) * 700_000 + (TORUS,) * 300_000),
+        (lambda: dual_power.components, ((REAL,) * 7 + (INTEGERS,) * 3) * 100_000),
+    ):
+        tracemalloc.start()
+        try:
+            items = expanded()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert items == expected
+        assert peak < sys.getsizeof(items) + 4096
     assert TRIVIAL_GROUP.factors == () and group(TORUS, REAL).factors == (TORUS, REAL)
+
+
+def test_normalize_accepts_every_leaf_kind():
+    """A raw tree's leaves are the values they denote: atoms, integer
+    sequences and normalized expressions, alone or inside powers and
+    products."""
+    sol, seq = solenoid({2: OMEGA}), IntSeqSpec((4,), (6,))
+    seq_sol = solenoid({2: OMEGA, 3: OMEGA})  # 4, then 6 = 2 * 3 forever
+    assert parse_group_raw("R") is REAL and parse_group_raw("1") is TRIVIAL_GROUP
+    assert parse_group_raw("Sol{2:w}") == sol and parse_group_raw("S[4|6]") == seq
+    for leaf, runs in ((REAL, ((REAL, 1),)), (sol, ((sol, 1),)), (seq, ((seq_sol, 1),)), (TRIVIAL_GROUP, ())):
+        assert normalize_group(leaf).runs == runs
+        assert normalize_group(RawPower(leaf, 3)).runs == tuple((atom, 3 * count) for atom, count in runs)
+        assert normalize_group(RawProduct((TORUS, leaf, TORUS))) == GroupExpr(((TORUS, 1), *runs, (TORUS, 1)))
+    raw = RawProduct(
+        (RawPower(RawProduct((REAL, sol)), 2), RawPower(seq, 2), RawPower(TRIVIAL_GROUP, 5), TORUS)
+    )
+    assert normalize_group(raw).runs == ((REAL, 1), (sol, 1), (REAL, 1), (sol, 1), (seq_sol, 2), (TORUS, 1))
+    assert normalize_group(raw) == parse_group("(R x Sol{2:w})^2 x S[4|6]^2 x 1^5 x T")
 
 
 def test_normalize_rejects_negative_exponent():
     with pytest.raises(DomainError):
-        normalize_group(RawPower(RawAtom(TORUS), -1))
+        normalize_group(RawPower(TORUS, -1))
 
 
 def test_normalize_rejects_bad_sequence_entries():
     with pytest.raises(DomainError):
-        normalize_group(RawSolenoidSeq(IntSeqSpec((1,), (2,))))
+        normalize_group(IntSeqSpec((1,), (2,)))
 
 
 def test_normalize_idempotent(rng):
     for _ in range(50):
         g = random_expr(rng)
         assert normalize_group(g) == g
-    raw = RawProduct((RawPower(RawProduct((RawAtom(REAL), RawTrivial())), 3), RawAtom(TORUS)))
+    raw = RawProduct((RawPower(RawProduct((REAL, TRIVIAL_GROUP)), 3), TORUS))
     once = normalize_group(raw)
     assert normalize_group(once) == once == group(REAL, REAL, REAL, TORUS)
 
@@ -149,9 +171,9 @@ def _random_tree(rng, depth=3):
     """A raw tree as the parser builds it, plus normalized leaves."""
     pick = rng.randrange(6 if depth else 3)
     if pick == 0:
-        return RawAtom(random_atom(rng))
+        return random_atom(rng)
     if pick == 1:
-        return RawTrivial()
+        return TRIVIAL_GROUP
     if pick == 2:
         return random_expr(rng)
     if pick == 3:

@@ -240,6 +240,44 @@ def test_preceq_iff_finite_deficit(q, p):
         assert multiplicity(p, witness) is not OMEGA
 
 
+def _summed_deficit(q, p):
+    """The deficit as a sum over primes, each term the surplus of q's
+    multiplicity over p's, with the pairs of defaults standing in for the
+    primes that neither profile lists; with it, the surplus table."""
+    if q.default is OMEGA and p.default is not OMEGA:
+        return OMEGA, None
+    in_q, in_p = dict(q.exceptions), dict(p.exceptions)
+    table = []
+    for gamma in sorted(in_q.keys() | in_p.keys()):
+        tq, tp = in_q.get(gamma, q.default), in_p.get(gamma, p.default)
+        if tp is OMEGA or tq is not OMEGA and tq <= tp:
+            continue
+        if tq is OMEGA:
+            return OMEGA, None
+        table.append((gamma, tq - tp))
+    return sum(s for _, s in table), tuple(table)
+
+
+def test_preceq_is_inclusion_of_omega_supports(rng):
+    """``preceq`` decides inclusion of OMEGA-supports directly; it must agree
+    with the finiteness of the summed deficit on every ordered pair of a
+    pool of random, default-OMEGA and all-zero profiles, and ``deficit``
+    and the surplus table must be the summed ones."""
+    pool = [random_profile(rng) for _ in range(300)]
+    pool += [ALL_OMEGA, P({2: 3, 7: 0}, OMEGA), P({13: 1}, OMEGA), P({}), P({2: 4, 3: 1})]
+    assert sum(p.default is OMEGA for p in pool) > 50
+    holds = 0
+    for q in pool:
+        for p in pool:
+            total, table = _summed_deficit(q, p)
+            assert preceq(q, p) == (total is not OMEGA), (q, p)
+            assert deficit(q, p) == total  # OMEGA is a singleton
+            if table is not None:
+                holds += 1
+                assert finite_surplus_table(q, p) == table
+    assert 0.1 < holds / len(pool) ** 2 < 0.9
+
+
 def test_refutation_witness_is_the_least_prime():
     # 3 has infinite surplus as an exception prime, 2 through q's default
     assert refutation_witness(ALL_OMEGA, P({3: 4, 5: OMEGA})) == 2
