@@ -31,6 +31,7 @@ import threading
 from collections.abc import Iterable, Iterator
 from itertools import chain, compress, count, dropwhile
 from math import gcd, isqrt, prod
+from operator import index
 
 from .errors import DomainError, checked_natural
 
@@ -99,16 +100,22 @@ _PRIMORIAL = prod(compress(range(1000), _extended(bytearray(), 1000)))
 
 
 def isprime(n: int) -> bool:
-    """Whether the integer ``n`` is prime.
+    """Whether the integer ``n`` is prime; any other argument is a
+    :class:`DomainError`.
 
     >>> [n for n in range(20) if isprime(n)], isprime(2**89 - 1), isprime(561)
     ([2, 3, 5, 7, 11, 13, 17, 19], True, False)
     """
     flags = _SIEVE.flags or _SIEVE.covering(0)
-    if n < len(flags):
-        return n >= 0 and flags[n] == 1
-    if gcd(n, _PRIMORIAL) != 1:
-        return False
+    try:  # a non-integer fails the comparison, the sieve index, index() or gcd
+        if n < 0:
+            return index(n) > 0  # False, once index() has turned a non-integer away
+        if n < len(flags):
+            return flags[n] == 1
+        if gcd(n, _PRIMORIAL) != 1:
+            return False
+    except TypeError:
+        raise DomainError(f"only integers are tested for primality, got {n!r}") from None
     if n < _MR_EXACT_BELOW:
         return all(_strong_probable_prime(n, a) for a in _MR_BASES)
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
@@ -130,7 +137,11 @@ def primes_after(n: int) -> Iterator[int]:
     >>> list(islice(primes_after(1), 5)), next(primes_after(2**22))
     ([2, 3, 5, 7, 11], 4194319)
     """
-    return chain.from_iterable(_prime_chunks(max(n + 1, 0)))
+    try:
+        lo = max(index(n) + 1, 0)
+    except TypeError:
+        raise DomainError(f"only integers have primes after them, got {n!r}") from None
+    return chain.from_iterable(_prime_chunks(lo))
 
 
 def _prime_chunks(lo: int) -> Iterator[Iterable[int]]:

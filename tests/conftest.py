@@ -4,8 +4,7 @@ Random groups and profiles come from the package's own samplers
 (``borelcmp.selftest.random_profile``, ``random_atom`` and
 ``random_expr``), which draw from a small prime pool so that random pairs
 are related often enough for order-law tests to bite.  ``PRIME_POOL`` is
-that pool, for the hypothesis strategies.  ``trial_division_primes`` is an
-oracle for the package's prime walk that uses none of its machinery.
+that pool, for the hypothesis strategies.
 """
 
 from __future__ import annotations
@@ -17,17 +16,6 @@ import pytest
 from borelcmp import literals, supernatural
 
 PRIME_POOL = (2, 3, 5, 7, 11, 13)
-
-
-def trial_division_primes(count: int) -> list:
-    """The first ``count`` primes, by trial division."""
-    primes: list = []
-    n = 2
-    while len(primes) < count:
-        if all(n % p for p in primes):
-            primes.append(n)
-        n += 1
-    return primes
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import time
 import pytest
 from jsonschema import validate
 
-from borelcmp import cli
+from borelcmp import cli, selftest
 from borelcmp.cli import (
     EXIT_DOMAIN,
     EXIT_FALSE_VERDICT,
@@ -164,7 +164,32 @@ def test_selftest_verb_passes():
     report, code = run_argv(["selftest"])
     assert code == EXIT_OK
     assert report.verdict == "PASS"
-    assert all(line.startswith("PASS") for line in report.diagnostics)
+    assert len(report.diagnostics) == len(selftest.CRITERIA) == 11
+    for line, (number, name, _) in zip(report.diagnostics, selftest.CRITERIA):
+        assert line.startswith(f"PASS  {number:02d} {name}  (")
+
+
+def test_selftest_verb_reports_a_failing_and_a_raising_criterion(monkeypatch):
+    def raising(rng):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(
+        selftest,
+        "CRITERIA",
+        (
+            (1, "passing", lambda rng: (True, "fine")),
+            (2, "raising", raising),
+            (3, "failing", lambda rng: (False, "wrong verdict")),
+        ),
+    )
+    report, code = run_argv(["selftest"])
+    assert code == EXIT_USAGE == 1
+    assert report.verdict == "FAIL"
+    assert report.diagnostics == (
+        "PASS  01 passing  (fine)",
+        "FAIL  02 raising  (raised RuntimeError: boom)",
+        "FAIL  03 failing  (wrong verdict)",
+    )
 
 
 # -- rendering and JSON ----------------------------------------------------------------

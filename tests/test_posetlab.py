@@ -24,7 +24,7 @@ from borelcmp.posetlab import (
 )
 from borelcmp.supernatural import OMEGA, SupernaturalProfile, multiplicity, oracle_injection
 
-from conftest import trial_division_primes
+from borelcmp.selftest import trial_division_primes
 
 
 # -- independent oracle: trial-division sieve, no package machinery ------------
@@ -157,10 +157,12 @@ def test_d_enumeration_tests_no_prime(isprime_calls):
     assert isprime_calls == []
 
 
-def test_d_enumeration_cache_is_thread_safe():
+def test_concurrent_d_enumeration_agrees_with_a_serial_run_across_sieve_growths(monkeypatch):
     serial = Family.default().d_terms(50_000)
     assert serial[:4] == (3, 5, 7, 11)
-    # mixed sizes cross several growths of the cache, each one contended
+    # from a fresh sieve of 2^16 numbers, the d_50000 near 612,000 takes four
+    # doublings, each one contended by mixed sizes
+    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
     sizes = [1, 50_000, 7, 4_097, 31_000, 200, 12_345, 49_999, 3, 20_000, 8_192, 40_000] * 3
     fam = Family.default()
     switch = sys.getswitchinterval()
@@ -171,6 +173,7 @@ def test_d_enumeration_cache_is_thread_safe():
     finally:
         sys.setswitchinterval(switch)
     assert results == [(serial[k - 1], serial[:k]) for k in sizes]
+    assert len(primes._SIEVE.flags) == 1 << 20
 
 
 @pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3", None])
@@ -201,14 +204,6 @@ def test_member_terms_need_no_nextprime_call_below_the_sieve_cap(monkeypatch):
 
 
 # -- member sequences -------------------------------------------------------------
-
-def test_member_sequence_worked_example_against_sieve_oracle():
-    fam = Family.default()
-    evens = UPSet.multiples_of(2)
-    got = member_sequence(MemberRef(fam, evens), 4)
-    assert list(got) == _oracle_member_prefix(lambda n: n % 2 == 0, 4, [2] * 4, {2})
-    assert got == (13, 3, 37, 2)
-
 
 def test_member_sequence_cofinite_against_sieve_oracle():
     fam = Family.default()
@@ -427,22 +422,6 @@ def test_crosscheck_succeeding_at_drop_zero_makes_one_window_and_one_prefix(monk
     assert report.successful_drop == 0 and report.surplus_primes == ()
     _, needed = _terms_made(monkeypatch, lambda: (member_sequence(evens, 100), member_sequence(mult4, 464)))
     assert made == needed
-
-
-# -- chain demo ----------------------------------------------------------------------
-
-def test_chain_demo_matrix():
-    demo = chain_demo(Family.default(), 3, 1)
-    k = 3
-    for i in range(k):
-        for j in range(k):
-            assert demo.matrix[i][j] == (i >= j)
-    evens, odds = k, k + 1
-    assert not demo.matrix[evens][odds]
-    assert not demo.matrix[odds][evens]
-    assert demo.matrix[evens][evens] and demo.matrix[odds][odds]
-    with pytest.raises(DomainError):
-        chain_demo(Family.default(), 1, 1)
 
 
 # -- sandwich property ------------------------------------------------------------------

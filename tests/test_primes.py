@@ -72,6 +72,13 @@ def test_known_primes(n):
     assert isprime(n)
 
 
+@pytest.mark.parametrize("function", [isprime, nextprime, primes_after])
+@pytest.mark.parametrize("n", [2.5, -2.5, 7.0, 1e30, "7", None])
+def test_a_non_integer_is_a_domain_error_at_the_call(function, n):
+    with pytest.raises(DomainError, match="only integers"):
+        function(n)
+
+
 def test_nextprime_past_the_sieve_cap():
     for n in (primes.SIEVE_CAP - 1, primes.SIEVE_CAP, 10**12, 10**30):
         assert nextprime(n) == sympy.nextprime(n)

@@ -404,53 +404,6 @@ def test_oracle_injection_examples():
     assert oracle_injection((), ())
 
 
-def test_oracle_agreement_soundness(rng):
-    pairs = 0
-    while pairs < 60:
-        q, p = random_profile(rng), random_profile(rng)
-        if not preceq(q, p):
-            continue
-        pairs += 1
-        drop = oracle_drop_bound(q, p)
-        window = canonical_sequence(q, drop + 200)[drop:]
-        prefix = canonical_sequence(p, sufficient_prefix_length(p, window))
-        counts = Counter()
-        have = Counter(prefix)
-        for length, term in enumerate(window, start=1):
-            counts[term] += 1
-            assert counts[term] <= have[term], (
-                f"window of length {length} fails for {q} into {p}"
-            )
-
-
-def test_oracle_agreement_refutation(rng):
-    pairs = 0
-    while pairs < 60:
-        q, p = random_profile(rng), random_profile(rng)
-        if preceq(q, p):
-            continue
-        pairs += 1
-        gamma = refutation_witness(q, p)
-        cap = multiplicity(p, gamma)
-        assert cap is not OMEGA
-        needed = cap + 1
-        for drop in (0, 7):  # failing windows exist beyond any drop point
-            window = []
-            seen = 0
-            for index, term in enumerate(canonical_terms(q)):
-                if index < drop:
-                    continue
-                window.append(term)
-                if term == gamma:
-                    seen += 1
-                    if seen == needed:
-                        break
-            # no prefix of p, however long, supplies needed occurrences of gamma
-            long_prefix = canonical_sequence(p, 40 * (drop + len(window)) + 500)
-            assert not oracle_injection(window, long_prefix)
-            assert Counter(long_prefix)[gamma] <= cap
-
-
 def test_sufficient_prefix_length_rejects_impossible_windows():
     with pytest.raises(DomainError):
         sufficient_prefix_length(P({2: 1, 3: OMEGA}), (2, 2))
