@@ -48,10 +48,13 @@ from .groups import (
     solenoid,
 )
 from .reducibility import (
+    Certificate,
     ComparisonOutcome,
+    EdgeBlock,
     EdgeReason,
     EdgeWitness,
     HallViolator,
+    IndexRanges,
     Verdict,
     atom_reduces,
     compare,
@@ -92,7 +95,8 @@ __all__ = [
     "profile_add", "profile_from_sequence", "profiles_bireducible",
     "REAL", "TORUS", "TRIVIAL_GROUP", "Atom", "AtomKind", "GroupExpr", "dimension", "group",
     "is_compact", "normalize_group", "solenoid",
-    "ComparisonOutcome", "EdgeReason", "EdgeWitness", "HallViolator", "Verdict",
+    "Certificate", "ComparisonOutcome", "EdgeBlock", "EdgeReason", "EdgeWitness", "HallViolator",
+    "IndexRanges", "Verdict",
     "atom_reduces", "compare", "reduces", "rt_closed_form", "verify_certificate",
     "parse_group", "parse_profile", "parse_sequence", "parse_upset",
     "render_dual", "render_group", "render_profile", "render_upset",

@@ -154,7 +154,7 @@ def build_parser() -> _ArgumentParser:
     family_demo.add_argument("--depth", type=int, default=3)
     family_demo.add_argument("--power", type=int, default=1)
 
-    verb("selftest", _selftest, "run the fast acceptance subset")
+    verb("selftest", _selftest, "run all eleven acceptance criteria at full scale")
     return parser
 
 

@@ -15,9 +15,15 @@ exists with every assigned pair in the table.  Equal atoms can be swapped
 for one another, so this is decided on classes of equal atoms by a
 capacitated flow (``matching.class_flow``), at a cost that depends on the
 number of distinct atoms and not on their counts.  The outcome ships either
-the assignment, one edge per source factor (with a per-edge reason and, for
-solenoid pairs, the recomputable surplus table), or a Hall violator
-refuting every assignment.
+the assignment (with a per-edge reason and, for solenoid pairs, the
+recomputable surplus table), or a Hall violator refuting every assignment.
+
+Both are kept in run form, so neither grows with the counts.  The
+assignment is a ``Certificate``: a tuple of ``EdgeBlock``s, each one map
+``left + j -> right - j`` for ``j < count`` with one reason, and as a
+sequence the ``EdgeWitness`` of every source factor in order.  The
+violator's index sets are ``IndexRanges``.  Only their rendering by the
+command line and the JSON report still costs one line or entry per factor.
 
 The trivial group (empty product) reduces to everything, and nothing
 nontrivial reduces to it.  All factor indices in certificates are 1-based.
@@ -26,9 +32,13 @@ nontrivial reduces to it.  All factor indices in certificates are 1-based.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from functools import cached_property
+from itertools import accumulate, chain
+from operator import index
+from typing import NamedTuple
 
 from .errors import DomainError, checked_natural
 from .groups import REAL, TORUS, Atom, AtomKind, GroupExpr, dimension, run_ends, solenoid
@@ -39,6 +49,9 @@ from .supernatural import OMEGA, finite_surplus_table, preceq
 __all__ = [
     "EdgeReason",
     "EdgeWitness",
+    "EdgeBlock",
+    "Certificate",
+    "IndexRanges",
     "HallViolator",
     "Verdict",
     "ComparisonOutcome",
@@ -76,19 +89,94 @@ class EdgeWitness:
         return sum(d for _, d in self.deficit)
 
 
+class EdgeBlock(NamedTuple):
+    """``count`` certificate edges with one reason and surplus table: source
+    factor ``left + j`` maps to target factor ``right - j`` for ``j < count``."""
+
+    left: int
+    right: int
+    count: int
+    reason: EdgeReason
+    deficit: tuple = ()
+
+
+@dataclass(frozen=True)
+class Certificate(Sequence):
+    """A positive certificate as a tuple of ``EdgeBlock``s.  As a sequence it
+    is the ``EdgeWitness`` of every edge, block by block: ``len`` costs
+    O(1) and an index O(log blocks).  Equal when the blocks are equal."""
+
+    blocks: tuple
+
+    @cached_property
+    def _ends(self) -> list:
+        return list(accumulate(block.count for block in self.blocks))
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, k):
+        k = range(len(self))[index(k)]
+        b = bisect_right(self._ends, k)
+        left, right, count, reason, deficit = self.blocks[b]
+        j = k - self._ends[b] + count
+        return EdgeWitness(left + j, right - j, reason, deficit)
+
+    def __iter__(self):
+        for left, right, count, reason, deficit in self.blocks:
+            for j in range(count):
+                yield EdgeWitness(left + j, right - j, reason, deficit)
+
+
+@dataclass(frozen=True, eq=False)
+class IndexRanges(Sequence):
+    """Ascending 1-based factor indices as a tuple of ``range``s of step 1.
+    As a sequence it is the indices, at a cost of one step per range; it
+    equals a tuple of the same indices, and hashes like one, so
+    ``violator.K == (1, 2)`` still holds."""
+
+    ranges: tuple
+
+    def __len__(self):
+        return sum(map(len, self.ranges))
+
+    def __getitem__(self, k):
+        k = range(len(self))[index(k)]
+        for r in self.ranges:
+            if k < len(r):
+                return r[k]
+            k -= len(r)
+
+    def __iter__(self):
+        return chain.from_iterable(self.ranges)
+
+    def __eq__(self, other):
+        if not isinstance(other, (IndexRanges, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(i == j for i, j in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class HallViolator:
     """Refutation: left factor set K (1-based indices) whose full
-    neighborhood N(K) under the rule table is strictly smaller."""
+    neighborhood N(K) under the rule table is strictly smaller.  ``reduces``
+    gives both as ``IndexRanges``; ``verify_certificate`` also reads plain
+    tuples of indices."""
 
-    K: tuple
-    NK: tuple
+    K: Sequence
+    NK: Sequence
 
 
 @dataclass(frozen=True)
 class Verdict:
+    """``certificate`` is a ``Certificate`` from ``reduces``;
+    ``verify_certificate`` also reads a plain tuple of ``EdgeWitness``."""
+
     reducible: bool
-    certificate: tuple | None = None
+    certificate: Sequence | None = None
     violator: HallViolator | None = None
 
 
@@ -162,67 +250,82 @@ def reduces(g: GroupExpr, h: GroupExpr) -> Verdict:
     evaluated once per pair of a source class and a target class, and
     ``class_flow`` routes every source class into the target classes its
     row allows; a full routing is Hall's condition for the factors.  The
-    verdict still lists factors, by this canonical rule:
+    verdict still names factors, by this canonical rule, but in run form:
 
     - Positive: the source factors are taken from last to first, and each
       takes the lowest unused target factor of the next target class (in
       order of first appearance in ``h``) that the flow of its class still
-      routes to.  Each witness carries the reason and surplus table of its
-      pair of atoms, computed once per pair.
+      routes to.  Each edge carries the reason and surplus table of its
+      pair of atoms, computed once per pair.  A stretch of source factors
+      that stays in one source run, one flow route and one target run is
+      one ``EdgeBlock``, so the ``Certificate`` has at most (source runs +
+      target runs + flow routes) blocks, whatever the counts.
     - Negative: C is the set of source classes that an unrouted class
       reaches in the residual graph of a maximum flow, and N(C) the target
       factors their rows reach.  K is the first |N(C)| + 1 factors of the
       classes in C, in index order, and N(K) the exact rule-table
-      neighborhood of K's classes, so |N(K)| <= |N(C)| < |K|.
+      neighborhood of K's classes, so |N(K)| <= |N(C)| < |K|.  Both are
+      ``IndexRanges`` of at most one range per run.
     """
     sources, caps, source_of = _classes(g.runs)
     targets, room, target_of = _classes(h.runs)
     rows = [[t for t, b in enumerate(targets) if atom_reduces(a, b)] for a in sources]
     flow, violator = class_flow(caps, room, rows)
     if flow is not None:
-        spans: list = [[] for _ in targets]  # the 1-based target factors of each class, run by run
+        free: list = [[] for _ in targets]  # per target class: [lowest unused factor, how many] per run
         start = 1
         for (_, count), t in zip(h.runs, target_of):
-            spans[t].append(range(start, start + count))
+            free[t].append([start, count])
             start += count
-        free = [chain.from_iterable(ranges) for ranges in spans]  # lowest unused first
+        for spans in free:
+            spans.reverse()  # so pop() drops the class's lowest run once it is used up
         # per source class, its routes from the last target class back, so pop() takes the next one
         routes = [[[t, amount, _edge(a, targets[t])] for t, amount in sorted(out.items(), reverse=True)]
                   for a, out in zip(sources, flow)]
-        witnesses: list = []
-        end = sum(caps)
+        blocks: list = []
+        end = sum(caps)  # the highest source factor not yet assigned
         for (_, count), s in zip(reversed(g.runs), reversed(source_of)):
             route = routes[s]
-            for i in range(end, end - count, -1):
+            while count:
                 t, amount, edge = route[-1]
-                witnesses.append(EdgeWitness(i, next(free[t]), *edge))
-                if amount == 1:
+                span = free[t][-1]
+                k = min(count, amount, span[1])
+                # factors end, end - 1, ... take span[0], span[0] + 1, ...; tuple.__new__
+                # builds the EdgeBlock without its Python-level __new__, a third of the cost
+                blocks.append(tuple.__new__(EdgeBlock, (end - k + 1, span[0] + k - 1, k, *edge)))
+                end -= k
+                count -= k
+                span[0] += k
+                span[1] -= k
+                if not span[1]:
+                    free[t].pop()
+                if amount == k:
                     route.pop()
                 else:
-                    route[-1][1] = amount - 1
-            end -= count
-        witnesses.reverse()
-        return Verdict(True, certificate=tuple(witnesses))
+                    route[-1][1] = amount - k
+        blocks.reverse()
+        return Verdict(True, certificate=Certificate(tuple(blocks)))
     C, NC = violator
     in_C = set(C)
     need = sum(room[t] for t in NC) + 1
     K: list = []
     reach: set = set()
-    start = 0
+    start = 1
     for (_, count), s in zip(g.runs, source_of):
         if s in in_C:
-            K += range(start + 1, start + min(count, need - len(K)) + 1)
+            K.append(range(start, start + min(count, need)))
+            need -= len(K[-1])
             reach.update(rows[s])
-            if len(K) == need:
+            if not need:
                 break
         start += count
     NK: list = []
     start = 1
     for (_, count), t in zip(h.runs, target_of):
         if t in reach:
-            NK += range(start, start + count)
+            NK.append(range(start, start + count))
         start += count
-    return Verdict(False, violator=HallViolator(K=tuple(K), NK=tuple(NK)))
+    return Verdict(False, violator=HallViolator(K=IndexRanges(tuple(K)), NK=IndexRanges(tuple(NK))))
 
 
 def rt_closed_form(c0: int, e0: int, c1: int, e1: int) -> bool:
@@ -252,54 +355,106 @@ def compare(g: GroupExpr, h: GroupExpr) -> ComparisonOutcome:
     return ComparisonOutcome.INCOMPARABLE
 
 
+def _union(spans) -> list | None:
+    """The union of half-open ``(start, stop)`` spans as sorted maximal
+    ``[start, stop]`` spans, or None when two of the spans overlap."""
+    merged: list = []
+    for start, stop in sorted(spans):
+        if merged and start < merged[-1][1]:
+            return None
+        if merged and start == merged[-1][1]:
+            merged[-1][1] = stop
+        else:
+            merged.append([start, stop])
+    return merged
+
+
+def _index_spans(indices) -> list | None:
+    """The spans of ``IndexRanges``, or of a plain sequence of indices read
+    as spans of one; None when a range is empty or not of step 1, or an
+    index is not an int (a bool is none)."""
+    if not isinstance(indices, IndexRanges):
+        return [(i, i + 1) for i in indices] if all(type(i) is int for i in indices) else None
+    spans = []
+    for r in indices.ranges:
+        if type(r) is not range or r.step != 1 or not r:
+            return None
+        spans.append((r.start, r.stop))
+    return spans
+
+
 def verify_certificate(g: GroupExpr, h: GroupExpr, v: Verdict) -> bool:
     """Independent check of a claimed verdict for ``reduces(g, h)``.
 
-    Positive: the edge list must cover every source factor exactly once, hit
-    distinct in-range target factors, and every edge must revalidate against
-    the rule table with its reason and recomputed surplus table.  Negative:
-    N(K) must be exactly the rule-table neighborhood of K, with |N(K)| < |K|.
-    Malformed indices make the certificate invalid rather than raising.
+    Positive: the blocks of a ``Certificate`` (a plain tuple of witnesses
+    is read as blocks of count 1) must have int indices and counts (a bool
+    is none), counts of at least 1, cover every source factor exactly once
+    and hit disjoint in-range target factors.  Each block is split where it
+    crosses a run of ``g`` or ``h``, and every piece must revalidate against
+    the rule table with its reason and recomputed surplus table.  Negative
+    (K and N(K) as ``IndexRanges`` or plain tuples of indices): N(K) must be
+    exactly the rule-table neighborhood of K, with |N(K)| < |K|.  Both cost
+    O(k log k) in the number k of blocks, ranges and runs, not in the
+    factor counts.  Malformed indices make the certificate invalid rather
+    than raising.
     """
     m, n = dimension(g), dimension(h)
     g_ends, h_ends = run_ends(g), run_ends(h)
     if v.reducible:
         if v.certificate is None or v.violator is not None:
             return False
-        if any(not isinstance(i, int) for w in v.certificate for i in (w.left_index, w.right_index)):
+        if isinstance(v.certificate, Certificate):
+            blocks = v.certificate.blocks
+        else:
+            blocks = [(w.left_index, w.right_index, 1, w.reason, w.deficit) for w in v.certificate]
+        lefts, rights = [], []
+        for left, right, count, _, _ in blocks:
+            if type(left) is not int or type(right) is not int or type(count) is not int or count < 1:
+                return False
+            lefts.append((left, left + count))
+            rights.append((right - count + 1, right + 1))
+        if _union(lefts) != ([[1, m + 1]] if m else []):
             return False
-        covered = sorted(w.left_index for w in v.certificate)
-        if covered != list(range(1, m + 1)):
-            return False
-        rights = [w.right_index for w in v.certificate]
-        if len(set(rights)) != len(rights):
+        rights = _union(rights)
+        if rights is None or rights and not (1 <= rights[0][0] and rights[-1][1] <= n + 1):
             return False
         expected: dict = {}  # per pair of atoms: (reason, surplus table), or None off the table
-        for w in v.certificate:
-            if not 1 <= w.right_index <= n:
-                return False
-            a = g.runs[bisect_right(g_ends, w.left_index - 1)][0]
-            b = h.runs[bisect_right(h_ends, w.right_index - 1)][0]
-            if (a, b) not in expected:
-                expected[a, b] = _edge(a, b) if atom_reduces(a, b) else None
-            if (w.reason, w.deficit) != expected[a, b]:
-                return False
+        for left, right, count, reason, deficit in blocks:
+            j = 0
+            while j < count:  # one piece per pair of runs the block crosses
+                r = bisect_right(g_ends, left + j - 1)
+                q = bisect_right(h_ends, right - j - 1)
+                a, b = g.runs[r][0], h.runs[q][0]
+                if (a, b) not in expected:
+                    expected[a, b] = _edge(a, b) if atom_reduces(a, b) else None
+                if (reason, deficit) != expected[a, b]:
+                    return False
+                # the piece ends where the source factor leaves run r or the target factor run q
+                j += min(g_ends[r] - (left + j) + 1, right - j - (h_ends[q - 1] if q else 0))
         return True
     if v.violator is None or v.certificate is not None:
         return False
-    K = v.violator.K
-    if not K or len(set(K)) != len(K):
+    K, NK = _index_spans(v.violator.K), _index_spans(v.violator.NK)
+    if K is None or NK is None:
         return False
-    if any(not isinstance(i, int) or not 1 <= i <= m for i in K):
+    K = _union(K)
+    if not K or K[0][0] < 1 or K[-1][1] > m + 1:
         return False
-    # the distinct atoms of K, each tested once per run of h
-    sources = list(dict.fromkeys(g.runs[r][0] for r in sorted({bisect_right(g_ends, i - 1) for i in K})))
-    neighborhood = []
-    start = 0
+    # the distinct atoms of the runs that K meets, each tested once per run of h
+    sources = list(dict.fromkeys(
+        g.runs[r][0]
+        for start, stop in K
+        for r in range(bisect_right(g_ends, start - 1), bisect_right(g_ends, stop - 2) + 1)
+    ))
+    neighborhood: list = []  # as sorted maximal spans, like _union's
+    start = 1
     for b, count in h.runs:
         if any(atom_reduces(a, b) for a in sources):
-            neighborhood.extend(range(start + 1, start + count + 1))
+            if neighborhood and neighborhood[-1][1] == start:
+                neighborhood[-1][1] += count
+            else:
+                neighborhood.append([start, start + count])
         start += count
-    if neighborhood != sorted(v.violator.NK):
+    if _union(NK) != neighborhood:
         return False
-    return len(v.violator.NK) < len(K)
+    return sum(stop - start for start, stop in neighborhood) < sum(stop - start for start, stop in K)

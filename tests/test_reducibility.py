@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -23,10 +25,15 @@ from borelcmp.groups import (
     solenoid,
 )
 from borelcmp.literals import parse_group, render_dual, render_group
+from borelcmp.matching import class_flow
 from borelcmp.reducibility import (
+    Certificate,
     ComparisonOutcome,
+    EdgeBlock,
     EdgeReason,
+    EdgeWitness,
     HallViolator,
+    IndexRanges,
     Verdict,
     atom_reduces,
     compare,
@@ -150,13 +157,28 @@ def test_rt_closed_form_examples():
         ("R^1000 x T", "T^1000"),
         ("T^100000", "T^100000"),
         ("R^50000 x T^50000", "T^50000 x R^50000"),
+        ("T^10000000", "T^10000000"),
+        ("R^5000000 x T^5000000", "T^5000000 x R^5000000"),
+        ("T^10000000", "T^9999999"),  # T^10000001 is past the factor cap
     ],
 )
 def test_large_products_need_no_recursion(g_text, h_text):
     g, h = parse_group(g_text), parse_group(h_text)
-    verdict = reduces(g, h)
-    assert verdict.reducible == (g_text != "R^1000 x T")
-    assert verify_certificate(g, h, verdict)
+    tracemalloc.start()
+    try:
+        verdict = reduces(g, h)
+        verified = verify_certificate(g, h, verdict)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.reducible == (dimension(g) <= dimension(h))  # no source has more T factors than its target
+    assert verified
+    # run form: neither the certificate nor the violator holds one entry per factor
+    assert peak < 2**20
+    if verdict.reducible:
+        assert len(verdict.certificate) == dimension(g)
+    else:
+        assert len(verdict.violator.K) == dimension(h) + 1
 
 
 def test_negative_verification_evaluates_one_row_per_distinct_source_atom(monkeypatch):
@@ -183,7 +205,7 @@ def test_tampered_violators_are_rejected(g_text, h_text):
     g, h = parse_group(g_text), parse_group(h_text)
     verdict = reduces(g, h)
     assert verify_certificate(g, h, verdict)
-    K, NK = verdict.violator.K, verdict.violator.NK
+    K, NK = tuple(verdict.violator.K), tuple(verdict.violator.NK)
     outside = next(j for j in range(1, len(h.factors) + 2) if j not in NK)
     for bad in (
         HallViolator(K, tuple(sorted(NK + (outside,)))),  # one index added to N(K)
@@ -197,6 +219,9 @@ def test_fractional_violator_indices_are_rejected():
     g, h = parse_group("R^2"), parse_group("T")
     assert reduces(g, h).violator == HallViolator((1, 2), (1,))
     assert not verify_certificate(g, h, Verdict(False, violator=HallViolator((1, 1.5), (1,))))
+    # factor 1 alone, as a range of step 5 that spans 1..2; a pair that is no range
+    for K in (IndexRanges((range(1, 3, 5),)), IndexRanges(((1, 3),))):
+        assert not verify_certificate(g, h, Verdict(False, violator=HallViolator(K, (1,)))), K
 
 
 def test_fractional_certificate_indices_are_rejected():
@@ -279,7 +304,7 @@ def _tampered_variants(g, h, verdict: Verdict):
             forged = dataclasses.replace(first, deficit=first.deficit + ((2, 1),))
             yield Verdict(True, certificate=tuple([forged] + witnesses[1:]))
     if not verdict.reducible and verdict.violator is not None:
-        K, NK = verdict.violator.K, verdict.violator.NK
+        K, NK = tuple(verdict.violator.K), tuple(verdict.violator.NK)
         # shrink the neighborhood claim
         if NK:
             yield Verdict(False, violator=HallViolator(K, NK[:-1]))
@@ -321,9 +346,73 @@ def test_certificate_cross_claims_rejected():
     assert not verify_certificate(
         g, h, Verdict(True, certificate=verdict.certificate, violator=HallViolator((1,), ()))
     )
+    # True == 1, but a bool is no factor index
+    witness = verdict.certificate[0]
+    for forged in (dataclasses.replace(witness, left_index=True), dataclasses.replace(witness, right_index=True)):
+        assert not verify_certificate(g, h, Verdict(True, certificate=(forged,))), forged
+    for target in ("R", "1"):
+        assert reduces(g, parse_group(target)).violator == HallViolator((1,), ())
+        forged = Verdict(False, violator=HallViolator((True,), ()))
+        assert not verify_certificate(g, parse_group(target), forged), target
+    # forged blocks of R x T -> T^2, whose certificate is the first two blocks
+    R_ANY, T_T = EdgeReason.RULE_R_ANY, EdgeReason.RULE_T_T
+    assert reduces(parse_group("R x T"), parse_group("T^2")).certificate.blocks == (
+        (1, 2, 1, R_ANY, ()), (2, 1, 1, T_T, ()))
+    for g_text, h_text, blocks in (
+        ("R x T", "T^2", ((1, 2, 1, R_ANY), (2, 1, 1, T_T), (2, 1, 1, T_T))),  # overlapping
+        # counts: a block of 0 that covers nothing on either side, a negative one,
+        # and a float and a bool that equal the valid count 1
+        ("R x T", "T^2", ((1, 2, 1, R_ANY), (2, 1, 1, T_T), (3, 2, 0, T_T))),
+        ("R x T", "T^2", ((1, 2, -1, R_ANY), (2, 1, 1, T_T))),
+        ("R x T", "T^2", ((1, 2, 1.0, R_ANY), (2, 1, 1, T_T))),
+        ("R x T", "T^2", ((1, 2, True, R_ANY), (2, 1, 1, T_T))),
+        # a block past m on the left, and below 1 or past n on the right
+        ("T", "T^2", ((1, 2, 2, T_T),)),
+        ("T^2", "T^2", ((1, 1, 2, T_T),)),
+        ("T^2", "T^2", ((1, 3, 2, T_T),)),
+        # one block across the R and the T run, with R's reason for both
+        ("R x T", "T^2", ((1, 2, 2, R_ANY),)),
+    ):
+        forged = Verdict(True, certificate=Certificate(tuple(EdgeBlock(*block) for block in blocks)))
+        assert not verify_certificate(parse_group(g_text), parse_group(h_text), forged), blocks
+
 
 
 # -- classes against the per-factor engine ------------------------------------
+
+def _per_factor_certificate(g, h):
+    """The canonical rule of ``reduces``, one witness per source factor: the
+    source factors are taken from last to first, and each takes the lowest
+    unused target factor of the next target class that the class flow of
+    its class still routes to."""
+    sources, caps, source_of = reducibility._classes(g.runs)
+    targets, room, target_of = reducibility._classes(h.runs)
+    rows = [[t for t, b in enumerate(targets) if atom_reduces(a, b)] for a in sources]
+    flow, _ = class_flow(caps, room, rows)
+    spans: list = [[] for _ in targets]  # the 1-based target factors of each class, run by run
+    start = 1
+    for (_, count), t in zip(h.runs, target_of):
+        spans[t].append(range(start, start + count))
+        start += count
+    free = [chain.from_iterable(ranges) for ranges in spans]  # lowest unused first
+    # per source class, its routes from the last target class back, so pop() takes the next one
+    routes = [[[t, amount, reducibility._edge(a, targets[t])] for t, amount in sorted(out.items(), reverse=True)]
+              for a, out in zip(sources, flow)]
+    witnesses: list = []
+    end = sum(caps)
+    for (_, count), s in zip(reversed(g.runs), reversed(source_of)):
+        route = routes[s]
+        for i in range(end, end - count, -1):
+            t, amount, edge = route[-1]
+            witnesses.append(EdgeWitness(i, next(free[t]), *edge))
+            if amount == 1:
+                route.pop()
+            else:
+                route[-1][1] = amount - 1
+        end -= count
+    witnesses.reverse()
+    return tuple(witnesses)
+
 
 def _per_factor_outcome(g, h):
     """The verdict and violator rule of ``reduces``, computed one factor at a
@@ -363,6 +452,12 @@ def test_runs_give_the_per_factor_verdict():
         verdict = reduces(g, h)
         assert (verdict.reducible, verdict.violator) == _per_factor_outcome(g, h)
         assert verify_certificate(g, h, verdict)
+        if verdict.reducible:
+            witnesses = tuple(verdict.certificate)
+            assert witnesses == _per_factor_certificate(g, h)
+            assert len(verdict.certificate) == len(witnesses)
+            if witnesses:
+                assert (verdict.certificate[0], verdict.certificate[-1]) == (witnesses[0], witnesses[-1])
         if compact:
             assert dual_reduces(g, h) == verdict.reducible
         outcomes[verdict.reducible] += 1
