@@ -219,12 +219,13 @@ def _reduce(command: Command):
     verdict = reduces(command.g, command.h)
     diagnostics = []
     if verdict.reducible:
-        for w in verdict.certificate:
-            line = f"{w.left_index} -> {w.right_index} ({w.reason.value.removeprefix('RULE_')})"
-            if command.show_certificate and w.reason is EdgeReason.RULE_SOL_SOL:
-                pairs = ", ".join(f"{g}^{d}" for g, d in w.deficit) or "none"
-                line += f" [surplus: {pairs}; total {w.total_deficit}]"
-            diagnostics.append(line)
+        # one line per edge, rendered from the blocks without a witness per edge
+        for left, right, count, reason, deficit in verdict.certificate.blocks:
+            tail = f" ({reason.value.removeprefix('RULE_')})"
+            if command.show_certificate and reason is EdgeReason.RULE_SOL_SOL:
+                pairs = ", ".join(f"{g}^{d}" for g, d in deficit) or "none"
+                tail += f" [surplus: {pairs}; total {sum(d for _, d in deficit)}]"
+            diagnostics += [f"{left + j} -> {right - j}{tail}" for j in range(count)]
     else:
         diagnostics.append(
             f"violator K={{{', '.join(map(str, verdict.violator.K))}}} "
@@ -233,7 +234,8 @@ def _reduce(command: Command):
     code = EXIT_FALSE_VERDICT if command.exit_verdict and not verdict.reducible else EXIT_OK
     fields = {
         "verdict": verdict.reducible,
-        "certificate": certificate_payload(verdict),
+        # only the JSON form prints the certificate
+        "certificate": certificate_payload(verdict) if command.json_output else None,
         "diagnostics": tuple(diagnostics),
     }
     return fields, code

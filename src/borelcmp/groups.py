@@ -21,13 +21,13 @@ products, which carry structure, have node types of their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, repeat, starmap
 from operator import itemgetter
 from typing import Mapping, Union
 
+from ._value import Value
 from .errors import DomainError, checked_natural
 from .supernatural import (
     OMEGA,
@@ -62,25 +62,34 @@ class AtomKind(Enum):
     SOLENOID = "SOL"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Value):
     """One factor: the real line, the circle group, or a solenoid whose
     isomorphism type is carried by a prime-multiplicity profile."""
 
-    kind: AtomKind
-    profile: SupernaturalProfile | None = None
+    __slots__ = _fields = ("kind", "profile")
 
-    def __post_init__(self):
-        if self.kind is AtomKind.SOLENOID:
-            if not isinstance(self.profile, SupernaturalProfile):
+    def __init__(self, kind: AtomKind, profile: SupernaturalProfile | None = None):
+        if kind is AtomKind.SOLENOID:
+            if not isinstance(profile, SupernaturalProfile):
                 raise DomainError("solenoid atom requires a profile")
-            if not self.profile.has_infinite_total:
+            if not profile.has_infinite_total:
                 raise DomainError(
-                    f"profile {self.profile} has finite total multiplicity; a solenoid "
+                    f"profile {profile} has finite total multiplicity; a solenoid "
                     "needs an infinite prime sequence behind it"
                 )
-        elif self.profile is not None:
-            raise DomainError(f"{self.kind.value} atom carries no profile")
+        elif profile is not None:
+            raise DomainError(f"{kind.value} atom carries no profile")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "profile", profile)
+
+    @classmethod
+    def _of_profile(cls, profile: SupernaturalProfile) -> "Atom":
+        """A solenoid atom whose profile is known to have infinite total
+        multiplicity, built without checking it again."""
+        atom = object.__new__(cls)
+        object.__setattr__(atom, "kind", AtomKind.SOLENOID)
+        object.__setattr__(atom, "profile", profile)
+        return atom
 
     def __str__(self):
         if self.kind is AtomKind.SOLENOID:
@@ -128,17 +137,17 @@ def _power(runs: tuple, exponent: int) -> tuple:
     return runs[:-1] + seam * (exponent - 1) + runs[-1:]
 
 
-@dataclass(frozen=True)
-class GroupExpr:
+class GroupExpr(Value):
     """Normalized product as canonical runs: ``(atom, count)`` pairs with
     adjacent atoms distinct and counts positive (empty = trivial).  The
     constructor merges adjacent equal atoms and drops zero counts, so equal
-    products are equal values with equal hashes."""
+    products are equal values with equal hashes.  An instance keeps a
+    ``__dict__`` for the cached ``factors``."""
 
-    runs: tuple = ()
+    _fields = ("runs",)
 
-    def __post_init__(self):
-        runs = tuple(self.runs)
+    def __init__(self, runs: tuple = ()):
+        runs = tuple(runs)
         for run in runs:
             if not (isinstance(run, tuple) and len(run) == 2):
                 raise DomainError(f"group run must be an (atom, count) pair, got {run!r}")
@@ -207,18 +216,20 @@ def run_ends(g: GroupExpr) -> list:
 
 # Raw parse trees, as produced by the literal parser.
 
-@dataclass(frozen=True)
-class RawPower:
-    base: "RawNode"
-    exponent: int
+class RawPower(Value):
+    __slots__ = _fields = ("base", "exponent")
 
-    def __post_init__(self):
-        checked_natural(self.exponent, "group exponent must be nonnegative")
+    def __init__(self, base: RawNode, exponent: int):
+        checked_natural(exponent, "group exponent must be nonnegative")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class RawProduct:
-    parts: tuple
+class RawProduct(Value):
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple):
+        object.__setattr__(self, "parts", parts)
 
 
 RawNode = Union[Atom, IntSeqSpec, RawPower, RawProduct, GroupExpr]
@@ -246,7 +257,7 @@ def _expand(node: RawNode) -> tuple:
     if isinstance(node, Atom):
         return ((node, 1),)
     if isinstance(node, IntSeqSpec):
-        return ((Atom(AtomKind.SOLENOID, profile_from_sequence(factor_sequence(node))), 1),)
+        return ((Atom._of_profile(profile_from_sequence(factor_sequence(node))), 1),)
     if isinstance(node, RawPower):
         return _power(_expand(node.base), node.exponent)
     if isinstance(node, RawProduct):

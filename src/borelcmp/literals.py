@@ -42,7 +42,6 @@ from .groups import (
     TORUS,
     TRIVIAL_GROUP,
     Atom,
-    AtomKind,
     GroupExpr,
     RawNode,
     RawPower,
@@ -248,7 +247,7 @@ def _parse_atom(p: _Parser) -> RawNode:
     if simple is not None:
         return simple
     if token == "Sol":
-        return Atom(AtomKind.SOLENOID, _parse_profile(p))
+        return Atom._of_profile(_parse_profile(p))  # the profile parser checked its total
     if token == "S":
         return _parse_sequence(p)
     if token == "(":

@@ -40,6 +40,7 @@ from itertools import accumulate, chain
 from operator import index
 from typing import NamedTuple
 
+from ._value import Value
 from .errors import DomainError, checked_natural
 from .groups import REAL, TORUS, Atom, AtomKind, GroupExpr, dimension, run_ends, solenoid
 from .matching import class_flow
@@ -71,18 +72,20 @@ class EdgeReason(Enum):
     RULE_SOL_SOL = "RULE_SOL_SOL"  # solenoid into solenoid, via profile embedding
 
 
-@dataclass(frozen=True)
-class EdgeWitness:
+class EdgeWitness(Value):
     """One certificate edge: source factor ``left_index`` maps to target
     factor ``right_index`` (both 1-based) for the stated reason.  For
     solenoid/solenoid edges, ``deficit`` is the per-prime surplus of the
     target profile over the source profile; its total is finite by validity.
     """
 
-    left_index: int
-    right_index: int
-    reason: EdgeReason
-    deficit: tuple = ()
+    __slots__ = _fields = ("left_index", "right_index", "reason", "deficit")
+
+    def __init__(self, left_index: int, right_index: int, reason: EdgeReason, deficit: tuple = ()):
+        object.__setattr__(self, "left_index", left_index)
+        object.__setattr__(self, "right_index", right_index)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "deficit", deficit)
 
     @property
     def total_deficit(self) -> int:
@@ -100,13 +103,16 @@ class EdgeBlock(NamedTuple):
     deficit: tuple = ()
 
 
-@dataclass(frozen=True)
-class Certificate(Sequence):
+class Certificate(Value, Sequence):
     """A positive certificate as a tuple of ``EdgeBlock``s.  As a sequence it
     is the ``EdgeWitness`` of every edge, block by block: ``len`` costs
-    O(1) and an index O(log blocks).  Equal when the blocks are equal."""
+    O(1) and an index O(log blocks).  Equal when the blocks are equal.  An
+    instance keeps a ``__dict__`` for the cached block ends."""
 
-    blocks: tuple
+    _fields = ("blocks",)
+
+    def __init__(self, blocks: tuple):
+        object.__setattr__(self, "blocks", blocks)
 
     @cached_property
     def _ends(self) -> list:
@@ -128,14 +134,16 @@ class Certificate(Sequence):
                 yield EdgeWitness(left + j, right - j, reason, deficit)
 
 
-@dataclass(frozen=True, eq=False)
-class IndexRanges(Sequence):
+class IndexRanges(Value, Sequence):
     """Ascending 1-based factor indices as a tuple of ``range``s of step 1.
     As a sequence it is the indices, at a cost of one step per range; it
     equals a tuple of the same indices, and hashes like one, so
     ``violator.K == (1, 2)`` still holds."""
 
-    ranges: tuple
+    __slots__ = _fields = ("ranges",)
+
+    def __init__(self, ranges: tuple):
+        object.__setattr__(self, "ranges", ranges)
 
     def __len__(self):
         return sum(map(len, self.ranges))
@@ -159,17 +167,23 @@ class IndexRanges(Sequence):
         return hash(tuple(self))
 
 
-@dataclass(frozen=True)
-class HallViolator:
+class HallViolator(Value):
     """Refutation: left factor set K (1-based indices) whose full
     neighborhood N(K) under the rule table is strictly smaller.  ``reduces``
     gives both as ``IndexRanges``; ``verify_certificate`` also reads plain
     tuples of indices."""
 
-    K: Sequence
-    NK: Sequence
+    __slots__ = _fields = ("K", "NK")
+
+    def __init__(self, K: Sequence, NK: Sequence):
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "NK", NK)
 
 
+# The one dataclass left on the import path: ``bench/selfcheck.py`` flips a
+# verdict with ``dataclasses.replace``, which needs one.  Once the benchmark
+# builds the flipped verdict with the constructor, ``Verdict`` can be a
+# ``Value`` too, and ``import borelcmp`` no longer loads ``dataclasses``.
 @dataclass(frozen=True)
 class Verdict:
     """``certificate`` is a ``Certificate`` from ``reduces``;

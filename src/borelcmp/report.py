@@ -19,9 +19,9 @@ deterministic: no timestamps, fixed ordering everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from ._value import Value
 from .reducibility import Verdict
 from .supernatural import OMEGA
 
@@ -30,14 +30,24 @@ def _mult_json(m) -> Union[int, str]:
     return "w" if m is OMEGA else m
 
 
-@dataclass(frozen=True)
-class Report:
-    verb: str
-    inputs: tuple
-    verdict: Union[bool, str]
-    certificate: dict | None = None
-    diagnostics: tuple = ()
-    format: str = "text"  # presentation only; not part of the JSON payload
+class Report(Value):
+    __slots__ = _fields = ("verb", "inputs", "verdict", "certificate", "diagnostics", "format")
+
+    def __init__(
+        self,
+        verb: str,
+        inputs: tuple,
+        verdict: Union[bool, str],
+        certificate: dict | None = None,
+        diagnostics: tuple = (),
+        format: str = "text",  # presentation only; not part of the JSON payload
+    ):
+        object.__setattr__(self, "verb", verb)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "diagnostics", diagnostics)
+        object.__setattr__(self, "format", format)
 
     def to_dict(self) -> dict:
         payload = {

@@ -21,11 +21,11 @@ independent finite-scale check of exactly this argument.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, cycle, filterfalse, islice, repeat
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
+from ._value import Value
 from .errors import DomainError, checked_natural
 from .primes import factorint, isprime, primes_after
 
@@ -115,8 +115,7 @@ def _check_prime(gamma) -> int:
     return gamma
 
 
-@dataclass(frozen=True)
-class SupernaturalProfile:
+class SupernaturalProfile(Value):
     """Multiplicity function on primes: finite exceptions over a 0/OMEGA default.
 
     ``exceptions`` may be given as a mapping or as (prime, multiplicity)
@@ -135,15 +134,13 @@ class SupernaturalProfile:
     literal parsing, canonical sequences) check ``has_infinite_total``.
     """
 
-    exceptions: tuple = ()
-    default: Mult = 0
+    __slots__ = _fields = ("exceptions", "default")
 
-    def __post_init__(self):
-        default = _check_mult(self.default)
+    def __init__(self, exceptions=(), default: Mult = 0):
+        default = _check_mult(default)
         if default is not OMEGA and default != 0:
             raise DomainError(f"profile default must be 0 or OMEGA, got {default!r}")
-        raw = self.exceptions
-        items = raw.items() if isinstance(raw, Mapping) else raw
+        items = exceptions.items() if isinstance(exceptions, Mapping) else exceptions
         seen = {}
         for gamma, value in items:
             gamma = _check_prime(gamma)
@@ -224,8 +221,7 @@ def minimal_period(word: tuple) -> tuple:
     return word
 
 
-@dataclass(frozen=True)
-class IntSeqSpec:
+class IntSeqSpec(Value):
     """Ultimately periodic infinite sequence of integers > 1.
 
     Represents ``prefix`` followed by ``tail`` repeated forever.  The tail
@@ -233,12 +229,11 @@ class IntSeqSpec:
     denote the same object.
     """
 
-    prefix: tuple = ()
-    tail: tuple = ()
+    __slots__ = _fields = ("prefix", "tail")
 
-    def __post_init__(self):
-        prefix = _validated_word(self.prefix, 1, type(self).__name__)
-        tail = _validated_word(self.tail, 1, type(self).__name__)
+    def __init__(self, prefix: tuple = (), tail: tuple = ()):
+        prefix = _validated_word(prefix, 1, type(self).__name__)
+        tail = _validated_word(tail, 1, type(self).__name__)
         if not tail:
             raise DomainError("sequence tail must be nonempty (the sequence is infinite)")
         object.__setattr__(self, "prefix", prefix)
@@ -255,12 +250,13 @@ class IntSeqSpec:
         return tuple(self.term(i) for i in range(n))
 
 
-@dataclass(frozen=True)
 class SeqSpec(IntSeqSpec):
     """An :class:`IntSeqSpec` whose entries are all prime."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, prefix: tuple = (), tail: tuple = ()):
+        super().__init__(prefix, tail)
         # each distinct entry once, in order, so the error names the first bad one
         for entry in dict.fromkeys(self.prefix + self.tail):
             if not isprime(entry):
@@ -271,9 +267,7 @@ class SeqSpec(IntSeqSpec):
         """A sequence whose entries are known prime, checked as an
         :class:`IntSeqSpec` only."""
         s = object.__new__(cls)
-        object.__setattr__(s, "prefix", prefix)
-        object.__setattr__(s, "tail", tail)
-        IntSeqSpec.__post_init__(s)
+        IntSeqSpec.__init__(s, prefix, tail)
         return s
 
 

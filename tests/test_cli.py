@@ -27,7 +27,8 @@ from borelcmp.cli import (
     run,
 )
 from borelcmp.groups import REAL, TORUS, group, solenoid
-from borelcmp.literals import MAX_SET_FROM, MAX_SET_LISTED, MAX_SET_PERIOD
+from borelcmp.literals import MAX_SET_FROM, MAX_SET_LISTED, MAX_SET_PERIOD, render_group
+from borelcmp.reducibility import EdgeReason, reduces
 from borelcmp.report import Report
 from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
@@ -106,14 +107,48 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_reduce_report_content():
-    report, _ = run_argv(["reduce", "R^2 x T", "T^3"])
+    report, _ = run_argv(["reduce", "R^2 x T", "T^3", "--json"])
     assert report.verdict is True
     assert report.certificate is not None and "edges" in report.certificate
     covered = sorted(edge["left"] for edge in report.certificate["edges"])
     assert covered == [1, 2, 3]
-    report, _ = run_argv(["reduce", "Sol{2:w} x Sol{3:w}", "Sol{2:w,3:w} x T"])
+    report, _ = run_argv(["reduce", "Sol{2:w} x Sol{3:w}", "Sol{2:w,3:w} x T", "--json"])
     assert report.verdict is False
     assert report.certificate == {"violator": {"K": [1, 2], "NK": [2]}}
+    # text output never prints the certificate, so the text run builds none
+    for g, h in (("R^2 x T", "T^3"), ("Sol{2:w} x Sol{3:w}", "Sol{2:w,3:w} x T")):
+        report, _ = run_argv(["reduce", g, h])
+        assert report.certificate is None and report.diagnostics
+
+
+def _witness_lines(verdict) -> tuple:
+    """The text lines of a positive ``reduce --certificate``, one per
+    ``EdgeWitness`` of the certificate."""
+    lines = []
+    for w in verdict.certificate:
+        line = f"{w.left_index} -> {w.right_index} ({w.reason.value.removeprefix('RULE_')})"
+        if w.reason is EdgeReason.RULE_SOL_SOL:
+            pairs = ", ".join(f"{g}^{d}" for g, d in w.deficit) or "none"
+            line += f" [surplus: {pairs}; total {w.total_deficit}]"
+        lines.append(line)
+    return tuple(lines)
+
+
+def test_reduce_text_lines_are_the_certificate_edges(rng):
+    """The text form renders straight from the blocks, line for line what
+    the certificate's witnesses give."""
+    report, _ = run_argv(["reduce", "Sol{2:5,3:w,5:1} x T^2", "T x Sol{2:9,3:w,5:3} x T", "--certificate"])
+    assert report.diagnostics == (
+        "1 -> 2 (SOL_SOL) [surplus: 2^4, 5^2; total 6]", "2 -> 3 (T_T)", "3 -> 1 (T_T)")
+    positive = 0
+    for _ in range(300):
+        g, h = selftest.random_expr(rng, 5), selftest.random_expr(rng, 5)
+        verdict = reduces(g, h)
+        if verdict.reducible:
+            positive += 1
+            argv = ["reduce", render_group(g), render_group(h), "--certificate"]
+            assert run_argv(argv)[0].diagnostics == _witness_lines(verdict), argv
+    assert positive > 50
 
 
 def test_compare_and_dim_and_normalize():

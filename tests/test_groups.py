@@ -192,10 +192,31 @@ def test_trusted_runs_are_canonical(rng):
             assert checked == expr and hash(checked) == hash(expr)
 
 
+def test_parsed_solenoid_profiles_are_checked_once(monkeypatch):
+    """The profile parser checks a solenoid's infinite total; the atom does
+    not check it again, and neither does an ``S[...]`` literal's atom."""
+    checks = []
+    has_infinite_total = SupernaturalProfile.has_infinite_total
+
+    def counted(profile):
+        checks.append(profile)
+        return has_infinite_total.fget(profile)
+
+    monkeypatch.setattr(SupernaturalProfile, "has_infinite_total", property(counted))
+    g = parse_group("Sol{2:w, 3:5} x Sol{7:w}^2 x T")
+    assert len(checks) == 2 and str(g) == "Sol{2:w, 3:5} x Sol{7:w}^2 x T"
+    checks.clear()
+    assert str(parse_group("S[4,6,8|9] x S[|7]")) == "Sol{2:6, 3:w} x Sol{7:w}"
+    assert checks == []
+    with pytest.raises(DomainError, match="finite total"):  # the checking constructor still checks
+        Atom(AtomKind.SOLENOID, SupernaturalProfile({2: 3}))
+    assert len(checks) == 1
+
+
 def test_parsed_powers_are_not_checked_again(monkeypatch):
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("runs checked again")
 
-    monkeypatch.setattr(GroupExpr, "__post_init__", refuse)
+    monkeypatch.setattr(GroupExpr, "__init__", refuse)  # the checking constructor
     g = parse_group("(T x Sol{2:w})^500000")
     assert len(g.runs) == 10**6 and dimension(g) == 10**6

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -232,7 +231,7 @@ def test_fractional_certificate_indices_are_rejected():
         ((1, 1), (2, 1.5), (3, 2)),  # distinct in-range right indices, all in the T run
         ((1, 1), (1.5, 2), (3, 2.5)),
     ):
-        forged = tuple(dataclasses.replace(witness, left_index=i, right_index=j) for i, j in pairs)
+        forged = tuple(EdgeWitness(i, j, witness.reason, witness.deficit) for i, j in pairs)
         assert not verify_certificate(g, h, Verdict(True, certificate=forged)), pairs
 
 
@@ -286,22 +285,23 @@ def _tampered_variants(g, h, verdict: Verdict):
         first = witnesses[0]
         if len(witnesses) > 1:
             # map two source factors to one target
-            clash = dataclasses.replace(witnesses[1], right_index=first.right_index)
+            second = witnesses[1]
+            clash = EdgeWitness(second.left_index, first.right_index, second.reason, second.deficit)
             yield Verdict(True, certificate=tuple([first, clash] + witnesses[2:]))
         # out-of-range target
         yield Verdict(True, certificate=tuple(
-            [dataclasses.replace(first, right_index=10_000)] + witnesses[1:]
+            [EdgeWitness(first.left_index, 10_000, first.reason, first.deficit)] + witnesses[1:]
         ))
         # drop coverage of a source factor
         yield Verdict(True, certificate=tuple(witnesses[1:]))
         # lie about the reason
         wrong = EdgeReason.RULE_T_T if first.reason is not EdgeReason.RULE_T_T else EdgeReason.RULE_SOL_T
         yield Verdict(True, certificate=tuple(
-            [dataclasses.replace(first, reason=wrong)] + witnesses[1:]
+            [EdgeWitness(first.left_index, first.right_index, wrong, first.deficit)] + witnesses[1:]
         ))
         if first.reason is EdgeReason.RULE_SOL_SOL:
             # corrupt the surplus table
-            forged = dataclasses.replace(first, deficit=first.deficit + ((2, 1),))
+            forged = EdgeWitness(first.left_index, first.right_index, first.reason, first.deficit + ((2, 1),))
             yield Verdict(True, certificate=tuple([forged] + witnesses[1:]))
     if not verdict.reducible and verdict.violator is not None:
         K, NK = tuple(verdict.violator.K), tuple(verdict.violator.NK)
@@ -348,7 +348,8 @@ def test_certificate_cross_claims_rejected():
     )
     # True == 1, but a bool is no factor index
     witness = verdict.certificate[0]
-    for forged in (dataclasses.replace(witness, left_index=True), dataclasses.replace(witness, right_index=True)):
+    for forged in (EdgeWitness(True, witness.right_index, witness.reason, witness.deficit),
+                   EdgeWitness(witness.left_index, True, witness.reason, witness.deficit)):
         assert not verify_certificate(g, h, Verdict(True, certificate=(forged,))), forged
     for target in ("R", "1"):
         assert reduces(g, parse_group(target)).violator == HallViolator((1,), ())

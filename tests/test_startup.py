@@ -21,14 +21,20 @@ LAZY = ("borelcmp.duality", "borelcmp.posetlab", "borelcmp.selftest", "json")
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
 
-def _lazy_loaded_after(code: str) -> list:
-    """The modules of LAZY that a fresh interpreter, started without the site
-    module, has imported after running ``code``."""
-    report = f"\nimport sys; print(*sorted(m for m in {LAZY!r} if m in sys.modules))"
+def _last_line(code: str) -> str:
+    """The last line that ``code`` prints in a fresh interpreter started
+    without the site module."""
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(borelcmp.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-S", "-c", code + report],
+    done = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, check=True, env=env)
-    return done.stdout.splitlines()[-1].split()
+    return done.stdout.splitlines()[-1]
+
+
+def _lazy_loaded_after(code: str) -> list:
+    """The modules of LAZY that a fresh interpreter has imported after
+    running ``code``."""
+    report = f"\nimport sys; print(*sorted(m for m in {LAZY!r} if m in sys.modules))"
+    return _last_line(code + report).split()
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -73,3 +79,16 @@ def test_an_unknown_attribute_is_an_attribute_error():
 def test_cli_forwards_the_traced_poset_lab_names():
     for name in ("member_crosscheck", "member_sequence", "chain_demo"):
         assert getattr(cli, name) is getattr(borelcmp.posetlab, name)
+
+
+def test_verdict_is_the_only_dataclass_on_the_cli_path():
+    """A dataclass compiles its methods when its class is created, on every
+    start-up; the value types are plain classes."""
+    code = (
+        "import dataclasses, sys\n"
+        "import borelcmp.cli\n"
+        "print(*sorted({f'{v.__module__}.{v.__qualname__}'\n"
+        "               for name, m in list(sys.modules.items()) if name.partition('.')[0] == 'borelcmp'\n"
+        "               for v in vars(m).values() if isinstance(v, type) and dataclasses.is_dataclass(v)}))"
+    )
+    assert _last_line(code).split() == ["borelcmp.reducibility.Verdict"]
