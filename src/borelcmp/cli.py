@@ -46,16 +46,7 @@ from .literals import (
 )
 from .reducibility import EdgeReason, compare, reduces
 from .report import Report, certificate_payload
-from .supernatural import (
-    canonical_sequence,
-    deficit,
-    multiplicity,
-    oracle_drop_bound,
-    oracle_injection,
-    preceq,
-    refutation_witness,
-    sufficient_prefix_length,
-)
+from .supernatural import deficit, multiplicity, oracle_replay, preceq, refutation_witness
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -272,25 +263,25 @@ def _preceq(command: Command):
         witness = refutation_witness(q, p)
         supply = multiplicity(p, witness)
         diagnostics.append(f"witness prime {witness}: multiplicity w in q exceeds {supply} in p")
-    window = command.oracle_window
-    if window is not None and holds:
-        drop = oracle_drop_bound(q, p)
-        sample = canonical_sequence(q, drop + window)[drop:]
-        prefix_len = sufficient_prefix_length(p, sample)
-        ok = oracle_injection(sample, canonical_sequence(p, prefix_len))
-        diagnostics.append(
-            f"oracle: window of {window} terms after drop {drop} embeds in a "
-            f"prefix of {prefix_len} terms: {ok}"
-        )
-    elif window is not None:
-        needed = supply + 1
-        terms = canonical_sequence(q, sufficient_prefix_length(q, [witness] * needed))
-        probe = canonical_sequence(p, 4 * len(terms) + 64)
-        ok = oracle_injection(terms, probe)
-        diagnostics.append(
-            f"oracle: window with {needed} occurrences of {witness} fails to embed: {not ok}"
-        )
+    if command.oracle_window is not None:
+        diagnostics.append(_oracle_line(oracle_replay(q, p, command.oracle_window)))
     return {"verdict": holds, "diagnostics": tuple(diagnostics)}, EXIT_OK
+
+
+def _oracle_line(replay) -> str:
+    """The report line of a replay, for ``preceq`` and ``family-compare``."""
+    if replay.needs_window is not None:
+        return f"oracle: INCONCLUSIVE (needs window {replay.needs_window})"
+    if replay.witness is not None:
+        return (
+            f"oracle: window with {replay.needed} occurrences of {replay.witness} "
+            f"fails to embed: {replay.prefix is None}"
+        )
+    into = "no prefix" if replay.prefix is None else f"a prefix of {replay.prefix} terms"
+    return (
+        f"oracle: window of {replay.end - replay.drop} terms after drop {replay.drop} "
+        f"embeds in {into}: {replay.prefix is not None}"
+    )
 
 
 def _family_new(command: Command):
@@ -320,12 +311,16 @@ def _family_compare(command: Command):
         return {"verdict": verdict}, EXIT_OK
     report = posetlab.member_crosscheck(m_a, m_b, command.crosscheck)
     surplus = ", ".join(map(str, report.surplus_primes)) or "none"
+    if not report.consistent:
+        status = "INCONSISTENT: " + "; ".join(report.notes)
+    elif report.replay.needs_window is not None:
+        status = f"INCONCLUSIVE (needs window {report.replay.needs_window})"
+    else:
+        status = "CONSISTENT"
     diagnostics = (
-        "crosscheck: "
-        + ("CONSISTENT" if report.consistent else "INCONSISTENT: " + "; ".join(report.notes)),
+        "crosscheck: " + status,
         f"surplus primes ({'all' if report.surplus_finite else 'first shown'}): {surplus}",
-        f"oracle drop search over {list(report.drops_tested)}: "
-        + (f"embeds from drop {report.successful_drop}" if report.successful_drop is not None else "no tested drop embeds"),
+        _oracle_line(report.replay),
     )
     return {"verdict": verdict, "diagnostics": diagnostics}, EXIT_OK
 

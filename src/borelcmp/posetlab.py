@@ -41,24 +41,29 @@ True
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import filterfalse, islice
+from functools import cached_property
+from itertools import accumulate, chain, count, cycle, filterfalse, islice, repeat, takewhile, tee
 from math import gcd
+from operator import add
 
 from .errors import DomainError, checked_natural
 from .primes import factorint
 from .primes import nextprime  # noqa: F401  bench/tracing.py patches this binding
 from .supernatural import (
     OMEGA,
+    Replay,
     SupernaturalProfile,
     _alternate,
+    _covering_prefix,
+    _Layout,
     _paired,
     _primes_outside,
+    _ranks,
     canonical_terms,
-    oracle_injection,
     preceq,
 )
 
@@ -112,7 +117,7 @@ class UPSet:
     def __post_init__(self):
         period = checked_natural(self.period, "period must be a positive integer", 1)
         residues, flips = frozenset(self.residues), frozenset(self.flips)
-        for n in itertools.chain(residues, flips):
+        for n in chain(residues, flips):
             checked_natural(n, "a residue or flip must be a natural number")
         if residues and max(residues) >= period:
             raise DomainError(f"residue {max(residues)} is not below period {period}")
@@ -179,19 +184,61 @@ class UPSet:
 
     def ascending(self, members: bool = True):
         """The members ascending, or with ``members=False`` the non-members,
-        as an iterator; its cost is the elements it yields plus the flips."""
-        period, flips = self.period, self.flips
-        block = sorted(self.residues)
-        ruled = iter(())  # the periodic rule's elements of the wanted kind
-        if members and block:
-            ruled = (start + r for start in itertools.count(0, period) for r in block)
-        elif not members and len(block) < period:
-            ruled = (start + r for start in itertools.count(0, period) for r in _gaps(block, period))
-        flipped_in = sorted(n for n in flips if (n % period in self.residues) != members)
-        return _merged(filterfalse(flips.__contains__, ruled), flipped_in)
+        as an iterator; its cost is the elements it yields plus the flips
+        and the residues.
+
+        The periodic rule's elements of the wanted kind run in C, 64 or
+        more per Python object: a block of whole periods at a time, or one
+        range per span of consecutive residues when the spans are that long
+        (a period of 2^40 has such a span).  Below the threshold they pass
+        a filter of the flips, in pieces split at the flips of the wanted
+        kind, which are spliced in.
+        """
+        period, residues, flips = self.period, self.residues, self.flips
+        spans = _spans(sorted(residues), period, members)
+        lows, highs = [lo for lo, _ in spans], [hi for _, hi in spans]
+        before = list(accumulate((hi - lo for lo, hi in spans), initial=0))  # the residues before each span
+
+        def ruled_below(n):  # the rule's elements of the wanted kind below n
+            full, rest = divmod(n, period)
+            i = bisect_right(lows, rest) - 1
+            return full * before[-1] + (before[i] + min(highs[i], rest) - lows[i] if i >= 0 else 0)
+
+        size = before[-1]  # the residues of the wanted kind
+        if not size:
+            ruled = iter(())
+        elif size <= 64 * len(spans):  # short spans: a block of whole periods
+            periods = -(-64 // size)
+            block = [k * period + r for k in range(periods) for lo, hi in spans for r in range(lo, hi)]
+            ruled = map(add, cycle(block), _starts(periods * period, len(block)))
+        else:  # long spans: one range each
+            ends = map(add, cycle(highs), _starts(period, len(spans)))
+            ruled = chain.from_iterable(map(range, map(add, cycle(lows), _starts(period, len(spans))), ends))
+        pieces, taken = [], 0  # the rule's elements drawn into pieces so far
+        spliced = sorted(n for n in flips if (n % period in residues) != members)
+        for n in (*spliced, self.threshold):
+            below = ruled_below(n)
+            pieces += filterfalse(flips.__contains__, islice(ruled, below - taken)), (n,)
+            taken = below
+        pieces[-1] = ruled  # past the threshold, in place of the threshold itself
+        return chain.from_iterable(pieces)
+
+    def count_below(self, n: int) -> int:
+        """How many members lie below ``n``, counted from the period, the
+        residues and the flips."""
+        residues, out, into = self._sorted
+        full, rest = divmod(n, self.period)
+        return full * len(residues) + bisect_left(residues, rest) - bisect_left(out, n) + bisect_left(into, n)
+
+    @cached_property
+    def _sorted(self):
+        """The residues, the flips out of the set and the flips into it,
+        each sorted."""
+        out = sorted(n for n in self.flips if n % self.period in self.residues)
+        return sorted(self.residues), out, sorted(self.flips.difference(out))
 
     def members_below(self, bound: int) -> tuple:
-        return tuple(itertools.takewhile(bound.__gt__, self.ascending()))
+        return tuple(takewhile(bound.__gt__, self.ascending()))
 
     def complement_members(self, count: int) -> tuple:
         """First ``count`` elements of the complement, ascending."""
@@ -227,26 +274,24 @@ def _minimal_rule(period: int, residues: frozenset):
     return period, frozenset(r for r in residues if r < period)
 
 
-def _merged(ascending, extra: list):
-    """The ascending iterator with the sorted, disjoint ``extra`` merged in."""
-    extra = iter(extra)
-    pending = next(extra, None)
-    for n in ascending:
-        while pending is not None and pending < n:
-            yield pending
-            pending = next(extra, None)
-        yield n
-    if pending is not None:
-        yield pending
-        yield from extra
+def _spans(residues: list, period: int, members: bool) -> list:
+    """The maximal runs ``(lo, hi)`` of consecutive residues in the sorted
+    ``residues``, or with ``members=False`` of those missing from them."""
+    runs = []
+    for r in residues:
+        if runs and runs[-1][1] == r:
+            runs[-1] = (runs[-1][0], r + 1)
+        else:
+            runs.append((r, r + 1))
+    if members:
+        return runs
+    bounds = [0, *chain.from_iterable(runs), period]  # gap i runs from bounds[2i] to bounds[2i+1]
+    return [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
 
 
-def _gaps(block: list, period: int):
-    """The residues mod ``period`` missing from the sorted ``block``."""
-    start = 0
-    for r in itertools.chain(block, (period,)):
-        yield from range(start, r)
-        start = r + 1
+def _starts(step: int, times: int) -> Iterator[int]:
+    """0, step, 2 * step, ..., each ``times`` times."""
+    return chain.from_iterable(map(repeat, count(0, step), repeat(times)))
 
 
 def subset_star(a: UPSet, b: UPSet) -> bool:
@@ -313,9 +358,20 @@ class Family:
     def default(cls) -> "Family":
         return cls(SupernaturalProfile._of_primes({2: OMEGA}, 0), SupernaturalProfile.all_omega())
 
+    def _not_d(self) -> set:
+        """The exception primes that are no d-primes: p's multiplicity
+        reaches q's there."""
+        return {gamma for gamma, tp, tq in _paired(self.p, self.q) if not tp < tq}
+
     def _d_walk(self) -> Iterator[int]:
         """A fresh iterator over d_0, d_1, d_2, ..."""
-        return _primes_outside({gamma for gamma, tp, tq in _paired(self.p, self.q) if not tp < tq})
+        return _primes_outside(self._not_d())
+
+    def _d_indices(self, primes) -> dict:
+        """The index i of each d-prime d_i among ``primes``, from one walk
+        of the d-enumeration up to the largest."""
+        not_d = self._not_d()
+        return _ranks(_primes_outside(not_d), set(primes) - not_d)
 
     def d_terms(self, k: int) -> tuple:
         """First ``k`` primes gamma with multiplicity(p, gamma) < (q, gamma)."""
@@ -367,7 +423,7 @@ def _member_terms(m: MemberRef):
     """The member's concrete prime sequence as an infinite iterator, made
     from one walk of the d-enumeration."""
     family = m.family
-    zero_walk, a_walk = itertools.tee(family._d_walk())
+    zero_walk, a_walk = tee(family._d_walk())
     # P_0' interleave base(P)
     terms = _alternate(islice(zero_walk, 0, None, 3), canonical_terms(family.p))
     if not m.a.is_cofinite:
@@ -391,72 +447,136 @@ def member_reduces(m_a: MemberRef, m_b: MemberRef) -> bool:
     return subset_star(m_a.a, m_b.a)
 
 
+class _MemberLayout:
+    """Where each prime sits in a member's sequence, computed from the
+    layout of ``_member_terms``, not walked.
+
+    For A not cofinite, A-layer entry k sits at 2k, P_0' entry j (that is
+    d_{3j}) at 4j+1 and base(P) entry k at 4k+3; A-layer entry k is
+    d_{1+3c} for the k-th c outside A, so d_{1+3c} with c outside A sits
+    at twice the number of non-members below c.  For cofinite A, P_0' entry
+    j sits at 2j and base(P) entry k at 2k+1.  A prime occurs at most once
+    in the d-layers, and base(P), a default-0 profile's canonical sequence,
+    may hold it too.  ``d_indices`` maps each d-prime asked for to its
+    index in the d-enumeration.
+    """
+
+    def __init__(self, m: MemberRef, d_indices: dict):
+        self.a, self.d_indices = m.a, d_indices
+        self.base = _Layout(m.family.p)
+        self.stride, self.offset = (2, 1) if m.a.is_cofinite else (4, 3)  # base(P) entry k at stride*k+offset
+
+    def _d_position(self, i: int):
+        """Where d_i sits in the d-layers, or None when they skip it."""
+        j, layer = divmod(i, 3)
+        if layer == 0:
+            return self.stride * j + self.stride // 2 - 1  # 4j+1, or 2j when A is cofinite
+        if layer == 1 and not self.a.is_cofinite and j not in self.a:
+            return 2 * (j - self.a.count_below(j))
+        return None
+
+    def _base_position(self, gamma: int, k: int):
+        b = self.base.position(gamma, k)
+        return None if b is None else self.stride * b + self.offset
+
+    def position(self, gamma: int, k: int):
+        """Where the k-th occurrence (from 1) of ``gamma`` sits, or None
+        when the sequence holds fewer than k."""
+        i = self.d_indices.get(gamma)
+        x = None if i is None else self._d_position(i)
+        if x is None:
+            return self._base_position(gamma, k)
+        before = self.base.count(gamma, (x - self.offset + self.stride - 1) // self.stride)
+        if k == before + 1:  # the base(P) entries before x hold ``before`` of them
+            return x
+        return self._base_position(gamma, k if k <= before else k - 1)
+
+
 @dataclass(frozen=True)
 class CrosscheckReport:
     """Finite-scale validation of a symbolic member verdict.
 
     ``surplus_primes`` are the primes d_{1+3c}, c in A minus B: the target
     member's sequence carries each of them once more than the source's, so
-    the reduction exists iff that set is finite.  The oracle half replays
-    the definition: windows of the target's sequence must eventually embed
-    into prefixes of the source's sequence once a finite drop is allowed.
+    the reduction exists iff that set is finite.  The ``replay`` plays the
+    definition on the target's sequence, at a drop and window computed from
+    that set: just after the surplus primes when it is finite, up to the
+    first of them when it is not.  ``consistent`` is False only when the
+    verdict disagrees with the symbols or with a replay that ran; a
+    ``window`` too short for the replay leaves it inconclusive, with
+    ``replay.needs_window`` set.
     """
 
     verdict: bool
     surplus_finite: bool
     surplus_primes: tuple
-    drops_tested: tuple
-    successful_drop: int | None
     window: int
     consistent: bool
     notes: tuple
+    replay: Replay
 
 
 def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> CrosscheckReport:
     """Cross-check ``member_reduces(m_a, m_b)`` two independent ways.
 
     Symbolic: enumerate A minus B and map it through the d-enumeration.
-    Oracle: for sampled drop points, test multiset embedding of the target
-    sequence's window into a bounded prefix of the source sequence.
-    Inconsistencies are recorded in the report, never raised.
+    Replay: walk the first ``window`` terms of the target (B's) sequence at
+    most, and compare the multiset after the drop with the source's (A's)
+    occurrences, counted from its layout.  Inconsistencies are recorded in
+    the report, never raised.
+
+    >>> fam = Family.default()
+    >>> member_crosscheck(MemberRef(fam, UPSet.from_finite(range(3))), MemberRef(fam, UPSet()), 10).replay
+    Replay(drop=5, end=10, prefix=10, witness=None, needed=None, needs_window=None)
     """
     _check_same_family(m_a, m_b)
     checked_natural(window, "window must be positive", 1)
     verdict = member_reduces(m_a, m_b)
     finite, elements = set_difference(m_a.a, m_b.a)
     surplus = tuple(_at_positions(islice(m_a.family._d_walk(), 1, None, 3), elements))
-
-    drops = (0, *(1 << i for i in range(window.bit_length())))  # 0 and the powers of two <= window
-    successful = None
-    # both sequences are made once and extended as the drop grows
-    target_terms, source_terms = _member_terms(m_b), _member_terms(m_a)
-    target, prefix = [], []
-    for drop in drops:
-        target.extend(islice(target_terms, drop + window - len(target)))
-        prefix.extend(islice(source_terms, 4 * (drop + window) + 64 - len(prefix)))
-        if oracle_injection(target[drop:], prefix):
-            successful = drop
-            break
+    replay = _member_replay(m_a, m_b, finite, dict(zip(surplus, (1 + 3 * c for c in elements))), window)
 
     notes = []
     if finite != verdict:
         notes.append("symbolic surplus finiteness disagrees with the verdict")
-    if (successful is not None) != verdict:
+    embeds = replay.prefix is not None
+    if replay.needs_window is None and embeds != verdict:
         notes.append(
             "oracle embedding "
-            + ("succeeded despite a negative verdict" if successful is not None else "failed at every tested drop despite a positive verdict")
+            + ("succeeded despite a negative verdict" if embeds else "failed despite a positive verdict")
         )
-    consistent = not notes
-    return CrosscheckReport(
-        verdict=verdict,
-        surplus_finite=finite,
-        surplus_primes=surplus,
-        drops_tested=drops,
-        successful_drop=successful,
-        window=window,
-        consistent=consistent,
-        notes=tuple(notes),
-    )
+    return CrosscheckReport(verdict, finite, surplus, window, not notes, tuple(notes), replay)
+
+
+def _member_replay(m_a: MemberRef, m_b: MemberRef, finite: bool, surplus: dict, window: int) -> Replay:
+    """Replay A's reduction to B as the symbols decide it, within the
+    first ``window`` terms of B's sequence; ``surplus`` maps each surplus
+    prime shown to its d-index.
+
+    When the surplus is finite, B's sequence carries each surplus prime
+    once more than A's or, when B is cofinite, not at all, so the window
+    after the first occurrence of every one it carries must embed into a
+    prefix of A's.  When it is infinite, the shortest
+    prefix of B's holding one more occurrence of the first surplus prime
+    than A's whole sequence holds must not embed.
+    """
+    target = _MemberLayout(m_b, surplus)
+    witness = needed = None
+    if finite:
+        firsts = (target.position(gamma, 1) for gamma in surplus)
+        drop = max((x + 1 for x in firsts if x is not None), default=0)
+        if window <= drop:
+            return Replay(drop, drop + 1, needs_window=drop + 1)
+        end = window
+    else:
+        witness = next(iter(surplus))
+        needed = m_a.family.p.multiplicity(witness) + 1  # A's sequence holds it in base(P) only
+        drop, end = 0, target.position(witness, needed) + 1
+        if window < end:
+            return Replay(0, end, None, witness, needed, needs_window=end)
+    need = Counter(islice(_member_terms(m_b), drop, end))
+    source = _MemberLayout(m_a, m_a.family._d_indices(need))
+    return Replay(drop, end, _covering_prefix(source, need), witness, needed)
 
 
 @dataclass(frozen=True)

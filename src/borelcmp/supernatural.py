@@ -14,15 +14,16 @@ Dropping the finitely many surplus occurrences of Q leaves a sub-multiset
 of P at every prime, which maps injectively into P's occurrences;
 conversely an infinite deficit defeats every injection because cofinitely
 many Q-positions would need distinct P-positions carrying a prime P runs
-out of.  ``oracle_injection`` plus the drop/window helpers give an
-independent finite-scale check of exactly this argument.
+out of.  ``oracle_replay`` gives an independent finite-scale check of
+exactly this argument, at a drop and a window computed from the layout of
+the canonical sequences (``_Layout``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, cycle, filterfalse, islice, repeat
-from math import lcm
+from itertools import accumulate, chain, compress, count, cycle, filterfalse, islice, repeat, takewhile, tee
+from math import isqrt, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from ._value import Value
@@ -49,6 +50,8 @@ __all__ = [
     "oracle_injection",
     "oracle_drop_bound",
     "sufficient_prefix_length",
+    "Replay",
+    "oracle_replay",
     "refutation_witness",
     "finite_surplus_table",
 ]
@@ -430,24 +433,130 @@ def _alternate(first: Iterable, second: Iterable) -> Iterator:
     return chain.from_iterable(zip(first, second))
 
 
-def canonical_terms(p: SupernaturalProfile) -> Iterator[int]:
+def canonical_terms(p: SupernaturalProfile, start: int = 0) -> Iterator[int]:
     """The fixed representative sequence with profile ``p``, as an infinite
-    iterator: finite-multiplicity exception primes first (ascending, with
-    multiplicity), then the OMEGA-multiplicity primes forever.
+    iterator from position ``start`` on: finite-multiplicity exception
+    primes first (ascending, with multiplicity), then the OMEGA-multiplicity
+    primes forever.
 
     With default 0 the OMEGA primes cycle round-robin ascending; with
     default OMEGA they form an infinite set, visited by dovetailing rounds
     (first 1 of them, then the first 2, then the first 3, ...) so that every
-    one recurs infinitely often.
+    one recurs infinitely often.  The terms before ``start`` are skipped by
+    arithmetic on that layout (see :class:`_Layout`), not walked:
+
+    >>> from itertools import islice
+    >>> list(islice(canonical_terms(SupernaturalProfile({2: 10**9, 3: OMEGA}), 10**9 - 1), 3))
+    [2, 3, 3]
     """
     if not p.has_infinite_total:
         raise DomainError(f"profile {p} has finite total multiplicity; no infinite sequence exists")
-    head = chain.from_iterable(repeat(gamma, count) for gamma, count in p.finite_exceptions)
-    if p.default is OMEGA:
-        # round k is the running list of the first k primes outside the exceptions
-        rounds = accumulate([gamma] for gamma in _primes_outside({g for g, _ in p.exceptions}))
-        return chain(head, chain.from_iterable(rounds))
-    return chain(head, cycle(sorted(p.omega_primes)))
+    start = checked_natural(start, "start must be a natural number")
+    head = []  # what is left of the runs of the finite exceptions
+    for gamma, times in p.finite_exceptions:
+        head.append(repeat(gamma, max(times - start, 0)))
+        start = max(start - times, 0)
+    head = chain.from_iterable(head)
+    if p.default is not OMEGA:
+        omegas = sorted(p.omega_primes)
+        turn = start % len(omegas)
+        return chain(head, cycle(omegas[turn:] + omegas[:turn]))
+    # round k is the running list of the first k primes outside the
+    # exceptions and starts k(k-1)/2 terms after the head; ``start`` falls
+    # in round ``rounds``
+    rounds = (1 + isqrt(8 * start + 1)) // 2
+    walk = _primes_outside({g for g, _ in p.exceptions})
+    first = list(islice(walk, rounds))
+    later = islice(accumulate(([gamma] for gamma in walk), initial=first), 1, None)
+    return chain(head, first[start - rounds * (rounds - 1) // 2:], chain.from_iterable(later))
+
+
+class _Layout:
+    """Where each prime sits in ``canonical_terms(p)``, computed, not walked.
+
+    The finite exceptions are runs of the head, in ascending order.  After
+    the head, the OMEGA primes of a default-0 profile cycle, and round r
+    (from 1) of a default-OMEGA profile's dovetail starts r(r-1)/2 terms
+    on and lists the first r primes outside the exceptions.  Locating such
+    a prime needs its rank among them; the ranks of ``primes`` are found in
+    one walk up to the largest, and of any other prime when it is asked for.
+
+    >>> p = SupernaturalProfile({2: 3}, OMEGA)  # 2, 2, 2 | 3 | 3, 5 | 3, 5, 7 | 3, 5, 7, 11 | ...
+    >>> layout = _Layout(p, [7])
+    >>> [layout.position(7, k) for k in (1, 2, 3)], layout.count(7, 12), layout.position(2, 4)
+    ([8, 11, 15], 2, None)
+    """
+
+    def __init__(self, p: SupernaturalProfile, primes=()):
+        if not p.has_infinite_total:
+            raise DomainError(f"profile {p} has finite total multiplicity; no infinite sequence exists")
+        self.default = p.default
+        self.runs, self.head = {}, 0  # prime -> (start, times) in the head; the head's length
+        for gamma, times in p.finite_exceptions:
+            self.runs[gamma] = (self.head, times)
+            self.head += times
+        if p.default is OMEGA:
+            outside = set(primes).difference(self.runs)
+            self.ranks = _ranks(_primes_outside(self.runs), outside)
+        else:
+            self.ranks = {gamma: i for i, gamma in enumerate(sorted(p.omega_primes))}
+            self.period = len(self.ranks)
+
+    def position(self, gamma: int, k: int):
+        """Where the k-th occurrence (from 1) of ``gamma`` sits, or None
+        when the sequence holds fewer than k."""
+        if gamma in self.runs:
+            start, times = self.runs[gamma]
+            return start + k - 1 if k <= times else None
+        i = self._rank(gamma)
+        if i is None:
+            return None
+        if self.default is OMEGA:  # in rounds i + 1, i + 2, ...
+            return self.head + (i + k) * (i + k - 1) // 2 + i
+        return self.head + (k - 1) * self.period + i
+
+    def count(self, gamma: int, length: int) -> int:
+        """How many occurrences of ``gamma`` the first ``length`` terms hold."""
+        if gamma in self.runs:
+            start, times = self.runs[gamma]
+            return min(max(length - start, 0), times)
+        i = self._rank(gamma)
+        after = length - self.head - (0 if i is None else i)  # terms from the first occurrence on
+        if i is None or after <= 0:
+            return 0
+        if self.default is OMEGA:  # the rounds r > i that start before ``after``
+            return max((1 + isqrt(8 * after - 7)) // 2 - i, 0)
+        return (after + self.period - 1) // self.period
+
+    def _rank(self, gamma: int):
+        """``gamma``'s index among the primes after the head, or None when
+        it has none: a prime outside a default-0 profile's support."""
+        if self.default is OMEGA and gamma not in self.ranks:
+            self.ranks.update(_ranks(_primes_outside(self.runs), (gamma,)))
+        return self.ranks.get(gamma)
+
+
+def _ranks(walk: Iterable[int], wanted) -> dict:
+    """The index in the ascending ``walk`` of each number of ``wanted`` it
+    yields, found in one pass, in C, that stops at the largest."""
+    wanted = set(wanted)
+    numbers, probe = tee(takewhile(max(wanted, default=0).__ge__, walk))
+    return dict(compress(zip(numbers, count()), map(wanted.__contains__, probe)))
+
+
+def _covering_prefix(layout, need: Mapping):
+    """Length of the shortest prefix of the sequence that ``layout`` locates
+    holding each prime at least ``need[prime]`` times, or None when the
+    sequence holds fewer.  This is the one comparison of a window's
+    multiset with a sequence that is counted, never walked."""
+    length = 0
+    for gamma, times in need.items():
+        if times > 0:
+            position = layout.position(gamma, times)
+            if position is None:
+                return None
+            length = max(length, position + 1)
+    return length
 
 
 def canonical_sequence(p: SupernaturalProfile, n: int) -> tuple:
@@ -484,7 +593,8 @@ def oracle_drop_bound(q: SupernaturalProfile, p: SupernaturalProfile) -> int:
     By then each surplus prime has shed its deficit-many early occurrences,
     so no window can demand more of a prime than ``p`` ever supplies.
     """
-    return _covering_prefix_length(q, dict(finite_surplus_table(q, p)))
+    table = dict(finite_surplus_table(q, p))
+    return _covering_prefix(_Layout(q, table), table)
 
 
 def sufficient_prefix_length(p: SupernaturalProfile, window: Iterable) -> int:
@@ -500,20 +610,54 @@ def sufficient_prefix_length(p: SupernaturalProfile, window: Iterable) -> int:
                 f"window needs {count} occurrences of {gamma} but the profile carries "
                 f"{multiplicity(p, gamma)}"
             )
-    return _covering_prefix_length(p, need)
+    return _covering_prefix(_Layout(p, need), need)
 
 
-def _covering_prefix_length(p: SupernaturalProfile, need: Mapping) -> int:
-    """Length of the shortest canonical prefix of ``p`` holding each prime
-    at least ``need[prime]`` times; ``p`` must supply that many."""
-    missing = {gamma: count for gamma, count in need.items() if count > 0}
-    if not missing:
-        return 0
-    for index, term in enumerate(canonical_terms(p)):
-        if term in missing:
-            missing[term] -= 1
-            if missing[term] == 0:
-                del missing[term]
-            if not missing:
-                return index + 1
-    raise AssertionError("unreachable: canonical_terms is infinite")
+class Replay(Value):
+    """A verdict replayed on a finite window ``[drop, end)`` of the target
+    sequence, whose multiset is compared with the source sequence's
+    occurrences, counted from its layout.
+
+    ``prefix`` is the length of the shortest source prefix holding the
+    window, None when the source holds too few of some prime.  A refuting
+    replay names the ``witness`` prime: its window is the shortest prefix
+    holding ``needed`` occurrences of it, one more than the source holds.
+    ``needs_window`` is the window the replay needs when the one it was
+    given is shorter; then nothing was walked.
+    """
+
+    __slots__ = _fields = ("drop", "end", "prefix", "witness", "needed", "needs_window")
+
+    def __init__(self, drop: int, end: int, prefix=None, witness=None, needed=None, needs_window=None):
+        for name, value in zip(self._fields, (drop, end, prefix, witness, needed, needs_window)):
+            object.__setattr__(self, name, value)
+
+
+def oracle_replay(q: SupernaturalProfile, p: SupernaturalProfile, window: int) -> Replay:
+    """Replay ``preceq(q, p)`` on the canonical sequences, as the symbols
+    decide it.  When it holds, the ``window`` terms of ``q`` after the drop
+    ``oracle_drop_bound(q, p)`` must embed into a prefix of ``p``.  When it
+    fails, the shortest prefix of ``q`` holding one more occurrence of the
+    refutation witness than ``p`` holds must not; a ``window`` shorter than
+    that prefix makes the replay inconclusive.
+
+    Only the window of ``q`` is walked: the drop is skipped and ``p`` is
+    counted, both by arithmetic.
+
+    >>> oracle_replay(SupernaturalProfile({2: 7, 3: OMEGA}), SupernaturalProfile({2: 5, 3: OMEGA}), 100)
+    Replay(drop=2, end=102, prefix=100, witness=None, needed=None, needs_window=None)
+    >>> oracle_replay(SupernaturalProfile({2: OMEGA}), SupernaturalProfile({2: 10**9, 3: OMEGA}), 1).needs_window
+    1000000001
+    """
+    checked_natural(window, "window must be positive", 1)
+    witness = refutation_witness(q, p)
+    if witness is None:
+        drop = oracle_drop_bound(q, p)
+        need = Counter(islice(canonical_terms(q, drop), window))
+        return Replay(drop, drop + window, _covering_prefix(_Layout(p, need), need))
+    needed = multiplicity(p, witness) + 1
+    end = _Layout(q, (witness,)).position(witness, needed) + 1
+    if window < end:
+        return Replay(0, end, None, witness, needed, needs_window=end)
+    need = Counter(islice(canonical_terms(q), end))
+    return Replay(0, end, _covering_prefix(_Layout(p, need), need), witness, needed)

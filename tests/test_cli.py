@@ -171,6 +171,66 @@ def test_preceq_verb_with_oracle_window():
     assert any("fails to embed: True" in line for line in report.diagnostics)
 
 
+
+@pytest.mark.parametrize(
+    "q, p, window, line",
+    [
+        ("{2:w}", "{default=w}", "10000",
+         "oracle: window of 10000 terms after drop 0 embeds in a prefix of 49995001 terms: True"),
+        ("{2:w}", "{default=w}", "1000000",
+         "oracle: window of 1000000 terms after drop 0 embeds in a prefix of 499999500001 terms: True"),
+        ("{2:999999999,3:w}", "{3:w}", "1",
+         "oracle: window of 1 terms after drop 999999999 embeds in a prefix of 1 terms: True"),
+        ("{3:w}", "{2:999999999,3:w}", "1",
+         "oracle: window of 1 terms after drop 0 embeds in a prefix of 1000000000 terms: True"),
+        ("{2:w}", "{2:999999999,3:w}", "1", "oracle: INCONCLUSIVE (needs window 1000000000)"),
+        ("{5:w}", "{2:999999999,5:3,7:w}", "10", "oracle: window with 4 occurrences of 5 fails to embed: True"),
+    ],
+)
+def test_preceq_oracle_far_into_the_sequences(q, p, window, line, capsys):
+    start = time.perf_counter()
+    assert main(["preceq", q, p, "--oracle-window", window]) == EXIT_OK
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out.splitlines()[-1] == line
+
+
+def _ups(period: int, members) -> str:
+    word = "".join("1" if r in members else "0" for r in range(period))
+    return f"ups{{from=0; period={period}; word={word}}}"
+
+
+@pytest.mark.parametrize(
+    "a, b, window, status",
+    [
+        ("fin{" + ",".join(map(str, range(500))) + "}", "fin{}", 100, "INCONCLUSIVE (needs window 1000)"),
+        ("fin{" + ",".join(map(str, range(500))) + "}", "fin{}", 1000, "CONSISTENT"),
+        (_ups(3000, {0}), _ups(2999, {0}), 5000, "INCONCLUSIVE (needs window 5997)"),
+        (_ups(3000, {0}), _ups(2999, {0}), 5997, "CONSISTENT"),
+        ("fin{}", _ups(100, range(1, 100)), 100, "CONSISTENT"),
+    ],
+)
+def test_crosschecks_once_inconsistent_are_consistent_or_name_their_window(a, b, window, status, capsys):
+    assert main(["family-compare", "--a", a, "--b", b, "--crosscheck", str(window)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "crosscheck: " + status
+    if status != "CONSISTENT":
+        assert lines[3] == "oracle: " + status
+
+
+def test_crosscheck_reports_a_contradicted_verdict_as_inconsistent(monkeypatch, capsys):
+    from borelcmp import posetlab
+
+    flipped = lambda m_a, m_b, _reduces=posetlab.member_reduces: not _reduces(m_a, m_b)  # noqa: E731
+    monkeypatch.setattr(posetlab, "member_reduces", flipped)
+    argv = ["family-compare", "--a", "ups{from=0; period=2; word=10}", "--b", "ups{from=0; period=4; word=1000}"]
+    assert main([*argv, "--crosscheck", "100"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "REDUCIBLE",
+        "crosscheck: INCONSISTENT: symbolic surplus finiteness disagrees with the verdict; "
+        "oracle embedding failed despite a positive verdict",
+    ]
+
+
 def test_family_verbs():
     report, code = run_argv(["family-new"])
     assert code == EXIT_OK and report.verdict == "OK"

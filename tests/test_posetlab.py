@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelcmp import posetlab, primes
 from borelcmp.errors import DomainError
@@ -22,9 +25,12 @@ from borelcmp.posetlab import (
     set_difference,
     subset_star,
 )
-from borelcmp.supernatural import OMEGA, SupernaturalProfile, multiplicity, oracle_injection
+from borelcmp.supernatural import OMEGA, Replay, SupernaturalProfile, multiplicity, oracle_injection
 
 from borelcmp.selftest import trial_division_primes
+
+import replay_reference as reference
+from conftest import PRIME_POOL
 
 
 # -- independent oracle: trial-division sieve, no package machinery ------------
@@ -328,7 +334,8 @@ def test_crosscheck_antichain():
     assert report.consistent
     assert not report.verdict
     assert not report.surplus_finite
-    assert report.successful_drop is None
+    # the first surplus prime, d_1 = 5, opens the odds' sequence and the evens' never holds it
+    assert report.replay == Replay(0, 1, None, 5, 1)
     assert len(report.surplus_primes) == 8  # a sample of the infinite surplus
 
 
@@ -339,14 +346,16 @@ def test_crosscheck_inclusion():
     report = member_crosscheck(mult4, evens, 100)
     assert report.consistent and report.verdict
     assert report.surplus_finite and report.surplus_primes == ()
-    assert report.successful_drop == 0
+    assert (report.replay.drop, report.replay.end) == (0, 100) and report.replay.prefix is not None
 
 
 def test_crosscheck_identical_member():
     fam = Family.default()
     evens = MemberRef(fam, UPSet.multiples_of(2))
     report = member_crosscheck(evens, evens, 60)
-    assert report.consistent and report.verdict and report.successful_drop == 0
+    assert report.consistent and report.verdict
+    # the same sequence on both sides: the window is its own shortest covering prefix
+    assert report.replay == Replay(0, 60, 60)
 
 
 def test_crosscheck_finite_nonzero_surplus_needs_a_drop():
@@ -356,7 +365,8 @@ def test_crosscheck_finite_nonzero_surplus_needs_a_drop():
     report = member_crosscheck(bigger, evens, 80)
     assert report.verdict and report.surplus_primes == (fam.d_term(4),)
     assert report.consistent
-    assert report.successful_drop is not None and report.successful_drop > 0
+    # d_4 = d_{1+3*1} opens the evens' sequence (1 is their first non-member), so the drop is 1
+    assert report.replay.drop == 1 and report.replay.prefix is not None
 
 
 def test_crosscheck_fuzz_never_inconsistent(rng):
@@ -380,6 +390,108 @@ def test_crosscheck_fuzz_never_inconsistent(rng):
         assert report.consistent, (m_a.a, m_b.a, report)
 
 
+
+# the crosschecks that the drop ladder reported INCONSISTENT, with the window
+# each needs: the first surplus-free window starts after the target's
+# last surplus prime d_{1+3*499} at 2*499, and the first surplus prime of
+# the second, d_{1+3*3000}, sits at twice 3000's rank among the
+# non-multiples of 2999; the third has no surplus, but the source holds
+# the target's primes d_{1+300k} only at 200k
+_ONCE_INCONSISTENT = (
+    (UPSet.from_finite(range(500)), UPSet(), 100, 1000),
+    (UPSet.multiples_of(3000), UPSet.multiples_of(2999), 5000, 5997),
+    (UPSet(), UPSet(100, frozenset(range(1, 100))), 100, None),
+)
+
+
+@pytest.mark.parametrize("a, b, window, needs", _ONCE_INCONSISTENT)
+def test_crosschecks_the_drop_ladder_called_inconsistent(a, b, window, needs):
+    fam = Family.default()
+    m_a, m_b = MemberRef(fam, a), MemberRef(fam, b)
+    report = member_crosscheck(m_a, m_b, window)
+    assert report.consistent and report.replay.needs_window == needs
+    if needs is not None:
+        assert member_crosscheck(m_a, m_b, needs - 1).replay.needs_window == needs
+        report = member_crosscheck(m_a, m_b, needs)
+        assert report.consistent and report.replay.needs_window is None
+
+
+@pytest.mark.parametrize("window", [1, 1000])
+def test_a_verdict_the_symbols_contradict_is_inconsistent(monkeypatch, window):
+    fam = Family.default()
+    pairs = [(a, b) for a, b, _, _ in _ONCE_INCONSISTENT]
+    pairs += [(UPSet.multiples_of(4), UPSet.multiples_of(2)), (UPSet.multiples_of(2), UPSet.multiples_of(4))]
+    monkeypatch.setattr(posetlab, "member_reduces", lambda m_a, m_b, _reduces=member_reduces: not _reduces(m_a, m_b))
+    start = time.perf_counter()
+    for a, b in pairs:
+        report = member_crosscheck(MemberRef(fam, a), MemberRef(fam, b), window)
+        assert not report.consistent and report.verdict != subset_star(a, b)
+        assert report.notes[0] == "symbolic surplus finiteness disagrees with the verdict"
+        # a replay that ran contradicts the flipped verdict too
+        assert len(report.notes) == (1 if report.replay.needs_window is not None else 2)
+    assert time.perf_counter() - start < 2.0
+
+
+@st.composite
+def _families(draw):
+    """A valid family over a small prime pool; base(P) holds d-primes when
+    p's finite primes are below q's multiplicities there."""
+    omega = draw(st.lists(st.sampled_from(PRIME_POOL), unique=True, min_size=1, max_size=2))
+    rest = [g for g in PRIME_POOL if g not in omega]
+    finite = draw(st.lists(st.sampled_from(rest), unique=True, max_size=2))
+    capped = draw(st.lists(st.sampled_from(rest), unique=True, max_size=2))
+    p = SupernaturalProfile({**dict.fromkeys(omega, OMEGA), **{g: draw(st.integers(1, 3)) for g in finite}})
+    return Family(p, SupernaturalProfile({g: draw(st.integers(0, 4)) for g in capped}, OMEGA))
+
+
+@st.composite
+def _upsets(draw):
+    """Finite, cofinite and periodic sets with a few flips."""
+    period = draw(st.integers(1, 6))
+    word = draw(st.lists(st.booleans(), min_size=period, max_size=period))
+    return UPSet.from_membership(draw(st.lists(st.booleans(), max_size=8)), period, word)
+
+
+@given(_families(), _upsets())
+@settings(max_examples=150, deadline=None)
+def test_member_layout_locates_every_walked_term(family, a):
+    member = MemberRef(family, a)
+    terms = member_sequence(member, 300)
+    primes = set(terms) | {g for g, _ in family.p.exceptions}
+    layout = posetlab._MemberLayout(member, family._d_indices(primes))
+    for gamma in primes:
+        walked = reference.occurrences(terms, gamma)
+        assert [layout.position(gamma, k) for k in range(1, len(walked) + 1)] == walked
+        beyond = layout.position(gamma, len(walked) + 1)
+        assert beyond is None or beyond >= len(terms)
+
+
+@given(_families(), _upsets(), _upsets(), st.integers(1, 120))
+@settings(max_examples=80, deadline=None)
+def test_crosscheck_replay_agrees_with_the_walked_sequences(family, a, b, window):
+    m_a, m_b = MemberRef(family, a), MemberRef(family, b)
+    report = member_crosscheck(m_a, m_b, window)
+    assert report.consistent, report
+    replay, target = report.replay, member_sequence(m_b, 2000)
+    source = member_sequence(m_a, 6000)
+    if report.surplus_finite:
+        carried = {s: 1 for s in report.surplus_primes if s in target}
+        assert replay.drop == reference.covering_prefix_length(target, carried)
+        if replay.needs_window is not None:
+            assert replay.needs_window == replay.drop + 1 > window
+            return
+        assert replay.end == window
+        walked = reference.member_replay_prefix(source, target, replay.drop, replay.end, len(source))
+        assert replay.prefix == walked or (walked is None and replay.prefix > len(source))
+    else:
+        witness, needed = replay.witness, replay.needed
+        assert witness == report.surplus_primes[0] and source.count(witness) == needed - 1
+        end = reference.covering_prefix_length(target, {witness: needed})
+        assert (replay.end, replay.needs_window) == (end, end if window < end else None)
+        if replay.needs_window is None:
+            assert replay.prefix is None
+
+
 def _terms_made(monkeypatch, run):
     """``run()`` and the number of terms it drew from the streams member
     sequences are made of: d-primes picked at positions (the P_A' layer and
@@ -391,8 +503,8 @@ def _terms_made(monkeypatch, run):
             made[0] += 1
             yield term
 
-    def canonical_terms(p, _canonical_terms=posetlab.canonical_terms):
-        for term in _canonical_terms(p):
+    def canonical_terms(p, start=0, _canonical_terms=posetlab.canonical_terms):
+        for term in _canonical_terms(p, start):
             made[0] += 1
             yield term
 
@@ -408,19 +520,20 @@ def test_crosscheck_makes_each_member_sequence_once(monkeypatch):
     evens = MemberRef(fam, UPSet.multiples_of(2))
     odds = MemberRef(fam, UPSet.from_membership((), 2, (False, True)))
     report, made = _terms_made(monkeypatch, lambda: member_crosscheck(evens, odds, 1000))
-    assert report.successful_drop is None and report.drops_tested[-1] == 512
-    # the longest target window ends at 512 + 1000, the longest source prefix at 4 * 1512 + 64
-    _, needed = _terms_made(monkeypatch, lambda: (member_sequence(odds, 1512), member_sequence(evens, 6112)))
+    assert report.consistent and report.replay.prefix is None
+    # the target's prefix up to its first surplus prime, and the surplus primes
+    # shown; the source's sequence is counted, not made
+    _, needed = _terms_made(monkeypatch, lambda: member_sequence(odds, report.replay.end))
     assert made == needed + len(report.surplus_primes)
 
 
-def test_crosscheck_succeeding_at_drop_zero_makes_one_window_and_one_prefix(monkeypatch):
+def test_crosscheck_succeeding_at_drop_zero_walks_only_the_target_window(monkeypatch):
     fam = Family.default()
     evens = MemberRef(fam, UPSet.multiples_of(2))
     mult4 = MemberRef(fam, UPSet.multiples_of(4))
     report, made = _terms_made(monkeypatch, lambda: member_crosscheck(mult4, evens, 100))
-    assert report.successful_drop == 0 and report.surplus_primes == ()
-    _, needed = _terms_made(monkeypatch, lambda: (member_sequence(evens, 100), member_sequence(mult4, 464)))
+    assert report.replay.drop == 0 and report.surplus_primes == ()
+    _, needed = _terms_made(monkeypatch, lambda: member_sequence(evens, 100))
     assert made == needed
 
 

@@ -32,12 +32,15 @@ from borelcmp.supernatural import (
     profile_add,
     profile_from_sequence,
     profiles_bireducible,
+    Replay,
+    oracle_replay,
     refutation_witness,
     sufficient_prefix_length,
 )
 
 from borelcmp.selftest import random_profile
 
+import replay_reference as reference
 from conftest import PRIME_POOL
 
 
@@ -407,3 +410,78 @@ def test_oracle_injection_examples():
 def test_sufficient_prefix_length_rejects_impossible_windows():
     with pytest.raises(DomainError):
         sufficient_prefix_length(P({2: 1, 3: OMEGA}), (2, 2))
+
+
+# -- the layout of canonical sequences and the replay ------------------------------
+
+@given(profiles(), st.integers(0, 300))
+@settings(max_examples=150, deadline=None)
+def test_layout_locates_and_counts_every_walked_term(p, start):
+    terms = canonical_sequence(p, 400)
+    assert tuple(islice(canonical_terms(p, start), 100)) == terms[start:start + 100]
+    primes = sorted(set(terms) | {g for g, _ in p.exceptions} | {17})
+    batch, lazy = supernatural._Layout(p, primes), supernatural._Layout(p)
+    for gamma in primes:
+        walked = reference.occurrences(terms, gamma)
+        for layout in (batch, lazy):
+            assert [layout.position(gamma, k) for k in range(1, len(walked) + 1)] == walked
+            beyond = layout.position(gamma, len(walked) + 1)
+            assert beyond is None or beyond >= len(terms)
+            assert (beyond is None) == (multiplicity(p, gamma) == len(walked))
+            for length in (0, 1, start, 399, 400):
+                assert layout.count(gamma, length) == sum(i < length for i in walked)
+
+
+def test_drop_and_prefix_arithmetic_agree_with_the_walk(rng):
+    sound = 0
+    for _ in range(400):
+        q, p = random_profile(rng), random_profile(rng)
+        if not preceq(q, p):
+            continue
+        sound += 1
+        drop = oracle_drop_bound(q, p)
+        assert drop == reference.oracle_drop_bound(q, p)
+        window = canonical_sequence(q, drop + 60)[drop:]
+        prefix = sufficient_prefix_length(p, window)
+        assert prefix == reference.sufficient_prefix_length(p, window)
+        assert oracle_replay(q, p, 60) == Replay(drop, drop + 60, prefix)
+    assert sound > 50
+
+
+def test_refuting_replays_agree_with_the_walk(rng):
+    refuted = 0
+    for _ in range(400):
+        q, p = random_profile(rng), random_profile(rng)
+        witness = refutation_witness(q, p)
+        if witness is None:
+            continue
+        refuted += 1
+        needed = multiplicity(p, witness) + 1
+        end = reference.covering_prefix_length(canonical_terms(q), {witness: needed})
+        assert oracle_replay(q, p, end) == Replay(0, end, None, witness, needed)
+        if end > 1:  # one term short of the window it needs
+            assert oracle_replay(q, p, end - 1) == Replay(0, end, None, witness, needed, end)
+    assert refuted > 50
+
+
+def test_replays_skip_the_drop_and_count_the_source():
+    start = time.perf_counter()
+    # the window of 2s after no drop: the k-th 2 of the dovetail opens round k
+    assert oracle_replay(P({2: OMEGA}), ALL_OMEGA, 10_000) == Replay(0, 10_000, 49_995_001)
+    assert oracle_replay(P({2: OMEGA}), ALL_OMEGA, 10**6).prefix == 10**6 * (10**6 - 1) // 2 + 1
+    # a drop of 999999999 skipped, and a source prefix of 10^9 terms counted
+    assert oracle_replay(P({2: 999999999, 3: OMEGA}), P({3: OMEGA}), 1) == Replay(999999999, 10**9, 1)
+    assert oracle_replay(P({3: OMEGA}), P({2: 999999999, 3: OMEGA}), 1) == Replay(0, 1, 10**9)
+    # refuting needs 10^9 occurrences of 2 from q: more than the window walks
+    assert oracle_replay(P({2: OMEGA}), P({2: 999999999, 3: OMEGA}), 1) == Replay(0, 10**9, None, 2, 10**9, 10**9)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_a_refuting_replay_counts_every_occurrence_the_source_holds():
+    q, p = P({5: OMEGA}), P({2: 999999999, 5: 3, 7: OMEGA})
+    assert oracle_replay(q, p, 10) == Replay(0, 4, None, 5, 4)
+    # p's three 5s follow its 999999999 2s, far past any walked probe
+    layout = supernatural._Layout(p)
+    assert [layout.position(5, k) for k in (1, 2, 3, 4)] == [999999999, 10**9, 10**9 + 1, None]
+    assert layout.count(5, 10**9 + 2) == 3
+    assert supernatural._covering_prefix(layout, {5: 3}) == 10**9 + 2

@@ -3,6 +3,7 @@ poset lab at the scale of its caps."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 import tracemalloc
@@ -82,8 +83,12 @@ def test_sparse_upset_matches_dense_reference():
             with pytest.raises(DomainError):
                 sparse.complement_members(20)
         else:
-            assert sparse.complement_members(20) == dense.complement_members(20)
+            assert sparse.complement_members(60) == dense.complement_members(60)
         assert sparse.members_below(40) == dense.members_below(40)
+        span = min(3 * (dense.threshold + dense.period), 200)
+        below = list(itertools.accumulate(map(dense.__contains__, range(span)), initial=0))
+        assert [sparse.count_below(n) for n in range(span + 1)] == below
+        assert sparse.members_below(span) == dense.members_below(span)
         assert render_upset(sparse) == reference.render_upset(dense)
         sets.append((sparse, dense))
     for (a, dense_a), (b, dense_b) in zip(sets, sets[1:] + sets[:1]):
@@ -94,6 +99,24 @@ def test_sparse_upset_matches_dense_reference():
         assert subset_star(b, a) == reference.subset_star(dense_b, dense_a)
         assert set_difference(a, b) == reference.set_difference(dense_a, dense_b)
 
+
+
+@pytest.mark.parametrize(
+    "upset",
+    [
+        UPSet.multiples_of(1000),
+        UPSet(300, frozenset(range(100, 250)), frozenset({5, 120, 640, 1999})),
+        UPSet(7, frozenset({1, 2, 3, 5}), frozenset({2, 4, 9, 30})),
+    ],
+)
+def test_ascending_runs_long_and_short_spans_of_residues(upset):
+    # spans of 999, 150 and 150 residues run one range each; the rest in blocks of periods
+    for members in (True, False):
+        expected = [n for n in range(5000) if (n in upset) == members]
+        assert list(itertools.takewhile((5000).__gt__, upset.ascending(members))) == expected
+    huge = UPSet.multiples_of(2**40)
+    assert list(itertools.islice(huge.ascending(members=False), 3)) == [1, 2, 3]
+    assert huge.count_below(2**41 + 1) == 3
 
 def test_sparse_form_is_canonical():
     assert UPSet(12, frozenset({1, 5, 9})) == UPSet(4, frozenset({1}))
