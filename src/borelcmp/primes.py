@@ -5,31 +5,36 @@
   first 12 prime bases, which is exact below 3.18 * 10^23 (Sorenson and
   Webster, Math. Comp. 86, 2017), and above that bound Baillie-PSW: a
   strong base-2 test plus a strong Lucas test with Selfridge's parameters.
-* ``primes_after`` is the one prime search: a lazy walk that chains
-  ``compress(range(lo, hi, 2), flags[lo:hi:2])`` over the odd numbers of
-  the same sieve, which doubles on demand up to ``SIEVE_CAP``, in chunks
-  that span 64 numbers first and double up to 2^16, so a caller that takes
-  one prime copies 32 bytes, and a long walk runs in C with no Python
-  frame per prime; past ``SIEVE_CAP`` it tests the candidates 6k +- 1 in
-  turn.
+* ``primes_after`` is the one prime search: a lazy walk over a table of
+  the primes below ``SIEVE_CAP``, kept next to the flags of the same sieve,
+  which doubles on demand up to that cap.  The table is split into chunks
+  that span 64 numbers first and double up to 2^16; a chunk is read off the
+  flags the first time a walk reaches it, as an ``array`` of its primes, and
+  is never changed afterwards.  A walk bisects into its first chunk and
+  then chains whole chunks, so it runs in C with one step per prime and no
+  Python frame per prime; past ``SIEVE_CAP`` it tests the candidates
+  6k +- 1 in turn.
 * ``nextprime(n)`` is the first prime of ``primes_after(n)``.
-* ``factorint`` trial-divides by the primes below 2^16, stopping at the
-  first prime whose square exceeds the cofactor, which is then 1 or prime.
-  Only a cofactor left after every prime below 2^16 goes to ``isprime``,
-  and a composite one is split with Pollard-Brent
-  (Brent 1980) within ``FACTOR_BUDGET`` steps; past the budget it raises
-  :class:`DomainError` instead of running on.
+* ``factorint`` trial-divides by the primes below 2^16 that
+  ``primes_after(1)`` walks, stopping at the first prime whose square
+  exceeds the cofactor, which is then 1 or prime.  Only a cofactor left
+  after every prime below 2^16 goes to ``isprime``, and a composite one is
+  split with Pollard-Brent (Brent 1980) within ``FACTOR_BUDGET`` steps;
+  past the budget it raises :class:`DomainError` instead of running on.
 
 The sieve is the one cache of the package: process-wide primality flags,
-a fact that never changes, replaced whole under a lock when it grows, so
-concurrent callers only ever see a complete sieve.
+replaced whole under a lock when they grow, and the prime chunks, each
+stored once under the same lock, complete.  Both hold facts that never
+change, so concurrent callers only ever see a complete sieve and complete
+chunks.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from itertools import chain, compress, count, dropwhile
+from itertools import chain, compress, count, dropwhile, takewhile
 from math import gcd, isqrt, prod
 from operator import index
 
@@ -42,8 +47,8 @@ __all__ = ["isprime", "nextprime", "primes_after", "factorint", "SIEVE_CAP", "FA
 _INITIAL_LIMIT = 1 << 16
 SIEVE_CAP = 1 << 24
 
-# The span of numbers one chunk of ``primes_after`` reads from the sieve:
-# the first, doubled per chunk up to the last.
+# The span of numbers in one chunk of the prime table: the first, doubled
+# per chunk up to the last.
 _FIRST_CHUNK, _LAST_CHUNK = 1 << 6, 1 << 16
 
 # Pollard-Brent steps (one modular squaring each) that one ``factorint``
@@ -58,10 +63,13 @@ _MR_EXACT_BELOW = 318665857834031151167461
 
 
 class _Sieve:
-    """Primality flags of 0, 1, 2, ..., grown by doubling on demand."""
+    """Primality flags of 0, 1, 2, ..., grown by doubling on demand, and the
+    primes of each chunk of numbers below ``SIEVE_CAP``, read off the flags
+    the first time a walk reaches the chunk."""
 
     def __init__(self):
         self.flags = bytearray()  # flags[n] == 1 iff n is prime; replaced whole, never mutated
+        self.chunks = {}  # a chunk's least number -> its primes; stored once, complete, never mutated
         self._lock = threading.Lock()
 
     def covering(self, n: int) -> bytearray:
@@ -77,6 +85,35 @@ class _Sieve:
                 flags = _extended(flags, min(max(2 * len(flags), _INITIAL_LIMIT), SIEVE_CAP))
             self.flags = flags
             return flags
+
+    def chunk(self, lo: int):
+        """The primes of the chunk that starts at ``lo``, ascending, as an
+        array of unsigned ints, read off the flags on first use."""
+        primes = self.chunks.get(lo)
+        if primes is None:
+            from array import array  # loaded by the first walk, not at import
+
+            hi = _chunk_end(lo)
+            numbers = range(lo | 1, hi, 2) if lo else range(hi)  # the odd numbers, and 2 in the first chunk
+            flags = self.covering(hi - 1)[numbers.start:hi:numbers.step]
+            with self._lock:
+                primes = self.chunks.get(lo)
+                if primes is None:
+                    primes = self.chunks[lo] = array("I", compress(numbers, flags))
+        return primes
+
+
+def _chunk_start(n: int) -> int:
+    """The least number of the chunk that holds ``n``: chunks start at 0,
+    then at each power of two from ``_FIRST_CHUNK`` to ``_LAST_CHUNK``, then
+    at each multiple of ``_LAST_CHUNK``."""
+    size = min(1 << n.bit_length() >> 1, _LAST_CHUNK)
+    return n - n % size if size >= _FIRST_CHUNK else 0
+
+
+def _chunk_end(lo: int) -> int:
+    """The bound past the chunk that starts at ``lo``."""
+    return min(max(2 * lo, _FIRST_CHUNK), lo + _LAST_CHUNK, SIEVE_CAP)
 
 
 def _extended(flags: bytearray, hi: int) -> bytearray:
@@ -145,17 +182,17 @@ def primes_after(n: int) -> Iterator[int]:
 
 
 def _prime_chunks(lo: int) -> Iterator[Iterable[int]]:
-    """The primes from ``lo`` on in consecutive ascending runs: 2, then
-    compressed slices of the sieve's odd numbers, each read when the run
-    before it is used up, then past the cap the candidates 6k +- 1 that
+    """The primes from ``lo`` on in consecutive ascending runs: the tail of
+    the chunk that holds ``lo``, then whole chunks, each fetched when the
+    run before it is used up, then past the cap the candidates 6k +- 1 that
     ``isprime`` accepts."""
-    if lo <= 2:
-        yield (2,)
-    lo, size = max(lo, 3) | 1, _FIRST_CHUNK  # odd from here on, as size is even
-    while lo < SIEVE_CAP:
-        hi = min(lo + size, SIEVE_CAP)
-        yield compress(range(lo, hi, 2), _SIEVE.covering(hi - 1)[lo:hi:2])
-        lo, size = hi, min(2 * size, _LAST_CHUNK)
+    if lo < SIEVE_CAP:
+        start = _chunk_start(lo)
+        primes = _SIEVE.chunk(start)
+        yield primes[bisect_left(primes, lo):]
+        while (start := _chunk_end(start)) < SIEVE_CAP:
+            yield _SIEVE.chunk(start)
+        lo = SIEVE_CAP
     candidates = chain.from_iterable((k + 1, k + 5) for k in count(lo // 6 * 6, 6))
     yield filter(isprime, dropwhile(lo.__gt__, candidates))
 
@@ -170,7 +207,7 @@ def factorint(n: int) -> dict:
     """
     checked_natural(n, "only positive integers are factored", 1)
     original, factors = n, {}
-    for p in compress(range(_INITIAL_LIMIT), _SIEVE.covering(0)):
+    for p in takewhile(_INITIAL_LIMIT.__gt__, primes_after(1)):
         if p * p > n:  # no prime below p divides the cofactor, so it is 1 or prime
             if n > 1:
                 factors[n] = 1

@@ -180,6 +180,23 @@ def test_concurrent_d_enumeration_agrees_with_a_serial_run_across_sieve_growths(
         sys.setswitchinterval(switch)
     assert results == [(serial[k - 1], serial[:k]) for k in sizes]
     assert len(primes._SIEVE.flags) == 1 << 20
+    # every chunk of the prime table, each stored once by one of the threads,
+    # holds exactly the primes of its range
+    chunks = primes._SIEVE.chunks
+    assert sorted(chunks) == [0, *(64 << j for j in range(11)), *range(2**17, serial[-1], 2**16)]
+    for lo, chunk in chunks.items():
+        assert list(chunk) == list(sympy.primerange(lo, min(max(2 * lo, 64), lo + 2**16))), lo
+
+
+def test_a_repeated_member_sequence_builds_no_new_chunk_of_the_prime_table(monkeypatch):
+    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+    evens = MemberRef(Family.default(), UPSet.multiples_of(2))
+    first = member_sequence(evens, 10_000)
+    built = dict(primes._SIEVE.chunks)
+    assert len(built) > 11  # past the small chunks below 2^16
+    assert member_sequence(evens, 10_000) == first
+    assert primes._SIEVE.chunks.keys() == built.keys()
+    assert all(primes._SIEVE.chunks[lo] is chunk for lo, chunk in built.items())
 
 
 @pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3", None])

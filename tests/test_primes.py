@@ -11,7 +11,8 @@ import sys
 import threading
 import time
 from bisect import bisect_right
-from itertools import islice
+from itertools import islice, takewhile
+from math import isqrt
 
 import pytest
 import sympy
@@ -109,6 +110,29 @@ def test_primes_after_goes_on_past_the_sieve_cap(monkeypatch):
     for n in range(cap - 30, cap + 30):
         assert list(islice(primes_after(n), 20)) == known[bisect_right(known, n):][:20], n
     assert len(primes._SIEVE.flags) == cap
+
+
+def _reference_primes(lo: int, hi: int) -> list:
+    """The primes ``p`` with ``lo <= p < hi``, from a plain sieve of
+    Eratosthenes over that range alone."""
+    flags = [n > 1 for n in range(lo, hi)]
+    for d in range(2, isqrt(hi - 1) + 1):
+        for m in range(max(d * d, -(-lo // d) * d), hi, d):
+            flags[m - lo] = False
+    return [n for n, prime in zip(range(lo, hi), flags) if prime]
+
+
+def test_the_prime_table_agrees_with_a_plain_sieve_around_every_chunk_boundary(monkeypatch):
+    # chunks start at 0, at 64, 128, ..., 2^16 and then at every multiple of 2^16
+    starts = [0, *(64 << j for j in range(11)), *range(2**17, 2**20, 2**16)]
+    cap = primes.SIEVE_CAP
+    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+    for n in [*(b + d for b in starts for d in (-1, 0, 1)), *range(cap - 3, cap + 2), cap - 600]:
+        # no two primes below 2^25 lie 600 apart
+        expected = _reference_primes(n + 1, n + 601)
+        assert list(takewhile((n + 601).__gt__, primes_after(n))) == expected, n
+        assert nextprime(n) == expected[0], n
+    assert sorted(primes._SIEVE.chunks) == [*starts, cap - 2**16]
 
 
 def test_factorint_agrees_with_sympy():

@@ -15,8 +15,9 @@ import pytest
 import borelcmp
 from borelcmp import cli
 
-# The modules that load on first use only.
-LAZY = ("borelcmp.duality", "borelcmp.posetlab", "borelcmp.selftest", "json")
+# The modules that load on first use only; ``array`` loads with the first
+# chunk of the prime table, when a verb first walks the primes.
+LAZY = ("borelcmp.duality", "borelcmp.posetlab", "borelcmp.selftest", "json", "array")
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
@@ -41,8 +42,8 @@ def _lazy_loaded_after(code: str) -> list:
     (["reduce", "R^2 x T", "T^3"], []),
     (["reduce", "R^2 x T", "T^3", "--json"], ["json"]),
     (["dual", "T^2 x Sol{2:6,3:w}"], ["borelcmp.duality"]),
-    (["family-demo", "--depth", "2"], ["borelcmp.posetlab"]),
-    (["selftest"], ["borelcmp.duality", "borelcmp.posetlab", "borelcmp.selftest"]),
+    (["family-demo", "--depth", "2"], ["array", "borelcmp.posetlab"]),
+    (["selftest"], ["array", "borelcmp.duality", "borelcmp.posetlab", "borelcmp.selftest"]),
 ])
 def test_a_verb_loads_only_what_it_runs(argv, loaded):
     code = f"import borelcmp\nfrom borelcmp import cli\nassert cli.main({argv!r}) == 0"
