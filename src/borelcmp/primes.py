@@ -1,32 +1,32 @@
 """Primality, next primes and factoring, with the standard library only.
 
-* ``isprime`` looks small numbers up in a cached sieve.  Above it, it
-  trial-divides by the primes below 1000, then runs Miller-Rabin on the
-  first 12 prime bases, which is exact below 3.18 * 10^23 (Sorenson and
-  Webster, Math. Comp. 86, 2017), and above that bound Baillie-PSW: a
-  strong base-2 test plus a strong Lucas test with Selfridge's parameters.
+* ``isprime`` looks the numbers below 2^16 up in the flags of a sieve.
+  From 2^16 on, it trial-divides by the primes below 1000, then runs
+  Miller-Rabin on the first 12 prime bases, which is exact below
+  3.18 * 10^23 (Sorenson and Webster, Math. Comp. 86, 2017), and above that
+  bound Baillie-PSW: a strong base-2 test plus a strong Lucas test with
+  Selfridge's parameters.
 * ``primes_after`` is the one prime search: a lazy walk over a table of
-  the primes below ``SIEVE_CAP``, kept next to the flags of the same sieve,
-  which doubles on demand up to that cap.  The table is split into chunks
-  that span 64 numbers first and double up to 2^16; a chunk is read off the
-  flags the first time a walk reaches it, as an ``array`` of its primes, and
-  is never changed afterwards.  A walk bisects into its first chunk and
-  then chains whole chunks, so it runs in C with one step per prime and no
-  Python frame per prime; past ``SIEVE_CAP`` it tests the candidates
-  6k +- 1 in turn.
+  the primes below ``SIEVE_CAP``, split into chunks of 2^16 numbers.  A
+  chunk is stored the first time a walk reaches it, as an ``array`` of its
+  primes, and is never changed afterwards: chunk 0 is read off the flags,
+  every other chunk is segment-sieved by the primes that the flags hold,
+  and only the numbers 6k +- 1 are read.
+  A walk bisects into its first chunk and then chains whole chunks, so it
+  runs in C with one step per prime and no Python frame per prime; past
+  ``SIEVE_CAP`` it tests the candidates 6k +- 1 in turn.
 * ``nextprime(n)`` is the first prime of ``primes_after(n)``.
-* ``factorint`` trial-divides by the primes below 2^16 that
-  ``primes_after(1)`` walks, stopping at the first prime whose square
-  exceeds the cofactor, which is then 1 or prime.  Only a cofactor left
-  after every prime below 2^16 goes to ``isprime``, and a composite one is
-  split with Pollard-Brent (Brent 1980) within ``FACTOR_BUDGET`` steps;
-  past the budget it raises :class:`DomainError` instead of running on.
+* ``factorint`` trial-divides by the primes of chunk 0, the primes below
+  2^16, stopping at the first prime whose square exceeds the cofactor,
+  which is then 1 or prime.  Only a cofactor left after every prime below
+  2^16 goes to ``isprime``, and a composite one is split with Pollard-Brent
+  (Brent 1980) within ``FACTOR_BUDGET`` steps; past the budget it raises
+  :class:`DomainError` instead of running on.
 
-The sieve is the one cache of the package: process-wide primality flags,
-replaced whole under a lock when they grow, and the prime chunks, each
-stored once under the same lock, complete.  Both hold facts that never
-change, so concurrent callers only ever see a complete sieve and complete
-chunks.
+The sieve is the one cache of the package: process-wide primality flags of
+the numbers below 2^16, built once, and the prime chunks, each stored once.
+Both are stored complete under a lock and never change, so concurrent
+callers only ever see complete flags and complete chunks.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from itertools import chain, compress, count, dropwhile, takewhile
+from itertools import chain, compress, count, dropwhile
 from math import gcd, isqrt, prod
 from operator import index
 
@@ -42,14 +42,10 @@ from .errors import DomainError, checked_natural
 
 __all__ = ["isprime", "nextprime", "primes_after", "factorint", "SIEVE_CAP", "FACTOR_BUDGET"]
 
-# The sieve starts at _INITIAL_LIMIT and doubles up to SIEVE_CAP (one
-# byte per number: 16 MB).
-_INITIAL_LIMIT = 1 << 16
 SIEVE_CAP = 1 << 24
-
-# The span of numbers in one chunk of the prime table: the first, doubled
-# per chunk up to the last.
-_FIRST_CHUNK, _LAST_CHUNK = 1 << 6, 1 << 16
+# The span of numbers in one chunk of the prime table, and of the flags,
+# which hold every sieving prime up to the square root of SIEVE_CAP.
+_CHUNK = 1 << 16
 
 # Pollard-Brent steps (one modular squaring each) that one ``factorint``
 # call may spend, shared by all its splits; enough to split a product of
@@ -63,92 +59,74 @@ _MR_EXACT_BELOW = 318665857834031151167461
 
 
 class _Sieve:
-    """Primality flags of 0, 1, 2, ..., grown by doubling on demand, and the
-    primes of each chunk of numbers below ``SIEVE_CAP``, read off the flags
-    the first time a walk reaches the chunk."""
+    """Primality flags of the numbers below 2^16, built once on first use,
+    and the primes of each chunk of 2^16 numbers below ``SIEVE_CAP``,
+    stored the first time a walk reaches the chunk."""
 
     def __init__(self):
-        self.flags = bytearray()  # flags[n] == 1 iff n is prime; replaced whole, never mutated
+        self.flags = b""  # flags[n] == 1 iff n < 2^16 is prime; set once, never mutated
         self.chunks = {}  # a chunk's least number -> its primes; stored once, complete, never mutated
         self._lock = threading.Lock()
 
-    def covering(self, n: int) -> bytearray:
-        """Flags longer than ``n``, at least the initial sieve; a bound at
-        or past the cap grows nothing."""
-        target = max(n if n < SIEVE_CAP else 0, _INITIAL_LIMIT - 1)
-        flags = self.flags
-        if len(flags) > target:
-            return flags
+    def base(self) -> bytearray:
+        """The flags, built on first use."""
         with self._lock:
-            flags = self.flags
-            while len(flags) <= target:
-                flags = _extended(flags, min(max(2 * len(flags), _INITIAL_LIMIT), SIEVE_CAP))
-            self.flags = flags
-            return flags
+            if not self.flags:
+                self.flags = _sieved(0, _CHUNK)
+            return self.flags
 
     def chunk(self, lo: int):
         """The primes of the chunk that starts at ``lo``, ascending, as an
-        array of unsigned ints, read off the flags on first use."""
+        array of unsigned ints: read off the flags for chunk 0, segment-sieved
+        from them for every other chunk, on first use."""
         primes = self.chunks.get(lo)
         if primes is None:
             from array import array  # loaded by the first walk, not at import
 
-            hi = _chunk_end(lo)
-            numbers = range(lo | 1, hi, 2) if lo else range(hi)  # the odd numbers, and 2 in the first chunk
-            flags = self.covering(hi - 1)[numbers.start:hi:numbers.step]
+            hi = min(lo + _CHUNK, SIEVE_CAP)
+            flags = self.flags or self.base()
+            segment = _sieved(lo, hi, flags) if lo else flags
+            # past 3 only the numbers 6k +- 1 can be prime; they are read as two runs
+            starts = (lo + (1 - lo) % 6, lo + (5 - lo) % 6)
+            found = sorted(chain.from_iterable(compress(range(a, hi, 6), segment[a - lo :: 6]) for a in starts))
+            table = array("I", found if lo else [2, 3, *found])
             with self._lock:
-                primes = self.chunks.get(lo)
-                if primes is None:
-                    primes = self.chunks[lo] = array("I", compress(numbers, flags))
+                primes = self.chunks.setdefault(lo, table)
         return primes
 
 
-def _chunk_start(n: int) -> int:
-    """The least number of the chunk that holds ``n``: chunks start at 0,
-    then at each power of two from ``_FIRST_CHUNK`` to ``_LAST_CHUNK``, then
-    at each multiple of ``_LAST_CHUNK``."""
-    size = min(1 << n.bit_length() >> 1, _LAST_CHUNK)
-    return n - n % size if size >= _FIRST_CHUNK else 0
-
-
-def _chunk_end(lo: int) -> int:
-    """The bound past the chunk that starts at ``lo``."""
-    return min(max(2 * lo, _FIRST_CHUNK), lo + _LAST_CHUNK, SIEVE_CAP)
-
-
-def _extended(flags: bytearray, hi: int) -> bytearray:
-    """``flags`` extended to length ``hi``; ``len(flags)`` is 0 or at least
-    the square root of ``hi``."""
-    lo = len(flags)
+def _sieved(lo: int, hi: int, base: bytes = b"") -> bytearray:
+    """Primality flags of the numbers from ``lo`` to ``hi - 1``, crossed off
+    by the primes that ``base`` flags up to the square root of ``hi``;
+    without ``base``, ``lo`` is 0 and the flags find those primes as they go."""
     segment = bytearray([1]) * (hi - lo)
     if lo == 0:
         segment[:2] = b"\0\0"
-    base = flags or segment  # where the primes up to the square root are read
-    for p in range(2, isqrt(hi - 1) + 1):
-        if base[p]:
-            start = max(p * p, -(-lo // p) * p) - lo
-            segment[start::p] = bytes(len(range(start, hi - lo, p)))
-    return flags + segment
+    for p in compress(range(isqrt(hi - 1) + 1), base or segment):
+        start = max(p * p - lo, -lo % p)  # the first multiple of p from both p*p and lo on
+        segment[start::p] = bytes(len(range(start, hi - lo, p)))
+    return segment
 
 
 _SIEVE = _Sieve()
 # The product of the primes below 1000, for trial division by one gcd.
-_PRIMORIAL = prod(compress(range(1000), _extended(bytearray(), 1000)))
+_PRIMORIAL = prod(compress(range(1000), _sieved(0, 1000)))
 
 
 def isprime(n: int) -> bool:
-    """Whether the integer ``n`` is prime; any other argument is a
-    :class:`DomainError`.
+    """Whether the integer ``n`` is prime; a bool or any other argument is
+    a :class:`DomainError`.
 
     >>> [n for n in range(20) if isprime(n)], isprime(2**89 - 1), isprime(561)
     ([2, 3, 5, 7, 11, 13, 17, 19], True, False)
     """
-    flags = _SIEVE.flags or _SIEVE.covering(0)
-    try:  # a non-integer fails the comparison, the sieve index, index() or gcd
+    try:  # a non-integer fails the comparison, the flag index, index() or gcd
+        if isinstance(n, bool):
+            raise TypeError  # refused as in checked_natural
         if n < 0:
             return index(n) > 0  # False, once index() has turned a non-integer away
-        if n < len(flags):
-            return flags[n] == 1
+        if n < _CHUNK:
+            return (_SIEVE.flags or _SIEVE.base())[n] == 1
         if gcd(n, _PRIMORIAL) != 1:
             return False
     except TypeError:
@@ -175,6 +153,8 @@ def primes_after(n: int) -> Iterator[int]:
     ([2, 3, 5, 7, 11], 4194319)
     """
     try:
+        if isinstance(n, bool):
+            raise TypeError  # refused as in checked_natural
         lo = max(index(n) + 1, 0)
     except TypeError:
         raise DomainError(f"only integers have primes after them, got {n!r}") from None
@@ -187,10 +167,11 @@ def _prime_chunks(lo: int) -> Iterator[Iterable[int]]:
     run before it is used up, then past the cap the candidates 6k +- 1 that
     ``isprime`` accepts."""
     if lo < SIEVE_CAP:
-        start = _chunk_start(lo)
+        start = lo - lo % _CHUNK
         primes = _SIEVE.chunk(start)
-        yield primes[bisect_left(primes, lo):]
-        while (start := _chunk_end(start)) < SIEVE_CAP:
+        skip = bisect_left(primes, lo)
+        yield primes[skip:] if skip else primes  # a walk from 1 copies none of chunk 0
+        for start in range(start + _CHUNK, SIEVE_CAP, _CHUNK):
             yield _SIEVE.chunk(start)
         lo = SIEVE_CAP
     candidates = chain.from_iterable((k + 1, k + 5) for k in count(lo // 6 * 6, 6))
@@ -207,7 +188,7 @@ def factorint(n: int) -> dict:
     """
     checked_natural(n, "only positive integers are factored", 1)
     original, factors = n, {}
-    for p in takewhile(_INITIAL_LIMIT.__gt__, primes_after(1)):
+    for p in _SIEVE.chunk(0):
         if p * p > n:  # no prime below p divides the cofactor, so it is 1 or prime
             if n > 1:
                 factors[n] = 1

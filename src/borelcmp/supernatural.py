@@ -153,11 +153,8 @@ class SupernaturalProfile(Value):
         self._store(seen, default)
 
     def _store(self, multiplicities: dict, default: Mult):
-        canonical = tuple(
-            (gamma, value)
-            for gamma, value in sorted(multiplicities.items())
-            if not _mult_eq(value, default)
-        )
+        items = sorted(multiplicities.items())
+        canonical = tuple((gamma, value) for gamma, value in items if value != default)
         object.__setattr__(self, "exceptions", canonical)
         object.__setattr__(self, "default", default)
 
@@ -199,12 +196,6 @@ class SupernaturalProfile(Value):
         if self.default is OMEGA:
             return "{" + (parts + "; " if parts else "") + "default=w}"
         return "{" + parts + "}"
-
-
-def _mult_eq(a: Mult, b: Mult) -> bool:
-    if a is OMEGA or b is OMEGA:
-        return a is b
-    return a == b
 
 
 def _validated_word(entries: Iterable, minimum: int, what: str) -> tuple:

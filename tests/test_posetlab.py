@@ -166,8 +166,8 @@ def test_d_enumeration_tests_no_prime(isprime_calls):
 def test_concurrent_d_enumeration_agrees_with_a_serial_run_across_sieve_growths(monkeypatch):
     serial = Family.default().d_terms(50_000)
     assert serial[:4] == (3, 5, 7, 11)
-    # from a fresh sieve of 2^16 numbers, the d_50000 near 612,000 takes four
-    # doublings, each one contended by mixed sizes
+    # from a fresh sieve, the d_50000 near 612,000 lies in the tenth chunk of
+    # the prime table, and mixed sizes contend for every chunk on the way
     monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
     sizes = [1, 50_000, 7, 4_097, 31_000, 200, 12_345, 49_999, 3, 20_000, 8_192, 40_000] * 3
     fam = Family.default()
@@ -179,13 +179,12 @@ def test_concurrent_d_enumeration_agrees_with_a_serial_run_across_sieve_growths(
     finally:
         sys.setswitchinterval(switch)
     assert results == [(serial[k - 1], serial[:k]) for k in sizes]
-    assert len(primes._SIEVE.flags) == 1 << 20
     # every chunk of the prime table, each stored once by one of the threads,
     # holds exactly the primes of its range
     chunks = primes._SIEVE.chunks
-    assert sorted(chunks) == [0, *(64 << j for j in range(11)), *range(2**17, serial[-1], 2**16)]
+    assert sorted(chunks) == [*range(0, serial[-1], 2**16)]
     for lo, chunk in chunks.items():
-        assert list(chunk) == list(sympy.primerange(lo, min(max(2 * lo, 64), lo + 2**16))), lo
+        assert list(chunk) == list(sympy.primerange(lo, lo + 2**16)), lo
 
 
 def test_a_repeated_member_sequence_builds_no_new_chunk_of_the_prime_table(monkeypatch):
@@ -193,7 +192,7 @@ def test_a_repeated_member_sequence_builds_no_new_chunk_of_the_prime_table(monke
     evens = MemberRef(Family.default(), UPSet.multiples_of(2))
     first = member_sequence(evens, 10_000)
     built = dict(primes._SIEVE.chunks)
-    assert len(built) > 11  # past the small chunks below 2^16
+    assert len(built) > 1  # past the first chunk
     assert member_sequence(evens, 10_000) == first
     assert primes._SIEVE.chunks.keys() == built.keys()
     assert all(primes._SIEVE.chunks[lo] is chunk for lo, chunk in built.items())

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from bisect import bisect_right
 from itertools import islice, takewhile
 from math import isqrt
@@ -74,7 +75,7 @@ def test_known_primes(n):
 
 
 @pytest.mark.parametrize("function", [isprime, nextprime, primes_after])
-@pytest.mark.parametrize("n", [2.5, -2.5, 7.0, 1e30, "7", None])
+@pytest.mark.parametrize("n", [2.5, -2.5, 7.0, 1e30, "7", None, True, False])
 def test_a_non_integer_is_a_domain_error_at_the_call(function, n):
     with pytest.raises(DomainError, match="only integers"):
         function(n)
@@ -96,7 +97,7 @@ def _nextprime_walk(n: int, count: int) -> list:
 
 def test_primes_after_matches_nextprime():
     assert list(islice(primes_after(1), 100_000)) == _nextprime_walk(1, 100_000)
-    # the initial sieve and the largest chunk both span 2^16 numbers
+    # the flags and every chunk of the prime table span 2^16 numbers
     for n in [-3, 0, 1, 2, 3, *range(2**16 - 40, 2**16 + 40), 2**17 + 5, 10**6]:
         assert list(islice(primes_after(n), 50)) == _nextprime_walk(n, 50), n
 
@@ -109,7 +110,9 @@ def test_primes_after_goes_on_past_the_sieve_cap(monkeypatch):
     assert list(islice(primes_after(1), len(known))) == known
     for n in range(cap - 30, cap + 30):
         assert list(islice(primes_after(n), 20)) == known[bisect_right(known, n):][:20], n
-    assert len(primes._SIEVE.flags) == cap
+    assert sorted(primes._SIEVE.chunks) == [0, 2**16]
+    # the last chunk ends at the cap, and the walk goes on past it
+    assert list(primes._SIEVE.chunks[2**16]) == [p for p in known if 2**16 <= p < cap]
 
 
 def _reference_primes(lo: int, hi: int) -> list:
@@ -123,16 +126,32 @@ def _reference_primes(lo: int, hi: int) -> list:
 
 
 def test_the_prime_table_agrees_with_a_plain_sieve_around_every_chunk_boundary(monkeypatch):
-    # chunks start at 0, at 64, 128, ..., 2^16 and then at every multiple of 2^16
-    starts = [0, *(64 << j for j in range(11)), *range(2**17, 2**20, 2**16)]
+    # chunks start at every multiple of 2^16; the powers of two from 64 to
+    # 2^15, where chunks once started, are probed too
+    starts = [*range(0, 2**20, 2**16)]
+    bounds = [*starts, *(64 << j for j in range(10))]
     cap = primes.SIEVE_CAP
     monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
-    for n in [*(b + d for b in starts for d in (-1, 0, 1)), *range(cap - 3, cap + 2), cap - 600]:
+    for n in [*(b + d for b in bounds for d in (-1, 0, 1)), *range(cap - 3, cap + 2), cap - 600]:
         # no two primes below 2^25 lie 600 apart
         expected = _reference_primes(n + 1, n + 601)
         assert list(takewhile((n + 601).__gt__, primes_after(n))) == expected, n
         assert nextprime(n) == expected[0], n
     assert sorted(primes._SIEVE.chunks) == [*starts, cap - 2**16]
+
+
+def test_a_fresh_nextprime_far_out_sieves_one_chunk_from_the_fixed_flags(monkeypatch):
+    expected = sympy.nextprime(2**23)
+    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+    tracemalloc.start()
+    try:
+        assert nextprime(2**23) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(primes._SIEVE.chunks) == [2**23]
+    assert len(primes._SIEVE.flags) == 2**16
+    assert peak < 2**20, peak
 
 
 def test_factorint_agrees_with_sympy():
@@ -181,7 +200,7 @@ def test_factorint_of_a_semiprime_of_90_bit_primes_stops_at_the_budget():
 def test_concurrent_nextprime_agrees_with_a_serial_run(monkeypatch):
     queries = list(range(0, 600_000, 997))
     expected = [nextprime(n) for n in queries]
-    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())  # every thread grows it
+    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())  # the threads contend for every chunk
     results: dict = {}
 
     def worker(k):

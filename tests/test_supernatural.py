@@ -85,6 +85,7 @@ def test_omega_total_order():
 def test_profile_canonical_form():
     assert P({2: 0, 3: OMEGA}) == P({3: OMEGA})
     assert P({2: OMEGA}, OMEGA) == ALL_OMEGA
+    assert P({2: 0}, OMEGA).exceptions == ((2, 0),)  # a 0 is kept against a default of OMEGA
     with pytest.raises(DomainError):
         P({4: OMEGA})
     with pytest.raises(DomainError):
