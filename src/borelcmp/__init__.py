@@ -21,18 +21,12 @@ from .errors import BorelcmpError, DomainError, ParseError
 from .supernatural import (
     OMEGA,
     IntSeqSpec,
-    SeqSpec,
     SupernaturalProfile,
     canonical_sequence,
     deficit,
-    factor_sequence,
-    interleave,
-    multiplicity,
     oracle_injection,
     preceq,
-    profile_add,
     profile_from_sequence,
-    profiles_bireducible,
 )
 from .groups import (
     REAL,
@@ -90,9 +84,8 @@ _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in nam
 
 __all__ = [
     "BorelcmpError", "DomainError", "ParseError",
-    "OMEGA", "IntSeqSpec", "SeqSpec", "SupernaturalProfile", "canonical_sequence", "deficit",
-    "factor_sequence", "interleave", "multiplicity", "oracle_injection", "preceq",
-    "profile_add", "profile_from_sequence", "profiles_bireducible",
+    "OMEGA", "IntSeqSpec", "SupernaturalProfile", "canonical_sequence", "deficit",
+    "oracle_injection", "preceq", "profile_from_sequence",
     "REAL", "TORUS", "TRIVIAL_GROUP", "Atom", "AtomKind", "GroupExpr", "dimension", "group",
     "is_compact", "normalize_group", "solenoid",
     "Certificate", "ComparisonOutcome", "EdgeBlock", "EdgeReason", "EdgeWitness", "HallViolator",

@@ -46,7 +46,7 @@ from .literals import (
 )
 from .reducibility import EdgeReason, compare, reduces
 from .report import Report, certificate_payload
-from .supernatural import deficit, multiplicity, oracle_replay, preceq, refutation_witness
+from .supernatural import deficit, oracle_replay, preceq, refutation_witness
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -261,7 +261,7 @@ def _preceq(command: Command):
     diagnostics = [f"deficit = {deficit(q, p)}"]
     if not holds:
         witness = refutation_witness(q, p)
-        supply = multiplicity(p, witness)
+        supply = p.multiplicity(witness)
         diagnostics.append(f"witness prime {witness}: multiplicity w in q exceeds {supply} in p")
     if command.oracle_window is not None:
         diagnostics.append(_oracle_line(oracle_replay(q, p, command.oracle_window)))

@@ -29,13 +29,7 @@ from typing import Mapping, Union
 
 from ._value import Value
 from .errors import DomainError, checked_natural
-from .supernatural import (
-    OMEGA,
-    IntSeqSpec,
-    SupernaturalProfile,
-    factor_sequence,
-    profile_from_sequence,
-)
+from .supernatural import OMEGA, IntSeqSpec, SupernaturalProfile, profile_from_sequence
 
 __all__ = [
     "AtomKind",
@@ -257,7 +251,7 @@ def _expand(node: RawNode) -> tuple:
     if isinstance(node, Atom):
         return ((node, 1),)
     if isinstance(node, IntSeqSpec):
-        return ((Atom._of_profile(profile_from_sequence(factor_sequence(node))), 1),)
+        return ((Atom._of_profile(profile_from_sequence(node)), 1),)
     if isinstance(node, RawPower):
         return _power(_expand(node.base), node.exponent)
     if isinstance(node, RawProduct):

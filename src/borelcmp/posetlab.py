@@ -46,7 +46,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, count, cycle, filterfalse, islice, repeat, takewhile, tee
+from itertools import accumulate, chain, count, cycle, filterfalse, islice, repeat, takewhile
 from math import gcd
 from operator import add
 
@@ -57,7 +57,6 @@ from .supernatural import (
     OMEGA,
     Replay,
     SupernaturalProfile,
-    _alternate,
     _covering_prefix,
     _Layout,
     _paired,
@@ -225,9 +224,9 @@ class UPSet:
 
     def count_below(self, n: int) -> int:
         """How many members lie below ``n``, counted from the period, the
-        residues and the flips."""
+        residues and the flips; none below ``n <= 0``."""
         residues, out, into = self._sorted
-        full, rest = divmod(n, self.period)
+        full, rest = divmod(max(n, 0), self.period)
         return full * len(residues) + bisect_left(residues, rest) - bisect_left(out, n) + bisect_left(into, n)
 
     @cached_property
@@ -374,7 +373,7 @@ class Family:
         return _ranks(_primes_outside(not_d), set(primes) - not_d)
 
     def d_terms(self, k: int) -> tuple:
-        """First ``k`` primes gamma with multiplicity(p, gamma) < (q, gamma)."""
+        """First ``k`` primes gamma more frequent in q than in p."""
         return tuple(islice(self._d_walk(), checked_natural(k, "count must be a natural number")))
 
     def d_term(self, i: int) -> int:
@@ -403,6 +402,10 @@ class MemberRef:
     power: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.family, Family):
+            raise DomainError(f"member family must be a Family, got {self.family!r}")
+        if not isinstance(self.a, UPSet):
+            raise DomainError(f"member set must be a UPSet, got {self.a!r}")
         checked_natural(self.power, "member power must be >= 1", 1)
 
 
@@ -420,17 +423,22 @@ def member_sequence(m: MemberRef, n: int) -> tuple:
 
 
 def _member_terms(m: MemberRef):
-    """The member's concrete prime sequence as an infinite iterator, made
-    from one walk of the d-enumeration."""
+    """The member's concrete prime sequence as an infinite iterator.  Each
+    d-layer walks the d-enumeration on its own, so the A layer, which runs
+    far ahead of P_0', holds no d-prime back for it."""
     family = m.family
-    zero_walk, a_walk = tee(family._d_walk())
     # P_0' interleave base(P)
-    terms = _alternate(islice(zero_walk, 0, None, 3), canonical_terms(family.p))
+    terms = _alternate(islice(family._d_walk(), 0, None, 3), canonical_terms(family.p))
     if not m.a.is_cofinite:
         # P_A' interleave (P_0' interleave base(P))
-        a_layer = _at_positions(islice(a_walk, 1, None, 3), m.a.ascending(members=False))
+        a_layer = _at_positions(islice(family._d_walk(), 1, None, 3), m.a.ascending(members=False))
         terms = _alternate(a_layer, terms)
     return terms
+
+
+def _alternate(first: Iterator, second: Iterator) -> Iterator:
+    """first(0), second(0), first(1), second(1), ... until either runs out."""
+    return chain.from_iterable(zip(first, second))
 
 
 def _check_same_family(m_a: MemberRef, m_b: MemberRef):

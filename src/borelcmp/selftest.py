@@ -25,7 +25,6 @@ from .supernatural import (
     SupernaturalProfile,
     canonical_sequence,
     canonical_terms,
-    multiplicity,
     oracle_drop_bound,
     oracle_injection,
     preceq,
@@ -186,7 +185,7 @@ def _criterion_07_oracle_consistency(rng):
             continue
         refuted += 1
         gamma = refutation_witness(q, p)
-        cap = multiplicity(p, gamma)
+        cap = p.multiplicity(gamma)
         if cap is OMEGA:
             return False, f"witness {gamma} of {q} not into {p} has multiplicity w"
         for drop in (0, 7):  # failing windows exist beyond any drop point

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, chain, compress, count, cycle, filterfalse, islice, repeat, takewhile, tee
-from math import isqrt, lcm
+from math import isqrt
 from typing import Iterable, Iterator, Mapping, Union
 
 from ._value import Value
@@ -34,17 +34,11 @@ __all__ = [
     "OMEGA",
     "Mult",
     "SupernaturalProfile",
-    "SeqSpec",
     "IntSeqSpec",
     "minimal_period",
-    "multiplicity",
     "profile_from_sequence",
-    "factor_sequence",
     "deficit",
     "preceq",
-    "profiles_bireducible",
-    "profile_add",
-    "interleave",
     "canonical_sequence",
     "canonical_terms",
     "oracle_injection",
@@ -144,8 +138,12 @@ class SupernaturalProfile(Value):
         if default is not OMEGA and default != 0:
             raise DomainError(f"profile default must be 0 or OMEGA, got {default!r}")
         items = exceptions.items() if isinstance(exceptions, Mapping) else exceptions
+        try:
+            pairs = [(gamma, value) for gamma, value in items]
+        except (TypeError, ValueError):
+            raise DomainError(f"profile exceptions must be (prime, multiplicity) pairs, got {exceptions!r}") from None
         seen = {}
-        for gamma, value in items:
+        for gamma, value in pairs:
             gamma = _check_prime(gamma)
             if gamma in seen:
                 raise DomainError(f"duplicate exception for prime {gamma}")
@@ -198,14 +196,6 @@ class SupernaturalProfile(Value):
         return "{" + parts + "}"
 
 
-def _validated_word(entries: Iterable, minimum: int, what: str) -> tuple:
-    word = tuple(entries)
-    for entry in word:
-        if isinstance(entry, bool) or not isinstance(entry, int) or entry <= minimum:
-            raise DomainError(f"{what} entries must be integers > {minimum}, got {entry!r}")
-    return word
-
-
 def minimal_period(word: tuple) -> tuple:
     """The shortest prefix of ``word`` whose repetition is ``word``."""
     n = len(word)
@@ -216,7 +206,8 @@ def minimal_period(word: tuple) -> tuple:
 
 
 class IntSeqSpec(Value):
-    """Ultimately periodic infinite sequence of integers > 1.
+    """Ultimately periodic infinite sequence of integers > 1, the value of
+    an ``S[...]`` literal.
 
     Represents ``prefix`` followed by ``tail`` repeated forever.  The tail
     is reduced to its minimal period, so ``[4,6,8 | 9,9]`` and ``[4,6,8 | 9]``
@@ -226,90 +217,32 @@ class IntSeqSpec(Value):
     __slots__ = _fields = ("prefix", "tail")
 
     def __init__(self, prefix: tuple = (), tail: tuple = ()):
-        prefix = _validated_word(prefix, 1, type(self).__name__)
-        tail = _validated_word(tail, 1, type(self).__name__)
+        prefix, tail = tuple(prefix), tuple(tail)
+        for entry in prefix + tail:
+            if isinstance(entry, bool) or not isinstance(entry, int) or entry <= 1:
+                raise DomainError(f"IntSeqSpec entries must be integers > 1, got {entry!r}")
         if not tail:
             raise DomainError("sequence tail must be nonempty (the sequence is infinite)")
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "tail", minimal_period(tail))
 
-    def term(self, i: int) -> int:
-        checked_natural(i, "sequence index must be nonnegative")
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.tail[(i - len(self.prefix)) % len(self.tail)]
 
-    def terms(self, n: int) -> tuple:
-        checked_natural(n, "term count must be nonnegative")
-        return tuple(self.term(i) for i in range(n))
+def profile_from_sequence(s: IntSeqSpec) -> SupernaturalProfile:
+    """The multiplicity profile of the prime sequence that refines ``s``,
+    each entry standing for its prime factors with multiplicity: a prime
+    counts its exponents once per prefix occurrence, and recurs forever
+    when it divides a tail entry.  Each distinct entry is factored once.
 
-
-class SeqSpec(IntSeqSpec):
-    """An :class:`IntSeqSpec` whose entries are all prime."""
-
-    __slots__ = ()
-
-    def __init__(self, prefix: tuple = (), tail: tuple = ()):
-        super().__init__(prefix, tail)
-        # each distinct entry once, in order, so the error names the first bad one
-        for entry in dict.fromkeys(self.prefix + self.tail):
-            if not isprime(entry):
-                raise DomainError(f"sequence entry {entry} is not prime")
-
-    @classmethod
-    def _of_primes(cls, prefix: tuple, tail: tuple) -> "SeqSpec":
-        """A sequence whose entries are known prime, checked as an
-        :class:`IntSeqSpec` only."""
-        s = object.__new__(cls)
-        IntSeqSpec.__init__(s, prefix, tail)
-        return s
-
-
-ProfileLike = Union[SupernaturalProfile, SeqSpec]
-
-
-def multiplicity(p: ProfileLike, gamma: int) -> Mult:
-    """Occurrence count of the prime ``gamma``: OMEGA when it recurs forever.
-
-    >>> multiplicity(SeqSpec((2, 2, 5), (3,)), 2)
-    2
-    >>> multiplicity(SupernaturalProfile({2: 6, 3: OMEGA}), 3) is OMEGA
-    True
-    """
-    if isinstance(p, SupernaturalProfile):
-        return p.multiplicity(gamma)
-    _check_prime(gamma)
-    if gamma in p.tail:
-        return OMEGA
-    return p.prefix.count(gamma)
-
-
-def profile_from_sequence(s: SeqSpec) -> SupernaturalProfile:
-    """Collapse a prime sequence to its multiplicity profile.
-
-    >>> str(profile_from_sequence(SeqSpec((2, 2, 2, 3, 2, 2, 2), (3,))))
+    >>> str(profile_from_sequence(IntSeqSpec((4, 6, 8), (9,))))
     '{2:6, 3:w}'
     """
-    return SupernaturalProfile._of_primes({**Counter(s.prefix), **dict.fromkeys(s.tail, OMEGA)}, 0)
-
-
-def factor_sequence(s: IntSeqSpec) -> SeqSpec:
-    """Refine a sequence of integers > 1 into the prime sequence with the
-    same multiset of prime factors: each entry is replaced by its sorted
-    factorization (with multiplicity).
-
-    >>> factor_sequence(IntSeqSpec((4, 6, 8), (9,)))
-    SeqSpec(prefix=(2, 2, 2, 3, 2, 2, 2), tail=(3,))
-    """
-
-    def expand(entries):
-        out = []
-        for entry in entries:
-            for gamma, exponent in factorint(entry).items():
-                out.extend([gamma] * exponent)
-        return tuple(out)
-
-    return SeqSpec._of_primes(expand(s.prefix), expand(s.tail))
+    factors = {entry: factorint(entry) for entry in dict.fromkeys(s.prefix + s.tail)}
+    counts = {}
+    for entry, times in Counter(s.prefix).items():
+        for gamma, exponent in factors[entry].items():
+            counts[gamma] = counts.get(gamma, 0) + exponent * times
+    omega = dict.fromkeys((gamma for entry in s.tail for gamma in factors[entry]), OMEGA)
+    return SupernaturalProfile._of_primes({**counts, **omega}, 0)
 
 
 def _paired(q: SupernaturalProfile, p: SupernaturalProfile) -> Iterator[tuple]:
@@ -359,12 +292,6 @@ def preceq(q: SupernaturalProfile, p: SupernaturalProfile) -> bool:
     return q.omega_primes <= p.omega_primes
 
 
-def profiles_bireducible(p: SupernaturalProfile, q: SupernaturalProfile) -> bool:
-    """Both embeddings hold; equivalently the defaults agree and the OMEGA
-    supports coincide (finite multiplicities are free to differ)."""
-    return preceq(p, q) and preceq(q, p)
-
-
 def finite_surplus_table(q: SupernaturalProfile, p: SupernaturalProfile) -> tuple:
     """Per-prime positive surpluses of ``q`` over ``p`` as (prime, surplus)
     pairs, ascending, from one pass over the exception primes.  Requires a
@@ -395,33 +322,6 @@ def refutation_witness(q: SupernaturalProfile, p: SupernaturalProfile):
     if q.default is OMEGA and p.default is not OMEGA:
         candidates.append(next(_primes_outside(keys)))
     return min(candidates, default=None)
-
-
-def profile_add(l: SupernaturalProfile, m: SupernaturalProfile) -> SupernaturalProfile:
-    """Pointwise multiplicity sum (OMEGA absorbs).
-
-    >>> str(profile_add(SupernaturalProfile({2: OMEGA}), SupernaturalProfile({3: OMEGA})))
-    '{2:w, 3:w}'
-    """
-    default = OMEGA if (l.default is OMEGA or m.default is OMEGA) else 0
-    return SupernaturalProfile._of_primes({g: a + b for g, a, b in _paired(l, m)}, default)
-
-
-def interleave(l: SeqSpec, m: SeqSpec) -> SeqSpec:
-    """Alternate the two sequences: position 2k draws L(k), 2k+1 draws M(k).
-
-    >>> interleave(SeqSpec((5,), (2,)), SeqSpec((), (3,)))
-    SeqSpec(prefix=(5, 3), tail=(2, 3))
-    """
-    start = max(len(l.prefix), len(m.prefix))
-    length = start + lcm(len(l.tail), len(m.tail))
-    woven = tuple(_alternate(l.terms(length), m.terms(length)))
-    return SeqSpec(woven[: 2 * start], woven[2 * start :])
-
-
-def _alternate(first: Iterable, second: Iterable) -> Iterator:
-    """first(0), second(0), first(1), second(1), ... until either runs out."""
-    return chain.from_iterable(zip(first, second))
 
 
 def canonical_terms(p: SupernaturalProfile, start: int = 0) -> Iterator[int]:
@@ -596,10 +496,10 @@ def sufficient_prefix_length(p: SupernaturalProfile, window: Iterable) -> int:
     """
     need = Counter(window)
     for gamma, count in need.items():
-        if multiplicity(p, gamma) < count:
+        if p.multiplicity(gamma) < count:
             raise DomainError(
                 f"window needs {count} occurrences of {gamma} but the profile carries "
-                f"{multiplicity(p, gamma)}"
+                f"{p.multiplicity(gamma)}"
             )
     return _covering_prefix(_Layout(p, need), need)
 
@@ -646,7 +546,7 @@ def oracle_replay(q: SupernaturalProfile, p: SupernaturalProfile, window: int) -
         drop = oracle_drop_bound(q, p)
         need = Counter(islice(canonical_terms(q, drop), window))
         return Replay(drop, drop + window, _covering_prefix(_Layout(p, need), need))
-    needed = multiplicity(p, witness) + 1
+    needed = p.multiplicity(witness) + 1
     end = _Layout(q, (witness,)).position(witness, needed) + 1
     if window < end:
         return Replay(0, end, None, witness, needed, needs_window=end)

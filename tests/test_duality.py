@@ -21,7 +21,7 @@ from borelcmp.errors import DomainError
 from borelcmp.groups import REAL, TORUS, TRIVIAL_GROUP, group, solenoid
 from borelcmp.literals import parse_group
 from borelcmp.reducibility import reduces
-from borelcmp.supernatural import OMEGA, SupernaturalProfile, multiplicity
+from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
 from borelcmp.selftest import random_expr, random_profile
 
@@ -98,8 +98,8 @@ def test_hom_transitive(rng):
 def _truncated_required_exponent(a: RationalType, b: RationalType, gamma: int, level: int):
     """Exponent of gamma a numerator must carry so that multiplication maps
     the level-truncated type a into type b."""
-    ta = multiplicity(a.profile, gamma)
-    tb = multiplicity(b.profile, gamma)
+    ta = a.profile.multiplicity(gamma)
+    tb = b.profile.multiplicity(gamma)
     if tb is OMEGA:
         return 0
     ta_cut = level if ta is OMEGA else min(ta, level)

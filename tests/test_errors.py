@@ -11,10 +11,9 @@ from borelcmp.groups import TORUS, GroupExpr, RawPower
 from borelcmp.posetlab import Family, UPSet
 from borelcmp.primes import factorint
 from borelcmp.reducibility import rt_closed_form
-from borelcmp.supernatural import OMEGA, IntSeqSpec, SupernaturalProfile, canonical_sequence
+from borelcmp.supernatural import OMEGA, SupernaturalProfile, canonical_sequence, canonical_terms, oracle_replay
 
 TWO_ADIC = SupernaturalProfile({2: OMEGA})
-SEQUENCE = IntSeqSpec((4,), (6,))
 
 CASES = [
     (factorint, (2.5,), "only positive integers are factored, got 2.5"),
@@ -29,10 +28,10 @@ CASES = [
     (RawPower, (TORUS, -1), "group exponent must be nonnegative, got -1"),
     (canonical_sequence, (TWO_ADIC, 2.5), "term count must be nonnegative, got 2.5"),
     (canonical_sequence, (TWO_ADIC, -1), "term count must be nonnegative, got -1"),
-    (SEQUENCE.term, (1.5,), "sequence index must be nonnegative, got 1.5"),
-    (SEQUENCE.term, (-1,), "sequence index must be nonnegative, got -1"),
-    (SEQUENCE.terms, (2.5,), "term count must be nonnegative, got 2.5"),
-    (SEQUENCE.terms, (-1,), "term count must be nonnegative, got -1"),
+    (canonical_terms, (TWO_ADIC, 1.5), "start must be a natural number, got 1.5"),
+    (canonical_terms, (TWO_ADIC, -1), "start must be a natural number, got -1"),
+    (oracle_replay, (TWO_ADIC, TWO_ADIC, 2.5), "window must be positive, got 2.5"),
+    (oracle_replay, (TWO_ADIC, TWO_ADIC, 0), "window must be positive, got 0"),
     (Family.default().d_term, (True,), "index must be a natural number, got True"),
     (UPSet, (1.5,), "period must be a positive integer, got 1.5"),
     (UPSet.from_word, ((), 2.5, 1, (True,)), "threshold must be a natural number, got 2.5"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -25,7 +26,7 @@ from borelcmp.posetlab import (
     set_difference,
     subset_star,
 )
-from borelcmp.supernatural import OMEGA, Replay, SupernaturalProfile, multiplicity, oracle_injection
+from borelcmp.supernatural import OMEGA, Replay, SupernaturalProfile, oracle_injection
 
 from borelcmp.selftest import trial_division_primes
 
@@ -198,6 +199,20 @@ def test_a_repeated_member_sequence_builds_no_new_chunk_of_the_prime_table(monke
     assert all(primes._SIEVE.chunks[lo] is chunk for lo, chunk in built.items())
 
 
+def test_member_sequence_of_a_sparse_complement_holds_no_d_prime_back():
+    # A, the non-multiples of 100: A-layer entry k is d_{1+3c} for the k-th
+    # multiple c of 100, so that layer runs far ahead of P_0'
+    member = MemberRef(Family.default(), UPSet(100, frozenset(range(1, 100))))
+    expected = member_sequence(member, 3000)  # builds the chunks of the prime table it reaches
+    tracemalloc.start()
+    try:
+        assert member_sequence(member, 3000) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 @pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3", None])
 def test_d_enumeration_rejects_an_index_that_is_no_natural(bad):
     fresh, used = Family.default(), Family.default()
@@ -309,7 +324,8 @@ def test_member_reduces_requires_matching_family_and_power():
 _EVENS = MemberRef(Family.default(), UPSet.multiples_of(2))
 
 # each call with a count that is no natural number, or below the least the
-# entry point allows, and the message it raises
+# entry point allows, or a member built from no family or no set, and the
+# message it raises
 _BAD_COUNTS = [
     (lambda: member_sequence(_EVENS, 2.5), "term count must be nonnegative, got 2.5"),
     (lambda: member_sequence(_EVENS, -1), "term count must be nonnegative, got -1"),
@@ -323,6 +339,8 @@ _BAD_COUNTS = [
     (lambda: MemberRef(Family.default(), UPSet(), power=True), "member power must be >= 1, got True"),
     (lambda: MemberRef(Family.default(), UPSet(), power=2.5), "member power must be >= 1, got 2.5"),
     (lambda: MemberRef(Family.default(), UPSet(), power=0), "member power must be >= 1, got 0"),
+    (lambda: MemberRef(Family.default(), "x"), "member set must be a UPSet, got 'x'"),
+    (lambda: MemberRef("f", UPSet()), "member family must be a Family, got 'f'"),
 ]
 
 
@@ -566,14 +584,14 @@ def test_member_sandwich_between_q_and_p():
     # its star layer is injective, and none of those primes occur in P at all
     star = prefix[0::2]
     assert len(set(star)) == len(star)
-    assert all(multiplicity(fam.p, gamma) == 0 for gamma in set(star))
+    assert all(fam.p.multiplicity(gamma) == 0 for gamma in set(star))
     # above Q strictly: Q has full multiplicity at primes the member never
     # uses (d-indices congruent to 2 mod 3 are reserved and never selected)
     unused = fam.d_term(2)
-    assert multiplicity(fam.q, unused) is OMEGA
+    assert fam.q.multiplicity(unused) is OMEGA
     assert unused not in prefix
     # the reductions themselves: Q's base embeds into the member sequence
     # (2s recur forever) and the member's terms are all in Q's support
     assert prefix.count(2) >= 90
-    assert all(multiplicity(fam.q, gamma) is OMEGA for gamma in set(prefix))
+    assert all(fam.q.multiplicity(gamma) is OMEGA for gamma in set(prefix))
     assert oracle_injection([2] * 50, prefix)

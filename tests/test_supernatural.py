@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from itertools import islice
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,21 +19,15 @@ from borelcmp.primes import primes_after
 from borelcmp.supernatural import (
     OMEGA,
     IntSeqSpec,
-    SeqSpec,
     SupernaturalProfile,
     canonical_sequence,
     canonical_terms,
     deficit,
-    factor_sequence,
     finite_surplus_table,
-    interleave,
-    multiplicity,
     oracle_drop_bound,
     oracle_injection,
     preceq,
-    profile_add,
     profile_from_sequence,
-    profiles_bireducible,
     Replay,
     oracle_replay,
     refutation_witness,
@@ -68,9 +64,12 @@ def profiles(draw):
 
 @st.composite
 def seqspecs(draw):
-    prefix = draw(st.lists(st.sampled_from(PRIME_POOL), max_size=6))
-    tail = draw(st.lists(st.sampled_from(PRIME_POOL), min_size=1, max_size=4))
-    return SeqSpec(tuple(prefix), tuple(tail))
+    """Sequences whose entries are primes of the pool and products of two
+    or three of them, so that composite entries share prime factors."""
+    entries = st.lists(st.sampled_from(PRIME_POOL), min_size=1, max_size=3).map(math.prod)
+    prefix = draw(st.lists(entries, max_size=6))
+    tail = draw(st.lists(entries, min_size=1, max_size=4))
+    return IntSeqSpec(tuple(prefix), tuple(tail))
 
 
 # -- Mult ---------------------------------------------------------------------
@@ -92,35 +91,47 @@ def test_profile_canonical_form():
         P({2: OMEGA}, 1)
     with pytest.raises(DomainError):
         P({2: -1, 3: OMEGA})
+    for malformed in ([(2, OMEGA), 3], 5):  # an entry, or the whole, that is no list of pairs
+        with pytest.raises(DomainError, match=r"must be \(prime, multiplicity\) pairs"):
+            P(malformed)
 
 
 # -- multiplicity -------------------------------------------------------------
 
 def test_multiplicity_examples():
-    assert multiplicity(P({2: 6, 3: OMEGA}), 3) is OMEGA
-    assert multiplicity(ALL_OMEGA, 97) is OMEGA
-    # count in the prefix; no 2 in the tail
-    assert multiplicity(SeqSpec((2, 2, 5), (3,)), 2) == 2
+    assert P({2: 6, 3: OMEGA}).multiplicity(3) is OMEGA
+    assert ALL_OMEGA.multiplicity(97) is OMEGA
+    assert P({2: 6, 3: OMEGA}).multiplicity(2) == 6
     with pytest.raises(DomainError):
-        multiplicity(P({2: OMEGA}), 6)
+        P({2: OMEGA}).multiplicity(6)
 
 
 # -- profile_from_sequence ----------------------------------------------------
 
 def test_profile_from_sequence_examples():
-    assert profile_from_sequence(SeqSpec((2, 2, 2, 3, 2, 2, 2), (3,))) == P({2: 6, 3: OMEGA})
-    assert profile_from_sequence(SeqSpec((), (2,))) == P({2: OMEGA})
-    assert profile_from_sequence(SeqSpec((5, 5, 7), (2, 3))) == P(
+    assert profile_from_sequence(IntSeqSpec((2, 2, 2, 3, 2, 2, 2), (3,))) == P({2: 6, 3: OMEGA})
+    assert profile_from_sequence(IntSeqSpec((4, 6, 8), (9,))) == P({2: 6, 3: OMEGA})
+    assert profile_from_sequence(IntSeqSpec((), (2,))) == P({2: OMEGA})
+    assert profile_from_sequence(IntSeqSpec((5, 5, 7), (2, 3))) == P(
         {2: OMEGA, 3: OMEGA, 5: 2, 7: 1}
     )
+    assert profile_from_sequence(IntSeqSpec((), (2, 3, 4, 5, 6))) == P({2: OMEGA, 3: OMEGA, 5: OMEGA})
+    # a repeated composite entry counts its exponents once per occurrence
+    assert profile_from_sequence(IntSeqSpec((12, 12, 10), (15,))) == P({2: 5, 3: OMEGA, 5: OMEGA})
 
 
-def _profile_by_counting_each_prime(s: SeqSpec) -> SupernaturalProfile:
-    """The definition: OMEGA for a tail prime, else its count in the prefix."""
-    exceptions = {gamma: OMEGA for gamma in s.tail}
-    for gamma in s.prefix:
+def _profile_by_counting_each_prime(s: IntSeqSpec) -> SupernaturalProfile:
+    """The definition: each entry refined into its prime factors with
+    multiplicity (by sympy), then OMEGA for a prime of the refined tail,
+    else its count in the refined prefix."""
+    def refined(entries):
+        return [gamma for entry in entries for gamma, e in sympy.factorint(entry).items() for _ in range(e)]
+
+    prefix, tail = refined(s.prefix), refined(s.tail)
+    exceptions = {gamma: OMEGA for gamma in tail}
+    for gamma in prefix:
         if gamma not in exceptions:
-            exceptions[gamma] = s.prefix.count(gamma)
+            exceptions[gamma] = prefix.count(gamma)
     return SupernaturalProfile(exceptions)
 
 
@@ -133,11 +144,31 @@ def test_profile_from_sequence_matches_the_definition(s):
 def test_profile_from_sequence_is_linear_in_the_prefix():
     # the first 30,000 primes, each once: counting each prime's occurrences
     # in turn would read the prefix 30,000 times
-    s = SeqSpec(tuple(islice(primes_after(1), 30_000)), (3,))
+    s = IntSeqSpec(tuple(islice(primes_after(1), 30_000)), (3,))
     start = time.perf_counter()
     profile = profile_from_sequence(s)
     assert time.perf_counter() - start < 1.0
     assert len(profile.exceptions) == 30_000 and profile.multiplicity(3) is OMEGA
+
+
+def test_profile_from_sequence_factors_each_distinct_entry_once(monkeypatch):
+    # a composite past trial division, and entries shared by the prefix and the tail
+    big = 65537 * 65539
+    s = IntSeqSpec((big, 6, big, 77), (10, 6))
+    calls = []
+    factorint = supernatural.factorint
+    monkeypatch.setattr(supernatural, "factorint", lambda n: calls.append(n) or factorint(n))
+    assert profile_from_sequence(s) == _profile_by_counting_each_prime(s) == P(
+        {2: OMEGA, 3: OMEGA, 5: OMEGA, 7: 1, 11: 1, 65537: 2, 65539: 2}
+    )
+    assert calls == [big, 6, 77, 10]
+
+
+def test_int_seq_spec_rejects_small_entries():
+    with pytest.raises(DomainError):
+        IntSeqSpec((1,), (2,))
+    with pytest.raises(DomainError):
+        IntSeqSpec((), (0,))
 
 
 def test_parsing_solenoids_builds_no_omega_prime_set(monkeypatch):
@@ -147,29 +178,6 @@ def test_parsing_solenoids_builds_no_omega_prime_set(monkeypatch):
     monkeypatch.setattr(SupernaturalProfile, "omega_primes", property(refuse))
     g = parse_group("Sol{2:w, 3:5} x Sol{7:w}^2 x T")
     assert str(g) == "Sol{2:w, 3:5} x Sol{7:w}^2 x T"
-
-
-# -- factor_sequence ----------------------------------------------------------
-
-def test_factor_sequence_examples():
-    assert factor_sequence(IntSeqSpec((4, 6, 8), (9,))) == SeqSpec((2, 2, 2, 3, 2, 2, 2), (3,))
-    assert factor_sequence(IntSeqSpec((), (2,))) == SeqSpec((), (2,))
-    refined = factor_sequence(IntSeqSpec((), (2, 3, 4, 5, 6)))
-    assert profile_from_sequence(refined) == P({2: OMEGA, 3: OMEGA, 5: OMEGA})
-
-
-def test_factor_sequence_rejects_small_entries():
-    with pytest.raises(DomainError):
-        IntSeqSpec((1,), (2,))
-    with pytest.raises(DomainError):
-        IntSeqSpec((), (0,))
-
-
-@given(seqspecs())
-@settings(max_examples=60)
-def test_factor_sequence_preserves_prime_multiset(s):
-    # already-prime sequences are fixed points up to canonical form
-    assert factor_sequence(s) == s
 
 
 # -- deficit / preceq ---------------------------------------------------------
@@ -240,8 +248,8 @@ def test_preceq_iff_finite_deficit(q, p):
     else:
         witness = refutation_witness(q, p)
         assert witness is not None
-        assert multiplicity(q, witness) is OMEGA
-        assert multiplicity(p, witness) is not OMEGA
+        assert q.multiplicity(witness) is OMEGA
+        assert p.multiplicity(witness) is not OMEGA
 
 
 def _summed_deficit(q, p):
@@ -289,7 +297,6 @@ def test_refutation_witness_is_the_least_prime():
 
 def test_profile_walks_read_stored_multiplicities(monkeypatch):
     q, p, two_adic = P({2: 7, 3: OMEGA, 5: 2}), P({2: 5, 3: OMEGA, 7: OMEGA}), P({2: OMEGA})
-    total = P({2: 12, 3: OMEGA, 5: 2, 7: OMEGA})
 
     def no_prime_tests(n):
         raise AssertionError(f"isprime({n}) called on a stored exception prime")
@@ -300,14 +307,6 @@ def test_profile_walks_read_stored_multiplicities(monkeypatch):
     assert finite_surplus_table(q, p) == ((2, 2), (5, 2))
     assert refutation_witness(two_adic, p) == 2
     assert refutation_witness(q, p) is None
-    assert profile_add(q, p) == total
-
-
-def test_profiles_bireducible_examples():
-    assert profiles_bireducible(P({2: 5, 3: OMEGA}), P({2: 9, 3: OMEGA}))
-    assert not profiles_bireducible(P({2: OMEGA}), P({3: OMEGA}))
-    p = P({2: 4, 5: OMEGA})
-    assert profiles_bireducible(p, p)
 
 
 def _omega_support_signature(p):
@@ -321,41 +320,7 @@ def _omega_support_signature(p):
 @settings(max_examples=150)
 def test_bireducible_is_same_default_and_omega_support(p, q):
     expected = _omega_support_signature(p) == _omega_support_signature(q)
-    assert profiles_bireducible(p, q) == expected
-
-
-# -- profile_add / interleave -------------------------------------------------
-
-def test_profile_add_examples():
-    assert profile_add(P({2: OMEGA}), P({3: OMEGA})) == P({2: OMEGA, 3: OMEGA})
-    assert profile_add(P({2: 3, 5: OMEGA}), P({2: 4, 5: OMEGA})) == P({2: 7, 5: OMEGA})
-    assert profile_add(ALL_OMEGA, P({2: OMEGA})) == ALL_OMEGA
-
-
-def test_interleave_examples():
-    assert interleave(SeqSpec((), (2,)), SeqSpec((), (3,))) == SeqSpec((), (2, 3))
-    assert interleave(SeqSpec((5,), (2,)), SeqSpec((), (3,))) == SeqSpec((5, 3), (2, 3))
-    left, right = SeqSpec((), (2, 7)), SeqSpec((), (3,))
-    assert profile_from_sequence(interleave(left, right)) == profile_add(
-        profile_from_sequence(left), profile_from_sequence(right)
-    ) == P({2: OMEGA, 3: OMEGA, 7: OMEGA})
-
-
-@given(seqspecs(), seqspecs())
-@settings(max_examples=100)
-def test_interleave_profile_homomorphism(l, m):
-    assert profile_from_sequence(interleave(l, m)) == profile_add(
-        profile_from_sequence(l), profile_from_sequence(m)
-    )
-
-
-@given(seqspecs(), seqspecs())
-@settings(max_examples=60)
-def test_interleave_matches_positionwise_definition(l, m):
-    woven = interleave(l, m)
-    for n in range(40):
-        k, r = divmod(n, 2)
-        assert woven.term(n) == (m.term(k) if r else l.term(k))
+    assert (preceq(p, q) and preceq(q, p)) == expected
 
 
 # -- canonical_sequence -------------------------------------------------------
@@ -384,9 +349,9 @@ def test_canonical_sequence_has_the_right_profile(p):
     counts = Counter(terms)
     probes = set(terms) | {g for g, _ in p.exceptions}
     for gamma in probes:
-        assert counts[gamma] <= multiplicity(p, gamma)
+        assert counts[gamma] <= p.multiplicity(gamma)
     # every probe prime reaches min(multiplicity, 3) once enough terms pass
-    pending = {g: min(multiplicity(p, g), 3) for g in probes}
+    pending = {g: min(p.multiplicity(g), 3) for g in probes}
     pending = {g: need for g, need in pending.items() if need > 0}
     for index, term in enumerate(canonical_terms(p)):
         if index > 20000:
@@ -428,7 +393,7 @@ def test_layout_locates_and_counts_every_walked_term(p, start):
             assert [layout.position(gamma, k) for k in range(1, len(walked) + 1)] == walked
             beyond = layout.position(gamma, len(walked) + 1)
             assert beyond is None or beyond >= len(terms)
-            assert (beyond is None) == (multiplicity(p, gamma) == len(walked))
+            assert (beyond is None) == (p.multiplicity(gamma) == len(walked))
             for length in (0, 1, start, 399, 400):
                 assert layout.count(gamma, length) == sum(i < length for i in walked)
 
@@ -457,7 +422,7 @@ def test_refuting_replays_agree_with_the_walk(rng):
         if witness is None:
             continue
         refuted += 1
-        needed = multiplicity(p, witness) + 1
+        needed = p.multiplicity(witness) + 1
         end = reference.covering_prefix_length(canonical_terms(q), {witness: needed})
         assert oracle_replay(q, p, end) == Replay(0, end, None, witness, needed)
         if end > 1:  # one term short of the window it needs

@@ -117,6 +117,7 @@ def test_ascending_runs_long_and_short_spans_of_residues(upset):
     huge = UPSet.multiples_of(2**40)
     assert list(itertools.islice(huge.ascending(members=False), 3)) == [1, 2, 3]
     assert huge.count_below(2**41 + 1) == 3
+    assert upset.count_below(-5) == 0  # no member lies below a negative bound
 
 def test_sparse_form_is_canonical():
     assert UPSet(12, frozenset({1, 5, 9})) == UPSet(4, frozenset({1}))
