@@ -33,7 +33,11 @@ CASES = [
     (oracle_replay, (TWO_ADIC, TWO_ADIC, 2.5), "window must be positive, got 2.5"),
     (oracle_replay, (TWO_ADIC, TWO_ADIC, 0), "window must be positive, got 0"),
     (Family.default().d_term, (True,), "index must be a natural number, got True"),
+    (Family.default().d_terms, (2.5,), "count must be a natural number, got 2.5"),
+    (Family.default().d_terms, (-1,), "count must be a natural number, got -1"),
     (UPSet, (1.5,), "period must be a positive integer, got 1.5"),
+    (UPSet, (2, frozenset({-1})), "a residue or flip must be a natural number, got -1"),
+    (UPSet, (2, frozenset(), frozenset({True})), "a residue or flip must be a natural number, got True"),
     (UPSet.from_word, ((), 2.5, 1, (True,)), "threshold must be a natural number, got 2.5"),
     (UPSet.from_word, ((), -1, 1, (True,)), "threshold must be a natural number, got -1"),
 ]

@@ -141,6 +141,19 @@ def test_profile_from_sequence_matches_the_definition(s):
     assert profile_from_sequence(s) == _profile_by_counting_each_prime(s)
 
 
+@given(seqspecs(), st.randoms(use_true_random=False), st.integers(1, 3))
+@settings(max_examples=60)
+def test_profile_from_sequence_reads_prefix_counts_and_tail_primes_only(s, rng, times):
+    # reordering the prefix, rotating and repeating the tail, or copying a
+    # tail entry into the prefix leaves the profile as it is
+    prefix, tail = list(s.prefix), list(s.tail)
+    rng.shuffle(prefix)
+    k = rng.randrange(len(tail))
+    rotated = tuple(tail[k:] + tail[:k]) * times
+    assert profile_from_sequence(IntSeqSpec(tuple(prefix), rotated)) == profile_from_sequence(s)
+    assert profile_from_sequence(IntSeqSpec(s.prefix + (tail[k],), s.tail)) == profile_from_sequence(s)
+
+
 def test_profile_from_sequence_is_linear_in_the_prefix():
     # the first 30,000 primes, each once: counting each prime's occurrences
     # in turn would read the prefix 30,000 times
@@ -162,6 +175,15 @@ def test_profile_from_sequence_factors_each_distinct_entry_once(monkeypatch):
         {2: OMEGA, 3: OMEGA, 5: OMEGA, 7: 1, 11: 1, 65537: 2, 65539: 2}
     )
     assert calls == [big, 6, 77, 10]
+
+
+def test_a_factoring_budget_error_names_the_first_entry_past_the_budget():
+    # entries are factored in order of first appearance, the prefix before
+    # the tail: 2 * semiprime is reached before the semiprime itself
+    semiprime = 618970019668049015295030157 * 928455029464802529184826323  # two 90-bit primes
+    s = IntSeqSpec((6, 2 * semiprime), (semiprime, 3))
+    with pytest.raises(DomainError, match=f"^factoring {2 * semiprime} needs more than"):
+        profile_from_sequence(s)
 
 
 def test_int_seq_spec_rejects_small_entries():
@@ -321,6 +343,19 @@ def _omega_support_signature(p):
 def test_bireducible_is_same_default_and_omega_support(p, q):
     expected = _omega_support_signature(p) == _omega_support_signature(q)
     assert (preceq(p, q) and preceq(q, p)) == expected
+
+
+def test_profiles_bireducible_examples():
+    def bireducible(q, p):
+        return preceq(q, p) and preceq(p, q)
+
+    assert bireducible(P({2: 5, 3: OMEGA}), P({2: 9, 3: OMEGA}))
+    assert not bireducible(P({2: OMEGA}), P({3: OMEGA}))
+    # one way only: 3 has multiplicity OMEGA on the right alone
+    assert preceq(P({2: OMEGA}), P({2: OMEGA, 3: OMEGA}))
+    assert not bireducible(P({2: OMEGA}), P({2: OMEGA, 3: OMEGA}))
+    p = P({2: 4, 5: OMEGA})
+    assert bireducible(p, p)
 
 
 # -- canonical_sequence -------------------------------------------------------

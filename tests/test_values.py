@@ -17,7 +17,7 @@ import pytest
 from borelcmp.groups import REAL, TORUS, Atom, AtomKind, GroupExpr, RawPower, RawProduct
 from borelcmp.reducibility import Certificate, EdgeBlock, EdgeReason, EdgeWitness, HallViolator, IndexRanges
 from borelcmp.report import Report
-from borelcmp.supernatural import OMEGA, IntSeqSpec, SupernaturalProfile
+from borelcmp.supernatural import OMEGA, IntSeqSpec, Replay, SupernaturalProfile
 
 T_T = EdgeReason.RULE_T_T
 
@@ -27,6 +27,8 @@ CASES = [
      "SupernaturalProfile(exceptions=((2, 6), (3, OMEGA)), default=0)"),
     (IntSeqSpec, ((), (9, 9)), {"tail": (9,)},
      "IntSeqSpec(prefix=(), tail=(9,))"),
+    (Replay, (0, 1, None, 5, 1), {"drop": 0, "end": 1, "witness": 5, "needed": 1},
+     "Replay(drop=0, end=1, prefix=None, witness=5, needed=1, needs_window=None)"),
     (Atom, (AtomKind.TORUS, None), {"kind": AtomKind.TORUS},
      "Atom(kind=<AtomKind.TORUS: 'T'>, profile=None)"),
     (GroupExpr, (((TORUS, 2), (TORUS, 1)),), {"runs": ((TORUS, 3),)},
