@@ -164,10 +164,6 @@ class GroupExpr(Value):
         """One atom per factor, built on first use only; the engine reads ``runs``."""
         return tuple(_Expansion(self.runs))
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.runs
-
     def __mul__(self, other: "GroupExpr") -> "GroupExpr":
         return GroupExpr._of_runs(_joined((self.runs, other.runs)))
 

@@ -13,8 +13,10 @@
   every other chunk is segment-sieved by the primes that the flags hold,
   and only the numbers 6k +- 1 are read.
   A walk bisects into its first chunk and then chains whole chunks, so it
-  runs in C with one step per prime and no Python frame per prime; past
-  ``SIEVE_CAP`` it tests the candidates 6k +- 1 in turn.
+  runs in C with one step per prime and no Python frame per prime.  Past
+  ``SIEVE_CAP`` and below 2^32 it segment-sieves each span of 2^16
+  numbers from the same flags when it gets there, and stores none of
+  them; from 2^32 on it tests the candidates 6k +- 1 in turn.
 * ``nextprime(n)`` is the first prime of ``primes_after(n)``.
 * ``factorint`` trial-divides by the primes of chunk 0, the primes below
   2^16, stopping at the first prime whose square exceeds the cofactor,
@@ -44,7 +46,7 @@ __all__ = ["isprime", "nextprime", "primes_after", "factorint", "SIEVE_CAP", "FA
 
 SIEVE_CAP = 1 << 24
 # The span of numbers in one chunk of the prime table, and of the flags,
-# which hold every sieving prime up to the square root of SIEVE_CAP.
+# which hold every sieving prime of the numbers below _CHUNK * _CHUNK = 2^32.
 _CHUNK = 1 << 16
 
 # Pollard-Brent steps (one modular squaring each) that one ``factorint``
@@ -85,10 +87,7 @@ class _Sieve:
 
             hi = min(lo + _CHUNK, SIEVE_CAP)
             flags = self.flags or self.base()
-            segment = _sieved(lo, hi, flags) if lo else flags
-            # past 3 only the numbers 6k +- 1 can be prime; they are read as two runs
-            starts = (lo + (1 - lo) % 6, lo + (5 - lo) % 6)
-            found = sorted(chain.from_iterable(compress(range(a, hi, 6), segment[a - lo :: 6]) for a in starts))
+            found = _segment_primes(lo, hi, _sieved(lo, hi, flags) if lo else flags)
             table = array("I", found if lo else [2, 3, *found])
             with self._lock:
                 primes = self.chunks.setdefault(lo, table)
@@ -106,6 +105,14 @@ def _sieved(lo: int, hi: int, base: bytes = b"") -> bytearray:
         start = max(p * p - lo, -lo % p)  # the first multiple of p from both p*p and lo on
         segment[start::p] = bytes(len(range(start, hi - lo, p)))
     return segment
+
+
+def _segment_primes(lo: int, hi: int, segment: bytes) -> list:
+    """The numbers from ``lo`` to ``hi - 1`` past 3 that ``segment`` flags
+    prime, ascending.  Only the numbers 6k +- 1 can be prime; they are read
+    as two runs."""
+    starts = (lo + (1 - lo) % 6, lo + (5 - lo) % 6)
+    return sorted(chain.from_iterable(compress(range(a, hi, 6), segment[a - lo :: 6]) for a in starts))
 
 
 _SIEVE = _Sieve()
@@ -164,8 +171,10 @@ def primes_after(n: int) -> Iterator[int]:
 def _prime_chunks(lo: int) -> Iterator[Iterable[int]]:
     """The primes from ``lo`` on in consecutive ascending runs: the tail of
     the chunk that holds ``lo``, then whole chunks, each fetched when the
-    run before it is used up, then past the cap the candidates 6k +- 1 that
-    ``isprime`` accepts."""
+    run before it is used up.  Past the cap and below 2^32, where the flags
+    still hold every sieving prime, each span of 2^16 numbers is
+    segment-sieved when the walk reaches it, yielded and not stored; from
+    2^32 on, the candidates 6k +- 1 that ``isprime`` accepts."""
     if lo < SIEVE_CAP:
         start = lo - lo % _CHUNK
         primes = _SIEVE.chunk(start)
@@ -174,6 +183,11 @@ def _prime_chunks(lo: int) -> Iterator[Iterable[int]]:
         for start in range(start + _CHUNK, SIEVE_CAP, _CHUNK):
             yield _SIEVE.chunk(start)
         lo = SIEVE_CAP
+    flags = _SIEVE.flags or _SIEVE.base()
+    for start in range(lo - lo % _CHUNK, _CHUNK * _CHUNK, _CHUNK):
+        primes = _segment_primes(start, start + _CHUNK, _sieved(start, start + _CHUNK, flags))
+        yield primes[bisect_left(primes, lo):]
+    lo = max(lo, _CHUNK * _CHUNK)
     candidates = chain.from_iterable((k + 1, k + 5) for k in count(lo // 6 * 6, 6))
     yield filter(isprime, dropwhile(lo.__gt__, candidates))
 

@@ -18,10 +18,10 @@ number of distinct atoms and not on their counts.  The outcome ships either
 the assignment (with a per-edge reason and, for solenoid pairs, the
 recomputable surplus table), or a Hall violator refuting every assignment.
 
-Both are kept in run form, so neither grows with the counts.  The
-assignment is a ``Certificate``: a tuple of ``EdgeBlock``s, each one map
-``left + j -> right - j`` for ``j < count`` with one reason, and as a
-sequence the ``EdgeWitness`` of every source factor in order.  The
+Both are kept in run form, so neither grows with the counts, and that run
+form is the only one ``verify_certificate`` reads.  The assignment is a
+``Certificate``: a tuple of ``EdgeBlock``s, each one map
+``left + j -> right - j`` for ``j < count`` with one reason.  The
 violator's index sets are ``IndexRanges``.  Only their rendering by the
 command line and the JSON report still costs one line or entry per factor.
 
@@ -32,12 +32,9 @@ nontrivial reduces to it.  All factor indices in certificates are 1-based.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import accumulate, chain
-from operator import index
+from itertools import chain
 from typing import NamedTuple
 
 from ._value import Value
@@ -103,30 +100,19 @@ class EdgeBlock(NamedTuple):
     deficit: tuple = ()
 
 
-class Certificate(Value, Sequence):
-    """A positive certificate as a tuple of ``EdgeBlock``s.  As a sequence it
-    is the ``EdgeWitness`` of every edge, block by block: ``len`` costs
-    O(1) and an index O(log blocks).  Equal when the blocks are equal.  An
-    instance keeps a ``__dict__`` for the cached block ends."""
+class Certificate(Value):
+    """A positive certificate as a tuple of ``EdgeBlock``s; equal when the
+    blocks are equal.  Its ``len`` is the number of edges, summed over the
+    blocks, and iterating it gives the ``EdgeWitness`` of every edge, block
+    by block."""
 
-    _fields = ("blocks",)
+    __slots__ = _fields = ("blocks",)
 
     def __init__(self, blocks: tuple):
         object.__setattr__(self, "blocks", blocks)
 
-    @cached_property
-    def _ends(self) -> list:
-        return list(accumulate(block.count for block in self.blocks))
-
     def __len__(self):
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, k):
-        k = range(len(self))[index(k)]
-        b = bisect_right(self._ends, k)
-        left, right, count, reason, deficit = self.blocks[b]
-        j = k - self._ends[b] + count
-        return EdgeWitness(left + j, right - j, reason, deficit)
+        return sum(block.count for block in self.blocks)
 
     def __iter__(self):
         for left, right, count, reason, deficit in self.blocks:
@@ -134,11 +120,11 @@ class Certificate(Value, Sequence):
                 yield EdgeWitness(left + j, right - j, reason, deficit)
 
 
-class IndexRanges(Value, Sequence):
+class IndexRanges(Value):
     """Ascending 1-based factor indices as a tuple of ``range``s of step 1.
-    As a sequence it is the indices, at a cost of one step per range; it
-    equals a tuple of the same indices, and hashes like one, so
-    ``violator.K == (1, 2)`` still holds."""
+    Its ``len`` and iteration are those of the indices, at a cost of one
+    step per range; it equals a tuple of the same indices, and hashes like
+    one, so ``violator.K == (1, 2)`` still holds."""
 
     __slots__ = _fields = ("ranges",)
 
@@ -147,13 +133,6 @@ class IndexRanges(Value, Sequence):
 
     def __len__(self):
         return sum(map(len, self.ranges))
-
-    def __getitem__(self, k):
-        k = range(len(self))[index(k)]
-        for r in self.ranges:
-            if k < len(r):
-                return r[k]
-            k -= len(r)
 
     def __iter__(self):
         return chain.from_iterable(self.ranges)
@@ -169,13 +148,12 @@ class IndexRanges(Value, Sequence):
 
 class HallViolator(Value):
     """Refutation: left factor set K (1-based indices) whose full
-    neighborhood N(K) under the rule table is strictly smaller.  ``reduces``
-    gives both as ``IndexRanges``; ``verify_certificate`` also reads plain
-    tuples of indices."""
+    neighborhood N(K) under the rule table is strictly smaller, both as
+    ``IndexRanges``."""
 
     __slots__ = _fields = ("K", "NK")
 
-    def __init__(self, K: Sequence, NK: Sequence):
+    def __init__(self, K: IndexRanges, NK: IndexRanges):
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "NK", NK)
 
@@ -186,11 +164,11 @@ class HallViolator(Value):
 # ``Value`` too, and ``import borelcmp`` no longer loads ``dataclasses``.
 @dataclass(frozen=True)
 class Verdict:
-    """``certificate`` is a ``Certificate`` from ``reduces``;
-    ``verify_certificate`` also reads a plain tuple of ``EdgeWitness``."""
+    """A positive verdict carries a ``Certificate`` and a negative one a
+    ``HallViolator``, as ``reduces`` builds them."""
 
     reducible: bool
-    certificate: Sequence | None = None
+    certificate: Certificate | None = None
     violator: HallViolator | None = None
 
 
@@ -384,11 +362,10 @@ def _union(spans) -> list | None:
 
 
 def _index_spans(indices) -> list | None:
-    """The spans of ``IndexRanges``, or of a plain sequence of indices read
-    as spans of one; None when a range is empty or not of step 1, or an
-    index is not an int (a bool is none)."""
-    if not isinstance(indices, IndexRanges):
-        return [(i, i + 1) for i in indices] if all(type(i) is int for i in indices) else None
+    """The spans of an ``IndexRanges``; None for any other value, or when a
+    range is empty or not of step 1."""
+    if not isinstance(indices, IndexRanges) or type(indices.ranges) is not tuple:
+        return None
     spans = []
     for r in indices.ranges:
         if type(r) is not range or r.step != 1 or not r:
@@ -400,27 +377,26 @@ def _index_spans(indices) -> list | None:
 def verify_certificate(g: GroupExpr, h: GroupExpr, v: Verdict) -> bool:
     """Independent check of a claimed verdict for ``reduces(g, h)``.
 
-    Positive: the blocks of a ``Certificate`` (a plain tuple of witnesses
-    is read as blocks of count 1) must have int indices and counts (a bool
-    is none), counts of at least 1, cover every source factor exactly once
-    and hit disjoint in-range target factors.  Each block is split where it
-    crosses a run of ``g`` or ``h``, and every piece must revalidate against
-    the rule table with its reason and recomputed surplus table.  Negative
-    (K and N(K) as ``IndexRanges`` or plain tuples of indices): N(K) must be
-    exactly the rule-table neighborhood of K, with |N(K)| < |K|.  Both cost
-    O(k log k) in the number k of blocks, ranges and runs, not in the
-    factor counts.  Malformed indices make the certificate invalid rather
-    than raising.
+    It reads the run form that ``reduces`` emits, and nothing else.
+    Positive: the ``Certificate``'s blocks must all be ``EdgeBlock``s with
+    int indices and counts (a bool is none), counts of at least 1, cover
+    every source factor exactly once and hit disjoint in-range target
+    factors.  Each block is split where it crosses a run of ``g`` or ``h``,
+    and every piece must revalidate against the rule table with its reason
+    and recomputed surplus table.  Negative: the ``HallViolator``'s K and
+    N(K) must be ``IndexRanges``, and N(K) exactly the rule-table
+    neighborhood of K, with |N(K)| < |K|.  Both cost O(k log k) in the
+    number k of blocks, ranges and runs, not in the factor counts.  Any
+    other shape makes the verdict invalid rather than raising.
     """
     m, n = dimension(g), dimension(h)
     g_ends, h_ends = run_ends(g), run_ends(h)
     if v.reducible:
-        if v.certificate is None or v.violator is not None:
+        if not isinstance(v.certificate, Certificate) or v.violator is not None:
             return False
-        if isinstance(v.certificate, Certificate):
-            blocks = v.certificate.blocks
-        else:
-            blocks = [(w.left_index, w.right_index, 1, w.reason, w.deficit) for w in v.certificate]
+        blocks = v.certificate.blocks
+        if type(blocks) is not tuple or not all(type(block) is EdgeBlock for block in blocks):
+            return False
         lefts, rights = [], []
         for left, right, count, _, _ in blocks:
             if type(left) is not int or type(right) is not int or type(count) is not int or count < 1:
@@ -446,7 +422,7 @@ def verify_certificate(g: GroupExpr, h: GroupExpr, v: Verdict) -> bool:
                 # the piece ends where the source factor leaves run r or the target factor run q
                 j += min(g_ends[r] - (left + j) + 1, right - j - (h_ends[q - 1] if q else 0))
         return True
-    if v.violator is None or v.certificate is not None:
+    if not isinstance(v.violator, HallViolator) or v.certificate is not None:
         return False
     K, NK = _index_spans(v.violator.K), _index_spans(v.violator.NK)
     if K is None or NK is None:

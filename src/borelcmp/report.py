@@ -86,15 +86,10 @@ class Report(Value):
 def certificate_payload(v: Verdict) -> dict:
     """JSON form of a verdict's certificate or violator."""
     if v.reducible:
-        return {
-            "edges": [
-                {
-                    "left": w.left_index,
-                    "right": w.right_index,
-                    "reason": w.reason.value,
-                    "deficit": [[gamma, _mult_json(d)] for gamma, d in w.deficit],
-                }
-                for w in v.certificate
-            ]
-        }
+        edges = []
+        for left, right, count, reason, deficit in v.certificate.blocks:
+            # the edges of one block share its reason and deficit list
+            tail = {"reason": reason.value, "deficit": [[gamma, _mult_json(d)] for gamma, d in deficit]}
+            edges += [{"left": left + j, "right": right - j, **tail} for j in range(count)]
+        return {"edges": edges}
     return {"violator": {"K": list(v.violator.K), "NK": list(v.violator.NK)}}

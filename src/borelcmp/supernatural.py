@@ -495,12 +495,11 @@ def sufficient_prefix_length(p: SupernaturalProfile, window: Iterable) -> int:
     ``p`` supplies it in total (no prefix can ever suffice).
     """
     need = Counter(window)
+    exceptions = dict(p.exceptions)  # one lookup per window prime, not a scan of the exceptions
     for gamma, count in need.items():
-        if p.multiplicity(gamma) < count:
-            raise DomainError(
-                f"window needs {count} occurrences of {gamma} but the profile carries "
-                f"{p.multiplicity(gamma)}"
-            )
+        carried = exceptions.get(_check_prime(gamma), p.default)
+        if carried < count:
+            raise DomainError(f"window needs {count} occurrences of {gamma} but the profile carries {carried}")
     return _covering_prefix(_Layout(p, need), need)
 
 

@@ -86,6 +86,17 @@ def test_nextprime_past_the_sieve_cap():
         assert nextprime(n) == sympy.nextprime(n)
 
 
+@pytest.mark.parametrize("bound", [2**24, 2**24 + 2**16, 2**32])
+def test_primes_after_past_the_sieve_cap_agrees_with_sympy(bound):
+    """Past ``SIEVE_CAP`` a walk segment-sieves each span of 2^16 numbers
+    and stores none; from 2^32 on it tests candidates with ``isprime``.
+    Walks that start on either side of each boundary cross it."""
+    for n in (bound - 3000, bound - 1, bound, bound + 1):
+        expected = list(sympy.primerange(n + 1, bound + 3000))
+        assert list(takewhile((bound + 3000).__gt__, primes_after(n))) == expected, n
+    assert max(primes._SIEVE.chunks) < primes.SIEVE_CAP
+
+
 def _nextprime_walk(n: int, count: int) -> list:
     """The ``count`` primes after ``n``, one ``nextprime`` call each."""
     walked = []

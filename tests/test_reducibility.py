@@ -205,33 +205,39 @@ def test_tampered_violators_are_rejected(g_text, h_text):
     verdict = reduces(g, h)
     assert verify_certificate(g, h, verdict)
     K, NK = tuple(verdict.violator.K), tuple(verdict.violator.NK)
+    # the forgeries are in the form reduces emits, which the untampered indices pass in
+    assert verify_certificate(g, h, Verdict(False, violator=HallViolator(_ranges(K), _ranges(NK))))
     outside = next(j for j in range(1, len(h.factors) + 2) if j not in NK)
-    for bad in (
-        HallViolator(K, tuple(sorted(NK + (outside,)))),  # one index added to N(K)
-        HallViolator(K[1:], NK),  # one member of K dropped
-        HallViolator(K, NK[:-1]),  # N(K) shrunk
+    for K_bad, NK_bad in (
+        (K, NK + (outside,)),  # one index added to N(K)
+        (K[1:], NK),  # one member of K dropped
+        (K, NK[:-1]),  # N(K) shrunk
     ):
+        bad = HallViolator(_ranges(K_bad), _ranges(NK_bad))
         assert not verify_certificate(g, h, Verdict(False, violator=bad)), bad
 
 
 def test_fractional_violator_indices_are_rejected():
     g, h = parse_group("R^2"), parse_group("T")
-    assert reduces(g, h).violator == HallViolator((1, 2), (1,))
-    assert not verify_certificate(g, h, Verdict(False, violator=HallViolator((1, 1.5), (1,))))
-    # factor 1 alone, as a range of step 5 that spans 1..2; a pair that is no range
-    for K in (IndexRanges((range(1, 3, 5),)), IndexRanges(((1, 3),))):
-        assert not verify_certificate(g, h, Verdict(False, violator=HallViolator(K, (1,)))), K
+    verdict = reduces(g, h)
+    assert verdict.violator == HallViolator(IndexRanges((range(1, 3),)), IndexRanges((range(1, 2),)))
+    assert verify_certificate(g, h, verdict)
+    NK = verdict.violator.NK
+    # factor 1.5 beside a range; factor 1 alone, as a range of step 5 that
+    # spans 1..2; a pair that is no range
+    for K in (IndexRanges((range(1, 2), 1.5)), IndexRanges((range(1, 3, 5),)), IndexRanges(((1, 3),))):
+        assert not verify_certificate(g, h, Verdict(False, violator=HallViolator(K, NK))), K
 
 
 def test_fractional_certificate_indices_are_rejected():
     g, h = parse_group("T^3"), parse_group("T^2")
     assert not reduces(g, h).reducible
-    witness = reduces(h, h).certificate[0]
+    (block,) = reduces(h, h).certificate.blocks
     for pairs in (
         ((1, 1), (2, 1.5), (3, 2)),  # distinct in-range right indices, all in the T run
         ((1, 1), (1.5, 2), (3, 2.5)),
     ):
-        forged = tuple(EdgeWitness(i, j, witness.reason, witness.deficit) for i, j in pairs)
+        forged = Certificate(tuple(block._replace(left=i, right=j, count=1) for i, j in pairs))
         assert not verify_certificate(g, h, Verdict(True, certificate=forged)), pairs
 
 
@@ -279,6 +285,23 @@ def _neighborhood(g, h, K):
     }))
 
 
+def _ranges(indices) -> IndexRanges:
+    """Distinct indices as ``reduces`` emits them: one range per stretch of
+    consecutive indices, ascending."""
+    ranges: list = []
+    for i in sorted(indices):
+        if ranges and ranges[-1].stop == i:
+            ranges[-1] = range(ranges[-1].start, i + 1)
+        else:
+            ranges.append(range(i, i + 1))
+    return IndexRanges(tuple(ranges))
+
+
+def _blocks(witnesses) -> Certificate:
+    """A certificate of one ``EdgeBlock`` of count 1 per witness."""
+    return Certificate(tuple(EdgeBlock(w.left_index, w.right_index, 1, w.reason, w.deficit) for w in witnesses))
+
+
 def _tampered_variants(g, h, verdict: Verdict):
     if verdict.reducible and verdict.certificate:
         witnesses = list(verdict.certificate)
@@ -287,31 +310,36 @@ def _tampered_variants(g, h, verdict: Verdict):
             # map two source factors to one target
             second = witnesses[1]
             clash = EdgeWitness(second.left_index, first.right_index, second.reason, second.deficit)
-            yield Verdict(True, certificate=tuple([first, clash] + witnesses[2:]))
+            yield Verdict(True, certificate=_blocks([first, clash] + witnesses[2:]))
         # out-of-range target
-        yield Verdict(True, certificate=tuple(
+        yield Verdict(True, certificate=_blocks(
             [EdgeWitness(first.left_index, 10_000, first.reason, first.deficit)] + witnesses[1:]
         ))
         # drop coverage of a source factor
-        yield Verdict(True, certificate=tuple(witnesses[1:]))
+        yield Verdict(True, certificate=_blocks(witnesses[1:]))
         # lie about the reason
         wrong = EdgeReason.RULE_T_T if first.reason is not EdgeReason.RULE_T_T else EdgeReason.RULE_SOL_T
-        yield Verdict(True, certificate=tuple(
+        yield Verdict(True, certificate=_blocks(
             [EdgeWitness(first.left_index, first.right_index, wrong, first.deficit)] + witnesses[1:]
         ))
         if first.reason is EdgeReason.RULE_SOL_SOL:
             # corrupt the surplus table
             forged = EdgeWitness(first.left_index, first.right_index, first.reason, first.deficit + ((2, 1),))
-            yield Verdict(True, certificate=tuple([forged] + witnesses[1:]))
+            yield Verdict(True, certificate=_blocks([forged] + witnesses[1:]))
+        # the emitted blocks, with the last one a factor short or a factor long
+        *kept, last = verdict.certificate.blocks
+        for count in (last.count - 1, last.count + 1):
+            blocks = (*kept, last._replace(count=count)) if count else tuple(kept)
+            yield Verdict(True, certificate=Certificate(blocks))
     if not verdict.reducible and verdict.violator is not None:
         K, NK = tuple(verdict.violator.K), tuple(verdict.violator.NK)
         # shrink the neighborhood claim
         if NK:
-            yield Verdict(False, violator=HallViolator(K, NK[:-1]))
+            yield Verdict(False, violator=HallViolator(_ranges(K), _ranges(NK[:-1])))
         # pad the neighborhood until it is not deficient
-        yield Verdict(False, violator=HallViolator(K, NK + tuple(range(900, 900 + len(K)))))
+        yield Verdict(False, violator=HallViolator(_ranges(K), _ranges(NK + tuple(range(900, 900 + len(K))))))
         # empty violator
-        yield Verdict(False, violator=HallViolator((), ()))
+        yield Verdict(False, violator=HallViolator(IndexRanges(()), IndexRanges(())))
         if len(K) > 1:
             shrunk = K[:-1]
             # dropping a member can leave a smaller but still-valid violator;
@@ -321,7 +349,7 @@ def _tampered_variants(g, h, verdict: Verdict):
                 and len(NK) < len(shrunk)
             )
             if not still_valid:
-                yield Verdict(False, violator=HallViolator(shrunk, NK))
+                yield Verdict(False, violator=HallViolator(_ranges(shrunk), _ranges(NK)))
 
 
 def test_certificate_tampering_detected(rng):
@@ -331,6 +359,12 @@ def test_certificate_tampering_detected(rng):
         h = random_expr(rng, 5)
         verdict = reduces(g, h)
         assert verify_certificate(g, h, verdict)
+        # the untampered claim, rebuilt the way the forgeries are, passes
+        if verdict.reducible:
+            rebuilt = Verdict(True, certificate=_blocks(verdict.certificate))
+        else:
+            rebuilt = Verdict(False, violator=HallViolator(_ranges(verdict.violator.K), _ranges(verdict.violator.NK)))
+        assert verify_certificate(g, h, rebuilt)
         for bad in _tampered_variants(g, h, verdict):
             tampered_total += 1
             assert not verify_certificate(g, h, bad), (g, h, bad)
@@ -343,18 +377,18 @@ def test_certificate_cross_claims_rejected():
     # a positive claim without edges, or with a violator attached
     assert not verify_certificate(g, h, Verdict(True))
     assert not verify_certificate(g, h, Verdict(False))
-    assert not verify_certificate(
-        g, h, Verdict(True, certificate=verdict.certificate, violator=HallViolator((1,), ()))
-    )
+    refutation = reduces(g, parse_group("R")).violator
+    assert not verify_certificate(g, h, Verdict(True, certificate=verdict.certificate, violator=refutation))
     # True == 1, but a bool is no factor index
-    witness = verdict.certificate[0]
-    for forged in (EdgeWitness(True, witness.right_index, witness.reason, witness.deficit),
-                   EdgeWitness(witness.left_index, True, witness.reason, witness.deficit)):
-        assert not verify_certificate(g, h, Verdict(True, certificate=(forged,))), forged
+    (block,) = verdict.certificate.blocks
+    for forged in (block._replace(left=True), block._replace(right=True)):
+        assert not verify_certificate(g, h, Verdict(True, certificate=Certificate((forged,)))), forged
+    # a range turns a bool bound into an int, so an IndexRanges holds no bool index
+    K = IndexRanges((range(True, 2),))
+    assert type(K.ranges[0].start) is int
     for target in ("R", "1"):
         assert reduces(g, parse_group(target)).violator == HallViolator((1,), ())
-        forged = Verdict(False, violator=HallViolator((True,), ()))
-        assert not verify_certificate(g, parse_group(target), forged), target
+        assert verify_certificate(g, parse_group(target), Verdict(False, violator=HallViolator(K, IndexRanges(()))))
     # forged blocks of R x T -> T^2, whose certificate is the first two blocks
     R_ANY, T_T = EdgeReason.RULE_R_ANY, EdgeReason.RULE_T_T
     assert reduces(parse_group("R x T"), parse_group("T^2")).certificate.blocks == (
@@ -376,6 +410,41 @@ def test_certificate_cross_claims_rejected():
     ):
         forged = Verdict(True, certificate=Certificate(tuple(EdgeBlock(*block) for block in blocks)))
         assert not verify_certificate(parse_group(g_text), parse_group(h_text), forged), blocks
+
+
+_T_T = EdgeBlock(1, 1, 1, EdgeReason.RULE_T_T)
+
+
+@pytest.mark.parametrize(
+    "h_text, claim",
+    [
+        # positive claims on T -> T, whose certificate is Certificate((_T_T,))
+        ("T", Verdict(True, certificate=Certificate(((1, 1, 1),)))),
+        ("T", Verdict(True, certificate=Certificate(((1, 1, 1, EdgeReason.RULE_T_T, ()),)))),
+        ("T", Verdict(True, certificate=Certificate((EdgeWitness(1, 1, EdgeReason.RULE_T_T),)))),
+        ("T", Verdict(True, certificate=Certificate([_T_T]))),
+        ("T", Verdict(True, certificate=Certificate(5))),
+        ("T", Verdict(True, certificate=(EdgeWitness(1, 1, EdgeReason.RULE_T_T),))),
+        ("T", Verdict(True, certificate=(_T_T,))),
+        ("T", Verdict(True, certificate=[1, 2])),
+        # negative claims on T -> R, whose violator is K = {1}, N(K) = {}
+        ("R", Verdict(False, violator=HallViolator(None, (1,)))),
+        ("R", Verdict(False, violator=HallViolator((1,), ()))),
+        ("R", Verdict(False, violator=HallViolator(IndexRanges((range(1, 2),)), ()))),
+        ("R", Verdict(False, violator=HallViolator(IndexRanges(5), IndexRanges(())))),
+        ("R", Verdict(False, violator=HallViolator(IndexRanges([range(1, 2)]), IndexRanges(())))),
+        ("R", Verdict(False, violator=(IndexRanges((range(1, 2),)), IndexRanges(())))),
+    ],
+)
+def test_malformed_claims_are_invalid_without_raising(h_text, claim):
+    """``verify_certificate`` reads only the form that ``reduces`` emits: a
+    ``Certificate`` of ``EdgeBlock``s, or a ``HallViolator`` of
+    ``IndexRanges``.  Every other shape is invalid, and none raises."""
+    g, h = parse_group("T"), parse_group(h_text)
+    verdict = reduces(g, h)
+    assert verdict.certificate == (Certificate((_T_T,)) if verdict.reducible else None)
+    assert verify_certificate(g, h, verdict)
+    assert verify_certificate(g, h, claim) is False
 
 
 
@@ -457,8 +526,9 @@ def test_runs_give_the_per_factor_verdict():
             witnesses = tuple(verdict.certificate)
             assert witnesses == _per_factor_certificate(g, h)
             assert len(verdict.certificate) == len(witnesses)
-            if witnesses:
-                assert (verdict.certificate[0], verdict.certificate[-1]) == (witnesses[0], witnesses[-1])
+            # a block ends only where a source run, a target run or a flow route does
+            routes = len({(a, b) for a, b in zip(g.factors, (h.factors[w.right_index - 1] for w in witnesses))})
+            assert len(verdict.certificate.blocks) <= len(g.runs) + len(h.runs) + routes
         if compact:
             assert dual_reduces(g, h) == verdict.reducible
         outcomes[verdict.reducible] += 1
@@ -489,9 +559,9 @@ def test_solenoid_witness_deficit_is_recomputable():
     h = parse_group("Sol{2:5,3:w}")
     verdict = reduces(g, h)
     assert verdict.reducible
-    witness = verdict.certificate[0]
+    (witness,) = verdict.certificate
     assert witness.reason is EdgeReason.RULE_SOL_SOL
     assert witness.deficit == ()  # target {2:5} never exceeds source {2:9}
-    back = reduces(h, g).certificate[0]
+    (back,) = reduces(h, g).certificate
     assert back.deficit == ((2, 4),)
     assert back.total_deficit == 4

@@ -413,6 +413,29 @@ def test_sufficient_prefix_length_rejects_impossible_windows():
         sufficient_prefix_length(P({2: 1, 3: OMEGA}), (2, 2))
 
 
+def test_sufficient_prefix_length_reads_each_window_prime_once(monkeypatch):
+    """The multiplicities come from one dict of the exceptions, not from a
+    scan of them per window prime, which made 8,000 window primes take a
+    second; the refusals keep their messages."""
+    first = tuple(islice(primes_after(1), 8000))
+    p = P({**{gamma: 1 for gamma in first}, 3: OMEGA})
+
+    def scan(self, gamma):
+        raise AssertionError(f"multiplicity({gamma}) scanned the exceptions")
+
+    monkeypatch.setattr(SupernaturalProfile, "multiplicity", scan)
+    start = time.perf_counter()
+    assert sufficient_prefix_length(p, first) == 8000
+    assert time.perf_counter() - start < 0.5
+    for window, message in (
+        ((2, 2), "window needs 2 occurrences of 2 but the profile carries 1"),
+        ((4,), "4 is not a prime number"),
+        ((True,), "True is not a prime number"),
+    ):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            sufficient_prefix_length(p, window)
+
+
 # -- the layout of canonical sequences and the replay ------------------------------
 
 @given(profiles(), st.integers(0, 300))
