@@ -25,7 +25,6 @@ side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 from .errors import DomainError
@@ -82,38 +81,45 @@ class DualExpr:
     """Dual of a group expression, componentwise, as ``(component, count)``
     runs: one run per run of the expression, since distinct atoms have
     distinct duals.  A component is ``REAL`` or a ``RationalType``.
-    ``components`` (one entry per factor) is built on first use only."""
+    ``components``, one entry per factor, is a sized view of the runs."""
 
     runs: tuple = ()
 
-    @cached_property
-    def components(self) -> tuple:
-        return tuple(_Expansion(self.runs))
+    @property
+    def components(self) -> _Expansion:
+        return _Expansion(self.runs)
 
 
 def dual(g: GroupExpr) -> DualExpr:
     """Componentwise dual: R stays R, T becomes the integers, a solenoid
     becomes the rational type of its profile.
 
-    >>> str(dual(group(TORUS)).components[0])
-    'Z'
+    >>> [str(component) for component in dual(group(TORUS, REAL)).components]
+    ['Z', 'R']
     """
-    # One component per distinct atom object.  Keyed by identity: a power
-    # repeats the same atom objects, and hashing a solenoid atom costs more
-    # than building its run; ``g`` keeps every key alive.
+    # One component per distinct atom object, and one dual run per distinct
+    # atom object and count, shared by every run that repeats them: a power
+    # repeats its runs, and a product written out repeats runs of count 1.
+    # Keyed by identity: hashing a solenoid atom costs more than building
+    # its run; ``g`` keeps every key alive.
     components: dict = {}
+    dual_runs: dict = {}  # id(atom) -> {count: (component, count)}
     runs = []
     for atom, count in g.runs:
-        component = components.get(id(atom))
-        if component is None:
+        key = id(atom)
+        by_count = dual_runs.get(key)
+        if by_count is None:
             if atom.kind is AtomKind.REAL:
-                component = REAL
+                components[key] = REAL
             elif atom.kind is AtomKind.TORUS:
-                component = INTEGERS
+                components[key] = INTEGERS
             else:
-                component = RationalType(atom.profile)
-            components[id(atom)] = component
-        runs.append((component, count))
+                components[key] = RationalType(atom.profile)
+            by_count = dual_runs[key] = {}
+        dual_run = by_count.get(count)
+        if dual_run is None:
+            dual_run = by_count[count] = (components[key], count)
+        runs.append(dual_run)
     return DualExpr(tuple(runs))
 
 

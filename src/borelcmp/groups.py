@@ -7,11 +7,11 @@ and one-dimensional, so the factor count (the sum of the run counts) is the
 covering dimension and compactness is just the absence of R factors.  Raw
 parse trees (with nested products, powers, and integer-sequence solenoids)
 normalize into this form, merging equal atoms where parts meet, so
-``(T x R x T)^2`` is T, R, T^2, R, T.  The per-factor tuple
-``GroupExpr.factors`` is derived only when a caller reads it.  The trivial
-group is the empty product and is admitted so that every command-line
-operation is total.  One expression has at most ``MAX_FACTORS`` (10^7)
-factors; a larger one is a ``DomainError`` before anything is built.
+``(T x R x T)^2`` is T, R, T^2, R, T.  ``GroupExpr.factors`` is a sized
+view of the runs whose ``len`` costs one step per run.  The trivial group
+is the empty product and is admitted so that every command-line operation
+is total.  One expression has at most ``MAX_FACTORS`` (10^7) factors; a
+larger one is a ``DomainError`` before anything is built.
 
 A raw tree's leaves are the values they denote: an ``Atom`` for ``R``,
 ``T`` and ``Sol{...}``, the ``IntSeqSpec`` of an ``S[...]`` literal, and
@@ -22,9 +22,8 @@ products, which carry structure, have node types of their own.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate, chain, repeat, starmap
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, Union
 
 from ._value import Value
@@ -135,10 +134,9 @@ class GroupExpr(Value):
     """Normalized product as canonical runs: ``(atom, count)`` pairs with
     adjacent atoms distinct and counts positive (empty = trivial).  The
     constructor merges adjacent equal atoms and drops zero counts, so equal
-    products are equal values with equal hashes.  An instance keeps a
-    ``__dict__`` for the cached ``factors``."""
+    products are equal values with equal hashes."""
 
-    _fields = ("runs",)
+    __slots__ = _fields = ("runs",)
 
     def __init__(self, runs: tuple = ()):
         runs = tuple(runs)
@@ -159,10 +157,10 @@ class GroupExpr(Value):
         object.__setattr__(g, "runs", runs)
         return g
 
-    @cached_property
-    def factors(self) -> tuple:
-        """One atom per factor, built on first use only; the engine reads ``runs``."""
-        return tuple(_Expansion(self.runs))
+    @property
+    def factors(self) -> "_Expansion":
+        """One atom per factor, as a view of the runs; the engine reads ``runs``."""
+        return _Expansion(self.runs)
 
     def __mul__(self, other: "GroupExpr") -> "GroupExpr":
         return GroupExpr._of_runs(_joined((self.runs, other.runs)))
@@ -174,10 +172,11 @@ class GroupExpr(Value):
 
 
 class _Expansion:
-    """The factors of runs, iterable and sized.  ``tuple`` reads the size
-    first and allocates the result once; from a plain iterator it grows the
-    result step by step, and a step that cannot grow in place copies it, so
-    the peak memory of a large expansion would depend on the heap layout."""
+    """The factors of runs, sized and iterable but not indexable: take
+    ``tuple(...)`` once for positions.  ``tuple`` reads the size first and
+    allocates the result once; from a plain iterator it grows the result
+    step by step, and a step that cannot grow in place copies it, so the
+    peak memory of a large expansion would depend on the heap layout."""
 
     __slots__ = ("runs",)
 
@@ -276,4 +275,4 @@ def dimension(g: GroupExpr) -> int:
 
 def is_compact(g: GroupExpr) -> bool:
     """True iff no R factor (torus and solenoid factors are compact)."""
-    return all(atom.kind is not AtomKind.REAL for atom, _ in g.runs)
+    return AtomKind.REAL not in map(attrgetter("kind"), map(itemgetter(0), g.runs))

@@ -73,13 +73,14 @@ def random_expr(rng: random.Random, max_factors: int = 4, compact: bool = False)
 
 def brute_force_reducible(g: GroupExpr, h: GroupExpr) -> bool:
     """Exhaustive search over injective factor assignments."""
-    m, n = len(g.factors), len(h.factors)
+    sources, targets = tuple(g.factors), tuple(h.factors)
+    m, n = len(sources), len(targets)
     if m == 0:
         return True
     if m > n:
         return False
     for assignment in itertools.permutations(range(n), m):
-        if all(atom_reduces(g.factors[i], h.factors[j]) for i, j in enumerate(assignment)):
+        if all(atom_reduces(sources[i], targets[j]) for i, j in enumerate(assignment)):
             return True
     return False
 
@@ -238,12 +239,12 @@ def _criterion_09_worked_member_prefix(rng):
 
 
 def _criterion_10_duality_instances(rng):
-    circle_dual = dual(group(TORUS)).components[0]
+    (circle_dual,) = dual(group(TORUS)).components
     if circle_dual != INTEGERS or str(circle_dual) != "Z":
         return False, "dual of the circle is not the integers"
     for p in [SupernaturalProfile({2: OMEGA})] + [random_profile(rng) for _ in range(25)]:
         s = group(solenoid(p))
-        if dual(s).components[0] != RationalType(p):
+        if tuple(dual(s).components) != (RationalType(p),):
             return False, f"dual type mismatch for {p}"
         if dual_reduces(group(TORUS), s) or not dual_reduces(s, group(TORUS)):
             return False, f"circle and solenoid {p} misordered on the dual route"

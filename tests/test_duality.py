@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -31,12 +33,13 @@ PROBE_PRIMES = (2, 3, 5, 7, 11, 13)
 # -- dual ----------------------------------------------------------------------
 
 def test_dual_instances():
-    assert dual(group(TORUS)).components[0] == INTEGERS
+    assert tuple(dual(group(TORUS)).components) == (INTEGERS,)
     sol = solenoid({2: 6, 3: OMEGA})
-    assert dual(group(sol)).components[0] == RationalType(sol.profile)
-    rationals = dual(parse_group("Sol{default=w}")).components[0]
+    assert tuple(dual(group(sol)).components) == (RationalType(sol.profile),)
+    (rationals,) = dual(parse_group("Sol{default=w}")).components
     assert rationals == RationalType(SupernaturalProfile.all_omega())
-    assert dual(group(REAL)).components[0] is REAL
+    (real,) = dual(group(REAL)).components
+    assert real is REAL
 
 
 def test_zero_profile_is_the_integers():
@@ -52,15 +55,40 @@ def test_dual_componentwise_length(rng):
         assert len(dual(g).components) == len(g.factors)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: parse_group("(T x Sol{2:w})^50000"),  # one pair of run objects, repeated
+    lambda: group(*[TORUS, solenoid({2: OMEGA})] * 50000),  # 10^5 run objects of count 1
+], ids=["power", "written_out"])
+def test_dual_shares_repeated_runs(build):
+    """The dual keeps one dual run per distinct atom and count, so its memory
+    is the run tuple's, not a pair per run.  The CLI's scale guard runs the
+    same power at 10^6 runs."""
+    g = build()
+    tracemalloc.start()
+    try:
+        d = dual(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a new (component, count) pair for each of the 10^5 runs would add 6.4 MB
+    assert peak < 3 * sys.getsizeof(d.runs)
+    # atom by atom, each factor dualized on its own
+    by_kind = {REAL: REAL, TORUS: INTEGERS}
+    reference = tuple(by_kind.get(atom) or RationalType(atom.profile) for atom in g.factors)
+    assert tuple(d.components) == reference and len(reference) == 10**5
+    assert d.runs == tuple((component, 1) for component in reference)
+
+
 def test_double_dual_at_type_level(rng):
     # reconstructing the primal atom from a rank-1 type and dualizing again
     # recovers the type: Z <-> circle, profile type <-> solenoid
-    assert dual(group(TORUS)).components[0].is_integers
+    (circle,) = dual(group(TORUS)).components
+    assert circle.is_integers
     for _ in range(20):
         p = random_profile(rng)
-        t = dual(group(solenoid(p))).components[0]
+        (t,) = dual(group(solenoid(p))).components
         assert t.profile == p
-        assert dual(group(solenoid(t.profile))).components[0] == t
+        assert tuple(dual(group(solenoid(t.profile))).components) == (t,)
 
 
 # -- rank ------------------------------------------------------------------------

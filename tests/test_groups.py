@@ -62,7 +62,7 @@ def test_products_are_canonical_runs():
     assert t2.runs == ((TORUS, 2),)
     boundary = parse_group("(T x R x T)^2")
     assert boundary.runs == ((TORUS, 1), (REAL, 1), (TORUS, 2), (REAL, 1), (TORUS, 1))
-    assert boundary.factors == (TORUS, REAL, TORUS, TORUS, REAL, TORUS)
+    assert tuple(boundary.factors) == (TORUS, REAL, TORUS, TORUS, REAL, TORUS)
     assert str(boundary) == "T x R x T^2 x R x T"
     assert (group(REAL, TORUS) * group(TORUS, REAL)).runs == ((REAL, 1), (TORUS, 2), (REAL, 1))
     sol = solenoid({2: OMEGA})
@@ -90,15 +90,24 @@ def test_normalize_caps_the_factor_count_before_building():
 
 
 def test_factors_allocate_the_tuple_once():
-    """The per-factor tuple, like a dual's per-component tuple, is allocated
+    """The factors, like a dual's components, are a sized view of the runs:
+    its ``len`` allocates nothing per factor, and a tuple of it is allocated
     at its final size.  Grown from an iterator it passes through larger
     buffers, and through a copy whenever a step cannot grow in place, so the
     peak memory of a large expansion varied from one process to the next."""
+    huge = parse_group("T^10000000")
+    tracemalloc.start()
+    try:
+        assert len(huge.factors) == len(dual(huge).components) == 10**7
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
     g = parse_group("R^700000 x T^300000")
     dual_power = dual(parse_group("(R^7 x T^3)^100000"))
     for expanded, expected in (
-        (lambda: g.factors, (REAL,) * 700_000 + (TORUS,) * 300_000),
-        (lambda: dual_power.components, ((REAL,) * 7 + (INTEGERS,) * 3) * 100_000),
+        (lambda: tuple(g.factors), (REAL,) * 700_000 + (TORUS,) * 300_000),
+        (lambda: tuple(dual_power.components), ((REAL,) * 7 + (INTEGERS,) * 3) * 100_000),
     ):
         tracemalloc.start()
         try:
@@ -108,7 +117,11 @@ def test_factors_allocate_the_tuple_once():
             tracemalloc.stop()
         assert items == expected
         assert peak < sys.getsizeof(items) + 4096
-    assert TRIVIAL_GROUP.factors == () and group(TORUS, REAL).factors == (TORUS, REAL)
+    assert tuple(TRIVIAL_GROUP.factors) == () and tuple(group(TORUS, REAL).factors) == (TORUS, REAL)
+    # a view, not a tuple: it neither indexes nor equals one
+    assert g.factors != tuple(g.factors) and not isinstance(g.factors, tuple)
+    with pytest.raises(TypeError):
+        g.factors[0]
 
 
 def test_normalize_accepts_every_leaf_kind():

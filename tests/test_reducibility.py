@@ -277,11 +277,12 @@ def test_strictness_chain_between_real_and_torus(rng):
 # -- certificates --------------------------------------------------------------
 
 def _neighborhood(g, h, K):
+    sources, targets = tuple(g.factors), tuple(h.factors)
     return tuple(sorted({
         j
         for i in K
-        for j in range(1, len(h.factors) + 1)
-        if atom_reduces(g.factors[i - 1], h.factors[j - 1])
+        for j in range(1, len(targets) + 1)
+        if atom_reduces(sources[i - 1], targets[j - 1])
     }))
 
 
@@ -507,7 +508,7 @@ def _powered_expr(rng, compact):
     runs = tuple((atom, rng.choice((0, 1, 1, 2, 3))) for atom in base.factors)
     exponent = rng.choice((1, 1, 2, 3))
     g = normalize_group(RawPower(GroupExpr(runs), exponent))
-    assert g.factors == tuple(atom for atom, count in runs for _ in range(count)) * exponent
+    assert tuple(g.factors) == tuple(atom for atom, count in runs for _ in range(count)) * exponent
     assert all(count >= 1 for _, count in g.runs)
     assert all(a != b for (a, _), (b, _) in zip(g.runs, g.runs[1:]))
     return g
@@ -527,7 +528,8 @@ def test_runs_give_the_per_factor_verdict():
             assert witnesses == _per_factor_certificate(g, h)
             assert len(verdict.certificate) == len(witnesses)
             # a block ends only where a source run, a target run or a flow route does
-            routes = len({(a, b) for a, b in zip(g.factors, (h.factors[w.right_index - 1] for w in witnesses))})
+            targets = tuple(h.factors)
+            routes = len({(a, b) for a, b in zip(g.factors, (targets[w.right_index - 1] for w in witnesses))})
             assert len(verdict.certificate.blocks) <= len(g.runs) + len(h.runs) + routes
         if compact:
             assert dual_reduces(g, h) == verdict.reducible
@@ -535,23 +537,35 @@ def test_runs_give_the_per_factor_verdict():
     assert min(outcomes.values()) > 1000
 
 
+def _traced_peak(work) -> int:
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_products_at_the_factor_cap_build_no_per_factor_tuple():
     reals, torus, tori = parse_group("R^10000000"), parse_group("T"), parse_group("T^10000000")
-    for g in (reals, tori):
-        verdict = reduces(g, torus)
-        assert verdict.violator == HallViolator((1, 2), (1,))
-        assert verify_certificate(g, torus, verdict)
-        assert dimension(g) == 10**7
-        assert render_group(g) == str(g.runs[0][0]) + "^10000000"
-    duals = dual(reals), dual(tori)
-    assert [render_dual(d) for d in duals] == ["R^10000000", "Z^10000000"]
-    assert rank(duals[1]) == 10**7
-    with pytest.raises(DomainError):
-        rank(duals[0])
-    assert not any("factors" in vars(g) for g in (reals, torus, tori))
-    assert not any("components" in vars(d) for d in duals)
-    small = parse_group("T^3")
-    assert len(small.factors) == 3 and "factors" in vars(small)  # the check above can fail
+
+    def work():
+        for g in (reals, tori):
+            verdict = reduces(g, torus)
+            assert verdict.violator == HallViolator((1, 2), (1,))
+            assert verify_certificate(g, torus, verdict)
+            assert dimension(g) == len(g.factors) == 10**7
+            assert render_group(g) == str(g.runs[0][0]) + "^10000000"
+        duals = dual(reals), dual(tori)
+        assert [render_dual(d) for d in duals] == ["R^10000000", "Z^10000000"]
+        assert rank(duals[1]) == len(duals[1].components) == 10**7
+        with pytest.raises(DomainError):
+            rank(duals[0])
+
+    # one atom per factor would be 80 MB for each side and each dual
+    assert _traced_peak(work) < 2**20
+    # the bound can fail: a per-factor tuple of 200,000 atoms passes it
+    assert _traced_peak(lambda: tuple(parse_group("T^200000").factors)) > 2**20
 
 
 def test_solenoid_witness_deficit_is_recomputable():

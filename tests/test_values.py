@@ -86,10 +86,13 @@ def test_values_hash_as_the_tuple_of_their_fields():
 
 
 def test_cached_properties_need_the_instance_dict():
+    # an expression caches nothing: its factors are a view of its runs, so it
+    # keeps no instance dict, and copy and pickle rebuild it from the runs
     g = GroupExpr(((TORUS, 2),))
-    assert vars(g) == {"runs": ((TORUS, 2),)}
-    assert g.factors == (TORUS, TORUS) and "factors" in vars(g)
-    # a certificate caches nothing, so it keeps no instance dict
+    assert not hasattr(g, "__dict__") and tuple(g.factors) == (TORUS, TORUS)
+    for same in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert same == g and same.runs == ((TORUS, 2),) and tuple(same.factors) == (TORUS, TORUS)
+    # nor does a certificate
     certificate = Certificate((EdgeBlock(1, 2, 2, T_T),))
     assert not hasattr(certificate, "__dict__") and len(certificate) == 2
     assert list(certificate) == [EdgeWitness(1, 2, T_T), EdgeWitness(2, 1, T_T)]
