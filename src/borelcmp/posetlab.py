@@ -41,14 +41,15 @@ True
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, count, cycle, filterfalse, islice, repeat, takewhile
+from itertools import accumulate, chain, compress, count, cycle, filterfalse, islice, repeat, takewhile
 from math import gcd
-from operator import add
+from operator import add, ne, sub
 
 from .errors import DomainError, checked_natural
 from .primes import factorint
@@ -191,7 +192,10 @@ class UPSet:
         range per span of consecutive residues when the spans are that long
         (a period of 2^40 has such a span).  Below the threshold they pass
         a filter of the flips, in pieces split at the flips of the wanted
-        kind, which are spliced in.
+        kind, which are spliced in.  A walk that passes every natural reads
+        ``_mask`` instead; this stays for the sets enumerated by their
+        elements, which may be sparse: the multiples of 2^40 cost one step
+        per member here, where a mask passes 2^40 bits between two members.
         """
         period, residues, flips = self.period, self.residues, self.flips
         spans = _spans(sorted(residues), period, members)
@@ -217,10 +221,35 @@ class UPSet:
         spliced = sorted(n for n in flips if (n % period in residues) != members)
         for n in (*spliced, self.threshold):
             below = ruled_below(n)
-            pieces += filterfalse(flips.__contains__, islice(ruled, below - taken)), (n,)
+            pieces += filterfalse(flips.__contains__, islice(ruled, _reachable(below - taken))), (n,)
             taken = below
         pieces[-1] = ruled  # past the threshold, in place of the threshold itself
         return chain.from_iterable(pieces)
+
+    def _mask(self, members: bool = True) -> Iterator[bool]:
+        """Whether 0, 1, 2, ... are members, or with ``members=False``
+        non-members: an infinite iterator of bools that runs in C, for a
+        walk that passes every natural anyway to ``compress``.
+
+        The rule cycles the bits of one period when its spans of residues
+        are short and repeats one bit per span when they are long, as in
+        ``ascending``; the flips toggle it below the threshold through one
+        ``map(ne, ...)``.  Its memory is O(residues + flips), never
+        O(period) or O(threshold).
+        """
+        bounds = _bounds(sorted(self.residues), self.period)
+        lengths = list(map(_reachable, map(sub, bounds[1:], bounds)))  # gap, run, gap, ..., run, gap
+        bits = list(islice(cycle((not members, members)), len(lengths)))
+        if self.period <= 64 * len(lengths):  # short spans: the bits of a whole period
+            rule = cycle(tuple(chain.from_iterable(map(repeat, bits, lengths))))
+        else:  # long spans: one repeat each
+            rule = chain.from_iterable(map(repeat, cycle(bits), cycle(lengths)))
+        toggles, start = [], 0  # no toggle up to each flip, then one at it
+        for n in sorted(self.flips):
+            toggles += repeat(False, _reachable(n - start)), (True,)
+            start = n + 1
+        # the toggles come first in the map: it ends on them without drawing from the rule
+        return chain(map(ne, chain.from_iterable(toggles), rule), rule)
 
     def count_below(self, n: int) -> int:
         """How many members lie below ``n``, counted from the period, the
@@ -273,19 +302,32 @@ def _minimal_rule(period: int, residues: frozenset):
     return period, frozenset(r for r in residues if r < period)
 
 
+def _bounds(residues: list, period: int) -> list:
+    """0, where each maximal run of consecutive residues in the sorted
+    ``residues`` starts and ends, and ``period``: the gaps and the runs
+    alternate, and only the first and last gap may be empty."""
+    bounds = [0]
+    for r in residues:
+        if len(bounds) > 1 and bounds[-1] == r:
+            bounds[-1] = r + 1
+        else:
+            bounds += r, r + 1
+    bounds.append(period)
+    return bounds
+
+
 def _spans(residues: list, period: int, members: bool) -> list:
     """The maximal runs ``(lo, hi)`` of consecutive residues in the sorted
     ``residues``, or with ``members=False`` of those missing from them."""
-    runs = []
-    for r in residues:
-        if runs and runs[-1][1] == r:
-            runs[-1] = (runs[-1][0], r + 1)
-        else:
-            runs.append((r, r + 1))
-    if members:
-        return runs
-    bounds = [0, *chain.from_iterable(runs), period]  # gap i runs from bounds[2i] to bounds[2i+1]
-    return [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
+    bounds = _bounds(residues, period)
+    first = 1 if members else 0  # the runs start at the odd positions of bounds, the gaps at the even ones
+    return [(lo, hi) for lo, hi in zip(bounds[first::2], bounds[first + 1::2]) if lo < hi]
+
+
+def _reachable(n: int) -> int:
+    """A count for ``islice`` or ``repeat``, clipped to ``sys.maxsize``:
+    they take no larger one, and no walk gets that far."""
+    return min(n, sys.maxsize)
 
 
 def _starts(step: int, times: int) -> Iterator[int]:
@@ -300,15 +342,19 @@ def subset_star(a: UPSet, b: UPSet) -> bool:
     periods, the class of residue r mod a.period meets exactly the
     b.period / g residues mod b.period congruent to r mod g (Chinese
     remainder theorem), so it lies in ``b`` iff ``b`` has all of them.
+    Each class c mod g of ``a``'s residues is tested once, and the test
+    stops at the first residue of ``b`` it misses.
 
     >>> subset_star(UPSet.multiples_of(4), UPSet.multiples_of(2))
     True
     >>> subset_star(UPSet.multiples_of(2), UPSet.multiples_of(4))
     False
     """
-    g = gcd(a.period, b.period)
-    per_class = Counter(r % g for r in b.residues)
-    return all(per_class[r % g] == b.period // g for r in a.residues)
+    g, period, residues = gcd(a.period, b.period), b.period, b.residues
+    for c in {r % g for r in a.residues}:
+        if not residues.issuperset(range(c, period, g)):
+            return False
+    return True
 
 
 def set_difference(a: UPSet, b: UPSet):
@@ -384,8 +430,9 @@ class Family:
 
 def _at_positions(items: Iterator, positions) -> Iterator:
     """The items of ``items`` at the naturals ``positions``, in turn.  The
-    positions must ascend: every caller passes a set's complement walked
-    ascending or a sorted set difference."""
+    positions must ascend.  Only the crosscheck's finite surplus, a sorted
+    set difference of a few elements, is picked this way; the A layer of a
+    member sequence reads a mask of every position instead."""
     taken = 0  # the items drawn so far
     for i in positions:
         yield next(islice(items, i - taken, None))
@@ -425,13 +472,15 @@ def member_sequence(m: MemberRef, n: int) -> tuple:
 def _member_terms(m: MemberRef):
     """The member's concrete prime sequence as an infinite iterator.  Each
     d-layer walks the d-enumeration on its own, so the A layer, which runs
-    far ahead of P_0', holds no d-prime back for it."""
+    far ahead of P_0', holds no d-prime back for it.  That walk passes
+    d_{1+3c} for every c anyway, so the A layer keeps the non-members c by
+    ``compress`` over A's mask, in C, not by a seek per non-member."""
     family = m.family
     # P_0' interleave base(P)
     terms = _alternate(islice(family._d_walk(), 0, None, 3), canonical_terms(family.p))
     if not m.a.is_cofinite:
         # P_A' interleave (P_0' interleave base(P))
-        a_layer = _at_positions(islice(family._d_walk(), 1, None, 3), m.a.ascending(members=False))
+        a_layer = compress(islice(family._d_walk(), 1, None, 3), m.a._mask(members=False))
         terms = _alternate(a_layer, terms)
     return terms
 
@@ -602,6 +651,8 @@ def chain_demo(f: Family, depth: int = 3, power: int = 1) -> ChainDemo:
 
     The chain is strictly decreasing in the order and the final pair is
     incomparable, which is the desk-scale shape of the embedded poset.
+    Every member has the family and power given here, so each verdict is
+    ``subset_star`` of the two sets.
     """
     checked_natural(depth, "chain depth must be >= 2", 2)
     sets = [UPSet.multiples_of(2 ** i) for i in range(depth)]
@@ -611,7 +662,5 @@ def chain_demo(f: Family, depth: int = 3, power: int = 1) -> ChainDemo:
     sets.append(UPSet(2, frozenset({1})))
     labels.append("odds")
     members = tuple(MemberRef(f, s, power) for s in sets)
-    matrix = tuple(
-        tuple(member_reduces(mi, mj) for mj in members) for mi in members
-    )
+    matrix = tuple(tuple(map(subset_star, repeat(s), sets)) for s in sets)
     return ChainDemo(tuple(labels), members, matrix)

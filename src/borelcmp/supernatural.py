@@ -304,8 +304,11 @@ def finite_surplus_table(q: SupernaturalProfile, p: SupernaturalProfile) -> tupl
 
 
 def _primes_outside(excluded) -> Iterator[int]:
-    """The primes not in the finite set ``excluded``, ascending."""
-    return filterfalse(excluded.__contains__, primes_after(1))
+    """The primes not in the finite set ``excluded``, ascending.  Only the
+    primes up to the largest excluded number pass a lookup in ``excluded``;
+    the walk goes on from there without one."""
+    last = max(excluded, default=1)
+    return chain(filterfalse(excluded.__contains__, takewhile(last.__ge__, primes_after(1))), primes_after(last))
 
 
 def refutation_witness(q: SupernaturalProfile, p: SupernaturalProfile):

@@ -459,6 +459,18 @@ def test_set_literal_member_values_are_not_capped(capsys):
     assert capsys.readouterr().out == "REDUCIBLE\n"
 
 
+def test_set_values_past_sys_maxsize_reach_no_itertools_limit(capsys):
+    # 10^19 is past sys.maxsize, the largest count itertools takes; no walk
+    # gets that far, so every prefix is that of the empty set
+    far = f"fin{{{10**19}}}"
+    assert main(["family-expand", "--a", "fin{}", "--len", "5"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["family-expand", "--a", far, "--len", "5"]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert main(["family-compare", "--a", "fin{}", "--b", far, "--crosscheck", "10"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:2] == ["REDUCIBLE", "crosscheck: CONSISTENT"]
+
+
 def test_main_json_output(capsys):
     code = main(["compare", "R", "Sol{2:w}", "--json"])
     payload = json.loads(capsys.readouterr().out)

@@ -213,6 +213,26 @@ def test_member_sequence_of_a_sparse_complement_holds_no_d_prime_back():
     assert peak < 2 * 2**20, peak
 
 
+@pytest.mark.parametrize("a, first_outside", [(UPSet.multiples_of(2**40), 1), (UPSet.from_finite([10**30]), 0)])
+def test_member_sequence_of_a_far_rule_or_flip_in_small_memory(a, first_outside):
+    # up to 20,000 terms, the non-members of A are the naturals from
+    # first_outside on: A-layer entry k is d_{1+3(first_outside+k)}
+    n = 20_000
+    d = list(sympy.primerange(3, 400_000))  # the default family's d-primes: every odd prime
+    inner = [d[3 * (j // 2)] if j % 2 == 0 else 2 for j in range(n // 2)]
+    expected = tuple(itertools.chain.from_iterable(
+        (d[1 + 3 * (first_outside + k)], inner[k]) for k in range(n // 2)))
+    member = MemberRef(Family.default(), a)
+    Family.default().d_terms(3 * n)  # builds the chunks of the prime table the walk reaches
+    tracemalloc.start()
+    try:
+        assert member_sequence(member, n) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 @pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3", None])
 def test_d_enumeration_rejects_an_index_that_is_no_natural(bad):
     fresh, used = Family.default(), Family.default()
@@ -527,15 +547,21 @@ def test_crosscheck_replay_agrees_with_the_walked_sequences(family, a, b, window
 
 
 def _terms_made(monkeypatch, run):
-    """``run()`` and the number of terms it drew from the streams member
-    sequences are made of: d-primes picked at positions (the P_A' layer and
-    the surplus primes) and base-sequence terms."""
+    """``run()`` and the number of items it drew from the streams member
+    sequences are made of: d-primes picked at positions (the surplus
+    primes), bits of a set's mask (which pick the P_A' layer) and
+    base-sequence terms."""
     made = [0]
 
     def at_positions(items, positions, _at_positions=posetlab._at_positions):
         for term in _at_positions(items, positions):
             made[0] += 1
             yield term
+
+    def mask(upset, members=True, _mask=UPSet._mask):
+        for bit in _mask(upset, members):
+            made[0] += 1
+            yield bit
 
     def canonical_terms(p, start=0, _canonical_terms=posetlab.canonical_terms):
         for term in _canonical_terms(p, start):
@@ -544,6 +570,7 @@ def _terms_made(monkeypatch, run):
 
     with monkeypatch.context() as patch:
         patch.setattr(posetlab, "_at_positions", at_positions)
+        patch.setattr(UPSet, "_mask", mask)
         patch.setattr(posetlab, "canonical_terms", canonical_terms)
         result = run()
     return result, made[0]

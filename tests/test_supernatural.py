@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from itertools import islice
+from itertools import filterfalse, islice
 
 import pytest
 import sympy
@@ -310,6 +310,18 @@ def test_preceq_is_inclusion_of_omega_supports(rng):
                 holds += 1
                 assert finite_surplus_table(q, p) == table
     assert 0.1 < holds / len(pool) ** 2 < 0.9
+
+
+@pytest.mark.parametrize(
+    "excluded",
+    [set(), {2}, {2, 3, 5}, {65521, 65537}, {3, 65521, 65537}, dict.fromkeys((2, 65537), (0, 1))],
+)
+def test_primes_outside_is_a_filter_of_every_prime(excluded):
+    # 8,000 primes pass 65536, the first chunk boundary of the prime table;
+    # 65521 and 65537 are the primes on either side of it
+    expected = list(islice(filterfalse(excluded.__contains__, primes_after(1)), 8000))
+    assert expected[-1] > 65537
+    assert list(islice(supernatural._primes_outside(excluded), 8000)) == expected
 
 
 def test_refutation_witness_is_the_least_prime():

@@ -57,14 +57,19 @@ def _literal(members, threshold, period, word) -> str:
     return f"ups{{{listed}from={threshold}; period={period}; word={bits}}}"
 
 
-def test_sparse_upset_matches_dense_reference():
+def _specs() -> list:
+    """2,500 random specs, each followed by a related one."""
     rng = random.Random(20261018)
     specs = []
     for _ in range(2500):
         spec = _random_spec(rng)
         specs += [spec, _related_spec(rng, spec)]
+    return specs
+
+
+def test_sparse_upset_matches_dense_reference():
     sets = []
-    for spec in specs:
+    for spec in _specs():
         members, threshold, period, word = spec
         bits = tuple(n in members for n in range(threshold))
         dense = reference.DenseUPSet(bits, period, word, threshold)
@@ -118,6 +123,33 @@ def test_ascending_runs_long_and_short_spans_of_residues(upset):
     assert list(itertools.islice(huge.ascending(members=False), 3)) == [1, 2, 3]
     assert huge.count_below(2**41 + 1) == 3
     assert upset.count_below(-5) == 0  # no member lies below a negative bound
+
+def test_mask_matches_membership():
+    # the random specs, then spans of 999, 150 and 150 residues (one repeat each)
+    sets = [UPSet.from_membership([n in members for n in range(threshold)], period, word)
+            for members, threshold, period, word in _specs()]
+    sets += [UPSet.multiples_of(1000), UPSet(300, frozenset(range(100, 250)), frozenset({5, 120, 640, 1999}))]
+    for upset in sets:
+        span = range(upset.threshold + 2 * upset.period)
+        for members in (True, False):
+            expected = [(n in upset) == members for n in span]
+            assert list(itertools.islice(upset._mask(members), len(span))) == expected, (upset, members)
+
+
+@pytest.mark.parametrize("upset, members_below", [(UPSet.multiples_of(2**40), [0]), (UPSet.from_finite([10**30]), [])])
+def test_mask_of_a_far_rule_or_flip_holds_no_bit_per_position(upset, members_below):
+    # a period of 2^40 and a threshold past sys.maxsize: the mask neither
+    # stores a bit per position nor passes itertools a count it refuses
+    tracemalloc.start()
+    try:
+        for members in (True, False):
+            bits = itertools.islice(upset._mask(members), 20_000)
+            assert [n for n, bit in enumerate(bits) if bit == members] == members_below
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
+
 
 def test_sparse_form_is_canonical():
     assert UPSet(12, frozenset({1, 5, 9})) == UPSet(4, frozenset({1}))
