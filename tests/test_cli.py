@@ -469,6 +469,9 @@ def test_set_values_past_sys_maxsize_reach_no_itertools_limit(capsys):
     assert capsys.readouterr().out == expected
     assert main(["family-compare", "--a", "fin{}", "--b", far, "--crosscheck", "10"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[:2] == ["REDUCIBLE", "crosscheck: CONSISTENT"]
+    # with it in A minus B, its surplus prime is past any walk: a refusal
+    assert main(["family-compare", "--a", far, "--b", "fin{}", "--crosscheck", "10"]) == EXIT_DOMAIN
+    assert capsys.readouterr().out.splitlines()[0] == "ERROR"
 
 
 def test_main_json_output(capsys):

@@ -233,6 +233,16 @@ def test_member_sequence_of_a_far_rule_or_flip_in_small_memory(a, first_outside)
     assert peak < 2 * 2**20, peak
 
 
+@pytest.mark.parametrize("a, b", [
+    (UPSet.from_finite([10**19]), UPSet()),  # a finite surplus
+    (UPSet.multiples_of(2**70), UPSet.from_finite([0])),  # an infinite one, from 2^70 on
+])
+def test_crosscheck_refuses_a_surplus_element_past_sys_maxsize(a, b):
+    fam = Family.default()
+    with pytest.raises(DomainError, match="past sys.maxsize"):
+        member_crosscheck(MemberRef(fam, a), MemberRef(fam, b), 10)
+
+
 @pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3", None])
 def test_d_enumeration_rejects_an_index_that_is_no_natural(bad):
     fresh, used = Family.default(), Family.default()
@@ -558,8 +568,8 @@ def _terms_made(monkeypatch, run):
             made[0] += 1
             yield term
 
-    def mask(upset, members=True, _mask=UPSet._mask):
-        for bit in _mask(upset, members):
+    def outside_mask(upset, _outside_mask=UPSet._outside_mask):
+        for bit in _outside_mask(upset):
             made[0] += 1
             yield bit
 
@@ -570,7 +580,7 @@ def _terms_made(monkeypatch, run):
 
     with monkeypatch.context() as patch:
         patch.setattr(posetlab, "_at_positions", at_positions)
-        patch.setattr(UPSet, "_mask", mask)
+        patch.setattr(UPSet, "_outside_mask", outside_mask)
         patch.setattr(posetlab, "canonical_terms", canonical_terms)
         result = run()
     return result, made[0]
