@@ -403,9 +403,15 @@ def render_dual(d: DualExpr) -> str:
 
 
 def render_upset(s: UPSet) -> str:
+    """The set as a literal that ``parse_upset`` reads back.  An ``ups{...}``
+    form writes a bit per residue and the members below ``from``, so a set
+    whose period or threshold is over its literal cap is a ``DomainError``:
+    no literal within the caps writes it."""
     if s.is_finite or s.is_cofinite:  # the flips are the listed elements
         keyword = "fin" if s.is_finite else "cofin"
         return keyword + "{" + ",".join(map(str, sorted(s.flips))) + "}"
+    _check_cap("period", s.period, MAX_SET_PERIOD)
+    _check_cap("from", s.threshold, MAX_SET_FROM)
     members = s.members_below(s.threshold)
     bits = "".join("1" if b else "0" for b in s.word)
     inner = f"from={s.threshold}; period={s.period}; word={bits}"

@@ -42,14 +42,14 @@ True
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, cycle, filterfalse, islice, repeat, takewhile
+from itertools import chain, compress, count, cycle, filterfalse, islice, repeat, takewhile
 from math import gcd
-from operator import add, ne, sub
+from operator import ne, sub
 
 from .errors import DomainError, checked_natural
 from .primes import factorint
@@ -182,50 +182,20 @@ class UPSet:
     def is_cofinite(self) -> bool:
         return len(self.residues) == self.period
 
-    def ascending(self, members: bool = True):
-        """The members ascending, or with ``members=False`` the non-members,
-        as an iterator; its cost is the elements it yields plus the flips
-        and the residues.
-
-        The periodic rule's elements of the wanted kind run in C, 64 or
-        more per Python object: a block of whole periods at a time, or one
-        range per span of consecutive residues when the spans are that long
-        (a period of 2^40 has such a span).  Below the threshold they pass
-        a filter of the flips, in pieces split at the flips of the wanted
-        kind, which are spliced in.  A walk that passes every natural reads
-        ``_outside_mask`` instead; this stays for the sets enumerated by
-        their elements, which may be sparse: the multiples of 2^40 cost one
-        step per member here, where a mask passes 2^40 bits between two
-        members.
+    def ascending(self) -> Iterator[int]:
+        """The members ascending, as an iterator that costs one step per
+        member it yields: the rule's members ``k * period + r``, over the
+        sorted residues r for k = 0, 1, 2, ..., less the flips out of the
+        set, merged with the flips into it.  A sparse set costs its
+        members, not the naturals between them: the multiples of 2^40
+        take one step each.  The non-members are read off
+        ``_outside_mask``.
         """
-        period, residues, flips = self.period, self.residues, self.flips
-        spans = _spans(sorted(residues), period, members)
-        lows, highs = [lo for lo, _ in spans], [hi for _, hi in spans]
-        before = list(accumulate((hi - lo for lo, hi in spans), initial=0))  # the residues before each span
+        from heapq import merge
 
-        def ruled_below(n):  # the rule's elements of the wanted kind below n
-            full, rest = divmod(n, period)
-            i = bisect_right(lows, rest) - 1
-            return full * before[-1] + (before[i] + min(highs[i], rest) - lows[i] if i >= 0 else 0)
-
-        size = before[-1]  # the residues of the wanted kind
-        if not size:
-            ruled = iter(())
-        elif size <= 64 * len(spans):  # short spans: a block of whole periods
-            periods = -(-64 // size)
-            block = [k * period + r for k in range(periods) for lo, hi in spans for r in range(lo, hi)]
-            ruled = map(add, cycle(block), _starts(periods * period, len(block)))
-        else:  # long spans: one range each
-            ends = map(add, cycle(highs), _starts(period, len(spans)))
-            ruled = chain.from_iterable(map(range, map(add, cycle(lows), _starts(period, len(spans))), ends))
-        pieces, taken = [], 0  # the rule's elements drawn into pieces so far
-        spliced = sorted(n for n in flips if (n % period in residues) != members)
-        for n in (*spliced, self.threshold):
-            below = ruled_below(n)
-            pieces += filterfalse(flips.__contains__, islice(ruled, _reachable(below - taken))), (n,)
-            taken = below
-        pieces[-1] = ruled  # past the threshold, in place of the threshold itself
-        return chain.from_iterable(pieces)
+        residues, _, into = self._sorted
+        ruled = (k + r for k in count(0, self.period) for r in residues) if residues else ()
+        return merge(filterfalse(self.flips.__contains__, ruled), into)
 
     def _outside_mask(self) -> Iterator[bool]:
         """Whether 0, 1, 2, ... lie outside the set: an infinite iterator
@@ -233,10 +203,10 @@ class UPSet:
         anyway to ``compress``.
 
         The rule cycles the bits of one period when its spans of residues
-        are short and repeats one bit per span when they are long, as in
-        ``ascending``; the flips toggle it below the threshold through one
-        ``map(ne, ...)``.  Its memory is O(residues + flips), never
-        O(period) or O(threshold).
+        are short and repeats one bit per span when they are long (a period
+        of 2^40 has such a span); the flips toggle it below the threshold
+        through one ``map(ne, ...)``.  Its memory is O(residues + flips),
+        never O(period) or O(threshold).
 
         The switch bounds the cycled bits by 64 per span, for memory, not
         for speed: cycling is the faster regime on both sides of it.  Drawing
@@ -265,7 +235,7 @@ class UPSet:
         """How many members lie below ``n``, counted from the period, the
         residues and the flips; none below ``n <= 0``."""
         residues, out, into = self._sorted
-        full, rest = divmod(max(n, 0), self.period)
+        full, rest = divmod(max(_checked_bound(n), 0), self.period)
         return full * len(residues) + bisect_left(residues, rest) - bisect_left(out, n) + bisect_left(into, n)
 
     @cached_property
@@ -276,14 +246,7 @@ class UPSet:
         return sorted(self.residues), out, sorted(self.flips.difference(out))
 
     def members_below(self, bound: int) -> tuple:
-        return tuple(takewhile(bound.__gt__, self.ascending()))
-
-    def complement_members(self, count: int) -> tuple:
-        """First ``count`` elements of the complement, ascending."""
-        if self.is_cofinite:
-            raise DomainError("complement is finite; cannot enumerate that many elements")
-        count = checked_natural(count, "count must be a natural number")
-        return tuple(islice(self.ascending(members=False), count))
+        return tuple(takewhile(_checked_bound(bound).__gt__, self.ascending()))
 
     def __str__(self):
         from .literals import render_upset
@@ -326,23 +289,18 @@ def _bounds(residues: list, period: int) -> list:
     return bounds
 
 
-def _spans(residues: list, period: int, members: bool) -> list:
-    """The maximal runs ``(lo, hi)`` of consecutive residues in the sorted
-    ``residues``, or with ``members=False`` of those missing from them."""
-    bounds = _bounds(residues, period)
-    first = 1 if members else 0  # the runs start at the odd positions of bounds, the gaps at the even ones
-    return [(lo, hi) for lo, hi in zip(bounds[first::2], bounds[first + 1::2]) if lo < hi]
+def _checked_bound(bound) -> int:
+    """``bound``, an int and no bool; a negative one has no member below
+    it."""
+    if isinstance(bound, bool) or not isinstance(bound, int):
+        raise DomainError(f"bound must be an integer, got {bound!r}")
+    return bound
 
 
 def _reachable(n: int) -> int:
     """A count for ``islice`` or ``repeat``, clipped to ``sys.maxsize``:
     they take no larger one, and no walk gets that far."""
     return min(n, sys.maxsize)
-
-
-def _starts(step: int, times: int) -> Iterator[int]:
-    """0, step, 2 * step, ..., each ``times`` times."""
-    return chain.from_iterable(map(repeat, count(0, step), repeat(times)))
 
 
 def subset_star(a: UPSet, b: UPSet) -> bool:

@@ -40,6 +40,11 @@ CASES = [
     (UPSet, (2, frozenset(), frozenset({True})), "a residue or flip must be a natural number, got True"),
     (UPSet.from_word, ((), 2.5, 1, (True,)), "threshold must be a natural number, got 2.5"),
     (UPSet.from_word, ((), -1, 1, (True,)), "threshold must be a natural number, got -1"),
+    (UPSet.multiples_of(2).members_below, ("7",), "bound must be an integer, got '7'"),
+    (UPSet.multiples_of(2).members_below, (None,), "bound must be an integer, got None"),
+    (UPSet.multiples_of(2).members_below, (True,), "bound must be an integer, got True"),
+    (UPSet.multiples_of(2).count_below, ("7",), "bound must be an integer, got '7'"),
+    (UPSet.multiples_of(2).count_below, (2.5,), "bound must be an integer, got 2.5"),
 ]
 
 

@@ -84,11 +84,9 @@ def test_sparse_upset_matches_dense_reference():
         prefix = range(3 * (dense.threshold + dense.period))
         assert [n in sparse for n in prefix] == [n in dense for n in prefix]
         assert (sparse.is_finite, sparse.is_cofinite) == (dense.is_finite, dense.is_cofinite)
-        if dense.is_cofinite:
-            with pytest.raises(DomainError):
-                sparse.complement_members(20)
-        else:
-            assert sparse.complement_members(60) == dense.complement_members(60)
+        if not dense.is_cofinite:
+            outside = itertools.compress(itertools.count(), sparse._outside_mask())
+            assert tuple(itertools.islice(outside, 60)) == dense.complement_members(60)
         assert sparse.members_below(40) == dense.members_below(40)
         span = min(3 * (dense.threshold + dense.period), 200)
         below = list(itertools.accumulate(map(dense.__contains__, range(span)), initial=0))
@@ -114,15 +112,32 @@ def test_sparse_upset_matches_dense_reference():
         UPSet(7, frozenset({1, 2, 3, 5}), frozenset({2, 4, 9, 30})),
     ],
 )
-def test_ascending_runs_long_and_short_spans_of_residues(upset):
-    # spans of 999, 150 and 150 residues run one range each; the rest in blocks of periods
-    for members in (True, False):
-        expected = [n for n in range(5000) if (n in upset) == members]
-        assert list(itertools.takewhile((5000).__gt__, upset.ascending(members))) == expected
-    huge = UPSet.multiples_of(2**40)
-    assert list(itertools.islice(huge.ascending(members=False), 3)) == [1, 2, 3]
-    assert huge.count_below(2**41 + 1) == 3
+def test_ascending_matches_membership(upset):
+    expected = [n for n in range(5000) if n in upset]
+    assert list(itertools.takewhile((5000).__gt__, upset.ascending())) == expected
+    assert upset.members_below(5000) == tuple(expected)
     assert upset.count_below(-5) == 0  # no member lies below a negative bound
+
+
+@pytest.mark.parametrize(
+    "upset, first",
+    [
+        (UPSet.multiples_of(2**40), [k * 2**40 for k in range(5)]),
+        (UPSet.from_finite([10**30]), [10**30]),
+        (UPSet.from_cofinite([3, 10**30]), [0, 1, 2, 4, 5]),
+    ],
+)
+def test_ascending_of_a_far_rule_or_flip_takes_one_step_per_member(upset, first):
+    # a period of 2^40 and flips past sys.maxsize: the walk passes no
+    # natural between two members and stores nothing per position
+    tracemalloc.start()
+    try:
+        assert list(itertools.islice(upset.ascending(), 5)) == first
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
+
 
 def test_mask_matches_membership():
     # the random specs, then spans of 999, 150 and 150 residues (one repeat each)
@@ -156,6 +171,7 @@ def test_sparse_form_is_canonical():
     assert UPSet.from_finite([7]).threshold == 8
     big = UPSet.multiples_of(2**40)  # one residue, not a word of 2^40 bits
     assert big.residues == frozenset({0}) and 2**41 in big and 2**41 + 1 not in big
+    assert big.count_below(2**41 + 1) == 3
 
 
 @pytest.mark.parametrize(
@@ -183,6 +199,22 @@ def test_parse_long_threshold_without_flips():
     assert time.perf_counter() - start < 1.0
     with pytest.raises(DomainError, match="from 10000000 is over its cap of 1000000"):
         parse_upset("ups{from=10000000; period=1; word=0}")
+
+
+@pytest.mark.parametrize(
+    "upset, message",
+    [
+        (UPSet.multiples_of(2**40), "period 1099511627776 is over its cap of 1000000"),
+        (UPSet(2, frozenset({0}), frozenset({10**12})), "from 1000000000001 is over its cap of 1000000"),
+    ],
+)
+def test_render_refuses_a_set_no_literal_within_the_caps_writes(upset, message):
+    # a word of 2^40 bits, or the 5 * 10^11 members below the threshold
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as refused:
+        str(upset)
+    assert time.perf_counter() - start < 0.5
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("a, verdict", [("fin{100000000}", "REDUCIBLE"), ("cofin{100000000}", "NOT REDUCIBLE")])
