@@ -25,7 +25,8 @@ side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import is_, itemgetter
 
 from .errors import DomainError
 from .groups import REAL, TORUS, AtomKind, GroupExpr, _Expansion, dimension, group, is_compact
@@ -127,7 +128,7 @@ def rank(d: DualExpr) -> int:
     """Torsion-free rank of the dual of a compact expression: each rank-1
     component contributes one.  The rank/dimension identity is stated for
     compact groups, so a real-line component is out of domain here."""
-    if any(c is REAL for c, _ in d.runs):
+    if any(map(is_, map(itemgetter(0), d.runs), repeat(REAL))):
         raise DomainError("rank is defined here only for duals of compact expressions")
     return sum(map(itemgetter(1), d.runs))
 

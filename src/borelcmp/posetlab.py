@@ -49,10 +49,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, cycle, filterfalse, islice, repeat, takewhile
 from math import gcd
-from operator import ne, sub
+from operator import itemgetter, ne, sub
 
 from .errors import DomainError, checked_natural
-from .primes import factorint
+from .primes import _every_third, _runs_outside, factorint
 from .primes import nextprime  # noqa: F401  bench/tracing.py patches this binding
 from .supernatural import (
     OMEGA,
@@ -231,6 +231,12 @@ class UPSet:
         # the toggles come first in the map: it ends on them without drawing from the rule
         return chain(map(ne, chain.from_iterable(toggles), rule), rule)
 
+    def _holds(self, numbers: list) -> Iterator[bool]:
+        """Whether each of the naturals ``numbers`` is a member, in C: the
+        rule's residue test, toggled by the flips."""
+        rule = map(self.residues.__contains__, map(self.period.__rmod__, numbers))
+        return map(ne, rule, map(self.flips.__contains__, numbers))
+
     def count_below(self, n: int) -> int:
         """How many members lie below ``n``, counted from the period, the
         residues and the flips; none below ``n <= 0``."""
@@ -330,11 +336,18 @@ def set_difference(a: UPSet, b: UPSet):
 
     A finite difference lies among the flips of ``a`` and ``b``: elsewhere
     both sets follow their periodic rules, and a ⊆* b makes a's rule a
-    subset of b's.
+    subset of b's.  An infinite one is drawn from the side with fewer
+    candidates per period: a's members, one step each, filtered through
+    ``b``, or b's non-members, read off its mask in C, filtered through
+    ``a``.
     """
     if subset_star(a, b):
         return True, tuple(sorted(n for n in a.flips | b.flips if n in a and n not in b))
-    return False, tuple(islice(filterfalse(b.__contains__, a.ascending()), 8))
+    if len(a.residues) * b.period <= (b.period - len(b.residues)) * a.period:
+        elements = filterfalse(b.__contains__, a.ascending())
+    else:
+        elements = filter(a.__contains__, compress(count(), b._outside_mask()))
+    return False, tuple(islice(elements, 8))
 
 
 @dataclass(frozen=True)
@@ -346,7 +359,8 @@ class Family:
     representation pins default(P) = 0 and default(Q) = OMEGA.  The
     d-enumeration d_0 < d_1 < ... is walked afresh on each use: the prime
     walk, skipping the finitely many exception primes at which P's
-    multiplicity reaches Q's.
+    multiplicity reaches Q's.  A d-layer reads every third prime of the
+    walk's runs, as slices.
     """
 
     p: SupernaturalProfile
@@ -380,11 +394,9 @@ class Family:
         """A fresh iterator over d_0, d_1, d_2, ..."""
         return _primes_outside(self._not_d())
 
-    def _d_indices(self, primes) -> dict:
-        """The index i of each d-prime d_i among ``primes``, from one walk
-        of the d-enumeration up to the largest."""
-        not_d = self._not_d()
-        return _ranks(_primes_outside(not_d), set(primes) - not_d)
+    def _d_layer(self, offset: int) -> Iterator[int]:
+        """A fresh iterator over d_offset, d_{offset+3}, d_{offset+6}, ..."""
+        return _every_third(_runs_outside(self._not_d()), offset)
 
     def d_terms(self, k: int) -> tuple:
         """First ``k`` primes gamma more frequent in q than in p."""
@@ -437,19 +449,26 @@ def member_sequence(m: MemberRef, n: int) -> tuple:
     return tuple(islice(_member_terms(m), n))
 
 
-def _member_terms(m: MemberRef):
-    """The member's concrete prime sequence as an infinite iterator.  Each
-    d-layer walks the d-enumeration on its own, so the A layer, which runs
-    far ahead of P_0', holds no d-prime back for it.  That walk passes
-    d_{1+3c} for every c anyway, so the A layer keeps the non-members c by
-    ``compress`` over A's mask, in C, not by a seek per non-member."""
+def _member_terms(m: MemberRef, tagged: bool = False):
+    """The member's concrete prime sequence as an infinite iterator.
+
+    Walked: each d-layer reads every third prime of the d-enumeration's
+    runs on its own, as slices, so the A layer, which runs far ahead of
+    P_0', holds no d-prime back for it.  The A layer's slices hold d_{1+3c}
+    for every c, so it keeps the non-members c by ``compress`` over A's
+    mask, in C, not by a seek per non-member.  ``tagged`` pairs each
+    d-layer entry with its index in the layer: j for d_{3j}, c for
+    d_{1+3c}; every stream is drawn as far as without it.
+    """
     family = m.family
+    d0, d1 = family._d_layer(0), family._d_layer(1)
+    if tagged:
+        d0, d1 = zip(d0, count()), zip(d1, count())
     # P_0' interleave base(P)
-    terms = _alternate(islice(family._d_walk(), 0, None, 3), canonical_terms(family.p))
+    terms = _alternate(d0, canonical_terms(family.p))
     if not m.a.is_cofinite:
         # P_A' interleave (P_0' interleave base(P))
-        a_layer = compress(islice(family._d_walk(), 1, None, 3), m.a._outside_mask())
-        terms = _alternate(a_layer, terms)
+        terms = _alternate(compress(d1, m.a._outside_mask()), terms)
     return terms
 
 
@@ -474,7 +493,8 @@ def member_reduces(m_a: MemberRef, m_b: MemberRef) -> bool:
 
 class _MemberLayout:
     """Where each prime sits in a member's sequence, computed from the
-    layout of ``_member_terms``, not walked.
+    layout of ``_member_terms``: nothing of the sequence is walked, and
+    ``position`` counts the occurrences before the one asked for.
 
     For A not cofinite, A-layer entry k sits at 2k, P_0' entry j (that is
     d_{3j}) at 4j+1 and base(P) entry k at 4k+3; A-layer entry k is
@@ -483,13 +503,21 @@ class _MemberLayout:
     j sits at 2j and base(P) entry k at 2k+1.  A prime occurs at most once
     in the d-layers, and base(P), a default-0 profile's canonical sequence,
     may hold it too.  ``d_indices`` maps each d-prime asked for to its
-    index in the d-enumeration.
+    index in the d-enumeration; ``layers`` reads the layers back off a
+    walked stretch of the sequence.
     """
 
     def __init__(self, m: MemberRef, d_indices: dict):
         self.a, self.d_indices = m.a, d_indices
         self.base = _Layout(m.family.p)
         self.stride, self.offset = (2, 1) if m.a.is_cofinite else (4, 3)  # base(P) entry k at stride*k+offset
+
+    def layers(self, terms: list, start: int) -> tuple:
+        """The A-layer, P_0' and base(P) entries among ``terms``, the
+        sequence's terms from position ``start`` on, each layer ascending."""
+        s = self.stride
+        a_layer = [] if self.a.is_cofinite else terms[start % 2 :: 2]
+        return a_layer, terms[(s // 2 - 1 - start) % s :: s], terms[(self.offset - start) % s :: s]
 
     def _d_position(self, i: int):
         """Where d_i sits in the d-layers, or None when they skip it."""
@@ -544,12 +572,13 @@ class CrosscheckReport:
 def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> CrosscheckReport:
     """Cross-check ``member_reduces(m_a, m_b)`` two independent ways.
 
-    Symbolic: enumerate A minus B and map it through the d-enumeration.
-    Replay: walk the first ``window`` terms of the target (B's) sequence at
-    most, and compare the multiset after the drop with the source's (A's)
-    occurrences, counted from its layout.  Inconsistencies are recorded in
-    the report, never raised.  An element of A minus B past
-    ``sys.maxsize``, whose surplus prime no walk reaches, is refused.
+    Symbolic: enumerate A minus B and map it through the d-enumeration's
+    A layer.  Replay: walk the first ``window`` terms of the target (B's)
+    sequence at most, once, and compare the multiset after the drop with
+    the source's (A's) occurrences, counted from its layout at a few
+    primes.  Inconsistencies are recorded in the report, never raised.  An
+    element of A minus B past ``sys.maxsize``, whose surplus prime no walk
+    reaches, is refused.
 
     >>> fam = Family.default()
     >>> member_crosscheck(MemberRef(fam, UPSet.from_finite(range(3))), MemberRef(fam, UPSet()), 10).replay
@@ -561,7 +590,7 @@ def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> Cros
     finite, elements = set_difference(m_a.a, m_b.a)
     if elements and elements[-1] > sys.maxsize:
         raise DomainError(f"A minus B holds {elements[-1]}, past sys.maxsize: no d-walk reaches its surplus prime")
-    surplus = tuple(_at_positions(islice(m_a.family._d_walk(), 1, None, 3), elements))
+    surplus = tuple(_at_positions(m_a.family._d_layer(1), elements))
     replay = _member_replay(m_a, m_b, finite, dict(zip(surplus, (1 + 3 * c for c in elements))), window)
 
     notes = []
@@ -579,7 +608,9 @@ def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> Cros
 def _member_replay(m_a: MemberRef, m_b: MemberRef, finite: bool, surplus: dict, window: int) -> Replay:
     """Replay A's reduction to B as the symbols decide it, within the
     first ``window`` terms of B's sequence; ``surplus`` maps each surplus
-    prime shown to its d-index.
+    prime shown to its d-index.  The drop and the end are counted from B's
+    layout, the window between them is the one stretch walked, and A's
+    sequence is counted (``_window_prefix``).
 
     When the surplus is finite, B's sequence carries each surplus prime
     once more than A's or, when B is cofinite, not at all, so the window
@@ -602,9 +633,41 @@ def _member_replay(m_a: MemberRef, m_b: MemberRef, finite: bool, surplus: dict, 
         drop, end = 0, target.position(witness, needed) + 1
         if window < end:
             return Replay(0, end, None, witness, needed, needs_window=end)
-    need = Counter(islice(_member_terms(m_b), drop, end))
-    source = _MemberLayout(m_a, m_a.family._d_indices(need))
-    return Replay(drop, end, _covering_prefix(source, need), witness, needed)
+    return Replay(drop, end, _window_prefix(m_a, m_b, target, drop, end), witness, needed)
+
+
+def _window_prefix(m_a: MemberRef, m_b: MemberRef, target: _MemberLayout, drop: int, end: int):
+    """Length of the shortest prefix of A's sequence holding the multiset
+    of B's terms ``[drop, end)``, or None when A's holds too few of some
+    prime; ``target`` is B's layout.
+
+    B's window is walked once, tagged, so its d-layer entries come with
+    their d-indices: A-layer entry k is d_{1+3c_k}, tagged c_k, and P_0'
+    entry j is d_{3j}, tagged j.  A prime outside base(P) occurs at most
+    once in a member's sequence, in its d-layers, and A's holds d_{3j} at a
+    position that rises with j and d_{1+3c}, for c outside A, at one that
+    rises with c.  So once no window c_k lies in A (tested in bulk, by
+    residue and flips), only the last such prime of each layer and the
+    window's primes of base(P) need a ``position`` in A's sequence.  A
+    d-prime of base(P) gets its d-index from a walk of the d-enumeration
+    up to it.
+    """
+    family, a = m_a.family, m_a.a
+    a_layer, p0, base = target.layers(list(islice(_member_terms(m_b, tagged=True), drop, end)), drop)
+    need = Counter(chain(map(itemgetter(0), a_layer), map(itemgetter(0), p0), base))
+    special = {gamma for gamma, _ in family.p.exceptions}  # base(P)'s primes
+    # the window's A-layer entries that A's A layer lacks: all of them when A is cofinite
+    hits = a_layer if a.is_cofinite else compress(a_layer, a._holds(list(map(itemgetter(1), a_layer))))
+    if not special.issuperset(map(itemgetter(0), hits)):  # such a prime outside base(P) is nowhere in A's
+        return None
+    counted = need.keys() & special
+    d_indices = _ranks(family._d_walk(), counted - family._not_d())
+    for layer, entries in enumerate((p0, a_layer)):
+        last = next((entry for entry in reversed(entries) if entry[0] not in special), None)
+        if last is not None:
+            d_indices[last[0]] = 3 * last[1] + layer
+            counted.add(last[0])
+    return _covering_prefix(_MemberLayout(m_a, d_indices), {gamma: need[gamma] for gamma in counted})
 
 
 @dataclass(frozen=True)

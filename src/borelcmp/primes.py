@@ -18,6 +18,9 @@
   numbers from the same flags when it gets there, and stores none of
   them; from 2^32 on it tests the candidates 6k +- 1 in turn.
 * ``nextprime(n)`` is the first prime of ``primes_after(n)``.
+* The runs of that walk are read as they are stored: ``_runs_outside``
+  leaves a finite set of primes out of them, and ``_every_third`` takes
+  every third prime of them as slices.
 * ``factorint`` trial-divides by the primes of chunk 0, the primes below
   2^16, stopping at the first prime whose square exceeds the cofactor,
   which is then 1 or prime.  Only a cofactor left after every prime below
@@ -34,9 +37,9 @@ callers only ever see complete flags and complete chunks.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import chain, compress, count, dropwhile
+from itertools import chain, compress, count, dropwhile, filterfalse, islice
 from math import gcd, isqrt, prod
 from operator import index
 
@@ -190,6 +193,42 @@ def _prime_chunks(lo: int) -> Iterator[Iterable[int]]:
     lo = max(lo, _CHUNK * _CHUNK)
     candidates = chain.from_iterable((k + 1, k + 5) for k in count(lo // 6 * 6, 6))
     yield filter(isprime, dropwhile(lo.__gt__, candidates))
+
+
+def _runs_outside(excluded) -> Iterator:
+    """The primes not in the finite set ``excluded``, ascending, in the
+    runs of the prime walk: ascending sequences, then from 2^32 on one
+    endless iterator.  Only the primes up to the largest excluded number
+    pass a lookup in ``excluded``; every other run is passed on as the walk
+    stores it."""
+    last = max(excluded, default=1)
+    for run in _prime_chunks(2):
+        if isinstance(run, Iterator):  # its primes start at 2^32
+            yield run if last < _CHUNK * _CHUNK else filterfalse(excluded.__contains__, run)
+            return
+        if run and run[0] <= last:
+            cut = bisect_right(run, last)
+            yield list(filterfalse(excluded.__contains__, run[:cut]))
+            run = run[cut:]
+        yield run
+
+
+def _every_third(runs, offset: int) -> Iterator[int]:
+    """Items ``offset``, ``offset + 3``, ... of the concatenated ``runs``:
+    a slice of each ascending sequence, with the offset carried into the
+    next, and an ``islice`` of an endless iterator, which ends the runs.
+    Only the items taken are made, in C; a stored array is sliced as a
+    ``memoryview``, without a copy."""
+
+    def slices(first):
+        for run in runs:
+            if isinstance(run, Iterator):
+                yield islice(run, first, None, 3)
+                return
+            yield (run if isinstance(run, list) else memoryview(run))[first::3]
+            first = (first - len(run)) % 3
+
+    return chain.from_iterable(slices(offset))
 
 
 def factorint(n: int) -> dict:

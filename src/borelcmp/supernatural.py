@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from ._value import Value
 from .errors import DomainError, checked_natural
-from .primes import factorint, isprime, primes_after
+from .primes import _runs_outside, factorint, isprime
 
 __all__ = [
     "OMEGA",
@@ -304,11 +304,8 @@ def finite_surplus_table(q: SupernaturalProfile, p: SupernaturalProfile) -> tupl
 
 
 def _primes_outside(excluded) -> Iterator[int]:
-    """The primes not in the finite set ``excluded``, ascending.  Only the
-    primes up to the largest excluded number pass a lookup in ``excluded``;
-    the walk goes on from there without one."""
-    last = max(excluded, default=1)
-    return chain(filterfalse(excluded.__contains__, takewhile(last.__ge__, primes_after(1))), primes_after(last))
+    """The primes not in the finite set ``excluded``, ascending."""
+    return chain.from_iterable(_runs_outside(excluded))
 
 
 def refutation_witness(q: SupernaturalProfile, p: SupernaturalProfile):

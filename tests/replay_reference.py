@@ -56,3 +56,50 @@ def member_replay_prefix(source_terms, target_terms, drop: int, end: int, horizo
     enough."""
     need = Counter(islice(target_terms, drop, end))
     return covering_prefix_length(islice(source_terms, horizon), need)
+
+
+def member_crosscheck(m_a, m_b, window: int, horizon: int):
+    """The walked ``posetlab.member_crosscheck``: A minus B found by testing
+    every natural of a few periods past both thresholds, its surplus primes
+    read off the walked d-enumeration, and the replay's drop, end and
+    prefix found by walking ``horizon`` terms of both member sequences.
+    The horizon must reach every position the replay asks for."""
+    from math import lcm
+
+    from borelcmp.posetlab import CrosscheckReport, member_reduces, member_sequence
+    from borelcmp.supernatural import Replay
+
+    a, b = m_a.a, m_b.a
+    periodic_from, period = max(a.threshold, b.threshold), lcm(a.period, b.period)
+    finite = not any(n in a and n not in b for n in range(periodic_from, periodic_from + period))
+    # an infinite difference has a member in each period past both thresholds
+    naturals = range(periodic_from if finite else periodic_from + 8 * period)
+    elements = [n for n in naturals if n in a and n not in b][: None if finite else 8]
+    d = m_a.family.d_terms(2 + 3 * max(elements, default=0))
+    surplus = tuple(d[1 + 3 * c] for c in elements)
+    source, target = member_sequence(m_a, horizon), member_sequence(m_b, horizon)
+    if finite:
+        drop = covering_prefix_length(target, {s: 1 for s in surplus if s in target})
+        if window <= drop:
+            replay = Replay(drop, drop + 1, needs_window=drop + 1)
+        else:
+            replay = Replay(drop, window, covering_prefix_length(source, Counter(target[drop:window])))
+    else:
+        witness = surplus[0]
+        needed = source.count(witness) + 1
+        end = covering_prefix_length(target, {witness: needed})
+        if window < end:
+            replay = Replay(0, end, None, witness, needed, needs_window=end)
+        else:
+            replay = Replay(0, end, covering_prefix_length(source, Counter(target[:end])), witness, needed)
+    verdict = member_reduces(m_a, m_b)
+    notes = []
+    if finite != verdict:
+        notes.append("symbolic surplus finiteness disagrees with the verdict")
+    embeds = replay.prefix is not None
+    if replay.needs_window is None and embeds != verdict:
+        notes.append(
+            "oracle embedding "
+            + ("succeeded despite a negative verdict" if embeds else "failed despite a positive verdict")
+        )
+    return CrosscheckReport(verdict, finite, surplus, window, not notes, tuple(notes), replay)

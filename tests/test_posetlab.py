@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -13,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelcmp import posetlab, primes
+from borelcmp import posetlab, primes, supernatural
 from borelcmp.errors import DomainError
 from borelcmp.posetlab import (
     Family,
@@ -26,6 +28,7 @@ from borelcmp.posetlab import (
     set_difference,
     subset_star,
 )
+from borelcmp.primes import SIEVE_CAP
 from borelcmp.supernatural import OMEGA, Replay, SupernaturalProfile, oracle_injection
 
 from borelcmp.selftest import trial_division_primes
@@ -157,6 +160,33 @@ def test_d_enumeration_examples():
     skips = Family(SupernaturalProfile({2: OMEGA, 65537: OMEGA}), SupernaturalProfile.all_omega())
     expected = [p for p in sympy.primerange(0, 80_000) if p not in (2, 65537)][:7000]
     assert expected[-1] > 65537 and skips.d_terms(7000) == tuple(expected)
+
+
+# p's 3 is a d-prime that base(P) holds, and 2 and 5 are no d-primes
+_BASE_HOLDS_D = Family(SupernaturalProfile({2: OMEGA, 3: 1, 5: OMEGA}), SupernaturalProfile({7: 2}, OMEGA))
+
+
+@pytest.mark.parametrize("family", [
+    Family.default(),
+    _BASE_HOLDS_D,
+    # 65537 lies inside the second chunk of the prime table, so that run is cut
+    Family(SupernaturalProfile({2: OMEGA, 65537: OMEGA}), SupernaturalProfile.all_omega()),
+])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_d_layers_are_every_third_d_prime(family, offset):
+    # 8,000 entries of a layer pass 24,000 d-primes and the first three chunk boundaries
+    n = 8000
+    expected = list(itertools.islice(family._d_walk(), offset, 3 * n, 3))
+    assert list(itertools.islice(family._d_layer(offset), n)) == expected
+
+
+@pytest.mark.parametrize("lo", [SIEVE_CAP - 300, 2**32 - 300])
+@pytest.mark.parametrize("offset", [0, 1, 2])
+def test_every_third_carries_its_offset_across_the_runs_of_the_prime_walk(lo, offset):
+    # below the cap: a stored chunk's tail, then spans sieved past it; below
+    # 2^32: the last sieved span's tail, then the endless run of isprime tests
+    expected = itertools.islice(itertools.chain.from_iterable(primes._prime_chunks(lo)), offset, offset + 150, 3)
+    assert list(itertools.islice(primes._every_third(primes._prime_chunks(lo), offset), 50)) == list(expected)
 
 
 def test_d_enumeration_tests_no_prime(isprime_calls):
@@ -519,7 +549,7 @@ def test_member_layout_locates_every_walked_term(family, a):
     member = MemberRef(family, a)
     terms = member_sequence(member, 300)
     primes = set(terms) | {g for g, _ in family.p.exceptions}
-    layout = posetlab._MemberLayout(member, family._d_indices(primes))
+    layout = posetlab._MemberLayout(member, supernatural._ranks(family._d_walk(), primes))
     for gamma in primes:
         walked = reference.occurrences(terms, gamma)
         assert [layout.position(gamma, k) for k in range(1, len(walked) + 1)] == walked
@@ -551,6 +581,60 @@ def test_crosscheck_replay_agrees_with_the_walked_sequences(family, a, b, window
         assert (replay.end, replay.needs_window) == (end, end if window < end else None)
         if replay.needs_window is None:
             assert replay.prefix is None
+
+
+def _crosscheck_corpus() -> list:
+    """300 seeded (family, A, B, window) cases: sets with flips, finite and
+    cofinite ones on either side, windows from 1 term, and two families
+    whose base(P) holds d-primes."""
+    rng = random.Random(20261019)
+    families = [
+        Family.default(),
+        _BASE_HOLDS_D,
+        Family(SupernaturalProfile({2: OMEGA, 3: 2, 11: 1}), SupernaturalProfile({13: 0}, OMEGA)),
+    ]
+
+    def upset():
+        roll = rng.random()
+        if roll < 0.15:
+            return UPSet.from_cofinite(rng.sample(range(10), rng.randrange(4)))
+        if roll < 0.25:
+            return UPSet.from_finite(rng.sample(range(40), rng.randrange(6)))
+        period = rng.randrange(1, 7)
+        word = tuple(rng.random() < 0.5 for _ in range(period))
+        return UPSet.from_membership(tuple(rng.random() < 0.5 for _ in range(rng.randrange(9))), period, word)
+
+    return [(rng.choice(families), upset(), upset(), rng.choice((1, 2, 3, 7, 40, 150))) for _ in range(300)]
+
+
+def test_crosscheck_reports_equal_the_walked_oracle():
+    seen = Counter()
+    for family, a, b, window in _crosscheck_corpus():
+        m_a, m_b = MemberRef(family, a), MemberRef(family, b)
+        report = member_crosscheck(m_a, m_b, window)
+        assert report == reference.member_crosscheck(m_a, m_b, window, 4000), (family, a, b, window)
+        seen["cofinite target"] += b.is_cofinite
+        seen["flips"] += bool(a.flips and b.flips)
+        seen["window shorter than the drop"] += report.surplus_finite and report.replay.needs_window is not None
+        seen["base(P) holds d-primes"] += bool({g for g, _ in family.p.exceptions} - family._not_d())
+        seen["refuted"] += not report.verdict and report.replay.needs_window is None
+    assert len(seen) == 5 and all(seen.values()), seen
+
+
+def test_crosscheck_counts_the_source_at_a_few_positions(monkeypatch):
+    calls = []
+
+    def position(layout, gamma, k, _position=posetlab._MemberLayout.position):
+        calls.append(gamma)
+        return _position(layout, gamma, k)
+
+    monkeypatch.setattr(posetlab._MemberLayout, "position", position)
+    fam = Family.default()
+    report = member_crosscheck(MemberRef(fam, UPSet.multiples_of(4)), MemberRef(fam, UPSet.multiples_of(2)), 10**5)
+    assert report.consistent and report.replay == Replay(0, 10**5, 149_999)
+    # base(P)'s one prime, 2, and the last prime of each d-layer in the
+    # window, not one call per distinct prime of the window
+    assert len(calls) <= 3, len(calls)
 
 
 def _terms_made(monkeypatch, run):

@@ -104,6 +104,24 @@ def test_sparse_upset_matches_dense_reference():
 
 
 
+@pytest.mark.parametrize("a, b, expected", [
+    # b's non-members, one residue mod 10^5, are the sparser side
+    (UPSet.from_cofinite(()), UPSet(10**5, range(10**5 - 1)), [k * 10**5 + 10**5 - 1 for k in range(8)]),
+    # a's members are
+    (UPSet.multiples_of(10**5), UPSet(2, frozenset({1})), [k * 10**5 for k in range(8)]),
+])
+def test_set_difference_draws_from_the_sparser_side(monkeypatch, a, b, expected):
+    calls = []
+
+    def contains(upset, n, _contains=UPSet.__contains__):
+        calls.append(n)
+        return _contains(upset, n)
+
+    monkeypatch.setattr(UPSet, "__contains__", contains)
+    assert set_difference(a, b) == (False, tuple(expected))
+    assert calls == expected  # one membership test per element drawn
+
+
 @pytest.mark.parametrize(
     "upset",
     [
