@@ -6,6 +6,13 @@ x86-64 host.  A subclass of ``Value`` declares its field names in
 ``_fields`` and writes its own ``__init__``; equality, hashing and the
 repr follow from the fields as a frozen dataclass derives them, and no
 code is generated.
+
+Every value type of the package is a ``Value`` but
+``reducibility.Verdict``, which stays a frozen dataclass because the
+benchmark's self-check flips a verdict with ``dataclasses.replace``.  A
+subclass that declares its fields as ``__slots__`` has no instance dict; one
+that declares no ``__slots__``, as ``UPSet``, keeps one, which holds what it
+stores beside its fields and what a ``cached_property`` caches.
 """
 
 from __future__ import annotations

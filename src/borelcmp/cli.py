@@ -65,7 +65,8 @@ SIZE_CAPS = {
 }
 
 # A parsed command: the argparse namespace, with every literal argument
-# already turned into its engine value and its text kept in ``inputs``.
+# already turned into its engine value and its text kept in ``inputs``, and
+# the output format, "text" or "json", in ``format``.
 Command = argparse.Namespace
 
 
@@ -95,29 +96,28 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="borelcmp", description=__doc__.strip().splitlines()[0])
-    parser.set_defaults(json_output=False)
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
     def verb(name, handler, help):
         subparser = verbs.add_parser(name, help=help)
-        subparser.set_defaults(handler=handler)
+        subparser.set_defaults(handler=handler, format="text")  # also the default of --json below
         return subparser
 
     reduce_p = verb("reduce", _reduce, "decide E(G) <= E(H)")
     reduce_p.add_argument("g")
     reduce_p.add_argument("h")
-    reduce_p.add_argument("--json", action="store_true", dest="json_output")
+    reduce_p.add_argument("--json", action="store_const", const="json", dest="format")
     reduce_p.add_argument("--certificate", action="store_true", dest="show_certificate")
     reduce_p.add_argument("--exit-verdict", action="store_true")
 
     compare_p = verb("compare", _compare, "compare both directions")
     compare_p.add_argument("g")
     compare_p.add_argument("h")
-    compare_p.add_argument("--json", action="store_true", dest="json_output")
+    compare_p.add_argument("--json", action="store_const", const="json", dest="format")
 
     dual_p = verb("dual", _dual, "dual group of an expression")
     dual_p.add_argument("g")
-    dual_p.add_argument("--json", action="store_true", dest="json_output")
+    dual_p.add_argument("--json", action="store_const", const="json", dest="format")
 
     verb("dim", _dim, "covering dimension").add_argument("g")
     verb("normalize", _normalize, "normalize an expression").add_argument("g")
@@ -195,13 +195,7 @@ def run(command: Command):
         fields, code = command.handler(command)
     except DomainError as exc:
         fields, code = {"verdict": "ERROR", "diagnostics": (str(exc),)}, EXIT_DOMAIN
-    report = Report(
-        verb=command.verb,
-        inputs=command.inputs,
-        format="json" if command.json_output else "text",
-        **fields,
-    )
-    return report, code
+    return Report(verb=command.verb, inputs=command.inputs, **fields), code
 
 
 # -- one handler per verb: each returns (report fields, exit code) ---------------
@@ -226,7 +220,7 @@ def _reduce(command: Command):
     fields = {
         "verdict": verdict.reducible,
         # only the JSON form prints the certificate
-        "certificate": certificate_payload(verdict) if command.json_output else None,
+        "certificate": certificate_payload(verdict) if command.format == "json" else None,
         "diagnostics": tuple(diagnostics),
     }
     return fields, code
@@ -370,15 +364,18 @@ def render_text(report: Report) -> str:
     return "\n".join([head, *report.diagnostics])
 
 
-def render(report: Report) -> str:
-    return report.to_json() if report.format == "json" else render_text(report)
+def render(command: Command, report: Report) -> str:
+    """The report in the command's format.  bench/tracing.py reads
+    ``format`` off the first argument."""
+    return report.to_json() if command.format == "json" else render_text(report)
 
 
 def main(argv=None) -> int:
     try:
-        report, code = run(parse_command(sys.argv[1:] if argv is None else argv))
+        command = parse_command(sys.argv[1:] if argv is None else argv)
+        report, code = run(command)
         try:
-            print(render(report), flush=True)
+            print(render(command, report), flush=True)
         except BrokenPipeError:  # the reader of stdout went away; the report stands
             # what is left in the buffer goes to devnull, so the flush at exit stays silent
             devnull = os.open(os.devnull, os.O_WRONLY)

@@ -24,10 +24,10 @@ side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import is_, itemgetter
 
+from ._value import Value
 from .errors import DomainError
 from .groups import REAL, TORUS, AtomKind, GroupExpr, _Expansion, dimension, group, is_compact
 from .matching import run_rows, saturating_matching_or_violator
@@ -53,18 +53,18 @@ MAX_DUAL_COMPONENTS = 3000
 _ZERO_PROFILE = SupernaturalProfile((), 0)
 
 
-@dataclass(frozen=True)
-class RationalType:
+class RationalType(Value):
     """Isomorphism type of a rank-1 group: a subgroup of the rationals whose
     denominators' prime factorizations are bounded by ``profile``.  The
     all-zero profile is the type of the integers.
     """
 
-    profile: SupernaturalProfile = _ZERO_PROFILE
+    __slots__ = _fields = ("profile",)
 
-    def __post_init__(self):
-        if not isinstance(self.profile, SupernaturalProfile):
-            raise DomainError(f"rational type wants a profile, got {self.profile!r}")
+    def __init__(self, profile: SupernaturalProfile = _ZERO_PROFILE):
+        if not isinstance(profile, SupernaturalProfile):
+            raise DomainError(f"rational type wants a profile, got {profile!r}")
+        object.__setattr__(self, "profile", profile)
 
     @property
     def is_integers(self) -> bool:
@@ -77,14 +77,16 @@ class RationalType:
 INTEGERS = RationalType()
 
 
-@dataclass(frozen=True)
-class DualExpr:
+class DualExpr(Value):
     """Dual of a group expression, componentwise, as ``(component, count)``
     runs: one run per run of the expression, since distinct atoms have
     distinct duals.  A component is ``REAL`` or a ``RationalType``.
     ``components``, one entry per factor, is a sized view of the runs."""
 
-    runs: tuple = ()
+    __slots__ = _fields = ("runs",)
+
+    def __init__(self, runs: tuple = ()):
+        object.__setattr__(self, "runs", runs)
 
     @property
     def components(self) -> _Expansion:

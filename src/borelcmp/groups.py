@@ -21,10 +21,10 @@ products, which carry structure, have node types of their own.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
 from itertools import accumulate, chain, repeat, starmap
 from operator import attrgetter, itemgetter
-from typing import Mapping, Union
 
 from ._value import Value
 from .errors import DomainError, checked_natural
@@ -94,7 +94,7 @@ REAL = Atom(AtomKind.REAL)
 TORUS = Atom(AtomKind.TORUS)
 
 
-def solenoid(profile: Union[SupernaturalProfile, Mapping], default=0) -> Atom:
+def solenoid(profile: SupernaturalProfile | Mapping, default=0) -> Atom:
     """Solenoid atom from a profile, or from an exceptions mapping plus default.
 
     >>> str(solenoid({2: 6, 3: OMEGA}))
@@ -221,7 +221,7 @@ class RawProduct(Value):
         object.__setattr__(self, "parts", parts)
 
 
-RawNode = Union[Atom, IntSeqSpec, RawPower, RawProduct, GroupExpr]
+RawNode = Atom | IntSeqSpec | RawPower | RawProduct | GroupExpr
 
 
 # Most factors one expression may normalize to.  The count is checked on the

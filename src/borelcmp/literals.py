@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParseError
 from .groups import (
@@ -50,10 +49,6 @@ from .groups import (
 )
 from .primes import isprime
 from .supernatural import OMEGA, IntSeqSpec, Mult, SupernaturalProfile
-
-if TYPE_CHECKING:  # annotations only: the dual route and the poset lab load on first use
-    from .duality import DualExpr
-    from .posetlab import UPSet
 
 __all__ = [
     "parse_group",

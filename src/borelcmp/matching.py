@@ -22,7 +22,7 @@ entry before its last stop has been visited.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 
 def class_flow(caps: Sequence[int], room: Sequence[int], rows: Sequence[Sequence[int]]):
@@ -123,8 +123,8 @@ def saturating_matching_or_violator(num_left: int, num_right: int, adjacency):
     """Either a left-saturating matching (as the full match_left list) or a
     Hall violator (K, N(K)) as sorted tuples; exactly one of the pair is
     None.  Deterministic: vertices and edges in given order."""
-    match_left: list[Optional[int]] = [None] * num_left
-    match_right: list[Optional[int]] = [None] * num_right
+    match_left: list[int | None] = [None] * num_left
+    match_right: list[int | None] = [None] * num_right
     for root in range(num_left):
         visited: set[int] = set()
         resume: dict[int, int] = {}  # id(row) -> where its last scan stopped

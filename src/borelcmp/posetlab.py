@@ -45,12 +45,12 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, cycle, filterfalse, islice, repeat, takewhile
 from math import gcd
 from operator import itemgetter, ne, sub
 
+from ._value import Value
 from .errors import DomainError, checked_natural
 from .primes import _every_third, _runs_outside, factorint
 from .primes import nextprime  # noqa: F401  bench/tracing.py patches this binding
@@ -81,24 +81,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UPSet:
+class UPSet(Value):
     """Ultimately periodic subset of the naturals, stored sparsely.
 
     From some point on, n is a member iff ``n % period`` is in ``residues``;
     ``flips`` holds the naturals whose membership differs from that
     periodic rule, and ``threshold`` is ``max(flips) + 1`` (0 without
-    flips).  Canonical form: the residues are reduced to the minimal period,
-    so two UPSets are structurally equal iff they are the same set.  A
-    finite set, a cofinite one or the multiples of k costs its listed
-    elements, not its largest element or k.
+    flips), kept out of equality, hashing and the repr.  Canonical form:
+    the residues are reduced to the minimal period, so two UPSets are
+    structurally equal iff they are the same set.  A finite set, a cofinite
+    one or the multiples of k costs its listed elements, not its largest
+    element or k.
 
     >>> evens = UPSet.multiples_of(2)
     >>> 4 in evens, 7 in evens
     (True, False)
     >>> UPSet(4, frozenset({0, 2})) == evens
     True
-    >>> grown = UPSet.from_membership((False, True, True), 2, (True, False))
+    >>> grown = UPSet.from_word({1, 2}, 3, 2, (True, False))
     >>> grown.period, sorted(grown.residues), sorted(grown.flips), grown.threshold
     (2, [0], [0, 1], 2)
 
@@ -107,16 +107,20 @@ class UPSet:
 
     >>> grown.exceptional, grown.word
     ((False, True), (True, False))
+
+    No ``__slots__``: the instance dict holds ``threshold`` and the cached
+    ``_sorted``.
     """
 
-    period: int = 1
-    residues: frozenset = frozenset()
-    flips: frozenset = frozenset()
-    threshold: int = field(init=False, repr=False, compare=False)
+    _fields = ("period", "residues", "flips")
 
-    def __post_init__(self):
-        period = checked_natural(self.period, "period must be a positive integer", 1)
-        residues, flips = frozenset(self.residues), frozenset(self.flips)
+    def __init__(self, period: int = 1, residues: frozenset = frozenset(), flips: frozenset = frozenset()):
+        self.__post_init__(period, residues, flips)
+
+    def __post_init__(self, period, residues, flips):
+        # the checks and the stores, under the name bench/tracing.py patches
+        period = checked_natural(period, "period must be a positive integer", 1)
+        residues, flips = frozenset(residues), frozenset(flips)
         for n in chain(residues, flips):
             checked_natural(n, "a residue or flip must be a natural number")
         if residues and max(residues) >= period:
@@ -141,13 +145,6 @@ class UPSet:
         residues = [r for r, bit in enumerate(word) if bit]
         ruled = (n for r in residues for n in range(r, threshold, period))  # the rule's members below
         return cls(period, frozenset(residues), members.symmetric_difference(ruled))
-
-    @classmethod
-    def from_membership(cls, bits, period: int, word) -> "UPSet":
-        """Membership ``bits[n]`` below ``len(bits)`` and ``word[n % period]``
-        from there on."""
-        bits = tuple(bits)
-        return cls.from_word((n for n, bit in enumerate(bits) if bit), len(bits), period, word)
 
     @classmethod
     def from_finite(cls, members) -> "UPSet":
@@ -350,8 +347,7 @@ def set_difference(a: UPSet, b: UPSet):
     return False, tuple(islice(elements, 8))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Value):
     """The (P, Q) pair generating one embedded copy of the poset.
 
     Invariants: Q's relation reduces to P's (P preceq Q) and the d-set, the
@@ -363,11 +359,9 @@ class Family:
     walk's runs, as slices.
     """
 
-    p: SupernaturalProfile
-    q: SupernaturalProfile
+    __slots__ = _fields = ("p", "q")
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __init__(self, p: SupernaturalProfile, q: SupernaturalProfile):
         if not isinstance(p, SupernaturalProfile) or not isinstance(q, SupernaturalProfile):
             raise DomainError("family wants two supernatural profiles")
         if p.default is OMEGA or q.default is not OMEGA:
@@ -377,6 +371,8 @@ class Family:
             )
         if not preceq(p, q):
             raise DomainError("family requires p preceq q (q's relation reduces to p's)")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def __repr__(self):
         return f"Family(p={self.p}, q={self.q})"
@@ -402,11 +398,6 @@ class Family:
         """First ``k`` primes gamma more frequent in q than in p."""
         return tuple(islice(self._d_walk(), checked_natural(k, "count must be a natural number")))
 
-    def d_term(self, i: int) -> int:
-        """d_i, counting from 0."""
-        i = checked_natural(i, "index must be a natural number")
-        return next(islice(self._d_walk(), i, None))
-
 
 def _at_positions(items: Iterator, positions) -> Iterator:
     """The items of ``items`` at the naturals ``positions``, in turn.  The
@@ -419,21 +410,21 @@ def _at_positions(items: Iterator, positions) -> Iterator:
         taken = i + 1
 
 
-@dataclass(frozen=True)
-class MemberRef:
+class MemberRef(Value):
     """One member of the embedding: a set A, handled symbolically, and the
     power giving the dimension of the member group."""
 
-    family: Family
-    a: UPSet
-    power: int = 1
+    __slots__ = _fields = ("family", "a", "power")
 
-    def __post_init__(self):
-        if not isinstance(self.family, Family):
-            raise DomainError(f"member family must be a Family, got {self.family!r}")
-        if not isinstance(self.a, UPSet):
-            raise DomainError(f"member set must be a UPSet, got {self.a!r}")
-        checked_natural(self.power, "member power must be >= 1", 1)
+    def __init__(self, family: Family, a: UPSet, power: int = 1):
+        if not isinstance(family, Family):
+            raise DomainError(f"member family must be a Family, got {family!r}")
+        if not isinstance(a, UPSet):
+            raise DomainError(f"member set must be a UPSet, got {a!r}")
+        checked_natural(power, "member power must be >= 1", 1)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "power", power)
 
 
 def member_sequence(m: MemberRef, n: int) -> tuple:
@@ -545,8 +536,7 @@ class _MemberLayout:
         return self._base_position(gamma, k if k <= before else k - 1)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(Value):
     """Finite-scale validation of a symbolic member verdict.
 
     ``surplus_primes`` are the primes d_{1+3c}, c in A minus B: the target
@@ -560,13 +550,12 @@ class CrosscheckReport:
     ``replay.needs_window`` set.
     """
 
-    verdict: bool
-    surplus_finite: bool
-    surplus_primes: tuple
-    window: int
-    consistent: bool
-    notes: tuple
-    replay: Replay
+    __slots__ = _fields = ("verdict", "surplus_finite", "surplus_primes", "window", "consistent", "notes", "replay")
+
+    def __init__(self, verdict, surplus_finite, surplus_primes, window, consistent, notes, replay: Replay):
+        values = (verdict, surplus_finite, surplus_primes, window, consistent, notes, replay)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
 
 def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> CrosscheckReport:
@@ -670,14 +659,17 @@ def _window_prefix(m_a: MemberRef, m_b: MemberRef, target: _MemberLayout, drop: 
     return _covering_prefix(_MemberLayout(m_a, d_indices), {gamma: need[gamma] for gamma in counted})
 
 
-@dataclass(frozen=True)
-class ChainDemo:
+class ChainDemo(Value):
     """Pairwise verdict matrix over the powers-of-two chain plus the
-    evens/odds antichain."""
+    evens/odds antichain: ``matrix[i][j]`` is
+    ``member_reduces(members[i], members[j])``."""
 
-    labels: tuple
-    members: tuple
-    matrix: tuple  # matrix[i][j] = member_reduces(members[i], members[j])
+    __slots__ = _fields = ("labels", "members", "matrix")
+
+    def __init__(self, labels: tuple, members: tuple, matrix: tuple):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def chain_demo(f: Family, depth: int = 3, power: int = 1) -> ChainDemo:

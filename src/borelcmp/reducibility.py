@@ -32,10 +32,10 @@ nontrivial reduces to it.  All factor indices in certificates are 1-based.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import NamedTuple
 
 from ._value import Value
 from .errors import DomainError, checked_natural
@@ -89,15 +89,9 @@ class EdgeWitness(Value):
         return sum(d for _, d in self.deficit)
 
 
-class EdgeBlock(NamedTuple):
-    """``count`` certificate edges with one reason and surplus table: source
-    factor ``left + j`` maps to target factor ``right - j`` for ``j < count``."""
-
-    left: int
-    right: int
-    count: int
-    reason: EdgeReason
-    deficit: tuple = ()
+EdgeBlock = namedtuple("EdgeBlock", ("left", "right", "count", "reason", "deficit"), defaults=((),))
+EdgeBlock.__doc__ = """``count`` certificate edges with one reason and surplus table: source
+factor ``left + j`` maps to target factor ``right - j`` for ``j < count``."""
 
 
 class Certificate(Value):
@@ -158,10 +152,10 @@ class HallViolator(Value):
         object.__setattr__(self, "NK", NK)
 
 
-# The one dataclass left on the import path: ``bench/selfcheck.py`` flips a
-# verdict with ``dataclasses.replace``, which needs one.  Once the benchmark
-# builds the flipped verdict with the constructor, ``Verdict`` can be a
-# ``Value`` too, and ``import borelcmp`` no longer loads ``dataclasses``.
+# The package's one dataclass: ``bench/selfcheck.py`` flips a verdict with
+# ``dataclasses.replace``, which needs one.  Once the benchmark builds the
+# flipped verdict with the constructor, ``Verdict`` can be a ``Value`` too,
+# and no verb loads ``dataclasses``.
 @dataclass(frozen=True)
 class Verdict:
     """A positive verdict carries a ``Certificate`` and a negative one a

@@ -19,35 +19,31 @@ deterministic: no timestamps, fixed ordering everywhere.
 
 from __future__ import annotations
 
-from typing import Union
-
 from ._value import Value
 from .reducibility import Verdict
 from .supernatural import OMEGA
 
 
-def _mult_json(m) -> Union[int, str]:
+def _mult_json(m) -> int | str:
     return "w" if m is OMEGA else m
 
 
 class Report(Value):
-    __slots__ = _fields = ("verb", "inputs", "verdict", "certificate", "diagnostics", "format")
+    __slots__ = _fields = ("verb", "inputs", "verdict", "certificate", "diagnostics")
 
     def __init__(
         self,
         verb: str,
         inputs: tuple,
-        verdict: Union[bool, str],
+        verdict: bool | str,
         certificate: dict | None = None,
         diagnostics: tuple = (),
-        format: str = "text",  # presentation only; not part of the JSON payload
     ):
         object.__setattr__(self, "verb", verb)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "certificate", certificate)
         object.__setattr__(self, "diagnostics", diagnostics)
-        object.__setattr__(self, "format", format)
 
     def to_dict(self) -> dict:
         payload = {
@@ -73,7 +69,6 @@ class Report(Value):
             verdict=payload["verdict"],
             certificate=payload.get("certificate"),
             diagnostics=tuple(payload["diagnostics"]),
-            format="json",
         )
 
     @classmethod

@@ -22,9 +22,9 @@ the canonical sequences (``_Layout``).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import accumulate, chain, compress, count, cycle, filterfalse, islice, repeat, takewhile, tee
 from math import isqrt
-from typing import Iterable, Iterator, Mapping, Union
 
 from ._value import Value
 from .errors import DomainError, checked_natural
@@ -93,7 +93,7 @@ class _Omega:
 
 OMEGA = _Omega()
 
-Mult = Union[int, _Omega]
+Mult = int | _Omega
 
 
 def _check_mult(value) -> Mult:

@@ -47,7 +47,7 @@ def test_parse_command_reduce():
     assert command.verb == "reduce"
     assert command.g == group(REAL, REAL, TORUS)
     assert command.h == group(TORUS, TORUS, TORUS)
-    assert command.json_output and not command.exit_verdict
+    assert command.format == "json" and not command.exit_verdict
 
 
 def test_parse_command_preceq():
@@ -296,8 +296,9 @@ def test_json_round_trip():
         ["compare", "R", "T", "--json"],
         ["dual", "R x T", "--json"],
     ):
-        report, _ = run_argv(argv)
-        assert report.format == "json"
+        command = parse_command(argv)
+        report, _ = run(command)
+        assert command.format == "json" and render(command, report) == report.to_json()
         assert Report.from_json(report.to_json()) == report
 
 
@@ -324,15 +325,16 @@ def test_reports_validate_against_documented_schema(rng):
     ],
 )
 def test_golden_reports(name, argv):
-    report, _ = run_argv(argv)
-    assert render(report) + "\n" == (GOLDEN / name).read_text()
-    validate(json.loads(render(report)), SCHEMA)
+    command = parse_command(argv)
+    report, _ = run(command)
+    assert render(command, report) + "\n" == (GOLDEN / name).read_text()
+    validate(json.loads(render(command, report)), SCHEMA)
 
 
 def test_output_is_deterministic():
-    first, _ = run_argv(["reduce", "Sol{2:9,3:w} x T x R", "R x Sol{2:5,3:w} x T^2", "--json", "--certificate"])
-    second, _ = run_argv(["reduce", "Sol{2:9,3:w} x T x R", "R x Sol{2:5,3:w} x T^2", "--json", "--certificate"])
-    assert render(first) == render(second)
+    argv = ["reduce", "Sol{2:9,3:w} x T x R", "R x Sol{2:5,3:w} x T^2", "--json", "--certificate"]
+    first, second = parse_command(argv), parse_command(argv)
+    assert render(first, run(first)[0]) == render(second, run(second)[0])
 
 
 # -- main ------------------------------------------------------------------------------

@@ -32,7 +32,6 @@ CASES = [
     (canonical_terms, (TWO_ADIC, -1), "start must be a natural number, got -1"),
     (oracle_replay, (TWO_ADIC, TWO_ADIC, 2.5), "window must be positive, got 2.5"),
     (oracle_replay, (TWO_ADIC, TWO_ADIC, 0), "window must be positive, got 0"),
-    (Family.default().d_term, (True,), "index must be a natural number, got True"),
     (Family.default().d_terms, (2.5,), "count must be a natural number, got 2.5"),
     (Family.default().d_terms, (-1,), "count must be a natural number, got -1"),
     (UPSet, (1.5,), "period must be a positive integer, got 1.5"),

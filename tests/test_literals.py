@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import literal_reference
+from upset_reference import sparse_from_bits
 from borelcmp import literals
 from borelcmp.errors import BorelcmpError, ParseError
 from borelcmp.groups import REAL, TORUS, group, solenoid
@@ -168,7 +169,7 @@ def test_upset_render_round_trip(rng):
         threshold = rng.randrange(0, 6)
         period = rng.randrange(1, 5)
         samples.append(
-            UPSet.from_membership(
+            sparse_from_bits(
                 tuple(rng.random() < 0.5 for _ in range(threshold)),
                 period,
                 tuple(rng.random() < 0.5 for _ in range(period)),

@@ -34,6 +34,7 @@ from borelcmp.supernatural import OMEGA, Replay, SupernaturalProfile, oracle_inj
 from borelcmp.selftest import trial_division_primes
 
 import replay_reference as reference
+from upset_reference import sparse_from_bits
 from conftest import PRIME_POOL
 
 
@@ -69,18 +70,18 @@ def _oracle_member_prefix(membership, n: int, base: list, skipped: set) -> list:
 # -- UPSet ---------------------------------------------------------------------
 
 def test_upset_canonicalization():
-    assert UPSet.from_membership((), 4, (True, False, True, False)) == UPSet.multiples_of(2)
-    grown = UPSet.from_membership((True, False, True, False), 2, (True, False))
+    assert sparse_from_bits((), 4, (True, False, True, False)) == UPSet.multiples_of(2)
+    grown = sparse_from_bits((True, False, True, False), 2, (True, False))
     assert grown == UPSet.multiples_of(2)
     assert grown.threshold == 0
     with pytest.raises(DomainError):
-        UPSet.from_membership((), 0, ())
+        sparse_from_bits((), 0, ())
     with pytest.raises(DomainError):
-        UPSet.from_membership((), 2, (True,))
+        sparse_from_bits((), 2, (True,))
 
 
 def test_upset_membership_and_classes():
-    fancy = UPSet.from_membership((True, False, False, True), 3, (False, True, False))
+    fancy = sparse_from_bits((True, False, False, True), 3, (False, True, False))
     members = [n for n in range(12) if n in fancy]
     assert members == [0, 3, 4, 7, 10]
     assert UPSet.from_finite([1, 3]).is_finite
@@ -92,7 +93,7 @@ def test_upset_membership_and_classes():
 def test_subset_star_examples():
     anything = UPSet.multiples_of(3)
     assert subset_star(UPSet.from_finite([1, 3]), anything)
-    evens, odds = UPSet.multiples_of(2), UPSet.from_membership((), 2, (False, True))
+    evens, odds = UPSet.multiples_of(2), sparse_from_bits((), 2, (False, True))
     assert not subset_star(evens, odds)
     assert subset_star(evens, evens)
 
@@ -105,8 +106,8 @@ def test_subset_star_is_a_preorder():
         UPSet.multiples_of(2),
         UPSet.multiples_of(4),
         UPSet.multiples_of(6),
-        UPSet.from_membership((), 2, (False, True)),
-        UPSet.from_membership((True, True), 3, (True, False, False)),
+        sparse_from_bits((), 2, (False, True)),
+        sparse_from_bits((True, True), 3, (True, False, False)),
     ]
     for a in sets:
         assert subset_star(a, a)
@@ -117,9 +118,9 @@ def test_subset_star_is_a_preorder():
 
 def test_subset_star_ignores_finite_perturbation():
     evens = UPSet.multiples_of(2)
-    perturbed = UPSet.from_membership((False, False, True, True, True), 2, (True, False))
+    perturbed = sparse_from_bits((False, False, True, True, True), 2, (True, False))
     # drop 0 and 2, add 3: still the evens modulo a finite set
-    for other in (UPSet.multiples_of(4), UPSet.multiples_of(2), UPSet.from_membership((), 2, (False, True))):
+    for other in (UPSet.multiples_of(4), UPSet.multiples_of(2), sparse_from_bits((), 2, (False, True))):
         assert subset_star(evens, other) == subset_star(perturbed, other)
         assert subset_star(other, evens) == subset_star(other, perturbed)
 
@@ -130,7 +131,7 @@ def test_set_difference_classification():
     finite, elements = set_difference(UPSet.multiples_of(2), UPSet.multiples_of(4))
     assert not finite
     assert list(elements)[:3] == [2, 6, 10]
-    grown = UPSet.from_membership((False, True, True, True), 2, (True, False))
+    grown = sparse_from_bits((False, True, True, True), 2, (True, False))
     finite, elements = set_difference(grown, UPSet.multiples_of(2))
     assert finite and elements == (1, 3)
 
@@ -206,10 +207,10 @@ def test_concurrent_d_enumeration_agrees_with_a_serial_run_across_sieve_growths(
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda k: (fam.d_term(k - 1), fam.d_terms(k)), sizes))
+            results = list(pool.map(fam.d_terms, sizes))
     finally:
         sys.setswitchinterval(switch)
-    assert results == [(serial[k - 1], serial[:k]) for k in sizes]
+    assert results == [serial[:k] for k in sizes]
     # every chunk of the prime table, each stored once by one of the threads,
     # holds exactly the primes of its range
     chunks = primes._SIEVE.chunks
@@ -279,8 +280,6 @@ def test_d_enumeration_rejects_an_index_that_is_no_natural(bad):
     used.d_terms(5)
     for fam in (fresh, used):
         with pytest.raises(DomainError):
-            fam.d_term(bad)
-        with pytest.raises(DomainError):
             fam.d_terms(bad)
 
 
@@ -321,7 +320,7 @@ def test_member_sequence_longer_prefixes_match_oracle():
     cases = [
         (default, UPSet.multiples_of(2), lambda n: n % 2 == 0),
         (default, UPSet.multiples_of(4), lambda n: n % 4 == 0),
-        (default, UPSet.from_membership((), 2, (False, True)), lambda n: n % 2 == 1),
+        (default, sparse_from_bits((), 2, (False, True)), lambda n: n % 2 == 1),
         (default, UPSet.from_cofinite([]), lambda n: True),
         (other, UPSet.multiples_of(3), lambda n: n % 3 == 0),
     ]
@@ -347,11 +346,12 @@ def test_member_sequence_terms_prime_and_star_layer_exact():
     evens = UPSet.multiples_of(2)
     terms = member_sequence(MemberRef(fam, evens), 120)
     assert all(isprime(t) for t in terms)
-    expected_star = tuple(fam.d_term(1 + 3 * c) for c in range(1, 120, 2))
+    d = fam.d_terms(1 + 3 * 119 + 1)
+    expected_star = tuple(d[1 + 3 * c] for c in range(1, 120, 2))
     assert terms[0::2] == expected_star
     cof = UPSet.from_cofinite([1])
     inner_terms = member_sequence(MemberRef(fam, cof), 120)
-    assert inner_terms[0::2] == tuple(fam.d_term(3 * i) for i in range(60))
+    assert inner_terms[0::2] == d[0:180:3]
 
 
 # -- member order ------------------------------------------------------------------
@@ -359,9 +359,9 @@ def test_member_sequence_terms_prime_and_star_layer_exact():
 def test_member_reduces_examples():
     fam = Family.default()
     evens = MemberRef(fam, UPSet.multiples_of(2))
-    odds = MemberRef(fam, UPSet.from_membership((), 2, (False, True)))
+    odds = MemberRef(fam, sparse_from_bits((), 2, (False, True)))
     mult4 = MemberRef(fam, UPSet.multiples_of(4))
-    padded = MemberRef(fam, UPSet.from_membership((False, True, True, True, False, True), 2, (True, False)))
+    padded = MemberRef(fam, sparse_from_bits((False, True, True, True, False, True), 2, (True, False)))
     assert member_reduces(mult4, evens)
     assert not member_reduces(evens, odds)
     assert not member_reduces(odds, evens)
@@ -420,7 +420,7 @@ def test_member_strictness_transfers():
 def test_crosscheck_antichain():
     fam = Family.default()
     evens = MemberRef(fam, UPSet.multiples_of(2))
-    odds = MemberRef(fam, UPSet.from_membership((), 2, (False, True)))
+    odds = MemberRef(fam, sparse_from_bits((), 2, (False, True)))
     report = member_crosscheck(evens, odds, 100)
     assert report.consistent
     assert not report.verdict
@@ -451,10 +451,10 @@ def test_crosscheck_identical_member():
 
 def test_crosscheck_finite_nonzero_surplus_needs_a_drop():
     fam = Family.default()
-    bigger = MemberRef(fam, UPSet.from_membership((True, True), 2, (True, False)))  # evens plus {1}
+    bigger = MemberRef(fam, sparse_from_bits((True, True), 2, (True, False)))  # evens plus {1}
     evens = MemberRef(fam, UPSet.multiples_of(2))
     report = member_crosscheck(bigger, evens, 80)
-    assert report.verdict and report.surplus_primes == (fam.d_term(4),)
+    assert report.verdict and report.surplus_primes == fam.d_terms(5)[4:]
     assert report.consistent
     # d_4 = d_{1+3*1} opens the evens' sequence (1 is their first non-member), so the drop is 1
     assert report.replay.drop == 1 and report.replay.prefix is not None
@@ -469,7 +469,7 @@ def test_crosscheck_fuzz_never_inconsistent(rng):
             word = tuple(rng.random() < 0.5 for _ in range(period))
             if not any(word):
                 word = word[:-1] + (True,)  # keep the set infinite
-            return UPSet.from_membership(
+            return sparse_from_bits(
                 tuple(rng.random() < 0.5 for _ in range(threshold)),
                 period,
                 word,
@@ -540,7 +540,7 @@ def _upsets(draw):
     """Finite, cofinite and periodic sets with a few flips."""
     period = draw(st.integers(1, 6))
     word = draw(st.lists(st.booleans(), min_size=period, max_size=period))
-    return UPSet.from_membership(draw(st.lists(st.booleans(), max_size=8)), period, word)
+    return sparse_from_bits(draw(st.lists(st.booleans(), max_size=8)), period, word)
 
 
 @given(_families(), _upsets())
@@ -602,7 +602,7 @@ def _crosscheck_corpus() -> list:
             return UPSet.from_finite(rng.sample(range(40), rng.randrange(6)))
         period = rng.randrange(1, 7)
         word = tuple(rng.random() < 0.5 for _ in range(period))
-        return UPSet.from_membership(tuple(rng.random() < 0.5 for _ in range(rng.randrange(9))), period, word)
+        return sparse_from_bits(tuple(rng.random() < 0.5 for _ in range(rng.randrange(9))), period, word)
 
     return [(rng.choice(families), upset(), upset(), rng.choice((1, 2, 3, 7, 40, 150))) for _ in range(300)]
 
@@ -670,7 +670,7 @@ def _terms_made(monkeypatch, run):
 def test_crosscheck_makes_each_member_sequence_once(monkeypatch):
     fam = Family.default()
     evens = MemberRef(fam, UPSet.multiples_of(2))
-    odds = MemberRef(fam, UPSet.from_membership((), 2, (False, True)))
+    odds = MemberRef(fam, sparse_from_bits((), 2, (False, True)))
     report, made = _terms_made(monkeypatch, lambda: member_crosscheck(evens, odds, 1000))
     assert report.consistent and report.replay.prefix is None
     # the target's prefix up to its first surplus prime, and the surplus primes
@@ -705,7 +705,7 @@ def test_member_sandwich_between_q_and_p():
     assert all(fam.p.multiplicity(gamma) == 0 for gamma in set(star))
     # above Q strictly: Q has full multiplicity at primes the member never
     # uses (d-indices congruent to 2 mod 3 are reserved and never selected)
-    unused = fam.d_term(2)
+    unused = fam.d_terms(3)[2]
     assert fam.q.multiplicity(unused) is OMEGA
     assert unused not in prefix
     # the reductions themselves: Q's base embeds into the member sequence

@@ -73,11 +73,11 @@ def test_sparse_upset_matches_dense_reference():
         members, threshold, period, word = spec
         bits = tuple(n in members for n in range(threshold))
         dense = reference.DenseUPSet(bits, period, word, threshold)
-        sparse = UPSet.from_membership(bits, period, word)
+        sparse = UPSet.from_word(members, threshold, period, word)
         assert parse_upset(_literal(*spec)) == sparse
         # the same set with twice the period and a longer threshold
         ruled = tuple(word[n % period] for n in range(threshold, threshold + 2 * period))
-        twin = UPSet.from_membership(bits + ruled, 2 * period, word * 2)
+        twin = reference.sparse_from_bits(bits + ruled, 2 * period, word * 2)
         assert twin == sparse and hash(twin) == hash(sparse)
         assert (sparse.period, sparse.threshold) == (dense.period, dense.threshold)
         assert (sparse.exceptional, sparse.word) == (dense.exceptional, dense.word)
@@ -159,8 +159,7 @@ def test_ascending_of_a_far_rule_or_flip_takes_one_step_per_member(upset, first)
 
 def test_mask_matches_membership():
     # the random specs, then spans of 999, 150 and 150 residues (one repeat each)
-    sets = [UPSet.from_membership([n in members for n in range(threshold)], period, word)
-            for members, threshold, period, word in _specs()]
+    sets = [UPSet.from_word(members, threshold, period, word) for members, threshold, period, word in _specs()]
     sets += [UPSet.multiples_of(1000), UPSet(300, frozenset(range(100, 250)), frozenset({5, 120, 640, 1999}))]
     for upset in sets:
         span = range(upset.threshold + 2 * upset.period)

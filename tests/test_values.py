@@ -14,12 +14,20 @@ import pickle
 
 import pytest
 
+from borelcmp.duality import INTEGERS, DualExpr, RationalType
 from borelcmp.groups import REAL, TORUS, Atom, AtomKind, GroupExpr, RawPower, RawProduct
+from borelcmp.posetlab import ChainDemo, CrosscheckReport, Family, MemberRef, UPSet
 from borelcmp.reducibility import Certificate, EdgeBlock, EdgeReason, EdgeWitness, HallViolator, IndexRanges
 from borelcmp.report import Report
 from borelcmp.supernatural import OMEGA, IntSeqSpec, Replay, SupernaturalProfile
 
 T_T = EdgeReason.RULE_T_T
+TWO_ADIC, ALL_OMEGA = SupernaturalProfile({2: OMEGA}), SupernaturalProfile.all_omega()
+FAMILY, EVENS = Family(TWO_ADIC, ALL_OMEGA), UPSet(2, frozenset({0}))
+FAMILY_REPR = "Family(p={2:w}, q={default=w})"
+EVENS_REPR = "UPSet(period=2, residues=frozenset({0}), flips=frozenset())"
+MEMBER_REPR = f"MemberRef(family={FAMILY_REPR}, a={EVENS_REPR}, power=1)"
+REPLAY = Replay(0, 10, 10)
 
 # (class, positional fields, the same value by keyword with defaults left out, repr)
 CASES = [
@@ -46,9 +54,24 @@ CASES = [
      "IndexRanges(ranges=(range(1, 3), range(5, 6)))"),
     (HallViolator, ((1, 2), (1,)), {"K": (1, 2), "NK": (1,)},
      "HallViolator(K=(1, 2), NK=(1,))"),
-    (Report, ("dim", ("T",), "1", None, (), "json"),
-     {"verb": "dim", "inputs": ("T",), "verdict": "1", "format": "json"},
-     "Report(verb='dim', inputs=('T',), verdict='1', certificate=None, diagnostics=(), format='json')"),
+    (Report, ("dim", ("T",), "1", None, ()), {"verb": "dim", "inputs": ("T",), "verdict": "1"},
+     "Report(verb='dim', inputs=('T',), verdict='1', certificate=None, diagnostics=())"),
+    # UPSet's threshold is no field, and its residues reduce to the minimal period
+    (UPSet, (4, {0, 2}), {"period": 2, "residues": frozenset({0})}, EVENS_REPR),
+    (Family, (TWO_ADIC, ALL_OMEGA), {"p": TWO_ADIC, "q": ALL_OMEGA}, FAMILY_REPR),
+    (MemberRef, (FAMILY, EVENS, 1), {"family": FAMILY, "a": EVENS}, MEMBER_REPR),
+    (CrosscheckReport, (True, True, (5,), 10, True, (), REPLAY),
+     {"verdict": True, "surplus_finite": True, "surplus_primes": (5,), "window": 10, "consistent": True,
+      "notes": (), "replay": REPLAY},
+     "CrosscheckReport(verdict=True, surplus_finite=True, surplus_primes=(5,), window=10, consistent=True, "
+     "notes=(), replay=Replay(drop=0, end=10, prefix=10, witness=None, needed=None, needs_window=None))"),
+    (ChainDemo, (("evens",), (MemberRef(FAMILY, EVENS),), ((True,),)),
+     {"labels": ("evens",), "members": (MemberRef(FAMILY, EVENS),), "matrix": ((True,),)},
+     f"ChainDemo(labels=('evens',), members=({MEMBER_REPR},), matrix=((True,),))"),
+    (RationalType, (SupernaturalProfile((), 0),), {},
+     "RationalType(profile=SupernaturalProfile(exceptions=(), default=0))"),
+    (DualExpr, (((INTEGERS, 2),),), {"runs": ((INTEGERS, 2),)},
+     "DualExpr(runs=((RationalType(profile=SupernaturalProfile(exceptions=(), default=0)), 2),))"),
 ]
 
 
@@ -96,6 +119,16 @@ def test_cached_properties_need_the_instance_dict():
     certificate = Certificate((EdgeBlock(1, 2, 2, T_T),))
     assert not hasattr(certificate, "__dict__") and len(certificate) == 2
     assert list(certificate) == [EdgeWitness(1, 2, T_T), EdgeWitness(2, 1, T_T)]
+    # a set caches its sorted residues and flips in its instance dict, beside
+    # its threshold, and copy and pickle rebuild it through the constructor
+    upset = UPSet(4, frozenset({0, 2}), frozenset({1, 2}))
+    assert "_sorted" not in vars(upset) and upset.count_below(5) == 3
+    assert vars(upset) == {"period": 2, "residues": frozenset({0}), "flips": frozenset({1, 2}), "threshold": 3,
+                           "_sorted": ([0], [2], [1])}
+    for same in (copy.copy(upset), copy.deepcopy(upset), pickle.loads(pickle.dumps(upset))):
+        assert same == upset and vars(same) == {"period": 2, "residues": frozenset({0}),
+                                                "flips": frozenset({1, 2}), "threshold": 3}
+        assert same.count_below(5) == 3 and vars(same)["_sorted"] == ([0], [2], [1])
 
 
 def test_values_match_their_fields_positionally():

@@ -12,8 +12,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from itertools import filterfalse, islice
+from itertools import compress, filterfalse, islice
 from math import lcm
+
+from borelcmp.posetlab import UPSet
+
+
+def sparse_from_bits(bits, period: int, word) -> UPSet:
+    """The sparse ``UPSet`` with membership ``bits[n]`` below ``len(bits)``
+    and ``word[n % period]`` from there on."""
+    bits = tuple(bits)
+    return UPSet.from_word(compress(range(len(bits)), bits), len(bits), period, word)
 
 
 def _minimal_period(word: tuple) -> tuple:
