@@ -9,10 +9,13 @@ machine-checkable certificate.  A Pontryagin-dual route re-derives compact
 verdicts independently, and a poset laboratory realizes the almost-inclusion
 order on ultimately periodic sets inside the reducibility order.
 
-``import borelcmp`` loads the product engine only.  The names of the dual
-route (``duality``) and of the poset laboratory (``posetlab``) load their
-module on first use (PEP 562), so a process that decides products imports
-neither; the import lock makes that first use safe from any thread.
+``import borelcmp`` loads the expressions, the profiles and the literals
+only.  The names of the product engine (``reducibility``, which loads
+``matching``), of the dual route (``duality``) and of the poset laboratory
+(``posetlab``) load their module on first use (PEP 562), so a process that
+parses or normalizes imports none of them, and one that decides products
+neither of the last two; the import lock makes that first use safe from any
+thread.
 """
 
 from importlib import import_module
@@ -41,21 +44,6 @@ from .groups import (
     normalize_group,
     solenoid,
 )
-from .reducibility import (
-    Certificate,
-    ComparisonOutcome,
-    EdgeBlock,
-    EdgeReason,
-    EdgeWitness,
-    HallViolator,
-    IndexRanges,
-    Verdict,
-    atom_reduces,
-    compare,
-    reduces,
-    rt_closed_form,
-    verify_certificate,
-)
 from .literals import (
     parse_group,
     parse_profile,
@@ -71,6 +59,11 @@ __version__ = "0.1.0"
 
 # The public names of the modules that load on first use, by module.
 _LAZY_MODULES = {
+    "reducibility": (
+        "Certificate", "ComparisonOutcome", "EdgeBlock", "EdgeReason", "EdgeWitness", "HallViolator",
+        "IndexRanges", "Verdict",
+        "atom_reduces", "compare", "reduces", "rt_closed_form", "verify_certificate",
+    ),
     "duality": (
         "INTEGERS", "DualExpr", "RationalType",
         "dual", "dual_reduces", "hom_nonzero_exists", "rank",
@@ -88,9 +81,6 @@ __all__ = [
     "oracle_injection", "preceq", "profile_from_sequence",
     "REAL", "TORUS", "TRIVIAL_GROUP", "Atom", "AtomKind", "GroupExpr", "dimension", "group",
     "is_compact", "normalize_group", "solenoid",
-    "Certificate", "ComparisonOutcome", "EdgeBlock", "EdgeReason", "EdgeWitness", "HallViolator",
-    "IndexRanges", "Verdict",
-    "atom_reduces", "compare", "reduces", "rt_closed_form", "verify_certificate",
     "parse_group", "parse_profile", "parse_sequence", "parse_upset",
     "render_dual", "render_group", "render_profile", "render_upset",
     *_LAZY,

@@ -7,12 +7,14 @@ x86-64 host.  A subclass of ``Value`` declares its field names in
 repr follow from the fields as a frozen dataclass derives them, and no
 code is generated.
 
-Every value type of the package is a ``Value`` but
-``reducibility.Verdict``, which stays a frozen dataclass because the
-benchmark's self-check flips a verdict with ``dataclasses.replace``.  A
-subclass that declares its fields as ``__slots__`` has no instance dict; one
-that declares no ``__slots__``, as ``UPSet``, keeps one, which holds what it
-stores beside its fields and what a ``cached_property`` caches.
+Every value type of the package is a ``Value``, so no start-up loads
+``dataclasses``.  ``reducibility.Verdict`` alone also answers
+``dataclasses.replace``, with which the benchmark's self-check flips a
+verdict: its ``__dataclass_fields__`` is made on first access.
+
+A subclass that declares its fields as ``__slots__`` has no instance dict;
+one that declares no ``__slots__``, as ``UPSet``, keeps one, which holds
+what it stores beside its fields and what a ``cached_property`` caches.
 """
 
 from __future__ import annotations

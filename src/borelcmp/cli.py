@@ -23,10 +23,12 @@ code.
 The ``family-*`` verbs operate on the default family (p = {2:w},
 q = {default=w}); ``family-new`` validates and describes an arbitrary one.
 
-A process loads only what its verb runs.  Every verb loads the product
-engine.  ``dual`` adds the dual route (``duality``) and the ``family-*``
-verbs the poset laboratory (``posetlab``); ``selftest`` loads both and the
-``selftest`` module.  ``--json`` adds the standard ``json`` module.
+A process loads only what its verb runs.  Every verb loads the
+expressions, the profiles and the literals.  ``reduce`` and ``compare`` add
+the product engine (``reducibility``, which loads ``matching``), ``dual``
+the dual route (``duality``, which loads ``matching``) and the ``family-*``
+verbs the poset laboratory (``posetlab``); ``selftest`` loads all three and
+the ``selftest`` module.  ``--json`` adds the standard ``json`` module.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 
 from .errors import BorelcmpError, DomainError, ParseError
 from .groups import dimension, is_compact
@@ -44,7 +47,6 @@ from .literals import (
     render_dual,
     render_group,
 )
-from .reducibility import EdgeReason, compare, reduces
 from .report import Report, certificate_payload
 from .supernatural import deficit, oracle_replay, preceq, refutation_witness
 
@@ -70,19 +72,22 @@ SIZE_CAPS = {
 Command = argparse.Namespace
 
 
-# bench/tracing.py patches these bindings; they resolve to the poset lab's
-# functions, which the handlers look up on ``posetlab`` at call time.  Kept
-# only for the tracer, like the tracer imports in ``reducibility`` and
-# ``posetlab`` (ROADMAP items 1/4).
-_TRACED_POSETLAB = ("member_crosscheck", "member_sequence", "chain_demo")
+# bench/tracing.py and bench/selfcheck.py patch these bindings, by name ->
+# module; they resolve to the module's functions, which the handlers look up
+# on the module at call time.  Kept only for the benchmark, like the tracer
+# imports in ``reducibility`` and ``posetlab`` (ROADMAP items 1/4).
+_FORWARDED = {
+    "reduces": "reducibility",
+    "member_crosscheck": "posetlab",
+    "member_sequence": "posetlab",
+    "chain_demo": "posetlab",
+}
 
 
 def __getattr__(name):
-    if name not in _TRACED_POSETLAB:
+    if name not in _FORWARDED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import posetlab
-
-    return getattr(posetlab, name)
+    return getattr(import_module(f"{__package__}.{_FORWARDED[name]}"), name)
 
 
 class UsageError(BorelcmpError):
@@ -201,6 +206,8 @@ def run(command: Command):
 # -- one handler per verb: each returns (report fields, exit code) ---------------
 
 def _reduce(command: Command):
+    from .reducibility import EdgeReason, reduces
+
     verdict = reduces(command.g, command.h)
     diagnostics = []
     if verdict.reducible:
@@ -227,6 +234,8 @@ def _reduce(command: Command):
 
 
 def _compare(command: Command):
+    from .reducibility import compare
+
     return {"verdict": compare(command.g, command.h).value}, EXIT_OK
 
 

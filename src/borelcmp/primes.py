@@ -17,7 +17,9 @@
   ``SIEVE_CAP`` and below 2^32 it segment-sieves each span of 2^16
   numbers from the same flags when it gets there, and stores none of
   them; from 2^32 on it tests the candidates 6k +- 1 in turn.
-* ``nextprime(n)`` is the first prime of ``primes_after(n)``.
+* ``nextprime(n)`` is the first prime of ``primes_after(n)``; from
+  ``SIEVE_CAP`` on, where a span would be sieved for one prime, it tests
+  the candidates 6k +- 1 as the walk does past 2^32.
 * The runs of that walk are read as they are stored: ``_runs_outside``
   leaves a finite set of primes out of them, and ``_every_third`` takes
   every third prime of them as slices.
@@ -149,10 +151,11 @@ def isprime(n: int) -> bool:
 def nextprime(n: int) -> int:
     """The least prime greater than ``n``.
 
-    >>> nextprime(1), nextprime(13), nextprime(2**22)
-    (2, 17, 4194319)
+    >>> nextprime(1), nextprime(13), nextprime(2**22), nextprime(2**24)
+    (2, 17, 4194319, 16777259)
     """
-    return next(primes_after(n))
+    lo = _after(n)
+    return next(_tested_primes(lo) if lo >= SIEVE_CAP else chain.from_iterable(_prime_chunks(lo)))
 
 
 def primes_after(n: int) -> Iterator[int]:
@@ -162,13 +165,24 @@ def primes_after(n: int) -> Iterator[int]:
     >>> list(islice(primes_after(1), 5)), next(primes_after(2**22))
     ([2, 3, 5, 7, 11], 4194319)
     """
+    return chain.from_iterable(_prime_chunks(_after(n)))
+
+
+def _after(n: int) -> int:
+    """The least natural number greater than the integer ``n``."""
     try:
         if isinstance(n, bool):
             raise TypeError  # refused as in checked_natural
-        lo = max(index(n) + 1, 0)
+        return max(index(n) + 1, 0)
     except TypeError:
         raise DomainError(f"only integers have primes after them, got {n!r}") from None
-    return chain.from_iterable(_prime_chunks(lo))
+
+
+def _tested_primes(lo: int) -> Iterator[int]:
+    """The primes from ``lo > 3`` on: the candidates 6k +- 1 that
+    ``isprime`` accepts."""
+    candidates = chain.from_iterable((k + 1, k + 5) for k in count(lo // 6 * 6, 6))
+    return filter(isprime, dropwhile(lo.__gt__, candidates))
 
 
 def _prime_chunks(lo: int) -> Iterator[Iterable[int]]:
@@ -190,9 +204,7 @@ def _prime_chunks(lo: int) -> Iterator[Iterable[int]]:
     for start in range(lo - lo % _CHUNK, _CHUNK * _CHUNK, _CHUNK):
         primes = _segment_primes(start, start + _CHUNK, _sieved(start, start + _CHUNK, flags))
         yield primes[bisect_left(primes, lo):]
-    lo = max(lo, _CHUNK * _CHUNK)
-    candidates = chain.from_iterable((k + 1, k + 5) for k in count(lo // 6 * 6, 6))
-    yield filter(isprime, dropwhile(lo.__gt__, candidates))
+    yield _tested_primes(max(lo, _CHUNK * _CHUNK))
 
 
 def _runs_outside(excluded) -> Iterator:

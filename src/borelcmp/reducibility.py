@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
@@ -152,18 +151,40 @@ class HallViolator(Value):
         object.__setattr__(self, "NK", NK)
 
 
-# The package's one dataclass: ``bench/selfcheck.py`` flips a verdict with
-# ``dataclasses.replace``, which needs one.  Once the benchmark builds the
-# flipped verdict with the constructor, ``Verdict`` can be a ``Value`` too,
-# and no verb loads ``dataclasses``.
-@dataclass(frozen=True)
-class Verdict:
+class _DataclassFields:
+    """``__dataclass_fields__`` of a ``Value``, made on first access from
+    its constructor's signature by a frozen dataclass of the same fields, and
+    then stored on the class in place of this descriptor.  With it,
+    ``dataclasses.replace``, ``fields``, ``asdict`` and ``is_dataclass``
+    work on the value; only a caller of ``dataclasses``, which has loaded
+    it already, ever reads it."""
+
+    def __get__(self, instance, owner):
+        from dataclasses import MISSING, field, make_dataclass
+
+        init = owner.__init__
+        defaults = dict(zip(owner._fields[::-1], init.__defaults__[::-1]))
+        spec = [(name, init.__annotations__[name], field(default=defaults.get(name, MISSING)))
+                for name in owner._fields]
+        owner.__dataclass_fields__ = make_dataclass(owner.__name__, spec, frozen=True).__dataclass_fields__
+        return owner.__dataclass_fields__
+
+
+class Verdict(Value):
     """A positive verdict carries a ``Certificate`` and a negative one a
     ``HallViolator``, as ``reduces`` builds them."""
 
-    reducible: bool
-    certificate: Certificate | None = None
-    violator: HallViolator | None = None
+    __slots__ = _fields = ("reducible", "certificate", "violator")
+    # ``bench/selfcheck.py`` flips a verdict with ``dataclasses.replace``; once
+    # the benchmark builds the flipped verdict with the constructor, this goes.
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(
+        self, reducible: bool, certificate: Certificate | None = None, violator: HallViolator | None = None
+    ):
+        object.__setattr__(self, "reducible", reducible)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "violator", violator)
 
 
 class ComparisonOutcome(Enum):

@@ -20,7 +20,6 @@ deterministic: no timestamps, fixed ordering everywhere.
 from __future__ import annotations
 
 from ._value import Value
-from .reducibility import Verdict
 from .supernatural import OMEGA
 
 
@@ -78,8 +77,8 @@ class Report(Value):
         return cls.from_dict(json.loads(text))
 
 
-def certificate_payload(v: Verdict) -> dict:
-    """JSON form of a verdict's certificate or violator."""
+def certificate_payload(v) -> dict:
+    """JSON form of the certificate or violator of a ``reducibility.Verdict``."""
     if v.reducible:
         edges = []
         for left, right, count, reason, deficit in v.certificate.blocks:

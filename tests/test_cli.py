@@ -13,7 +13,7 @@ import time
 import pytest
 from jsonschema import validate
 
-from borelcmp import cli, selftest
+from borelcmp import cli, reducibility, selftest
 from borelcmp.cli import (
     EXIT_DOMAIN,
     EXIT_FALSE_VERDICT,
@@ -368,7 +368,7 @@ def test_main_internal_error(monkeypatch, capsys):
     def broken(g, h):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "reduces", broken)
+    monkeypatch.setattr(reducibility, "reduces", broken)  # the binding the handler reads
     code = main(["reduce", "T", "T"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INTERNAL == 4

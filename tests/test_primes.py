@@ -86,6 +86,17 @@ def test_nextprime_past_the_sieve_cap():
         assert nextprime(n) == sympy.nextprime(n)
 
 
+def test_nextprime_past_the_sieve_cap_tests_candidates_as_the_walk_finds_them(monkeypatch):
+    """From ``SIEVE_CAP`` on, ``nextprime`` tests the candidates 6k +- 1 with
+    ``isprime`` instead of sieving a span of 2^16 numbers for one prime."""
+    rng = random.Random(2**24)
+    points = [primes.SIEVE_CAP - 1, primes.SIEVE_CAP, 2**32 - 1, 2**32,
+              *(rng.randrange(2**24, 2**32 + 2**20) for _ in range(40))]
+    expected = [next(primes_after(n)) for n in points]
+    monkeypatch.setattr(primes, "_sieved", None)  # a sieve call would raise
+    assert [nextprime(n) for n in points] == expected
+
+
 @pytest.mark.parametrize("bound", [2**24, 2**24 + 2**16, 2**32])
 def test_primes_after_past_the_sieve_cap_agrees_with_sympy(bound):
     """Past ``SIEVE_CAP`` a walk segment-sieves each span of 2^16 numbers

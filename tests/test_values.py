@@ -3,7 +3,8 @@
 Each is built from its positional fields or by keyword with its defaults,
 equals and hashes like a value of the same class with equal fields, refuses
 assignment and deletion, survives ``copy`` and ``pickle``, and prints the
-repr a frozen dataclass would print.
+repr a frozen dataclass would print.  A ``Verdict`` also answers the
+functions of ``dataclasses`` as the frozen dataclass it once was.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from borelcmp.duality import INTEGERS, DualExpr, RationalType
 from borelcmp.groups import REAL, TORUS, Atom, AtomKind, GroupExpr, RawPower, RawProduct
 from borelcmp.posetlab import ChainDemo, CrosscheckReport, Family, MemberRef, UPSet
-from borelcmp.reducibility import Certificate, EdgeBlock, EdgeReason, EdgeWitness, HallViolator, IndexRanges
+from borelcmp.reducibility import Certificate, EdgeBlock, EdgeReason, EdgeWitness, HallViolator, IndexRanges, Verdict
 from borelcmp.report import Report
 from borelcmp.supernatural import OMEGA, IntSeqSpec, Replay, SupernaturalProfile
 
@@ -28,6 +29,9 @@ FAMILY_REPR = "Family(p={2:w}, q={default=w})"
 EVENS_REPR = "UPSet(period=2, residues=frozenset({0}), flips=frozenset())"
 MEMBER_REPR = f"MemberRef(family={FAMILY_REPR}, a={EVENS_REPR}, power=1)"
 REPLAY = Replay(0, 10, 10)
+CERTIFICATE = Certificate((EdgeBlock(1, 2, 2, T_T),))
+VIOLATOR = HallViolator(IndexRanges((range(1, 3),)), IndexRanges((range(1, 2),)))
+VERDICT_FIELDS = [(True, CERTIFICATE, None), (False, None, VIOLATOR)]
 
 # (class, positional fields, the same value by keyword with defaults left out, repr)
 CASES = [
@@ -68,6 +72,13 @@ CASES = [
     (ChainDemo, (("evens",), (MemberRef(FAMILY, EVENS),), ((True,),)),
      {"labels": ("evens",), "members": (MemberRef(FAMILY, EVENS),), "matrix": ((True,),)},
      f"ChainDemo(labels=('evens',), members=({MEMBER_REPR},), matrix=((True,),))"),
+    # the reprs a frozen dataclass ``Verdict`` printed
+    (Verdict, VERDICT_FIELDS[0], {"reducible": True, "certificate": CERTIFICATE},
+     "Verdict(reducible=True, certificate=Certificate(blocks=(EdgeBlock(left=1, right=2, count=2, "
+     "reason=<EdgeReason.RULE_T_T: 'RULE_T_T'>, deficit=()),)), violator=None)"),
+    (Verdict, VERDICT_FIELDS[1], {"reducible": False, "violator": VIOLATOR},
+     "Verdict(reducible=False, certificate=None, "
+     "violator=HallViolator(K=IndexRanges(ranges=(range(1, 3),)), NK=IndexRanges(ranges=(range(1, 2),))))"),
     (RationalType, (SupernaturalProfile((), 0),), {},
      "RationalType(profile=SupernaturalProfile(exceptions=(), default=0))"),
     (DualExpr, (((INTEGERS, 2),),), {"runs": ((INTEGERS, 2),)},
@@ -78,7 +89,8 @@ CASES = [
 @pytest.mark.parametrize("cls, args, keywords, text", CASES, ids=[case[0].__name__ for case in CASES])
 def test_value_semantics(cls, args, keywords, text):
     value = cls(*args)
-    assert repr(value) == text and not dataclasses.is_dataclass(value)
+    # only a verdict answers ``dataclasses`` (see below)
+    assert repr(value) == text and dataclasses.is_dataclass(value) == (cls is Verdict)
     for same in (cls(*args), cls(**keywords), copy.copy(value), pickle.loads(pickle.dumps(value))):
         assert same is not value and same == value and hash(same) == hash(value)
         assert not same != value
@@ -142,3 +154,29 @@ def test_values_match_their_fields_positionally():
             assert count == 2
         case _:
             raise AssertionError("no match")
+
+
+# A verdict as the frozen dataclass that ``Verdict`` once was, field for field
+@dataclasses.dataclass(frozen=True)
+class DataclassVerdict:
+    reducible: bool
+    certificate: Certificate | None = None
+    violator: HallViolator | None = None
+
+
+@pytest.mark.parametrize("fields", VERDICT_FIELDS, ids=["positive", "negative"])
+def test_verdict_answers_dataclasses_as_a_frozen_dataclass(fields):
+    verdict, reference = Verdict(*fields), DataclassVerdict(*fields)
+    assert repr(verdict) == repr(reference).replace("DataclassVerdict", "Verdict")
+    assert verdict != reference and hash(verdict) == hash(reference) == hash(fields)
+    assert dataclasses.is_dataclass(verdict) and dataclasses.is_dataclass(Verdict)
+    # the Field reprs name every attribute, the private field type among them
+    assert repr(dataclasses.fields(verdict)) == repr(dataclasses.fields(reference))
+    assert repr(dataclasses.fields(Verdict)) == repr(dataclasses.fields(DataclassVerdict))
+    assert dataclasses.asdict(verdict) == dataclasses.asdict(reference)
+    assert dataclasses.astuple(verdict) == dataclasses.astuple(reference)
+    flipped = dataclasses.replace(verdict, reducible=not verdict.reducible)
+    assert type(flipped) is Verdict
+    assert repr(flipped) == repr(dataclasses.replace(reference, reducible=not verdict.reducible)).replace(
+        "DataclassVerdict", "Verdict")
+    assert dataclasses.replace(verdict) == verdict
