@@ -48,7 +48,7 @@ from .literals import (
     render_group,
 )
 from .report import Report, certificate_payload
-from .supernatural import deficit, oracle_replay, preceq, refutation_witness
+from .supernatural import _prime_pairs, deficit, oracle_replay, preceq, refutation_witness
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -215,6 +215,7 @@ def _reduce(command: Command):
         for left, right, count, reason, deficit in verdict.certificate.blocks:
             tail = f" ({reason.value.removeprefix('RULE_')})"
             if command.show_certificate and reason is EdgeReason.RULE_SOL_SOL:
+                deficit = _prime_pairs(deficit)
                 pairs = ", ".join(f"{g}^{d}" for g, d in deficit) or "none"
                 tail += f" [surplus: {pairs}; total {sum(d for _, d in deficit)}]"
             diagnostics += [f"{left + j} -> {right - j}{tail}" for j in range(count)]

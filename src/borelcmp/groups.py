@@ -239,33 +239,60 @@ def _factor_count(node: RawNode) -> int:
     return 1  # an Atom or an IntSeqSpec
 
 
-def _expand(node: RawNode) -> tuple:
-    """Canonical runs of a raw tree."""
+def _expand(node: RawNode, unsplit: list) -> tuple:
+    """Canonical runs of a raw tree; the atom of each sequence leaf whose
+    profile has an unsplit key is appended to ``unsplit``."""
     if isinstance(node, GroupExpr):
         return node.runs
     if isinstance(node, Atom):
         return ((node, 1),)
     if isinstance(node, IntSeqSpec):
-        return ((Atom._of_profile(profile_from_sequence(node)), 1),)
+        atom = Atom._of_profile(profile_from_sequence(node))
+        if atom.profile.unsplit:
+            unsplit.append(atom)
+        return ((atom, 1),)
     if isinstance(node, RawPower):
-        return _power(_expand(node.base), node.exponent)
+        return _power(_expand(node.base, unsplit), node.exponent)
     if isinstance(node, RawProduct):
-        return _joined(map(_expand, node.parts))
+        return _joined([_expand(part, unsplit) for part in node.parts])
     raise DomainError(f"not a group expression node: {node!r}")
+
+
+def _on_one_base_runs(runs: tuple) -> tuple:
+    """``runs`` with their solenoid profiles over one coprime base of all
+    their keys (``coprime.on_one_base``), joined again: atoms that are the
+    same group are now equal, so their runs merge."""
+    from .coprime import on_one_base
+
+    atoms = {id(atom): atom for atom, _ in runs if atom.kind is AtomKind.SOLENOID}
+    profiles = on_one_base([atom.profile for atom in atoms.values()], classify=True)
+    swapped = {key: Atom._of_profile(new) for (key, atom), new in zip(atoms.items(), profiles)
+               if new is not atom.profile}
+    return _joined(((swapped.get(id(atom), atom), count),) for atom, count in runs)
 
 
 def normalize_group(node: RawNode) -> GroupExpr:
     """Flatten a raw tree to canonical runs: powers multiply run counts,
     nested products splice with equal atoms merged where they meet,
-    integer-sequence solenoids factor into prime solenoids, and the trivial
-    group contributes nothing.  Idempotent on normalized expressions.
-    More than ``MAX_FACTORS`` factors is a ``DomainError``.
+    integer-sequence solenoids become solenoids of their profiles, and the
+    trivial group contributes nothing.  Idempotent on normalized
+    expressions.  More than ``MAX_FACTORS`` factors is a ``DomainError``.
+
+    When a sequence leaves an unsplit key, the keys of every solenoid of
+    the expression are refined into one coprime base, so two of its atoms
+    are equal exactly when they are the same group:
+
+    >>> g = normalize_group(RawProduct((IntSeqSpec((65537 * 65539,), (3,)), solenoid({65537: 1, 65539: 1, 3: OMEGA}))))
+    >>> len(g.runs), dimension(g)
+    (1, 2)
     """
     if isinstance(node, GroupExpr):
         return node
     if _factor_count(node) > MAX_FACTORS:
         raise DomainError(f"expression has more than {MAX_FACTORS} factors, the cap on one expression")
-    return GroupExpr._of_runs(_expand(node))
+    unsplit: list = []
+    runs = _expand(node, unsplit)
+    return GroupExpr._of_runs(_on_one_base_runs(runs) if unsplit else runs)
 
 
 def dimension(g: GroupExpr) -> int:

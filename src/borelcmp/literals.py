@@ -23,7 +23,9 @@ from ``from`` on.  ``fin{...}`` lists the members of a finite set and
 
 Profile literals must describe an infinite prime multiset (a multiplicity
 ``w`` somewhere or default ``w``); sequence literals may contain composite
-entries, which are factored during group normalization.
+entries.  Normalization splits off their prime factors below 2^16 and
+keeps a composite cofactor whole, refined against the other keys of the
+expression by gcds; only printing factors it.
 
 The parser reads the token texts of one ``findall`` pass and keeps no
 positions.  A ``ParseError`` names the offending token's position, which
@@ -388,8 +390,10 @@ def _render_runs(runs: tuple) -> str:
 
 
 def render_group(g: GroupExpr) -> str:
-    """Canonical text: one power per run; reparses to the identical
-    expression."""
+    """Canonical text: one power per run, with every profile over primes.
+    It reparses to the identical expression when every key is prime, and
+    otherwise to the expression with each profile ``_factored``.  Printing
+    an unsplit key past the factoring budget is a ``DomainError``."""
     return _render_runs(g.runs)
 
 

@@ -60,6 +60,7 @@ from .supernatural import (
     SupernaturalProfile,
     _covering_prefix,
     _Layout,
+    _factored,
     _paired,
     _primes_outside,
     _ranks,
@@ -371,6 +372,7 @@ class Family(Value):
             )
         if not preceq(p, q):
             raise DomainError("family requires p preceq q (q's relation reduces to p's)")
+        p, q = _factored(p), _factored(q)  # the d-enumeration and the layouts read primes
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 

@@ -23,15 +23,19 @@
 * The runs of that walk are read as they are stored: ``_runs_outside``
   leaves a finite set of primes out of them, and ``_every_third`` takes
   every third prime of them as slices.
-* ``factorint`` trial-divides by the primes of chunk 0, the primes below
+* ``_trial_division`` divides by the primes of chunk 0, the primes below
   2^16, stopping at the first prime whose square exceeds the cofactor,
-  which is then 1 or prime.  Only a cofactor left after every prime below
-  2^16 goes to ``isprime``, and a composite one is split with Pollard-Brent
-  (Brent 1980) within ``FACTOR_BUDGET`` steps; past the budget it raises
-  :class:`DomainError` instead of running on.
+  which is then 1 or prime.  It returns what is left after every prime
+  below 2^16, which may be prime or composite.  ``profile_from_sequence``
+  tests that cofactor with ``isprime`` and keeps a composite one whole.
+* ``factorint`` trial-divides the same way, sends the cofactor left to
+  ``isprime``, and splits a composite one with Pollard-Brent (Brent 1980)
+  within ``FACTOR_BUDGET`` steps; past the budget it raises
+  :class:`DomainError` instead of running on.  No verdict calls it: it
+  serves the printers, which name primes.
 
-The sieve is the one cache of the package: process-wide primality flags of
-the numbers below 2^16, built once, and the prime chunks, each stored once.
+The sieve is the cache of this module: process-wide primality flags of the
+numbers below 2^16, built once, and the prime chunks, each stored once.
 Both are stored complete under a lock and never change, so concurrent
 callers only ever see complete flags and complete chunks.
 """
@@ -252,16 +256,10 @@ def factorint(n: int) -> dict:
     ({2: 3, 3: 2, 5: 1}, {})
     """
     checked_natural(n, "only positive integers are factored", 1)
-    original, factors = n, {}
-    for p in _SIEVE.chunk(0):
-        if p * p > n:  # no prime below p divides the cofactor, so it is 1 or prime
-            if n > 1:
-                factors[n] = 1
-            return factors
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    pending = [n] if n > 1 else []
+    factors, rest = _trial_division(n)
+    if rest == 1:
+        return factors
+    pending = [rest]
     budget = FACTOR_BUDGET
     while pending:
         m = pending.pop()
@@ -271,11 +269,34 @@ def factorint(n: int) -> dict:
         d, budget = _pollard_brent(m, budget)
         if d is None:
             raise DomainError(
-                f"factoring {original} needs more than {FACTOR_BUDGET} Pollard-Brent steps, "
+                f"factoring {n} needs more than {FACTOR_BUDGET} Pollard-Brent steps, "
                 "the factoring budget"
             )
         pending += [d, m // d]
     return dict(sorted(factors.items()))
+
+
+def _trial_division(n: int) -> tuple:
+    """The prime factors of the natural ``n >= 1`` that trial division by
+    the primes below 2^16 finds, as ``{prime: exponent}``, ascending, and
+    the cofactor they leave: 1, or a number above 1 with no prime factor
+    below 2^16 that may be prime or composite.  Division stops at the
+    first prime whose square exceeds the cofactor, which is then 1 or a
+    prime, listed among the factors.
+
+    >>> _trial_division(360), _trial_division(65537), _trial_division(65537 * 65539)
+    (({2: 3, 3: 2, 5: 1}, 1), ({65537: 1}, 1), ({}, 4295229443))
+    """
+    factors = {}
+    for p in _SIEVE.chunk(0):
+        if p * p > n:  # no prime below p divides the cofactor, so it is 1 or prime
+            if n > 1:
+                factors[n] = 1
+            return factors, 1
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    return factors, n
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:

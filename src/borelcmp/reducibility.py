@@ -41,7 +41,7 @@ from .errors import DomainError, checked_natural
 from .groups import REAL, TORUS, Atom, AtomKind, GroupExpr, dimension, run_ends, solenoid
 from .matching import class_flow
 from .matching import saturating_matching_or_violator  # noqa: F401  bench/tracing.py patches this binding
-from .supernatural import OMEGA, finite_surplus_table, preceq
+from .supernatural import OMEGA, _prime_pairs, finite_surplus_table, preceq
 
 __all__ = [
     "EdgeReason",
@@ -73,6 +73,8 @@ class EdgeWitness(Value):
     factor ``right_index`` (both 1-based) for the stated reason.  For
     solenoid/solenoid edges, ``deficit`` is the per-prime surplus of the
     target profile over the source profile; its total is finite by validity.
+    When a profile has an unsplit key, ``deficit`` is keyed by the coprime
+    base of the two profiles, and ``total_deficit`` counts primes.
     """
 
     __slots__ = _fields = ("left_index", "right_index", "reason", "deficit")
@@ -85,12 +87,14 @@ class EdgeWitness(Value):
 
     @property
     def total_deficit(self) -> int:
-        return sum(d for _, d in self.deficit)
+        return sum(d for _, d in _prime_pairs(self.deficit))
 
 
 EdgeBlock = namedtuple("EdgeBlock", ("left", "right", "count", "reason", "deficit"), defaults=((),))
 EdgeBlock.__doc__ = """``count`` certificate edges with one reason and surplus table: source
-factor ``left + j`` maps to target factor ``right - j`` for ``j < count``."""
+factor ``left + j`` maps to target factor ``right - j`` for ``j < count``.
+``deficit`` is keyed as ``EdgeWitness.deficit``: by a coprime base when a
+profile has an unsplit key."""
 
 
 class Certificate(Value):

@@ -20,7 +20,7 @@ deterministic: no timestamps, fixed ordering everywhere.
 from __future__ import annotations
 
 from ._value import Value
-from .supernatural import OMEGA
+from .supernatural import OMEGA, _prime_pairs
 
 
 def _mult_json(m) -> int | str:
@@ -83,7 +83,7 @@ def certificate_payload(v) -> dict:
         edges = []
         for left, right, count, reason, deficit in v.certificate.blocks:
             # the edges of one block share its reason and deficit list
-            tail = {"reason": reason.value, "deficit": [[gamma, _mult_json(d)] for gamma, d in deficit]}
+            tail = {"reason": reason.value, "deficit": [[gamma, _mult_json(d)] for gamma, d in _prime_pairs(deficit)]}
             edges += [{"left": left + j, "right": right - j, **tail} for j in range(count)]
         return {"edges": edges}
     return {"violator": {"K": list(v.violator.K), "NK": list(v.violator.NK)}}

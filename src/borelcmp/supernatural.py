@@ -17,6 +17,17 @@ many Q-positions would need distinct P-positions carrying a prime P runs
 out of.  ``oracle_replay`` gives an independent finite-scale check of
 exactly this argument, at a drop and a window computed from the layout of
 the canonical sequences (``_Layout``).
+
+The profile of a sequence keeps, as an *unsplit key*, any cofactor that
+trial division by the primes below 2^16 leaves composite: a key k of
+multiplicity m gives each prime gamma of k the multiplicity m * v_gamma(k).
+Verdicts (``preceq``, ``finite_surplus_table``) refine the keys of the
+profiles they compare into one coprime base by pairwise gcds, which is
+exact: a prime dividing a base element e is OMEGA exactly when e is.  So
+no verdict factors anything.  What names or counts primes (printing,
+``deficit``, ``refutation_witness``, the canonical sequences and the
+replay) reads ``_factored``, which splits unsplit keys with ``factorint``
+within its budget and refuses past it.
 """
 
 from __future__ import annotations
@@ -28,7 +39,8 @@ from math import isqrt
 
 from ._value import Value
 from .errors import DomainError, checked_natural
-from .primes import _runs_outside, factorint, isprime
+from .primes import _runs_outside, _trial_division, isprime
+from .primes import factorint  # noqa: F401  bench/tracing.py patches this binding
 
 __all__ = [
     "OMEGA",
@@ -112,6 +124,16 @@ def _check_prime(gamma) -> int:
     return gamma
 
 
+class _Unsplit(int):
+    """An unsplit key: a number above 1 with no prime factor below 2^16,
+    left whole by trial division or by a gcd with another key, composite
+    or not known to be prime.  It equals and hashes as its int.  The
+    module ``coprime`` handles these keys, and loads when the first is
+    made."""
+
+    __slots__ = ()
+
+
 class SupernaturalProfile(Value):
     """Multiplicity function on primes: finite exceptions over a 0/OMEGA default.
 
@@ -129,9 +151,15 @@ class SupernaturalProfile(Value):
     profile is the type of the integers on the dual side.  Boundaries that
     require an infinite sequence behind the profile (solenoid payloads,
     literal parsing, canonical sequences) check ``has_infinite_total``.
+
+    A profile built from a sequence (``profile_from_sequence``) may also
+    have *unsplit* keys, pairwise coprime with its other keys; ``unsplit``
+    tells whether it has one.  Equality is equality of the stored keys, and
+    ``_factored`` gives the profile over primes.
     """
 
-    __slots__ = _fields = ("exceptions", "default")
+    _fields = ("exceptions", "default")
+    __slots__ = (*_fields, "unsplit")
 
     def __init__(self, exceptions=(), default: Mult = 0):
         default = _check_mult(default)
@@ -143,25 +171,31 @@ class SupernaturalProfile(Value):
         except (TypeError, ValueError):
             raise DomainError(f"profile exceptions must be (prime, multiplicity) pairs, got {exceptions!r}") from None
         seen = {}
+        unsplit = False
         for gamma, value in pairs:
-            gamma = _check_prime(gamma)
+            if type(gamma) is _Unsplit:  # made, and vetted, where trial division left it whole
+                unsplit = True
+            else:
+                gamma = _check_prime(gamma)
             if gamma in seen:
                 raise DomainError(f"duplicate exception for prime {gamma}")
             seen[gamma] = _check_mult(value)
-        self._store(seen, default)
+        self._store(seen, default, unsplit)
 
-    def _store(self, multiplicities: dict, default: Mult):
+    def _store(self, multiplicities: dict, default: Mult, unsplit: bool = False):
         items = sorted(multiplicities.items())
         canonical = tuple((gamma, value) for gamma, value in items if value != default)
         object.__setattr__(self, "exceptions", canonical)
         object.__setattr__(self, "default", default)
+        object.__setattr__(self, "unsplit", unsplit and any(type(key) is _Unsplit for key, _ in canonical))
 
     @classmethod
-    def _of_primes(cls, multiplicities: dict, default: Mult) -> "SupernaturalProfile":
-        """A profile whose keys are known primes and values valid
-        multiplicities, built without testing them again."""
+    def _of_primes(cls, multiplicities: dict, default: Mult, unsplit: bool = False) -> "SupernaturalProfile":
+        """A profile whose keys are known primes, or with ``unsplit`` also
+        ``_Unsplit`` keys, and values valid multiplicities, built without
+        testing them again."""
         profile = object.__new__(cls)
-        profile._store(multiplicities, default)
+        profile._store(multiplicities, default, unsplit)
         return profile
 
     @classmethod
@@ -169,16 +203,21 @@ class SupernaturalProfile(Value):
         return cls((), OMEGA)
 
     def multiplicity(self, gamma: int) -> Mult:
-        """The multiplicity assigned to the prime ``gamma``."""
+        """The multiplicity assigned to the prime ``gamma``: read off the
+        one key that ``gamma`` divides, so an unsplit key is not split."""
         _check_prime(gamma)
         for key, value in self.exceptions:
             if key == gamma:
                 return value
+            if type(key) is _Unsplit and key % gamma == 0:
+                from .coprime import valuation
+
+                return value if value is OMEGA else value * valuation(key, gamma)
         return self.default
 
     @property
     def omega_primes(self) -> frozenset:
-        """Exception primes carrying multiplicity OMEGA (default not included)."""
+        """Exception keys carrying multiplicity OMEGA (default not included)."""
         return frozenset(g for g, v in self.exceptions if v is OMEGA)
 
     @property
@@ -190,7 +229,7 @@ class SupernaturalProfile(Value):
         return self.default is OMEGA or any(v is OMEGA for _, v in self.exceptions)
 
     def __str__(self):
-        parts = ", ".join(f"{g}:{v}" for g, v in self.exceptions)
+        parts = ", ".join(f"{g}:{v}" for g, v in _factored(self).exceptions)
         if self.default is OMEGA:
             return "{" + (parts + "; " if parts else "") + "default=w}"
         return "{" + parts + "}"
@@ -231,24 +270,81 @@ def profile_from_sequence(s: IntSeqSpec) -> SupernaturalProfile:
     """The multiplicity profile of the prime sequence that refines ``s``,
     each entry standing for its prime factors with multiplicity: a prime
     counts its exponents once per prefix occurrence, and recurs forever
-    when it divides a tail entry.  Each distinct entry is factored once.
+    when it divides a tail entry.
+
+    Each distinct entry is trial-divided once by the primes below 2^16
+    (``primes._trial_division``), and a cofactor above 1 is tested with
+    ``isprime``.  A composite cofactor stays whole, as an unsplit key, and
+    the keys are then refined by pairwise gcds into a coprime base
+    (``coprime.refinement``).  Nothing here runs Pollard-Brent, so no entry is
+    refused; printing the profile splits its unsplit keys.
 
     >>> str(profile_from_sequence(IntSeqSpec((4, 6, 8), (9,))))
     '{2:6, 3:w}'
+    >>> profile_from_sequence(IntSeqSpec((65537 * 65539,), (3,))).exceptions
+    ((3, OMEGA), (4295229443, 1))
     """
-    factors = {entry: factorint(entry) for entry in dict.fromkeys(s.prefix + s.tail)}
+    factors, unsplit = {}, []
+    for entry in dict.fromkeys(s.prefix + s.tail):
+        found, rest = _trial_division(entry)
+        if rest > 1:
+            if not isprime(rest):
+                rest = _Unsplit(rest)
+                unsplit.append(rest)
+            found[rest] = 1
+        factors[entry] = found
+    if unsplit:
+        from .coprime import refined_entries
+
+        factors = refined_entries(factors, unsplit)
     counts = {}
     for entry, times in Counter(s.prefix).items():
         for gamma, exponent in factors[entry].items():
             counts[gamma] = counts.get(gamma, 0) + exponent * times
     omega = dict.fromkeys((gamma for entry in s.tail for gamma in factors[entry]), OMEGA)
-    return SupernaturalProfile._of_primes({**counts, **omega}, 0)
+    return SupernaturalProfile._of_primes({**counts, **omega}, 0, unsplit=bool(unsplit))
+
+
+def _factored(p: SupernaturalProfile) -> SupernaturalProfile:
+    """``p`` over primes: each unsplit key split by ``factorint``, which
+    raises :class:`DomainError` past its budget.  What names or counts
+    primes reads this form; a profile with prime keys only is ``p`` itself.
+
+    >>> str(_factored(profile_from_sequence(IntSeqSpec((65537 * 65539,), (3,)))))
+    '{3:w, 65537:1, 65539:1}'
+    """
+    if not p.unsplit:
+        return p
+    from .coprime import factored
+
+    return factored(p)
+
+
+def _prime_pairs(pairs) -> tuple:
+    """A surplus table over primes, ascending: an unsplit key k with
+    surplus s gives each prime gamma of k the surplus s * v_gamma(k).  A
+    table with prime keys only comes back as it is."""
+    if not any(type(key) is _Unsplit for key, _ in pairs):
+        return pairs
+    from .coprime import prime_pairs
+
+    return prime_pairs(pairs)
+
+
+def _on_one_base(q: SupernaturalProfile, p: SupernaturalProfile) -> list:
+    """``q`` and ``p`` over one coprime base of their keys."""
+    from .coprime import on_one_base
+
+    return on_one_base((q, p))
 
 
 def _paired(q: SupernaturalProfile, p: SupernaturalProfile) -> Iterator[tuple]:
-    """(prime, multiplicity in q, multiplicity in p) for every exception prime
-    of either profile, ascending.  Reads the stored multiplicities: the
-    primes were validated when the profiles were built."""
+    """(key, multiplicity in q, multiplicity in p) for every exception key
+    of either profile, ascending, over one coprime base when either has
+    an unsplit key.  Reads the stored multiplicities: the keys were
+    validated when the profiles were built."""
+    if q.unsplit or p.unsplit:
+        q, p = _on_one_base(q, p)
     in_q, in_p = dict(q.exceptions), dict(p.exceptions)
     for gamma in sorted(in_q.keys() | in_p.keys()):
         yield gamma, in_q.get(gamma, q.default), in_p.get(gamma, p.default)
@@ -270,7 +366,7 @@ def deficit(q: SupernaturalProfile, p: SupernaturalProfile) -> Mult:
         table = finite_surplus_table(q, p)
     except DomainError:
         return OMEGA
-    return sum(surplus for _, surplus in table)
+    return sum(surplus for _, surplus in _prime_pairs(table))
 
 
 def preceq(q: SupernaturalProfile, p: SupernaturalProfile) -> bool:
@@ -284,7 +380,12 @@ def preceq(q: SupernaturalProfile, p: SupernaturalProfile) -> bool:
     True
     >>> preceq(SupernaturalProfile.all_omega(), SupernaturalProfile({2: OMEGA}))
     False
+
+    Profiles with an unsplit key are decided over one coprime base of both
+    profiles' keys, which is exact and splits no key.
     """
+    if q.unsplit or p.unsplit:
+        q, p = _on_one_base(q, p)
     if q.default is OMEGA:
         return p.default is OMEGA and {g for g, _ in p.exceptions} <= {g for g, _ in q.exceptions}
     if p.default is OMEGA:
@@ -296,7 +397,9 @@ def finite_surplus_table(q: SupernaturalProfile, p: SupernaturalProfile) -> tupl
     """Per-prime positive surpluses of ``q`` over ``p`` as (prime, surplus)
     pairs, ascending, from one pass over the exception primes.  Requires a
     finite deficit: no surplus of OMEGA, at a listed prime or at the
-    cofinitely many primes where q's default OMEGA meets p's default 0."""
+    cofinitely many primes where q's default OMEGA meets p's default 0.
+    When either profile has an unsplit key, the table is keyed by their
+    coprime base; ``_prime_pairs`` gives it over primes."""
     surpluses = [(gamma, tq, tp) for gamma, tq, tp in _paired(q, p) if tq > tp]
     if (q.default is OMEGA and p.default is not OMEGA) or any(tq is OMEGA for _, tq, _ in surpluses):
         raise DomainError("surplus table requested for an infinite deficit")
@@ -314,6 +417,7 @@ def refutation_witness(q: SupernaturalProfile, p: SupernaturalProfile):
 
     Every failure of ``preceq`` in this representation has such a witness.
     """
+    q, p = _factored(q), _factored(p)
     keys, candidates = set(), []
     for gamma, tq, tp in _paired(q, p):
         keys.add(gamma)
@@ -340,6 +444,7 @@ def canonical_terms(p: SupernaturalProfile, start: int = 0) -> Iterator[int]:
     >>> list(islice(canonical_terms(SupernaturalProfile({2: 10**9, 3: OMEGA}), 10**9 - 1), 3))
     [2, 3, 3]
     """
+    p = _factored(p)
     if not p.has_infinite_total:
         raise DomainError(f"profile {p} has finite total multiplicity; no infinite sequence exists")
     start = checked_natural(start, "start must be a natural number")
@@ -484,6 +589,7 @@ def oracle_drop_bound(q: SupernaturalProfile, p: SupernaturalProfile) -> int:
     By then each surplus prime has shed its deficit-many early occurrences,
     so no window can demand more of a prime than ``p`` ever supplies.
     """
+    q, p = _factored(q), _factored(p)
     table = dict(finite_surplus_table(q, p))
     return _covering_prefix(_Layout(q, table), table)
 
@@ -494,6 +600,7 @@ def sufficient_prefix_length(p: SupernaturalProfile, window: Iterable) -> int:
     Raises :class:`DomainError` when some prime is demanded more often than
     ``p`` supplies it in total (no prefix can ever suffice).
     """
+    p = _factored(p)
     need = Counter(window)
     exceptions = dict(p.exceptions)  # one lookup per window prime, not a scan of the exceptions
     for gamma, count in need.items():
@@ -540,6 +647,7 @@ def oracle_replay(q: SupernaturalProfile, p: SupernaturalProfile, window: int) -
     1000000001
     """
     checked_natural(window, "window must be positive", 1)
+    q, p = _factored(q), _factored(p)
     witness = refutation_witness(q, p)
     if witness is None:
         drop = oracle_drop_bound(q, p)

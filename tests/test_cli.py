@@ -393,11 +393,23 @@ def test_main_reduces_a_thousand_circles(capsys):
     assert lines[0] == "REDUCIBLE" and len(lines) == 1001
 
 
-def test_main_refuses_a_semiprime_over_the_factoring_budget(capsys):
-    # two 90-bit primes: factoring their product used to run without end
-    semiprime = 618970019668049015295030157 * 928455029464802529184826323
+# two 90-bit primes: factoring their product runs past the factoring budget
+SEMIPRIME = 618970019668049015295030157 * 928455029464802529184826323
+
+
+def test_main_decides_a_semiprime_over_the_factoring_budget(capsys):
+    # the verdict reads the unsplit key; no prime of it is needed
     start = time.perf_counter()
-    code = main(["reduce", f"S[{semiprime}|3]", "T"])
+    code = main(["reduce", f"S[{SEMIPRIME}|3]", "T"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "REDUCIBLE\n1 -> 1 (SOL_T)\n"
+
+
+def test_main_refuses_a_semiprime_over_the_factoring_budget(capsys):
+    # printing names primes, so the refusal moved to the printer
+    start = time.perf_counter()
+    code = main(["normalize", f"S[{SEMIPRIME}|3]"])
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_DOMAIN
     lines = capsys.readouterr().out.splitlines()

@@ -6,6 +6,7 @@ import doctest
 
 import pytest
 
+import borelcmp.coprime
 import borelcmp.duality
 import borelcmp.groups
 import borelcmp.literals
@@ -22,6 +23,7 @@ MODULES = [
     borelcmp.posetlab,
     borelcmp.literals,
     borelcmp.primes,
+    borelcmp.coprime,
 ]
 
 

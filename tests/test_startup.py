@@ -16,10 +16,11 @@ import borelcmp
 from borelcmp import cli
 
 # The modules that load on first use only; ``array`` loads with the first
-# chunk of the prime table, when a verb first walks the primes, and
-# ``matching`` with the product engine or the dual route.
+# chunk of the prime table, when a verb first walks the primes, ``matching``
+# with the product engine or the dual route, and ``coprime`` with the first
+# unsplit key of a sequence.
 LAZY = ("borelcmp.reducibility", "borelcmp.matching", "borelcmp.duality", "borelcmp.posetlab",
-        "borelcmp.selftest", "json", "array")
+        "borelcmp.selftest", "borelcmp.coprime", "json", "array")
 ENGINE = ["borelcmp.matching", "borelcmp.reducibility"]
 # A dataclass compiles its methods when its class is created, and
 # ``dataclasses`` loads ``inspect``: no verb loads either.

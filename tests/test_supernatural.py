@@ -18,6 +18,7 @@ from borelcmp.literals import parse_group
 from borelcmp.primes import primes_after
 from borelcmp.supernatural import (
     OMEGA,
+    _factored,
     IntSeqSpec,
     SupernaturalProfile,
     canonical_sequence,
@@ -169,21 +170,26 @@ def test_profile_from_sequence_factors_each_distinct_entry_once(monkeypatch):
     big = 65537 * 65539
     s = IntSeqSpec((big, 6, big, 77), (10, 6))
     calls = []
-    factorint = supernatural.factorint
-    monkeypatch.setattr(supernatural, "factorint", lambda n: calls.append(n) or factorint(n))
-    assert profile_from_sequence(s) == _profile_by_counting_each_prime(s) == P(
+    trial_division = supernatural._trial_division
+    monkeypatch.setattr(supernatural, "_trial_division", lambda n: calls.append(n) or trial_division(n))
+    profile = profile_from_sequence(s)
+    assert calls == [big, 6, 77, 10]
+    # trial division leaves big whole: one unsplit key, with big's two occurrences
+    assert profile.unsplit and profile.exceptions == ((2, OMEGA), (3, OMEGA), (5, OMEGA), (7, 1), (11, 1), (big, 2))
+    assert _factored(profile) == _profile_by_counting_each_prime(s) == P(
         {2: OMEGA, 3: OMEGA, 5: OMEGA, 7: 1, 11: 1, 65537: 2, 65539: 2}
     )
-    assert calls == [big, 6, 77, 10]
 
 
-def test_a_factoring_budget_error_names_the_first_entry_past_the_budget():
-    # entries are factored in order of first appearance, the prefix before
-    # the tail: 2 * semiprime is reached before the semiprime itself
+def test_a_factoring_budget_error_names_the_key_past_the_budget():
+    # building the profile splits nothing; printing it factors the key that
+    # trial division left of 2 * semiprime and of semiprime, and fails there
     semiprime = 618970019668049015295030157 * 928455029464802529184826323  # two 90-bit primes
-    s = IntSeqSpec((6, 2 * semiprime), (semiprime, 3))
-    with pytest.raises(DomainError, match=f"^factoring {2 * semiprime} needs more than"):
-        profile_from_sequence(s)
+    profile = profile_from_sequence(IntSeqSpec((6, 2 * semiprime), (semiprime, 3)))
+    assert profile.exceptions == ((2, 2), (3, OMEGA), (semiprime, OMEGA))
+    assert repr(profile) == f"SupernaturalProfile(exceptions=((2, 2), (3, OMEGA), ({semiprime}, OMEGA)), default=0)"
+    with pytest.raises(DomainError, match=f"^factoring {semiprime} needs more than"):
+        str(profile)
 
 
 def test_int_seq_spec_rejects_small_entries():
