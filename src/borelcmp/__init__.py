@@ -9,61 +9,38 @@ machine-checkable certificate.  A Pontryagin-dual route re-derives compact
 verdicts independently, and a poset laboratory realizes the almost-inclusion
 order on ultimately periodic sets inside the reducibility order.
 
-``import borelcmp`` loads the expressions, the profiles and the literals
-only.  The names of the product engine (``reducibility``, which loads
-``matching``), of the dual route (``duality``) and of the poset laboratory
-(``posetlab``) load their module on first use (PEP 562), so a process that
-parses or normalizes imports none of them, and one that decides products
-neither of the last two; the import lock makes that first use safe from any
-thread.
+``import borelcmp`` loads ``borelcmp.errors`` only.  Every other public
+name, and every submodule read as an attribute (``borelcmp.literals``),
+loads its module on first use (PEP 562), so a process imports only the
+modules of the names it reads: a parse or a normalization loads neither
+the product engine (``reducibility``, which loads ``matching``) nor the
+dual route (``duality``), the poset laboratory (``posetlab``), the replays
+(``replay``) or the certificate check (``verify``), and a group literal
+without ``S[...]`` loads no ``sequences``.  The import lock makes that
+first use safe from any thread.
 """
 
-from importlib import import_module
-
-from .errors import BorelcmpError, DomainError, ParseError
-from .supernatural import (
-    OMEGA,
-    IntSeqSpec,
-    SupernaturalProfile,
-    canonical_sequence,
-    deficit,
-    oracle_injection,
-    preceq,
-    profile_from_sequence,
-)
-from .groups import (
-    REAL,
-    TORUS,
-    TRIVIAL_GROUP,
-    Atom,
-    AtomKind,
-    GroupExpr,
-    dimension,
-    group,
-    is_compact,
-    normalize_group,
-    solenoid,
-)
-from .literals import (
-    parse_group,
-    parse_profile,
-    parse_sequence,
-    parse_upset,
-    render_dual,
-    render_group,
-    render_profile,
-    render_upset,
-)
+from .errors import BorelcmpError, DomainError, ParseError, forwarding
 
 __version__ = "0.1.0"
 
-# The public names of the modules that load on first use, by module.
+# The public names of the modules that load on first use, by module; a
+# module with no names here still loads when read as an attribute.
 _LAZY_MODULES = {
+    "supernatural": ("OMEGA", "SupernaturalProfile", "preceq"),
+    "replay": ("canonical_sequence", "deficit", "oracle_injection"),
+    "sequences": ("IntSeqSpec", "parse_sequence", "profile_from_sequence"),
+    "groups": (
+        "REAL", "TORUS", "TRIVIAL_GROUP", "Atom", "AtomKind", "GroupExpr",
+        "dimension", "group", "is_compact", "normalize_group", "solenoid",
+    ),
+    "literals": ("parse_group", "parse_profile", "render_dual", "render_group", "render_profile"),
+    "setliterals": ("parse_upset", "render_upset"),
     "reducibility": (
         "Certificate", "ComparisonOutcome", "EdgeBlock", "EdgeReason", "EdgeWitness", "HallViolator",
-        "IndexRanges", "Verdict",
-        "atom_reduces", "compare", "reduces", "rt_closed_form", "verify_certificate",
+        "IndexRanges", "Verdict", "atom_reduces", "compare", "reduces",
     ),
+    "verify": ("rt_closed_form", "verify_certificate"),
     "duality": (
         "INTEGERS", "DualExpr", "RationalType",
         "dual", "dual_reduces", "hom_nonzero_exists", "rank",
@@ -72,29 +49,20 @@ _LAZY_MODULES = {
         "Family", "MemberRef", "UPSet", "chain_demo",
         "member_crosscheck", "member_reduces", "member_sequence", "subset_star",
     ),
+    **dict.fromkeys(("cli", "coprime", "farprimes", "labverbs", "matching", "primes", "report", "selftest"), ()),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
-__all__ = [
-    "BorelcmpError", "DomainError", "ParseError",
-    "OMEGA", "IntSeqSpec", "SupernaturalProfile", "canonical_sequence", "deficit",
-    "oracle_injection", "preceq", "profile_from_sequence",
-    "REAL", "TORUS", "TRIVIAL_GROUP", "Atom", "AtomKind", "GroupExpr", "dimension", "group",
-    "is_compact", "normalize_group", "solenoid",
-    "parse_group", "parse_profile", "parse_sequence", "parse_upset",
-    "render_dual", "render_group", "render_profile", "render_upset",
-    *_LAZY,
-]
+__all__ = ["BorelcmpError", "DomainError", "ParseError", *_LAZY]
+
+
+_name_on_first_use = forwarding(globals(), _LAZY)
 
 
 def __getattr__(name):
-    if name in _LAZY_MODULES:
-        return import_module(f"{__name__}.{name}")
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
-    globals()[name] = value
-    return value
+    if name in _LAZY_MODULES:  # importing a submodule binds it here
+        return __import__(f"{__name__}.{name}", fromlist=["*"])
+    return _name_on_first_use(name)
 
 
 def __dir__():

@@ -1,18 +1,10 @@
 """Command-line surface.
 
-Verbs:
-
-    reduce <G> <H> [--json] [--certificate] [--exit-verdict]
-    compare <G> <H> [--json]
-    dual <G> [--json]
-    dim <G>
-    normalize <G>
-    preceq <profile> <profile> [--oracle-window N]
-    family-new [--p <profile>] [--q <profile>]
-    family-compare --a <ups> --b <ups> [--power n] [--crosscheck N]
-    family-expand --a <ups> --len N
-    family-demo [--depth k] [--power n]
-    selftest
+``VERBS`` holds the verbs with their positionals and flags, and
+``borelcmp --help`` prints their synopsis, the one README.md shows.  Flags
+may come before, between or after the positionals, as ``--flag value`` or
+``--flag=value``; a repeated flag takes its last value, and a long flag is
+never abbreviated.
 
 Exit codes: 0 for a completed computation (whatever the verdict), 1 for a
 usage or parse error, 2 for a domain error, 3 for a false verdict when
@@ -23,38 +15,30 @@ code.
 The ``family-*`` verbs operate on the default family (p = {2:w},
 q = {default=w}); ``family-new`` validates and describes an arbitrary one.
 
-A process loads only what its verb runs.  Every verb loads the
-expressions, the profiles and the literals.  ``reduce`` and ``compare`` add
-the product engine (``reducibility``, which loads ``matching``), ``dual``
-the dual route (``duality``, which loads ``matching``) and the ``family-*``
-verbs the poset laboratory (``posetlab``); ``selftest`` loads all three and
-the ``selftest`` module.  ``--json`` adds the standard ``json`` module.
+A process loads only what its verb runs, and none loads ``argparse``.
+Every verb loads the expressions, the profiles and their literals.
+``reduce`` and ``compare`` add ``reducibility`` and ``matching``, ``dual``
+``duality`` and ``matching``, and ``preceq``, the ``family-*`` verbs and
+``selftest`` their handlers in ``labverbs``: ``preceq`` with ``replay`` and
+``farprimes``, the ``family-*`` verbs with ``posetlab`` (which loads both)
+and ``setliterals`` for ``--a``/``--b``, ``selftest`` with all of these.
+``S[...]`` adds ``sequences``, or with a composite cofactor also
+``coprime`` and ``farprimes``, and ``--json`` the ``json`` module.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from importlib import import_module
+from types import SimpleNamespace
 
-from .errors import BorelcmpError, DomainError, ParseError
+from .errors import EXIT_DOMAIN, EXIT_FALSE_VERDICT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE
+from .errors import BorelcmpError, DomainError, ParseError, forwarding
 from .groups import dimension, is_compact
-from .literals import (
-    parse_group,
-    parse_profile,
-    parse_upset,
-    render_dual,
-    render_group,
-)
+from .literals import parse_group, parse_profile, render_dual, render_group
 from .report import Report, certificate_payload
-from .supernatural import _prime_pairs, deficit, oracle_replay, preceq, refutation_witness
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DOMAIN = 2
-EXIT_FALSE_VERDICT = 3
-EXIT_INTERNAL = 4
+from .supernatural import _prime_pairs
+from .supernatural import preceq  # noqa: F401  bench/tracing.py patches this binding
 
 # Size options: flag -> (dest, largest accepted value).  Their work grows
 # with the value (``--depth`` doubles the period of the demo's sets), so a
@@ -66,97 +50,134 @@ SIZE_CAPS = {
     "--crosscheck": ("crosscheck", 10**4),
 }
 
-# A parsed command: the argparse namespace, with every literal argument
-# already turned into its engine value and its text kept in ``inputs``, and
-# the output format, "text" or "json", in ``format``.
-Command = argparse.Namespace
+# verb -> (its handler, by name: a function of this module or of
+# ``labverbs``; the dests of its positionals; its flags, each with its
+# default, REQUIRED for a flag that must be given; its help line)
+REQUIRED = object()
+VERBS = {
+    "reduce": ("_reduce", ("g", "h"), {"--json": "text", "--certificate": False, "--exit-verdict": False},
+               "decide E(G) <= E(H)"),
+    "compare": ("_compare", ("g", "h"), {"--json": "text"}, "compare both directions"),
+    "dual": ("_dual", ("g",), {"--json": "text"}, "dual group of an expression"),
+    "dim": ("_dim", ("g",), {}, "covering dimension"),
+    "normalize": ("_normalize", ("g",), {}, "normalize an expression"),
+    "preceq": ("_preceq", ("q_profile", "p_profile"), {"--oracle-window": None}, "profile embedding order"),
+    "family-new": ("_family_new", (), {"--p": None, "--q": None}, "validate and describe a family"),
+    "family-compare": ("_family_compare", (), {"--a": REQUIRED, "--b": REQUIRED, "--power": 1, "--crosscheck": None},
+                       "order two members of the default family"),
+    "family-expand": ("_family_expand", (), {"--a": REQUIRED, "--len": REQUIRED}, "concrete member sequence prefix"),
+    "family-demo": ("_family_demo", (), {"--depth": 3, "--power": 1}, "chain and antichain demo"),
+    "selftest": ("_selftest", (), {}, "run all eleven acceptance criteria at full scale"),
+}
+# flag -> (dest, the value a switch stores) or (dest, type, metavar) for a
+# flag that takes a value, as the next argument or after ``=``
+FLAGS = {
+    "--json": ("format", "json"),
+    "--certificate": ("show_certificate", True),
+    "--exit-verdict": ("exit_verdict", True),
+    "--oracle-window": ("oracle_window", int, "N"),
+    "--p": ("p", str, "<profile>"),
+    "--q": ("q", str, "<profile>"),
+    "--a": ("a", str, "<ups>"),
+    "--b": ("b", str, "<ups>"),
+    "--power": ("power", int, "n"),
+    "--crosscheck": ("crosscheck", int, "N"),
+    "--len": ("length", int, "N"),
+    "--depth": ("depth", int, "k"),
+}
+_METAVARS = {"g": "<G>", "h": "<H>", "q_profile": "<profile>", "p_profile": "<profile>"}
+
+
+# A parsed command: ``verb``, ``handler``, ``format`` ("text" or "json") and
+# an attribute per positional and flag of the verb, every literal already
+# turned into its engine value and its text kept in ``inputs``.
+Command = SimpleNamespace
 
 
 # bench/tracing.py and bench/selfcheck.py patch these bindings, by name ->
-# module; they resolve to the module's functions, which the handlers look up
-# on the module at call time.  Kept only for the benchmark, like the tracer
-# imports in ``reducibility`` and ``posetlab`` (ROADMAP items 1/4).
-_FORWARDED = {
+# module; each resolves on first use (PEP 562).  The handlers read the
+# module's own binding at call time.  Kept only for the benchmark, like the
+# tracer imports in ``reducibility``, ``supernatural``, ``literals`` and
+# ``posetlab`` (ROADMAP items 1/4).
+__getattr__ = forwarding(globals(), {
     "reduces": "reducibility",
     "member_crosscheck": "posetlab",
     "member_sequence": "posetlab",
     "chain_demo": "posetlab",
-}
+    "parse_upset": "setliterals",
+})
 
 
-def __getattr__(name):
-    if name not in _FORWARDED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__package__}.{_FORWARDED[name]}"), name)
+def _is_flag(token: str) -> bool:
+    """Whether ``token`` names a flag; a negative number is a value, as in argparse."""
+    return token.startswith("-") and not token[1:].isdigit()
 
 
 class UsageError(BorelcmpError):
     """Bad command line: unknown verb or flag, or a malformed literal."""
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+def synopsis(verb: str) -> str:
+    """The verb's usage line, from ``VERBS`` and ``FLAGS``."""
+    _, positionals, flags, _ = VERBS[verb]
+    parts = [verb, *map(_METAVARS.get, positionals)]
+    for flag, default in flags.items():
+        part = " ".join((flag, *FLAGS[flag][2:]))
+        parts.append(part if default is REQUIRED else f"[{part}]")
+    return " ".join(parts)
 
 
-def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="borelcmp", description=__doc__.strip().splitlines()[0])
-    verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    def verb(name, handler, help):
-        subparser = verbs.add_parser(name, help=help)
-        subparser.set_defaults(handler=handler, format="text")  # also the default of --json below
-        return subparser
-
-    reduce_p = verb("reduce", _reduce, "decide E(G) <= E(H)")
-    reduce_p.add_argument("g")
-    reduce_p.add_argument("h")
-    reduce_p.add_argument("--json", action="store_const", const="json", dest="format")
-    reduce_p.add_argument("--certificate", action="store_true", dest="show_certificate")
-    reduce_p.add_argument("--exit-verdict", action="store_true")
-
-    compare_p = verb("compare", _compare, "compare both directions")
-    compare_p.add_argument("g")
-    compare_p.add_argument("h")
-    compare_p.add_argument("--json", action="store_const", const="json", dest="format")
-
-    dual_p = verb("dual", _dual, "dual group of an expression")
-    dual_p.add_argument("g")
-    dual_p.add_argument("--json", action="store_const", const="json", dest="format")
-
-    verb("dim", _dim, "covering dimension").add_argument("g")
-    verb("normalize", _normalize, "normalize an expression").add_argument("g")
-
-    preceq_p = verb("preceq", _preceq, "profile embedding order")
-    preceq_p.add_argument("q_profile", metavar="q")
-    preceq_p.add_argument("p_profile", metavar="p")
-    preceq_p.add_argument("--oracle-window", type=int, metavar="N")
-
-    family_new = verb("family-new", _family_new, "validate and describe a family")
-    family_new.add_argument("--p", dest="p")
-    family_new.add_argument("--q", dest="q")
-
-    family_compare = verb("family-compare", _family_compare, "order two members of the default family")
-    family_compare.add_argument("--a", required=True)
-    family_compare.add_argument("--b", required=True)
-    family_compare.add_argument("--power", type=int, default=1)
-    family_compare.add_argument("--crosscheck", type=int, metavar="N")
-
-    family_expand = verb("family-expand", _family_expand, "concrete member sequence prefix")
-    family_expand.add_argument("--a", required=True)
-    family_expand.add_argument("--len", type=int, required=True, dest="length")
-
-    family_demo = verb("family-demo", _family_demo, "chain and antichain demo")
-    family_demo.add_argument("--depth", type=int, default=3)
-    family_demo.add_argument("--power", type=int, default=1)
-
-    verb("selftest", _selftest, "run all eleven acceptance criteria at full scale")
-    return parser
+def _arguments(verb: str, tokens: list) -> dict:
+    """The verb's arguments, by dest, read from ``tokens``: positionals and
+    flags in any order, ``--flag value`` or ``--flag=value``, the last of a
+    repeated flag winning."""
+    _, positionals, flags, _ = VERBS[verb]
+    fields = {"format": "text", **{FLAGS[flag][0]: default for flag, default in flags.items()}}
+    given = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if not _is_flag(token):
+            given.append(token)
+            continue
+        flag, has_value, value = token.partition("=")
+        if flag not in flags or has_value and len(FLAGS[flag]) == 2:  # a switch takes no value
+            raise UsageError(f"unrecognized arguments: {token}")
+        dest, *kind = FLAGS[flag]
+        if len(kind) == 1:
+            fields[dest] = kind[0]
+            continue
+        if not has_value:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                raise UsageError(f"argument {flag}: expected one argument")
+        try:
+            fields[dest] = kind[0](value)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+    if len(given) > len(positionals):
+        raise UsageError("unrecognized arguments: " + " ".join(given[len(positionals):]))
+    missing = [_METAVARS[dest] for dest in positionals[len(given):]]
+    missing += [flag for flag in flags if fields[FLAGS[flag][0]] is REQUIRED]
+    if missing:
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    return {**fields, **dict(zip(positionals, given))}
 
 
 def parse_command(argv) -> Command:
     """Parse and validate a full command line; no partial execution."""
-    command = build_parser().parse_args(list(argv))
+    argv = list(argv)
+    verb, *tokens = argv or [""]
+    if "-h" in argv or "--help" in argv:  # the synopsis of the verb, or of every verb
+        _emit("usage:\n" + "\n".join(f"  borelcmp {synopsis(v)}\n      {VERBS[v][3]}"
+                                      for v in ([verb] if verb in VERBS else VERBS)))
+        raise SystemExit(EXIT_OK)
+    if not argv:
+        raise UsageError("the following arguments are required: verb")
+    if verb not in VERBS:
+        raise UsageError(f"argument verb: invalid choice: {verb!r} (choose from {', '.join(map(repr, VERBS))})")
+    name = VERBS[verb][0]
+    handler = globals().get(name) or getattr(__import__(f"{__package__}.labverbs", fromlist=[name]), name)
+    command = Command(verb=verb, handler=handler, **_arguments(verb, tokens))
     for flag in ("oracle_window", "crosscheck"):
         value = getattr(command, flag, None)
         if value is not None and value < 1:
@@ -166,18 +187,19 @@ def parse_command(argv) -> Command:
         if value is not None and value > cap:
             command.handler = _refusal(DomainError(f"{flag} {value} is over its cap of {cap}"))
     # every literal argument of every verb, by dest, in the order of a report's
-    # inputs; built per call, so the parser names are looked up at call time
+    # inputs, with its parser's name, looked up at call time
     literals = (
-        ("g", parse_group), ("h", parse_group),
-        ("q_profile", parse_profile), ("p_profile", parse_profile),
-        ("p", parse_profile), ("q", parse_profile),
-        ("a", parse_upset), ("b", parse_upset),
+        ("g", "parse_group"), ("h", "parse_group"),
+        ("q_profile", "parse_profile"), ("p_profile", "parse_profile"),
+        ("p", "parse_profile"), ("q", "parse_profile"),
+        ("a", "parse_upset"), ("b", "parse_upset"),
     )
     given = [(dest, parse) for dest, parse in literals if getattr(command, dest, None) is not None]
     command.inputs = tuple(getattr(command, dest) for dest, _ in given)
     try:
         for dest, parse in given:
-            setattr(command, dest, parse(getattr(command, dest)))
+            parser = globals().get(parse) or __getattr__(parse)  # a forwarded parser resolves on first use
+            setattr(command, dest, parser(getattr(command, dest)))
     except ParseError as exc:
         raise UsageError(str(exc)) from exc
     except DomainError as exc:  # a well-formed literal out of the domain, e.g. over the factor cap
@@ -259,110 +281,6 @@ def _normalize(command: Command):
     return {"verdict": render_group(command.g)}, EXIT_OK
 
 
-def _preceq(command: Command):
-    q, p = command.q_profile, command.p_profile
-    holds = preceq(q, p)
-    diagnostics = [f"deficit = {deficit(q, p)}"]
-    if not holds:
-        witness = refutation_witness(q, p)
-        supply = p.multiplicity(witness)
-        diagnostics.append(f"witness prime {witness}: multiplicity w in q exceeds {supply} in p")
-    if command.oracle_window is not None:
-        diagnostics.append(_oracle_line(oracle_replay(q, p, command.oracle_window)))
-    return {"verdict": holds, "diagnostics": tuple(diagnostics)}, EXIT_OK
-
-
-def _oracle_line(replay) -> str:
-    """The report line of a replay, for ``preceq`` and ``family-compare``."""
-    if replay.needs_window is not None:
-        return f"oracle: INCONCLUSIVE (needs window {replay.needs_window})"
-    if replay.witness is not None:
-        return (
-            f"oracle: window with {replay.needed} occurrences of {replay.witness} "
-            f"fails to embed: {replay.prefix is None}"
-        )
-    into = "no prefix" if replay.prefix is None else f"a prefix of {replay.prefix} terms"
-    return (
-        f"oracle: window of {replay.end - replay.drop} terms after drop {replay.drop} "
-        f"embeds in {into}: {replay.prefix is not None}"
-    )
-
-
-def _family_new(command: Command):
-    from .posetlab import Family
-
-    default = Family.default()
-    family = Family(
-        default.p if command.p is None else command.p,
-        default.q if command.q is None else command.q,
-    )
-    diagnostics = (
-        f"p = {family.p}",
-        f"q = {family.q}",
-        "d-enumeration starts " + ", ".join(map(str, family.d_terms(8))),
-    )
-    return {"verdict": "OK", "diagnostics": diagnostics}, EXIT_OK
-
-
-def _family_compare(command: Command):
-    from . import posetlab
-
-    family = posetlab.Family.default()
-    m_a = posetlab.MemberRef(family, command.a, command.power)
-    m_b = posetlab.MemberRef(family, command.b, command.power)
-    verdict = posetlab.member_reduces(m_a, m_b)
-    if command.crosscheck is None:
-        return {"verdict": verdict}, EXIT_OK
-    report = posetlab.member_crosscheck(m_a, m_b, command.crosscheck)
-    surplus = ", ".join(map(str, report.surplus_primes)) or "none"
-    if not report.consistent:
-        status = "INCONSISTENT: " + "; ".join(report.notes)
-    elif report.replay.needs_window is not None:
-        status = f"INCONCLUSIVE (needs window {report.replay.needs_window})"
-    else:
-        status = "CONSISTENT"
-    diagnostics = (
-        "crosscheck: " + status,
-        f"surplus primes ({'all' if report.surplus_finite else 'first shown'}): {surplus}",
-        _oracle_line(report.replay),
-    )
-    return {"verdict": verdict, "diagnostics": diagnostics}, EXIT_OK
-
-
-def _family_expand(command: Command):
-    from . import posetlab
-
-    member = posetlab.MemberRef(posetlab.Family.default(), command.a, 1)
-    terms = posetlab.member_sequence(member, command.length)
-    return {"verdict": ",".join(map(str, terms))}, EXIT_OK
-
-
-def _family_demo(command: Command):
-    from . import posetlab
-
-    demo = posetlab.chain_demo(posetlab.Family.default(), command.depth, command.power)
-    width = max(len(label) for label in demo.labels)
-    lines = [" " * (width + 2) + "  ".join(f"{label:>{width}}" for label in demo.labels)]
-    for label, row in zip(demo.labels, demo.matrix):
-        cells = "  ".join(f"{'yes' if cell else 'no':>{width}}" for cell in row)
-        lines.append(f"{label:>{width}}  {cells}")
-    lines.append("rows reduce to columns; power " + str(command.power))
-    return {"verdict": "OK", "diagnostics": tuple(lines)}, EXIT_OK
-
-
-def _selftest(command: Command):
-    from .selftest import run_selftest
-
-    results = run_selftest()
-    diagnostics = tuple(
-        f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else "")
-        for name, ok, detail in results
-    )
-    all_ok = all(ok for _, ok, _ in results)
-    code = EXIT_OK if all_ok else EXIT_USAGE
-    return {"verdict": "PASS" if all_ok else "FAIL", "diagnostics": diagnostics}, code
-
-
 def render_text(report: Report) -> str:
     verdict = report.verdict
     if verdict is True:
@@ -380,17 +298,22 @@ def render(command: Command, report: Report) -> str:
     return report.to_json() if command.format == "json" else render_text(report)
 
 
+def _emit(text: str):
+    """Print ``text``; a reader of stdout that went away changes nothing."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader of stdout went away; the report stands
+        # what is left in the buffer goes to devnull, so the flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     try:
         command = parse_command(sys.argv[1:] if argv is None else argv)
         report, code = run(command)
-        try:
-            print(render(command, report), flush=True)
-        except BrokenPipeError:  # the reader of stdout went away; the report stands
-            # what is left in the buffer goes to devnull, so the flush at exit stays silent
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        _emit(render(command, report))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

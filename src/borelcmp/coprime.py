@@ -22,7 +22,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .primes import factorint, isprime
+from .farprimes import factorint
+from .primes import isprime
 from .supernatural import OMEGA, SupernaturalProfile, _Unsplit
 
 

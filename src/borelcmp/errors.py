@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types, exit codes and the first-use forward, shared across
+the package."""
+
+# The command line's exit codes, one per kind of outcome.
+EXIT_OK = 0
+EXIT_USAGE = 1
+EXIT_DOMAIN = 2
+EXIT_FALSE_VERDICT = 3
+EXIT_INTERNAL = 4
 
 
 class BorelcmpError(Exception):
@@ -25,3 +33,16 @@ def checked_natural(n, message: str, least: int = 0) -> int:
     if isinstance(n, bool) or not isinstance(n, int) or n < least:
         raise DomainError(f"{message}, got {n!r}")
     return n
+
+
+def forwarding(namespace: dict, forwarded: dict):
+    """A module ``__getattr__`` (PEP 562) that resolves each name of
+    ``forwarded`` (name -> module) on first use and binds it in ``namespace``."""
+    def __getattr__(name):
+        if name not in forwarded:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        # ``__import__``, unlike ``importlib.import_module``, shows in ``python -X importtime``
+        value = namespace[name] = getattr(__import__(f"{__package__}.{forwarded[name]}", fromlist=[name]), name)
+        return value
+
+    return __getattr__

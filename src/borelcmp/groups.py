@@ -28,7 +28,7 @@ from operator import attrgetter, itemgetter
 
 from ._value import Value
 from .errors import DomainError, checked_natural
-from .supernatural import OMEGA, IntSeqSpec, SupernaturalProfile, profile_from_sequence
+from .supernatural import OMEGA, SupernaturalProfile
 
 __all__ = [
     "AtomKind",
@@ -221,7 +221,8 @@ class RawProduct(Value):
         object.__setattr__(self, "parts", parts)
 
 
-RawNode = Atom | IntSeqSpec | RawPower | RawProduct | GroupExpr
+# or the ``sequences.IntSeqSpec`` of an ``S[...]`` literal, which loads that module
+RawNode = Atom | RawPower | RawProduct | GroupExpr
 
 
 # Most factors one expression may normalize to.  The count is checked on the
@@ -246,15 +247,17 @@ def _expand(node: RawNode, unsplit: list) -> tuple:
         return node.runs
     if isinstance(node, Atom):
         return ((node, 1),)
+    if isinstance(node, RawPower):
+        return _power(_expand(node.base, unsplit), node.exponent)
+    if isinstance(node, RawProduct):
+        return _joined([_expand(part, unsplit) for part in node.parts])
+    from .sequences import IntSeqSpec, profile_from_sequence
+
     if isinstance(node, IntSeqSpec):
         atom = Atom._of_profile(profile_from_sequence(node))
         if atom.profile.unsplit:
             unsplit.append(atom)
         return ((atom, 1),)
-    if isinstance(node, RawPower):
-        return _power(_expand(node.base, unsplit), node.exponent)
-    if isinstance(node, RawProduct):
-        return _joined([_expand(part, unsplit) for part in node.parts])
     raise DomainError(f"not a group expression node: {node!r}")
 
 
@@ -282,6 +285,7 @@ def normalize_group(node: RawNode) -> GroupExpr:
     the expression are refined into one coprime base, so two of its atoms
     are equal exactly when they are the same group:
 
+    >>> from borelcmp.sequences import IntSeqSpec
     >>> g = normalize_group(RawProduct((IntSeqSpec((65537 * 65539,), (3,)), solenoid({65537: 1, 65539: 1, 3: OMEGA}))))
     >>> len(g.runs), dimension(g)
     (1, 2)

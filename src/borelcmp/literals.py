@@ -27,6 +27,9 @@ entries.  Normalization splits off their prime factors below 2^16 and
 keeps a composite cofactor whole, refined against the other keys of the
 expression by gcds; only printing factors it.
 
+``seq`` and ``upset`` are parsed by ``sequences`` and ``setliterals``,
+which load on first use.
+
 The parser reads the token texts of one ``findall`` pass and keeps no
 positions.  A ``ParseError`` names the offending token's position, which
 is recomputed by scanning the text again only when the error is raised.
@@ -37,7 +40,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, forwarding
 from .groups import (
     REAL,
     TORUS,
@@ -50,23 +53,20 @@ from .groups import (
     normalize_group,
 )
 from .primes import isprime
-from .supernatural import OMEGA, IntSeqSpec, Mult, SupernaturalProfile
+from .supernatural import OMEGA, Mult, SupernaturalProfile
 
 __all__ = [
     "parse_group",
     "parse_group_raw",
     "parse_profile",
-    "parse_sequence",
-    "parse_upset",
     "render_profile",
     "render_group",
     "render_dual",
-    "render_upset",
     "MAX_GROUP_NESTING",
-    "MAX_SET_FROM",
-    "MAX_SET_PERIOD",
-    "MAX_SET_LISTED",
 ]
+
+# bench/tracing.py patches this binding; it resolves on first use (PEP 562)
+__getattr__ = forwarding(globals(), {"parse_upset": "setliterals"})
 
 # Token texts, one alternative per kind: numbers, punctuation, keywords.  The
 # alternatives are tried in order, so a keyword must come after every keyword
@@ -201,29 +201,6 @@ def parse_profile(text: str) -> SupernaturalProfile:
     return profile
 
 
-# -- integer sequences --------------------------------------------------------
-
-def _parse_sequence(p: _Parser) -> IntSeqSpec:
-    open_index = p.index
-    p.expect("[")
-    prefix = [] if p.peek() == "|" else _parse_nats(p)
-    p.expect("|")
-    tail = _parse_nats(p)
-    p.expect("]")
-    try:
-        return IntSeqSpec(tuple(prefix), tuple(tail))
-    except DomainError as exc:
-        raise p.error(str(exc), open_index) from exc
-
-
-def parse_sequence(text: str) -> IntSeqSpec:
-    """Parse ``[4,6,8 | 9]``: prefix before the bar, periodic tail after."""
-    p = _Parser(text)
-    seq = _parse_sequence(p)
-    p.expect_end()
-    return seq
-
-
 # -- groups -------------------------------------------------------------------
 
 # Cap on nested parentheses in a group literal: the parser and group
@@ -246,6 +223,8 @@ def _parse_atom(p: _Parser) -> RawNode:
     if token == "Sol":
         return Atom._of_profile(_parse_profile(p))  # the profile parser checked its total
     if token == "S":
+        from .sequences import _parse_sequence
+
         return _parse_sequence(p)
     if token == "(":
         if p.depth == MAX_GROUP_NESTING:
@@ -292,83 +271,6 @@ def parse_group(text: str) -> GroupExpr:
     return normalize_group(parse_group_raw(text))
 
 
-# -- ultimately periodic sets -------------------------------------------------
-
-# Caps on a set literal: its work and memory grow with ``from`` (a
-# ``ups{from=N; period=1; word=1}`` literal has N flips), with ``period``
-# and with the number of listed values.
-MAX_SET_FROM = 10**6
-MAX_SET_PERIOD = 10**6
-MAX_SET_LISTED = 10**5
-
-
-def _parse_nat_list(p: _Parser, closer: str) -> list:
-    """An optional ``nats`` list, then ``closer``, which is consumed."""
-    values = _parse_nats(p) if p.peek().isdigit() else []
-    if not p.take(closer):
-        raise p.error(f"expected a number but found {_describe(p.peek())}", p.index)
-    return values
-
-
-def _check_cap(what: str, value: int, cap: int):
-    if value > cap:
-        raise DomainError(f"{what} {value} is over its cap of {cap}")
-
-
-def parse_upset(text: str) -> UPSet:
-    """Parse ``fin{1,3}``, ``cofin{0,2}``, or the general
-    ``ups{except=0,3; from=8; period=4; word=0110}`` form.
-
-    ``from`` and ``period`` are capped at ``MAX_SET_FROM`` and
-    ``MAX_SET_PERIOD``, and each list at ``MAX_SET_LISTED`` entries; over a
-    cap the literal is a ``DomainError``.  Listed values are not capped.
-    """
-    from .posetlab import UPSet
-
-    p = _Parser(text)
-    for keyword, build in (("fin", UPSet.from_finite), ("cofin", UPSet.from_cofinite)):
-        if p.take(keyword):
-            p.expect("{")
-            listed = _parse_nat_list(p, "}")
-            p.expect_end()
-            _check_cap(f"{keyword} list length", len(listed), MAX_SET_LISTED)
-            return build(listed)
-    p.expect("ups")
-    p.expect("{")
-    members, members_index = [], 0
-    if p.take("except"):
-        p.expect("=")
-        members_index = p.index  # entry k is token members_index + 2k
-        members = _parse_nat_list(p, ";")
-    p.expect("from")
-    p.expect("=")
-    threshold = p.expect_nat()
-    p.expect(";")
-    p.expect("period")
-    p.expect("=")
-    period = p.expect_nat()
-    p.expect(";")
-    p.expect("word")
-    p.expect("=")
-    bits_index = p.index
-    bits_text = p.peek()
-    if not bits_text.isdigit() or set(bits_text) - {"0", "1"}:
-        raise p.error(f"word must be a string of 0/1 bits, found {_describe(bits_text)}", bits_index)
-    p.index += 1
-    p.expect("}")
-    p.expect_end()
-    _check_cap("except list length", len(members), MAX_SET_LISTED)
-    _check_cap("from", threshold, MAX_SET_FROM)
-    _check_cap("period", period, MAX_SET_PERIOD)
-    for k, member in enumerate(members):
-        if member >= threshold:
-            raise p.error(f"except entry {member} is not below from={threshold}", members_index + 2 * k)
-    try:
-        return UPSet.from_word(members, threshold, period, (bit == "1" for bit in bits_text))
-    except DomainError as exc:
-        raise p.error(str(exc), bits_index) from exc
-
-
 # -- renderers ----------------------------------------------------------------
 
 def render_profile(p: SupernaturalProfile) -> str:
@@ -401,19 +303,3 @@ def render_dual(d: DualExpr) -> str:
     return _render_runs(d.runs)
 
 
-def render_upset(s: UPSet) -> str:
-    """The set as a literal that ``parse_upset`` reads back.  An ``ups{...}``
-    form writes a bit per residue and the members below ``from``, so a set
-    whose period or threshold is over its literal cap is a ``DomainError``:
-    no literal within the caps writes it."""
-    if s.is_finite or s.is_cofinite:  # the flips are the listed elements
-        keyword = "fin" if s.is_finite else "cofin"
-        return keyword + "{" + ",".join(map(str, sorted(s.flips))) + "}"
-    _check_cap("period", s.period, MAX_SET_PERIOD)
-    _check_cap("from", s.threshold, MAX_SET_FROM)
-    members = s.members_below(s.threshold)
-    bits = "".join("1" if b else "0" for b in s.word)
-    inner = f"from={s.threshold}; period={s.period}; word={bits}"
-    if members:
-        inner = "except=" + ",".join(str(n) for n in members) + "; " + inner
-    return "ups{" + inner + "}"

@@ -52,21 +52,10 @@ from operator import itemgetter, ne, sub
 
 from ._value import Value
 from .errors import DomainError, checked_natural
-from .primes import _every_third, _runs_outside, factorint
-from .primes import nextprime  # noqa: F401  bench/tracing.py patches this binding
-from .supernatural import (
-    OMEGA,
-    Replay,
-    SupernaturalProfile,
-    _covering_prefix,
-    _Layout,
-    _factored,
-    _paired,
-    _primes_outside,
-    _ranks,
-    canonical_terms,
-    preceq,
-)
+from .farprimes import _every_third, _runs_outside, factorint
+from .farprimes import nextprime  # noqa: F401  bench/tracing.py patches this binding
+from .replay import Replay, _covering_prefix, _Layout, _primes_outside, _ranks, canonical_terms
+from .supernatural import OMEGA, SupernaturalProfile, _factored, _paired, preceq
 
 __all__ = [
     "UPSet",
@@ -253,7 +242,7 @@ class UPSet(Value):
         return tuple(takewhile(_checked_bound(bound).__gt__, self.ascending()))
 
     def __str__(self):
-        from .literals import render_upset
+        from .setliterals import render_upset
 
         return render_upset(self)
 

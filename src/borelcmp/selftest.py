@@ -19,18 +19,11 @@ from .duality import INTEGERS, RationalType, dual, dual_reduces, hom_nonzero_exi
 from .groups import REAL, TORUS, GroupExpr, dimension, group, solenoid
 from .literals import parse_group, render_group
 from .posetlab import Family, MemberRef, UPSet, chain_demo, member_crosscheck, member_sequence
-from .reducibility import ComparisonOutcome, atom_reduces, compare, reduces, rt_closed_form, verify_certificate
-from .supernatural import (
-    OMEGA,
-    SupernaturalProfile,
-    canonical_sequence,
-    canonical_terms,
-    oracle_drop_bound,
-    oracle_injection,
-    preceq,
-    refutation_witness,
-    sufficient_prefix_length,
-)
+from .reducibility import ComparisonOutcome, atom_reduces, compare, reduces
+from .replay import canonical_sequence, canonical_terms, oracle_drop_bound, oracle_injection
+from .replay import refutation_witness, sufficient_prefix_length
+from .supernatural import OMEGA, SupernaturalProfile, preceq
+from .verify import rt_closed_form, verify_certificate
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
 

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from borelcmp import literals, supernatural
+from borelcmp import farprimes, literals, primes, supernatural
 
 PRIME_POOL = (2, 3, 5, 7, 11, 13)
 
@@ -35,3 +35,16 @@ def isprime_calls(monkeypatch) -> list:
 
         monkeypatch.setattr(module, "isprime", counted)
     return calls
+
+
+@pytest.fixture
+def fresh_sieve(monkeypatch):
+    """A function that puts a new, empty prime sieve in place of the
+    process-wide one, in both modules that read it, and returns it."""
+    def install():
+        sieve = primes._Sieve()
+        for module in (primes, farprimes):
+            monkeypatch.setattr(module, "_SIEVE", sieve)
+        return sieve
+
+    return install

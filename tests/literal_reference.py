@@ -16,10 +16,12 @@ from typing import NamedTuple
 
 from borelcmp.errors import DomainError, ParseError
 from borelcmp.groups import REAL, TORUS, TRIVIAL_GROUP, Atom, AtomKind, RawPower, RawProduct, normalize_group
-from borelcmp.literals import MAX_GROUP_NESTING, MAX_SET_FROM, MAX_SET_LISTED, MAX_SET_PERIOD
+from borelcmp.literals import MAX_GROUP_NESTING
 from borelcmp.posetlab import UPSet
 from borelcmp.primes import isprime
-from borelcmp.supernatural import OMEGA, IntSeqSpec, SupernaturalProfile
+from borelcmp.sequences import IntSeqSpec
+from borelcmp.setliterals import MAX_SET_FROM, MAX_SET_LISTED, MAX_SET_PERIOD
+from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
 _TOKEN = re.compile(
     r"(?P<space>\s+)|(?P<num>[0-9]+)|(?P<punct>[{}\[\]():,;=|^*])"

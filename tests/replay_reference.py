@@ -1,7 +1,7 @@
 """Reference implementations for the replays: positions found by walking.
 
 The package locates every term it needs from the layout of the sequence
-(``supernatural._Layout``, ``posetlab._MemberLayout``), so a drop, a
+(``replay._Layout``, ``posetlab._MemberLayout``), so a drop, a
 prefix length or a window never costs a walk of the source.  These are the
 walked versions it replaced: ``covering_prefix_length`` reads a sequence
 term by term until each prime has occurred often enough, and the two
@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import islice
 
-from borelcmp.supernatural import canonical_terms, finite_surplus_table
+from borelcmp.replay import canonical_terms
+from borelcmp.supernatural import finite_surplus_table
 
 
 def covering_prefix_length(terms, need) -> int | None:
@@ -35,12 +36,12 @@ def covering_prefix_length(terms, need) -> int | None:
 
 
 def oracle_drop_bound(q, p) -> int:
-    """The walked ``supernatural.oracle_drop_bound``."""
+    """The walked ``replay.oracle_drop_bound``."""
     return covering_prefix_length(canonical_terms(q), dict(finite_surplus_table(q, p)))
 
 
 def sufficient_prefix_length(p, window) -> int:
-    """The walked ``supernatural.sufficient_prefix_length``, for windows
+    """The walked ``replay.sufficient_prefix_length``, for windows
     that ``p`` can supply."""
     return covering_prefix_length(canonical_terms(p), Counter(window))
 
@@ -67,7 +68,7 @@ def member_crosscheck(m_a, m_b, window: int, horizon: int):
     from math import lcm
 
     from borelcmp.posetlab import CrosscheckReport, member_reduces, member_sequence
-    from borelcmp.supernatural import Replay
+    from borelcmp.replay import Replay
 
     a, b = m_a.a, m_b.a
     periodic_from, period = max(a.threshold, b.threshold), lcm(a.period, b.period)

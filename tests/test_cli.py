@@ -13,7 +13,7 @@ import time
 import pytest
 from jsonschema import validate
 
-from borelcmp import cli, reducibility, selftest
+from borelcmp import cli, labverbs, reducibility, selftest
 from borelcmp.cli import (
     EXIT_DOMAIN,
     EXIT_FALSE_VERDICT,
@@ -27,9 +27,10 @@ from borelcmp.cli import (
     run,
 )
 from borelcmp.groups import REAL, TORUS, group, solenoid
-from borelcmp.literals import MAX_SET_FROM, MAX_SET_LISTED, MAX_SET_PERIOD, render_group
+from borelcmp.literals import render_group
 from borelcmp.reducibility import EdgeReason, reduces
 from borelcmp.report import Report
+from borelcmp.setliterals import MAX_SET_FROM, MAX_SET_LISTED, MAX_SET_PERIOD
 from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -72,6 +73,89 @@ def test_parse_command_usage_errors(argv, fragment):
     with pytest.raises(UsageError) as err:
         parse_command(argv)
     assert fragment in str(err.value)
+
+
+EVENS = "ups{from=0; period=2; word=10}"
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        # flags before, between and after the positionals
+        (["reduce", "--json", "--certificate", "Sol{2:5,3:w}", "Sol{2:9,3:w}"],
+         ["reduce", "Sol{2:5,3:w}", "Sol{2:9,3:w}", "--json", "--certificate"]),
+        (["reduce", "Sol{2:5,3:w}", "--certificate", "Sol{2:9,3:w}"],
+         ["reduce", "Sol{2:5,3:w}", "Sol{2:9,3:w}", "--certificate"]),
+        (["preceq", "--oracle-window", "100", "{2:7,3:w}", "{2:5,3:w}"],
+         ["preceq", "{2:7,3:w}", "{2:5,3:w}", "--oracle-window", "100"]),
+        (["family-expand", "--len=4", f"--a={EVENS}"], ["family-expand", "--a", EVENS, "--len", "4"]),
+        # a repeated flag takes its last value, as in argparse: --depth 40 alone is over its cap
+        (["family-demo", "--depth", "40", "--depth", "2"], ["family-demo", "--depth", "2"]),
+        (["family-expand", "--a", "fin{1}", "--len", "2", "--a", EVENS], ["family-expand", "--a", EVENS, "--len", "2"]),
+    ],
+)
+def test_main_reads_flags_anywhere_and_in_either_form(argv, same_as, capsys):
+    assert main(same_as) == EXIT_OK
+    expected = capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    # the report's inputs are the literals' texts, so the outputs are byte-identical
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize(
+    "argv, code, fragment",
+    [
+        # a negative --len is a value, not a flag, and reaches the domain check
+        (["family-expand", "--a", "fin{}", "--len", "-3"], EXIT_DOMAIN, "ERROR\nterm count must be nonnegative"),
+        (["family-compare", "--b", "fin{}"], EXIT_USAGE, "usage error: the following arguments are required: --a"),
+        (["family-compare", "--a", "fin{}"], EXIT_USAGE, "usage error: the following arguments are required: --b"),
+        (["family-expand", "--a", "fin{}"], EXIT_USAGE, "usage error: the following arguments are required: --len"),
+        (["reduce", "R"], EXIT_USAGE, "usage error: the following arguments are required: <H>"),
+        ([], EXIT_USAGE, "usage error: the following arguments are required: verb"),
+        (["dim", "T", "--json"], EXIT_USAGE, "usage error: unrecognized arguments: --json"),
+        (["reduce", "T", "T", "--len", "3"], EXIT_USAGE, "usage error: unrecognized arguments: --len"),
+        (["reduce", "T", "T", "T"], EXIT_USAGE, "usage error: unrecognized arguments: T"),
+        (["family-demo", "--depth", "x"], EXIT_USAGE, "usage error: argument --depth: invalid int value: 'x'"),
+        (["family-demo", "--depth=2.5"], EXIT_USAGE, "usage error: argument --depth: invalid int value: '2.5'"),
+        (["family-demo", "--depth"], EXIT_USAGE, "usage error: argument --depth: expected one argument"),
+        (["family-new", "--p", "--q", "{default=w}"], EXIT_USAGE, "usage error: argument --p: expected one argument"),
+        (["reduce", "T", "T", "--json=yes"], EXIT_USAGE, "usage error: unrecognized arguments: --json=yes"),
+        # long flags are never abbreviated
+        (["reduce", "T", "T", "--cert"], EXIT_USAGE, "usage error: unrecognized arguments: --cert"),
+        (["family-expand", "--a", "fin{}", "--le", "3"], EXIT_USAGE, "usage error: unrecognized arguments: --le"),
+    ],
+)
+def test_main_exit_codes_of_the_grammar(argv, code, fragment, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == EXIT_DOMAIN else captured.err).startswith(fragment)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_synopsis_and_exits_zero(flag, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([flag])
+    assert exit_.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage:\n") and all(f"  borelcmp {cli.synopsis(verb)}\n" in out for verb in cli.VERBS)
+    with pytest.raises(SystemExit) as exit_:
+        main(["family-expand", "--a", "fin{}", flag])
+    assert exit_.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == "usage:\n  borelcmp family-expand --a <ups> --len N\n      concrete member sequence prefix\n"
+
+
+def test_help_in_a_process_exits_zero():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "borelcmp.cli", "--help"], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert done.stdout.splitlines()[1] == "  borelcmp reduce <G> <H> [--json] [--certificate] [--exit-verdict]"
+
+
+def test_readme_usage_block_is_the_synopsis():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    assert block.splitlines() == [f"borelcmp {cli.synopsis(verb)}" for verb in cli.VERBS]
 
 
 # -- run and exit codes --------------------------------------------------------------
@@ -437,10 +521,10 @@ def test_size_options_over_their_caps_are_refused_at_once(argv, capsys):
 
 def test_size_options_at_their_caps_are_accepted():
     for argv, handler in (
-        (["family-demo", "--depth", "22"], cli._family_demo),
-        (["family-expand", "--a", "fin{1}", "--len", "100000"], cli._family_expand),
-        (["preceq", "{2:w}", "{2:w}", "--oracle-window", "1000000"], cli._preceq),
-        (["family-compare", "--a", "fin{1}", "--b", "fin{2}", "--crosscheck", "10000"], cli._family_compare),
+        (["family-demo", "--depth", "22"], labverbs._family_demo),
+        (["family-expand", "--a", "fin{1}", "--len", "100000"], labverbs._family_expand),
+        (["preceq", "{2:w}", "{2:w}", "--oracle-window", "1000000"], labverbs._preceq),
+        (["family-compare", "--a", "fin{1}", "--b", "fin{2}", "--crosscheck", "10000"], labverbs._family_compare),
     ):
         assert parse_command(argv).handler is handler
 

@@ -20,27 +20,18 @@ import random
 
 import pytest
 
-from borelcmp import coprime, primes
+from borelcmp import coprime, farprimes
 from borelcmp.cli import EXIT_OK, main
 from borelcmp.duality import dual_reduces
 from borelcmp.errors import DomainError
 from borelcmp.groups import dimension, is_compact
 from borelcmp.literals import parse_group, render_group
 from borelcmp.posetlab import Family
-from borelcmp.reducibility import ComparisonOutcome, compare, reduces, verify_certificate
-from borelcmp.supernatural import (
-    OMEGA,
-    IntSeqSpec,
-    SupernaturalProfile,
-    _factored,
-    canonical_sequence,
-    deficit,
-    finite_surplus_table,
-    oracle_replay,
-    preceq,
-    profile_from_sequence,
-    refutation_witness,
-)
+from borelcmp.reducibility import ComparisonOutcome, compare, reduces
+from borelcmp.replay import canonical_sequence, deficit, oracle_replay, refutation_witness
+from borelcmp.sequences import IntSeqSpec, profile_from_sequence
+from borelcmp.supernatural import OMEGA, SupernaturalProfile, _factored, finite_surplus_table, preceq
+from borelcmp.verify import verify_certificate
 
 P90, Q90 = 618970019668049015295030157, 928455029464802529184826323
 POOL = (2, 3, 5, 65537, 65539, 274177, 67280421310721, P90, Q90)
@@ -54,7 +45,7 @@ def no_pollard(monkeypatch):
     def refuse(n, budget):
         raise AssertionError(f"Pollard-Brent ran on {n}")
 
-    monkeypatch.setattr(primes, "_pollard_brent", refuse)
+    monkeypatch.setattr(farprimes, "_pollard_brent", refuse)
     coprime.primes_of.cache_clear()
 
 

@@ -8,12 +8,16 @@ import pytest
 
 import borelcmp.coprime
 import borelcmp.duality
+import borelcmp.farprimes
 import borelcmp.groups
 import borelcmp.literals
 import borelcmp.posetlab
 import borelcmp.primes
 import borelcmp.reducibility
+import borelcmp.replay
+import borelcmp.sequences
 import borelcmp.supernatural
+import borelcmp.verify
 
 MODULES = [
     borelcmp.supernatural,
@@ -24,6 +28,10 @@ MODULES = [
     borelcmp.literals,
     borelcmp.primes,
     borelcmp.coprime,
+    borelcmp.farprimes,
+    borelcmp.replay,
+    borelcmp.sequences,
+    borelcmp.verify,
 ]
 
 

@@ -7,11 +7,12 @@ from __future__ import annotations
 import pytest
 
 from borelcmp.errors import DomainError
+from borelcmp.farprimes import factorint
 from borelcmp.groups import TORUS, GroupExpr, RawPower
 from borelcmp.posetlab import Family, UPSet
-from borelcmp.primes import factorint
-from borelcmp.reducibility import rt_closed_form
-from borelcmp.supernatural import OMEGA, SupernaturalProfile, canonical_sequence, canonical_terms, oracle_replay
+from borelcmp.replay import canonical_sequence, canonical_terms, oracle_replay
+from borelcmp.supernatural import OMEGA, SupernaturalProfile
+from borelcmp.verify import rt_closed_form
 
 TWO_ADIC = SupernaturalProfile({2: OMEGA})
 

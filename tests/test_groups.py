@@ -26,7 +26,8 @@ from borelcmp.groups import (
     solenoid,
 )
 from borelcmp.literals import parse_group, parse_group_raw
-from borelcmp.supernatural import OMEGA, IntSeqSpec, SupernaturalProfile
+from borelcmp.sequences import IntSeqSpec
+from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
 from borelcmp.selftest import random_atom, random_expr
 

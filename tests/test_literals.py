@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import literal_reference
 from upset_reference import sparse_from_bits
-from borelcmp import literals
 from borelcmp.errors import BorelcmpError, ParseError
 from borelcmp.groups import REAL, TORUS, group, solenoid
 from borelcmp.literals import (
@@ -18,17 +17,18 @@ from borelcmp.literals import (
     _Parser,
     parse_group,
     parse_profile,
-    parse_sequence,
-    parse_upset,
     render_group,
     render_profile,
-    render_upset,
 )
 from borelcmp.posetlab import UPSet
-from borelcmp.supernatural import OMEGA, IntSeqSpec, SupernaturalProfile
+from borelcmp.sequences import IntSeqSpec, parse_sequence
+from borelcmp.setliterals import parse_upset, render_upset
+from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
 from borelcmp.selftest import random_expr, random_profile
 
+# The parser of each kind of literal, by kind, as the reference names them.
+PARSERS = {"group": parse_group, "profile": parse_profile, "sequence": parse_sequence, "upset": parse_upset}
 
 def test_parse_profile_forms():
     assert parse_profile("{2:6, 3:w}") == SupernaturalProfile({2: 6, 3: OMEGA})
@@ -225,7 +225,7 @@ def test_upset_render_round_trip(rng):
 )
 def test_parse_error_messages(kind, text, message, position):
     with pytest.raises(ParseError) as err:
-        getattr(literals, f"parse_{kind}")(text)
+        PARSERS[kind](text)
     assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
 
 
@@ -285,6 +285,5 @@ def test_front_end_matches_reference(text):
         p = _Parser(text)
         assert p.tokens == [token.text for token in reference]
         assert [p.pos(i) for i in range(len(p.tokens))] == [token.pos for token in reference]
-    for kind in ("group", "profile", "sequence", "upset"):
-        name = f"parse_{kind}"
-        assert _outcome(getattr(literals, name), text) == _outcome(getattr(literal_reference, name), text)
+    for kind, parse in PARSERS.items():
+        assert _outcome(parse, text) == _outcome(getattr(literal_reference, f"parse_{kind}"), text)

@@ -15,6 +15,7 @@ from borelcmp.literals import parse_group
 from borelcmp.matching import class_flow, run_rows, saturating_matching_or_violator
 from borelcmp.selftest import brute_force_reducible
 from borelcmp.supernatural import OMEGA
+from borelcmp.verify import verify_certificate
 
 import kuhn_reference
 from kuhn_reference import rule_rows
@@ -165,7 +166,7 @@ def test_reduces_needs_no_per_factor_search(no_per_factor_search):
     for g, h in itertools.product(products, repeat=2):
         verdict = reducibility.reduces(g, h)
         assert verdict.reducible == brute_force_reducible(g, h)
-        assert reducibility.verify_certificate(g, h, verdict)
+        assert verify_certificate(g, h, verdict)
     g = parse_group("T^100000")
     assert reducibility.reduces(g, g).reducible
 

@@ -15,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelcmp import posetlab, primes, supernatural
+from borelcmp import farprimes, posetlab, primes, replay
 from borelcmp.errors import DomainError
 from borelcmp.posetlab import (
     Family,
@@ -29,7 +29,8 @@ from borelcmp.posetlab import (
     subset_star,
 )
 from borelcmp.primes import SIEVE_CAP
-from borelcmp.supernatural import OMEGA, Replay, SupernaturalProfile, oracle_injection
+from borelcmp.replay import Replay, oracle_injection
+from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
 from borelcmp.selftest import trial_division_primes
 
@@ -186,8 +187,8 @@ def test_d_layers_are_every_third_d_prime(family, offset):
 def test_every_third_carries_its_offset_across_the_runs_of_the_prime_walk(lo, offset):
     # below the cap: a stored chunk's tail, then spans sieved past it; below
     # 2^32: the last sieved span's tail, then the endless run of isprime tests
-    expected = itertools.islice(itertools.chain.from_iterable(primes._prime_chunks(lo)), offset, offset + 150, 3)
-    assert list(itertools.islice(primes._every_third(primes._prime_chunks(lo), offset), 50)) == list(expected)
+    expected = itertools.islice(itertools.chain.from_iterable(farprimes._prime_chunks(lo)), offset, offset + 150, 3)
+    assert list(itertools.islice(farprimes._every_third(farprimes._prime_chunks(lo), offset), 50)) == list(expected)
 
 
 def test_d_enumeration_tests_no_prime(isprime_calls):
@@ -195,12 +196,12 @@ def test_d_enumeration_tests_no_prime(isprime_calls):
     assert isprime_calls == []
 
 
-def test_concurrent_d_enumeration_agrees_with_a_serial_run_across_sieve_growths(monkeypatch):
+def test_concurrent_d_enumeration_agrees_with_a_serial_run_across_sieve_growths(fresh_sieve):
     serial = Family.default().d_terms(50_000)
     assert serial[:4] == (3, 5, 7, 11)
     # from a fresh sieve, the d_50000 near 612,000 lies in the tenth chunk of
     # the prime table, and mixed sizes contend for every chunk on the way
-    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+    fresh_sieve()
     sizes = [1, 50_000, 7, 4_097, 31_000, 200, 12_345, 49_999, 3, 20_000, 8_192, 40_000] * 3
     fam = Family.default()
     switch = sys.getswitchinterval()
@@ -219,8 +220,8 @@ def test_concurrent_d_enumeration_agrees_with_a_serial_run_across_sieve_growths(
         assert list(chunk) == list(sympy.primerange(lo, lo + 2**16)), lo
 
 
-def test_a_repeated_member_sequence_builds_no_new_chunk_of_the_prime_table(monkeypatch):
-    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+def test_a_repeated_member_sequence_builds_no_new_chunk_of_the_prime_table(fresh_sieve):
+    fresh_sieve()
     evens = MemberRef(Family.default(), UPSet.multiples_of(2))
     first = member_sequence(evens, 10_000)
     built = dict(primes._SIEVE.chunks)
@@ -294,7 +295,7 @@ def test_member_terms_need_no_nextprime_call_below_the_sieve_cap(monkeypatch):
     def no_call(n):
         raise AssertionError(f"nextprime({n}) called")
 
-    monkeypatch.setattr(primes, "nextprime", no_call)
+    monkeypatch.setattr(farprimes, "nextprime", no_call)
     monkeypatch.setattr(posetlab, "nextprime", no_call)
     assert walk(Family.default()) == expected
 
@@ -549,7 +550,7 @@ def test_member_layout_locates_every_walked_term(family, a):
     member = MemberRef(family, a)
     terms = member_sequence(member, 300)
     primes = set(terms) | {g for g, _ in family.p.exceptions}
-    layout = posetlab._MemberLayout(member, supernatural._ranks(family._d_walk(), primes))
+    layout = posetlab._MemberLayout(member, replay._ranks(family._d_walk(), primes))
     for gamma in primes:
         walked = reference.occurrences(terms, gamma)
         assert [layout.position(gamma, k) for k in range(1, len(walked) + 1)] == walked

@@ -20,10 +20,12 @@ import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 import borelcmp
-from borelcmp import primes
+from borelcmp import farprimes, primes
 from borelcmp.errors import DomainError
-from borelcmp.primes import factorint, isprime, nextprime, primes_after
-from borelcmp.supernatural import OMEGA, IntSeqSpec, profile_from_sequence
+from borelcmp.farprimes import factorint, nextprime, primes_after
+from borelcmp.primes import isprime
+from borelcmp.sequences import IntSeqSpec, profile_from_sequence
+from borelcmp.supernatural import OMEGA
 
 # The two 90-bit primes whose product the benchmark's cli_mix reduces.
 P90 = 618970019668049015295030157
@@ -49,7 +51,7 @@ def test_random_large_numbers_agree_with_sympy():
 def test_strong_lucas_test_agrees_with_sympy():
     # covers the strong Lucas pseudoprimes 5459, 5777, 10877, ...
     for n in range(3, 100_000, 2):
-        assert primes._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+        assert farprimes._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
 
 
 @pytest.mark.parametrize(
@@ -93,7 +95,8 @@ def test_nextprime_past_the_sieve_cap_tests_candidates_as_the_walk_finds_them(mo
     points = [primes.SIEVE_CAP - 1, primes.SIEVE_CAP, 2**32 - 1, 2**32,
               *(rng.randrange(2**24, 2**32 + 2**20) for _ in range(40))]
     expected = [next(primes_after(n)) for n in points]
-    monkeypatch.setattr(primes, "_sieved", None)  # a sieve call would raise
+    for module in (primes, farprimes):
+        monkeypatch.setattr(module, "_sieved", None)  # a sieve call would raise
     assert [nextprime(n) for n in points] == expected
 
 
@@ -124,10 +127,11 @@ def test_primes_after_matches_nextprime():
         assert list(islice(primes_after(n), 50)) == _nextprime_walk(n, 50), n
 
 
-def test_primes_after_goes_on_past_the_sieve_cap(monkeypatch):
+def test_primes_after_goes_on_past_the_sieve_cap(monkeypatch, fresh_sieve):
     cap = 2**16 + 1001  # odd, so the last chunk ends at an odd bound
-    monkeypatch.setattr(primes, "SIEVE_CAP", cap)
-    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+    for module in (primes, farprimes):
+        monkeypatch.setattr(module, "SIEVE_CAP", cap)
+    fresh_sieve()
     known = list(sympy.primerange(0, cap + 5000))
     assert list(islice(primes_after(1), len(known))) == known
     for n in range(cap - 30, cap + 30):
@@ -147,13 +151,13 @@ def _reference_primes(lo: int, hi: int) -> list:
     return [n for n, prime in zip(range(lo, hi), flags) if prime]
 
 
-def test_the_prime_table_agrees_with_a_plain_sieve_around_every_chunk_boundary(monkeypatch):
+def test_the_prime_table_agrees_with_a_plain_sieve_around_every_chunk_boundary(fresh_sieve):
     # chunks start at every multiple of 2^16; the powers of two from 64 to
     # 2^15, where chunks once started, are probed too
     starts = [*range(0, 2**20, 2**16)]
     bounds = [*starts, *(64 << j for j in range(10))]
     cap = primes.SIEVE_CAP
-    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+    fresh_sieve()
     for n in [*(b + d for b in bounds for d in (-1, 0, 1)), *range(cap - 3, cap + 2), cap - 600]:
         # no two primes below 2^25 lie 600 apart
         expected = _reference_primes(n + 1, n + 601)
@@ -162,9 +166,9 @@ def test_the_prime_table_agrees_with_a_plain_sieve_around_every_chunk_boundary(m
     assert sorted(primes._SIEVE.chunks) == [*starts, cap - 2**16]
 
 
-def test_a_fresh_nextprime_far_out_sieves_one_chunk_from_the_fixed_flags(monkeypatch):
+def test_a_fresh_nextprime_far_out_sieves_one_chunk_from_the_fixed_flags(fresh_sieve):
     expected = sympy.nextprime(2**23)
-    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+    fresh_sieve()
     tracemalloc.start()
     try:
         assert nextprime(2**23) == expected
@@ -197,13 +201,13 @@ def test_factorint_around_the_end_of_trial_division_agrees_with_sympy():
         assert factorint(n) == sympy.factorint(n), n
 
 
-def test_factoring_a_prime_sequence_runs_no_miller_rabin(monkeypatch):
+def test_factoring_a_prime_sequence_runs_no_miller_rabin(monkeypatch, fresh_sieve):
     """Trial division stops at the first prime whose square exceeds the
     cofactor, which is then 1 or prime, and ``profile_from_sequence`` keeps
     the primes it finds without testing them again: from a fresh sieve of 2^16,
     the first 15,000 primes (up to 163,841) need no Miller-Rabin round."""
     first = tuple(islice(primes_after(1), 15_000))
-    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+    fresh_sieve()
     calls = []
     strong = primes._strong_probable_prime
     monkeypatch.setattr(primes, "_strong_probable_prime", lambda n, a: calls.append(n) or strong(n, a))
@@ -219,10 +223,10 @@ def test_factorint_of_a_semiprime_of_90_bit_primes_stops_at_the_budget():
     assert time.perf_counter() - start < 1.0
 
 
-def test_concurrent_nextprime_agrees_with_a_serial_run(monkeypatch):
+def test_concurrent_nextprime_agrees_with_a_serial_run(fresh_sieve):
     queries = list(range(0, 600_000, 997))
     expected = [nextprime(n) for n in queries]
-    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())  # the threads contend for every chunk
+    fresh_sieve()  # the threads contend for every chunk
     results: dict = {}
 
     def worker(k):

@@ -37,10 +37,9 @@ from borelcmp.reducibility import (
     atom_reduces,
     compare,
     reduces,
-    rt_closed_form,
-    verify_certificate,
 )
 from borelcmp.supernatural import OMEGA, SupernaturalProfile, preceq
+from borelcmp.verify import rt_closed_form, verify_certificate
 
 from borelcmp.selftest import brute_force_reducible, random_atom, random_expr, random_profile
 import kuhn_reference

@@ -12,28 +12,23 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelcmp import supernatural
+from borelcmp import replay, sequences, supernatural
 from borelcmp.errors import DomainError
+from borelcmp.farprimes import primes_after
 from borelcmp.literals import parse_group
-from borelcmp.primes import primes_after
-from borelcmp.supernatural import (
-    OMEGA,
-    _factored,
-    IntSeqSpec,
-    SupernaturalProfile,
+from borelcmp.replay import (
+    Replay,
     canonical_sequence,
     canonical_terms,
     deficit,
-    finite_surplus_table,
     oracle_drop_bound,
     oracle_injection,
-    preceq,
-    profile_from_sequence,
-    Replay,
     oracle_replay,
     refutation_witness,
     sufficient_prefix_length,
 )
+from borelcmp.sequences import IntSeqSpec, profile_from_sequence
+from borelcmp.supernatural import OMEGA, SupernaturalProfile, _factored, finite_surplus_table, preceq
 
 from borelcmp.selftest import random_profile
 
@@ -170,8 +165,8 @@ def test_profile_from_sequence_factors_each_distinct_entry_once(monkeypatch):
     big = 65537 * 65539
     s = IntSeqSpec((big, 6, big, 77), (10, 6))
     calls = []
-    trial_division = supernatural._trial_division
-    monkeypatch.setattr(supernatural, "_trial_division", lambda n: calls.append(n) or trial_division(n))
+    trial_division = sequences._trial_division
+    monkeypatch.setattr(sequences, "_trial_division", lambda n: calls.append(n) or trial_division(n))
     profile = profile_from_sequence(s)
     assert calls == [big, 6, 77, 10]
     # trial division leaves big whole: one unsplit key, with big's two occurrences
@@ -327,7 +322,7 @@ def test_primes_outside_is_a_filter_of_every_prime(excluded):
     # 65521 and 65537 are the primes on either side of it
     expected = list(islice(filterfalse(excluded.__contains__, primes_after(1)), 8000))
     assert expected[-1] > 65537
-    assert list(islice(supernatural._primes_outside(excluded), 8000)) == expected
+    assert list(islice(replay._primes_outside(excluded), 8000)) == expected
 
 
 def test_refutation_witness_is_the_least_prime():
@@ -462,7 +457,7 @@ def test_layout_locates_and_counts_every_walked_term(p, start):
     terms = canonical_sequence(p, 400)
     assert tuple(islice(canonical_terms(p, start), 100)) == terms[start:start + 100]
     primes = sorted(set(terms) | {g for g, _ in p.exceptions} | {17})
-    batch, lazy = supernatural._Layout(p, primes), supernatural._Layout(p)
+    batch, lazy = replay._Layout(p, primes), replay._Layout(p)
     for gamma in primes:
         walked = reference.occurrences(terms, gamma)
         for layout in (batch, lazy):
@@ -523,7 +518,7 @@ def test_a_refuting_replay_counts_every_occurrence_the_source_holds():
     q, p = P({5: OMEGA}), P({2: 999999999, 5: 3, 7: OMEGA})
     assert oracle_replay(q, p, 10) == Replay(0, 4, None, 5, 4)
     # p's three 5s follow its 999999999 2s, far past any walked probe
-    layout = supernatural._Layout(p)
+    layout = replay._Layout(p)
     assert [layout.position(5, k) for k in (1, 2, 3, 4)] == [999999999, 10**9, 10**9 + 1, None]
     assert layout.count(5, 10**9 + 2) == 3
-    assert supernatural._covering_prefix(layout, {5: 3}) == 10**9 + 2
+    assert replay._covering_prefix(layout, {5: 3}) == 10**9 + 2

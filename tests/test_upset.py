@@ -12,8 +12,8 @@ import pytest
 
 from borelcmp.cli import EXIT_OK, main
 from borelcmp.errors import DomainError
-from borelcmp.literals import parse_upset, render_upset
 from borelcmp.posetlab import UPSet, set_difference, subset_star
+from borelcmp.setliterals import parse_upset, render_upset
 
 import upset_reference as reference
 

@@ -20,7 +20,9 @@ from borelcmp.groups import REAL, TORUS, Atom, AtomKind, GroupExpr, RawPower, Ra
 from borelcmp.posetlab import ChainDemo, CrosscheckReport, Family, MemberRef, UPSet
 from borelcmp.reducibility import Certificate, EdgeBlock, EdgeReason, EdgeWitness, HallViolator, IndexRanges, Verdict
 from borelcmp.report import Report
-from borelcmp.supernatural import OMEGA, IntSeqSpec, Replay, SupernaturalProfile
+from borelcmp.replay import Replay
+from borelcmp.sequences import IntSeqSpec
+from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
 T_T = EdgeReason.RULE_T_T
 TWO_ADIC, ALL_OMEGA = SupernaturalProfile({2: OMEGA}), SupernaturalProfile.all_omega()
