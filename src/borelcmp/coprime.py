@@ -6,7 +6,8 @@ below 2^16 leaves composite.  A key k of multiplicity m gives each prime
 gamma of k the multiplicity m * v_gamma(k), with OMEGA absorbing.
 
 * ``refinement`` refines keys by pairwise gcds into a coprime base, and
-  ``on_one_base`` writes profiles over one such base.  That is exact for
+  ``on_one_base`` writes profiles over one such base (``runs_on_one_base``
+  the solenoids of a group's runs).  That is exact for
   every verdict: a prime dividing a base element e is OMEGA exactly when e
   is, and two profiles over one base are equal exactly when they give
   every prime the same multiplicity.  No factoring is needed.
@@ -23,6 +24,7 @@ from functools import lru_cache
 from math import gcd
 
 from .farprimes import factorint
+from .groups import Atom, AtomKind, _joined
 from .primes import isprime
 from .supernatural import OMEGA, SupernaturalProfile, _Unsplit
 
@@ -118,6 +120,17 @@ def on_one_base(profiles, classify: bool = False) -> list:
         SupernaturalProfile._of_primes(regrouped(p.exceptions, split), p.default, unsplit=True) if p.unsplit else p
         for p in profiles
     ]
+
+
+def runs_on_one_base(runs: tuple) -> tuple:
+    """A group's ``runs`` with their solenoid profiles over one coprime base
+    of all their keys, joined again: atoms that are the same group are now
+    equal, so their runs merge."""
+    atoms = {id(atom): atom for atom, _ in runs if atom.kind is AtomKind.SOLENOID}
+    profiles = on_one_base([atom.profile for atom in atoms.values()], classify=True)
+    swapped = {key: Atom._of_profile(new) for (key, atom), new in zip(atoms.items(), profiles)
+               if new is not atom.profile}
+    return _joined(((swapped.get(id(atom), atom), count),) for atom, count in runs)
 
 
 @lru_cache(maxsize=1024)

@@ -4,19 +4,19 @@ An expression is a flat, ordered product of atoms, stored as runs: a tuple
 of ``(atom, count)`` pairs in which adjacent atoms differ and every count is
 at least 1, so ``T^10000000`` is one pair.  Each atom is connected, abelian,
 and one-dimensional, so the factor count (the sum of the run counts) is the
-covering dimension and compactness is just the absence of R factors.  Raw
-parse trees (with nested products, powers, and integer-sequence solenoids)
-normalize into this form, merging equal atoms where parts meet, so
-``(T x R x T)^2`` is T, R, T^2, R, T.  ``GroupExpr.factors`` is a sized
-view of the runs whose ``len`` costs one step per run.  The trivial group
-is the empty product and is admitted so that every command-line operation
-is total.  One expression has at most ``MAX_FACTORS`` (10^7) factors; a
-larger one is a ``DomainError`` before anything is built.
+covering dimension and compactness is just the absence of R factors.
+Nested products and powers flatten into this form, merging equal atoms
+where parts meet, so ``(T x R x T)^2`` is T, R, T^2, R, T.
+``GroupExpr.factors`` is a sized view of the runs whose ``len`` costs one
+step per run.  The trivial group is the empty product and is admitted so
+that every command-line operation is total.  One expression has at most
+``MAX_FACTORS`` (10^7) factors; the count of a larger one is known before
+its runs are built, and it is a ``DomainError``.
 
-A raw tree's leaves are the values they denote: an ``Atom`` for ``R``,
-``T`` and ``Sol{...}``, the ``IntSeqSpec`` of an ``S[...]`` literal, and
-``TRIVIAL_GROUP`` (or any other ``GroupExpr``) for ``1``.  Only powers and
-products, which carry structure, have node types of their own.
+The literal parser builds the runs and the factor count of each term as it
+reads it, with ``_raised``, ``_product`` and ``_capped`` below, and
+``normalize_group`` flattens a hand-built raw tree (``rawtrees``) with
+the same helpers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import accumulate, chain, repeat, starmap
 from operator import attrgetter, itemgetter
 
 from ._value import Value
-from .errors import DomainError, checked_natural
+from .errors import DomainError, checked_natural, forwarding
 from .supernatural import OMEGA, SupernaturalProfile
 
 __all__ = [
@@ -47,6 +47,9 @@ __all__ = [
     "dimension",
     "is_compact",
 ]
+
+# hand-built raw trees, which no literal builds, resolve on first use (PEP 562)
+__getattr__ = forwarding(globals(), {"RawPower": "rawtrees", "RawProduct": "rawtrees"})
 
 
 class AtomKind(Enum):
@@ -109,25 +112,14 @@ def _joined(parts) -> tuple:
     """Concatenated canonical runs, merging equal atoms where parts meet."""
     runs: list = []
     for part in parts:
-        if runs and part and runs[-1][0] == part[0][0]:
-            runs[-1] = (runs[-1][0], runs[-1][1] + part[0][1])
-            runs.extend(part[1:])
-        else:
-            runs.extend(part)
+        if runs and part:
+            (atom, count), (first, first_count) = runs[-1], part[0]
+            if atom is first or atom == first:  # the identity test spares most calls of Value.__eq__
+                runs[-1] = (atom, count + first_count)
+                runs.extend(part[1:])
+                continue
+        runs.extend(part)
     return tuple(runs)
-
-
-def _power(runs: tuple, exponent: int) -> tuple:
-    """Canonical runs repeated ``exponent`` times, without a loop over the copies."""
-    if exponent == 0 or not runs:
-        return ()
-    (first, first_count), (last, last_count) = runs[0], runs[-1]
-    if len(runs) == 1:
-        return ((first, first_count * exponent),)
-    if first != last:
-        return runs * exponent
-    seam = ((last, last_count + first_count),) + runs[1:-1]
-    return runs[:-1] + seam * (exponent - 1) + runs[-1:]
 
 
 class GroupExpr(Value):
@@ -203,88 +195,63 @@ def run_ends(g: GroupExpr) -> list:
     return list(accumulate(map(itemgetter(1), g.runs)))
 
 
-# Raw parse trees, as produced by the literal parser.
-
-class RawPower(Value):
-    __slots__ = _fields = ("base", "exponent")
-
-    def __init__(self, base: RawNode, exponent: int):
-        checked_natural(exponent, "group exponent must be nonnegative")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-
-
-class RawProduct(Value):
-    __slots__ = _fields = ("parts",)
-
-    def __init__(self, parts: tuple):
-        object.__setattr__(self, "parts", parts)
-
-
-# or the ``sequences.IntSeqSpec`` of an ``S[...]`` literal, which loads that module
-RawNode = Atom | RawPower | RawProduct | GroupExpr
-
-
-# Most factors one expression may normalize to.  The count is checked on the
-# raw tree, before any factor is built.
+# Most factors one expression may have.
 MAX_FACTORS = 10**7
 
-
-def _factor_count(node: RawNode) -> int:
-    if isinstance(node, RawPower):
-        return _factor_count(node.base) * node.exponent
-    if isinstance(node, RawProduct):
-        return sum(map(_factor_count, node.parts))
-    if isinstance(node, GroupExpr):
-        return dimension(node)
-    return 1  # an Atom or an IntSeqSpec
+# A term is ``(runs, count)``: canonical runs and their factor count.  Its
+# runs are built only while the count is within its budget, the factors the
+# cap leaves after the terms before it, and are None past it: so no run is
+# built past the cap, however the expression nests.
 
 
-def _expand(node: RawNode, unsplit: list) -> tuple:
-    """Canonical runs of a raw tree; the atom of each sequence leaf whose
-    profile has an unsplit key is appended to ``unsplit``."""
-    if isinstance(node, GroupExpr):
-        return node.runs
-    if isinstance(node, Atom):
-        return ((node, 1),)
-    if isinstance(node, RawPower):
-        return _power(_expand(node.base, unsplit), node.exponent)
-    if isinstance(node, RawProduct):
-        return _joined([_expand(part, unsplit) for part in node.parts])
-    from .sequences import IntSeqSpec, profile_from_sequence
-
-    if isinstance(node, IntSeqSpec):
-        atom = Atom._of_profile(profile_from_sequence(node))
-        if atom.profile.unsplit:
-            unsplit.append(atom)
-        return ((atom, 1),)
-    raise DomainError(f"not a group expression node: {node!r}")
+def _raised(runs, count: int, exponent: int, budget: int) -> tuple:
+    """The term ``(runs, count)`` to the power ``exponent``, its runs
+    repeated without a loop over the copies."""
+    count *= exponent
+    if count > budget:
+        return None, count
+    if exponent == 0 or not runs:  # runs of None come here with exponent 0
+        return (), count
+    (first, first_count), (last, last_count) = runs[0], runs[-1]
+    if len(runs) == 1:
+        return ((first, first_count * exponent),), count
+    if first != last:
+        return runs * exponent, count
+    seam = ((last, last_count + first_count),) + runs[1:-1]
+    return runs[:-1] + seam * (exponent - 1) + runs[-1:], count
 
 
-def _on_one_base_runs(runs: tuple) -> tuple:
-    """``runs`` with their solenoid profiles over one coprime base of all
-    their keys (``coprime.on_one_base``), joined again: atoms that are the
-    same group are now equal, so their runs merge."""
-    from .coprime import on_one_base
-
-    atoms = {id(atom): atom for atom, _ in runs if atom.kind is AtomKind.SOLENOID}
-    profiles = on_one_base([atom.profile for atom in atoms.values()], classify=True)
-    swapped = {key: Atom._of_profile(new) for (key, atom), new in zip(atoms.items(), profiles)
-               if new is not atom.profile}
-    return _joined(((swapped.get(id(atom), atom), count),) for atom, count in runs)
+def _product(parts: list, count: int, budget: int) -> tuple:
+    """The term of the product of the runs ``parts``, of ``count`` factors."""
+    if count > budget:
+        return None, count
+    return (parts[0] if len(parts) == 1 else _joined(parts)), count
 
 
-def normalize_group(node: RawNode) -> GroupExpr:
+def _capped(runs, count: int, unsplit: list) -> GroupExpr:
+    """The expression of a whole term, refused past ``MAX_FACTORS``;
+    ``unsplit`` holds the atoms of sequences that left an unsplit key."""
+    if count > MAX_FACTORS:
+        raise DomainError(f"expression has more than {MAX_FACTORS} factors, the cap on one expression")
+    if unsplit:
+        from .coprime import runs_on_one_base
+
+        runs = runs_on_one_base(runs)
+    return GroupExpr._of_runs(runs)
+
+
+def normalize_group(node) -> GroupExpr:
     """Flatten a raw tree to canonical runs: powers multiply run counts,
     nested products splice with equal atoms merged where they meet,
     integer-sequence solenoids become solenoids of their profiles, and the
-    trivial group contributes nothing.  Idempotent on normalized
-    expressions.  More than ``MAX_FACTORS`` factors is a ``DomainError``.
+    trivial group contributes nothing.  A ``GroupExpr`` comes back
+    unchanged.  More than ``MAX_FACTORS`` factors is a ``DomainError``.
 
     When a sequence leaves an unsplit key, the keys of every solenoid of
     the expression are refined into one coprime base, so two of its atoms
     are equal exactly when they are the same group:
 
+    >>> from borelcmp.rawtrees import RawProduct
     >>> from borelcmp.sequences import IntSeqSpec
     >>> g = normalize_group(RawProduct((IntSeqSpec((65537 * 65539,), (3,)), solenoid({65537: 1, 65539: 1, 3: OMEGA}))))
     >>> len(g.runs), dimension(g)
@@ -292,11 +259,10 @@ def normalize_group(node: RawNode) -> GroupExpr:
     """
     if isinstance(node, GroupExpr):
         return node
-    if _factor_count(node) > MAX_FACTORS:
-        raise DomainError(f"expression has more than {MAX_FACTORS} factors, the cap on one expression")
+    from .rawtrees import flattened
+
     unsplit: list = []
-    runs = _expand(node, unsplit)
-    return GroupExpr._of_runs(_on_one_base_runs(runs) if unsplit else runs)
+    return _capped(*flattened(node, MAX_FACTORS, unsplit), unsplit)
 
 
 def dimension(g: GroupExpr) -> int:

@@ -33,6 +33,9 @@ which load on first use.
 The parser reads the token texts of one ``findall`` pass and keeps no
 positions.  A ``ParseError`` names the offending token's position, which
 is recomputed by scanning the text again only when the error is raised.
+One descent builds a group's runs and factor count term by term, with no
+parse tree between (see ``groups``), and refuses the factor cap only once
+the whole text has parsed, after any ``ParseError``.
 """
 
 from __future__ import annotations
@@ -40,24 +43,13 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .errors import DomainError, ParseError, forwarding
-from .groups import (
-    REAL,
-    TORUS,
-    TRIVIAL_GROUP,
-    Atom,
-    GroupExpr,
-    RawNode,
-    RawPower,
-    RawProduct,
-    normalize_group,
-)
+from .errors import ParseError, forwarding
+from .groups import MAX_FACTORS, REAL, TORUS, Atom, GroupExpr, _capped, _product, _raised, normalize_group
 from .primes import isprime
 from .supernatural import OMEGA, Mult, SupernaturalProfile
 
 __all__ = [
     "parse_group",
-    "parse_group_raw",
     "parse_profile",
     "render_profile",
     "render_group",
@@ -91,13 +83,14 @@ class _Parser:
 
     def __init__(self, text: str):
         self.tokens = _TOKEN.findall(text)
-        if sum(map(len, self.tokens)) != sum(map(len, text.split())):  # findall skipped a non-space
+        if "".join(self.tokens) != "".join(text.split()):  # findall skipped a non-space
             end = _ALPHABET.match(text).end()
             raise ParseError(f"unexpected character {text[end]!r}", end)
         self.tokens.append("")
         self.text = text
         self.index = 0
         self.depth = 0  # open parentheses around the current group
+        self.unsplit = []  # the atoms of a group's sequences that left an unsplit key
 
     def pos(self, index: int) -> int:
         """Position in the text of token ``index``, by scanning the text again."""
@@ -150,36 +143,45 @@ def _parse_nats(p: _Parser) -> list:
 
 # -- multiplicities and profiles ---------------------------------------------
 
-def _parse_mult(p: _Parser) -> Mult:
-    if p.take("w"):
-        return OMEGA
-    return p.expect_nat()
-
-
 def _parse_profile(p: _Parser) -> SupernaturalProfile:
+    """``profile``: its ``gamma:mult`` entries are read in one loop over the
+    tokens, which hands a token out of place to ``expect_nat`` or ``expect``
+    for its error.  Each key is tested with ``isprime`` once."""
+    tokens = p.tokens
     open_index = p.index
     p.expect("{")
     entries = {}
+    i = p.index
+    clause = tokens[i] == "default"  # the default clause comes first, or after the entries and ';'
+    if not clause and tokens[i] != "}":
+        try:
+            while True:
+                at = i  # the token int() reads: the key, then the multiplicity
+                gamma = int(tokens[i])
+                if not isprime(gamma):
+                    raise p.error(f"profile key {gamma} is not prime", i)
+                if gamma in entries:
+                    raise p.error(f"duplicate profile key {gamma}", i)
+                if tokens[i + 1] != ":":
+                    p.index = i + 1
+                    p.expect(":")
+                at = i + 2
+                mult = tokens[at]
+                entries[gamma] = OMEGA if mult == "w" else int(mult)
+                i += 3
+                if tokens[i] != ",":
+                    break
+                i += 1
+        except ValueError:  # int() refused the token at ``at``
+            p.index = at
+            p.expect_nat()  # raises the error of a number expected there
+        p.index = i
+        clause = p.take(";")
     default: Mult = 0
-    if p.take("default"):
+    if clause:
+        p.expect("default")
         p.expect("=")
-        default = _parse_mult(p)
-    elif p.peek() != "}":
-        while True:
-            index = p.index
-            gamma = p.expect_nat()
-            if not isprime(gamma):
-                raise p.error(f"profile key {gamma} is not prime", index)
-            if gamma in entries:
-                raise p.error(f"duplicate profile key {gamma}", index)
-            p.expect(":")
-            entries[gamma] = _parse_mult(p)
-            if not p.take(","):
-                break
-        if p.take(";"):
-            p.expect("default")
-            p.expect("=")
-            default = _parse_mult(p)
+        default = OMEGA if p.take("w") else p.expect_nat()
     if default is not OMEGA and default != 0:
         raise p.error("profile default must be 0 or w", open_index)
     profile = SupernaturalProfile._of_primes(entries, default)
@@ -209,55 +211,50 @@ def parse_profile(text: str) -> SupernaturalProfile:
 MAX_GROUP_NESTING = 100
 
 
-# Atoms of one token, as the values they denote.
-_SIMPLE_ATOMS = {"R": REAL, "T": TORUS, "1": TRIVIAL_GROUP}
+# Terms of one token, as ``(runs, count)``.
+_SIMPLE_TERMS = {"R": (((REAL, 1),), 1), "T": (((TORUS, 1),), 1), "1": ((), 0)}
 
 
-def _parse_atom(p: _Parser) -> RawNode:
-    index = p.index
-    token = p.tokens[index]
+def _parse_term(p: _Parser, budget: int) -> tuple:
+    """``term`` as ``(runs, count)`` (see ``groups``): its runs are built
+    only within ``budget``."""
+    token = p.tokens[p.index]
     p.index += 1
-    simple = _SIMPLE_ATOMS.get(token)
-    if simple is not None:
-        return simple
-    if token == "Sol":
-        return Atom._of_profile(_parse_profile(p))  # the profile parser checked its total
-    if token == "S":
-        from .sequences import _parse_sequence
+    term = _SIMPLE_TERMS.get(token)
+    if term is None:
+        if token == "Sol":
+            term = ((Atom._of_profile(_parse_profile(p)), 1),), 1  # the profile parser checked its total
+        elif token == "S":
+            from .sequences import _parse_sequence, _sequence_term
 
-        return _parse_sequence(p)
-    if token == "(":
-        if p.depth == MAX_GROUP_NESTING:
-            raise p.error(f"parentheses nest deeper than {MAX_GROUP_NESTING} levels", index)
-        p.depth += 1
-        inner = _parse_group(p)
-        p.expect(")")
-        p.depth -= 1
-        return inner
-    raise p.error(f"expected a group atom but found {_describe(token)}", index)
-
-
-def _parse_term(p: _Parser) -> RawNode:
-    atom = _parse_atom(p)
-    if p.take("^"):
-        return RawPower(atom, p.expect_nat())
-    return atom
+            term = _sequence_term(_parse_sequence(p), p.unsplit)
+        elif token == "(" and p.depth < MAX_GROUP_NESTING:
+            p.depth += 1
+            term = _parse_group(p, budget)
+            p.expect(")")
+            p.depth -= 1
+        elif token == "(":
+            raise p.error(f"parentheses nest deeper than {MAX_GROUP_NESTING} levels", p.index - 1)
+        else:
+            raise p.error(f"expected a group atom but found {_describe(token)}", p.index - 1)
+    if p.tokens[p.index] != "^":
+        return term
+    p.index += 1
+    return _raised(*term, p.expect_nat(), budget)
 
 
-def _parse_group(p: _Parser) -> RawNode:
-    parts = [_parse_term(p)]
+def _parse_group(p: _Parser, budget: int) -> tuple:
+    """``group`` as ``(runs, count)``; each term gets the budget the terms
+    before it left."""
     tokens = p.tokens
-    while tokens[p.index] in ("x", "*"):
+    parts, count = [], 0
+    while True:
+        runs, n = _parse_term(p, budget - count)
+        parts.append(runs)
+        count += n
+        if tokens[p.index] not in ("x", "*"):
+            return _product(parts, count, budget)
         p.index += 1
-        parts.append(_parse_term(p))
-    return RawProduct(tuple(parts)) if len(parts) > 1 else parts[0]
-
-
-def parse_group_raw(text: str) -> RawNode:
-    p = _Parser(text)
-    node = _parse_group(p)
-    p.expect_end()
-    return node
 
 
 def parse_group(text: str) -> GroupExpr:
@@ -268,7 +265,10 @@ def parse_group(text: str) -> GroupExpr:
     >>> str(parse_group("S[4,6,8|9]"))
     'Sol{2:6, 3:w}'
     """
-    return normalize_group(parse_group_raw(text))
+    p = _Parser(text)
+    term = _parse_group(p, MAX_FACTORS)
+    p.expect_end()
+    return normalize_group(_capped(*term, p.unsplit))
 
 
 # -- renderers ----------------------------------------------------------------

@@ -1,5 +1,5 @@
 """``S[...]`` sequences, loaded on first use: their value ``IntSeqSpec``,
-their parser and their multiplicity profile.
+their parser, their multiplicity profile and their term in a group.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from collections import Counter
 from . import supernatural  # read at call time, where bench/tracing.py patches its bindings
 from ._value import Value
 from .errors import DomainError
+from .groups import Atom
 from .literals import _parse_nats, _Parser
 from .primes import _trial_division
 from .supernatural import OMEGA, SupernaturalProfile, _Unsplit
@@ -84,6 +85,15 @@ def profile_from_sequence(s: IntSeqSpec) -> SupernaturalProfile:
             counts[gamma] = counts.get(gamma, 0) + exponent * times
     omega = dict.fromkeys((gamma for entry in s.tail for gamma in factors[entry]), OMEGA)
     return SupernaturalProfile._of_primes({**counts, **omega}, 0, unsplit=bool(unsplit))
+
+
+def _sequence_term(s: IntSeqSpec, unsplit: list) -> tuple:
+    """The term ``(runs, count)`` (see ``groups``) of the solenoid of ``s``;
+    its atom is appended to ``unsplit`` when its profile has an unsplit key."""
+    atom = Atom._of_profile(profile_from_sequence(s))
+    if atom.profile.unsplit:
+        unsplit.append(atom)
+    return ((atom, 1),), 1
 
 
 def _parse_sequence(p: _Parser) -> IntSeqSpec:

@@ -32,6 +32,7 @@ within its budget and refuses past it.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from operator import itemgetter
 
 from ._value import Value
 from .errors import DomainError, forwarding
@@ -164,7 +165,10 @@ class SupernaturalProfile(Value):
 
     def _store(self, multiplicities: dict, default: Mult, unsplit: bool = False):
         items = sorted(multiplicities.items())
-        canonical = tuple((gamma, value) for gamma, value in items if value != default)
+        if default is OMEGA:
+            canonical = tuple([item for item in items if item[1] is not OMEGA])
+        else:  # the default is 0, and a multiplicity other than 0 is truthy, OMEGA too
+            canonical = tuple(filter(itemgetter(1), items))
         object.__setattr__(self, "exceptions", canonical)
         object.__setattr__(self, "default", default)
         object.__setattr__(self, "unsplit", unsplit and any(type(key) is _Unsplit for key, _ in canonical))

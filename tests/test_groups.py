@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from borelcmp.duality import INTEGERS, dual
-from borelcmp.errors import DomainError
+from borelcmp.errors import DomainError, ParseError
 from borelcmp.groups import (
     MAX_FACTORS,
     REAL,
@@ -25,7 +25,7 @@ from borelcmp.groups import (
     normalize_group,
     solenoid,
 )
-from borelcmp.literals import parse_group, parse_group_raw
+from borelcmp.literals import parse_group
 from borelcmp.sequences import IntSeqSpec
 from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
@@ -90,6 +90,30 @@ def test_normalize_caps_the_factor_count_before_building():
     assert parse_group("1^1" + "0" * 30 + " x (T^0)^1" + "0" * 30) == TRIVIAL_GROUP
 
 
+def test_no_run_is_built_past_the_cap():
+    """A term's factors are counted before its runs are built, and a term
+    past what the cap leaves after the terms before it, at any depth, builds
+    none: each of these would build 10^7 runs, 80 MB of pointers."""
+    nested = RawProduct((TORUS, RawProduct((REAL, RawPower(RawProduct((TORUS, REAL)), 5_000_000)))))
+    for build, error in (
+        (lambda: parse_group("(T x R)^5000001"), DomainError),
+        (lambda: parse_group("T x ((T x R)^5000000)"), DomainError),
+        (lambda: parse_group("T x ((T x R)^5000000)^1 x (T"), ParseError),  # which comes first
+        (lambda: normalize_group(nested), DomainError),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+    # a term at the cap is built, and one past it with exponent 0 is empty
+    assert len(parse_group("(T x 1)^10000000").runs) == 1
+    assert parse_group("((T x R)^5000001)^0 x T") == group(TORUS)
+
+
 def test_factors_allocate_the_tuple_once():
     """The factors, like a dual's components, are a sized view of the runs:
     its ``len`` allocates nothing per factor, and a tuple of it is allocated
@@ -128,15 +152,18 @@ def test_factors_allocate_the_tuple_once():
 def test_normalize_accepts_every_leaf_kind():
     """A raw tree's leaves are the values they denote: atoms, integer
     sequences and normalized expressions, alone or inside powers and
-    products."""
+    products.  Each normalizes as its literal parses."""
     sol, seq = solenoid({2: OMEGA}), IntSeqSpec((4,), (6,))
     seq_sol = solenoid({2: OMEGA, 3: OMEGA})  # 4, then 6 = 2 * 3 forever
-    assert parse_group_raw("R") is REAL and parse_group_raw("1") is TRIVIAL_GROUP
-    assert parse_group_raw("Sol{2:w}") == sol and parse_group_raw("S[4|6]") == seq
-    for leaf, runs in ((REAL, ((REAL, 1),)), (sol, ((sol, 1),)), (seq, ((seq_sol, 1),)), (TRIVIAL_GROUP, ())):
-        assert normalize_group(leaf).runs == runs
+    assert parse_group("R").runs[0][0] is REAL and normalize_group(TRIVIAL_GROUP) is TRIVIAL_GROUP
+    assert parse_group("Sol{2:w}").runs[0][0] == sol and parse_group("S[4|6]") == normalize_group(seq)
+    for text, leaf, runs in (("R", REAL, ((REAL, 1),)), ("Sol{2:w}", sol, ((sol, 1),)),
+                             ("S[4|6]", seq, ((seq_sol, 1),)), ("1", TRIVIAL_GROUP, ())):
+        assert normalize_group(leaf).runs == parse_group(text).runs == runs
         assert normalize_group(RawPower(leaf, 3)).runs == tuple((atom, 3 * count) for atom, count in runs)
+        assert normalize_group(RawPower(leaf, 3)) == parse_group(f"{text}^3")
         assert normalize_group(RawProduct((TORUS, leaf, TORUS))) == GroupExpr(((TORUS, 1), *runs, (TORUS, 1)))
+        assert normalize_group(RawProduct((TORUS, leaf, TORUS))) == parse_group(f"T x {text} x T")
     raw = RawProduct(
         (RawPower(RawProduct((REAL, sol)), 2), RawPower(seq, 2), RawPower(TRIVIAL_GROUP, 5), TORUS)
     )

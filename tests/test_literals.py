@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import literal_reference
 from upset_reference import sparse_from_bits
-from borelcmp.errors import BorelcmpError, ParseError
+from borelcmp.errors import BorelcmpError, DomainError, ParseError
 from borelcmp.groups import REAL, TORUS, group, solenoid
 from borelcmp.literals import (
     MAX_GROUP_NESTING,
@@ -181,7 +181,8 @@ def test_upset_render_round_trip(rng):
 
 # Every ParseError raise site of the literal parsers, with its exact message
 # and position.  The ``except`` entry is the one site that gave no position
-# before; it now names the entry.
+# before; it now names the entry.  A row without a position is the factor
+# cap's DomainError: a ParseError anywhere in the text comes before it.
 @pytest.mark.parametrize(
     "kind, text, message, position",
     [
@@ -201,6 +202,10 @@ def test_upset_render_round_trip(rng):
         ("group", "Sol{default=3}", "profile default must be 0 or w", 3),
         ("group", "Sol{2:3}", "profile {2:3} has finite total multiplicity; no infinite prime sequence "
                               "realizes it (some multiplicity must be w, or the default)", 3),
+        ("group", "T^10000001 x )", "expected a group atom but found ')'", 13),
+        ("group", "T^10000001 x T^", "expected a number but found end of input", 15),
+        ("group", "(T x R)^5000000 x (T x R)^5000001",
+         "expression has more than 10000000 factors, the cap on one expression", None),
         ("profile", "{2 w}", "expected ':' but found 'w'", 3),
         ("profile", "{2:w", "expected '}' but found end of input", 4),
         ("profile", "{2:w; w}", "expected 'default' but found 'w'", 6),
@@ -224,23 +229,32 @@ def test_upset_render_round_trip(rng):
     ],
 )
 def test_parse_error_messages(kind, text, message, position):
+    if position is None:
+        with pytest.raises(DomainError) as err:
+            PARSERS[kind](text)
+        assert str(err.value) == message
+        return
     with pytest.raises(ParseError) as err:
         PARSERS[kind](text)
     assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
 
 
-# Pieces of literals: every token, a few longer runs of them, and characters
-# outside the alphabet (a letter, two non-ASCII digits) or whitespace.
+# Pieces of literals: every token, a few longer runs of them, exponents at
+# and past the factor cap, and characters outside the alphabet (a letter,
+# two non-ASCII digits) or whitespace.
 _PIECES = (
     tuple("0123456789{}[]():,;=|^*")
     + ("default", "except", "period", "cofin", "word", "from", "Sol", "ups", "fin", "R", "T", "S", "w", "x")
     + ("Sol{2:w}", "S[4,6|9]", " x ", "^2", "ups{", "from=0; ", "period=2; ", "word=10}", "fin{1,3}")
+    + ("^5000001", "^10000000")
     + ("o", "\u0663", "\u00b2", " ", "\n")
 )
 
-# Valid literals of every kind, for edits that fail deep inside them.
+# Valid literals of every kind, for edits that fail deep inside them, and
+# one group a factor past the cap, whose edits fall on both sides of it.
 _LITERALS = (
     "R^2 x T x Sol{2:6, 3:w}",
+    "T^10000000 x R",
     "(T x S[4,6|9])^3 * 1 x (R)",
     "Sol{ 2 : 5 ; default = w }",
     "{2:6,3:w; default=0}",
