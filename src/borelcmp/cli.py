@@ -23,7 +23,7 @@ Every verb loads the expressions, the profiles and their literals.
 ``farprimes``, the ``family-*`` verbs with ``posetlab`` (which loads both)
 and ``setliterals`` for ``--a``/``--b``, ``selftest`` with all of these.
 ``S[...]`` adds ``sequences``, or with a composite cofactor also
-``coprime`` and ``farprimes``, and ``--json`` the ``json`` module.
+``coprime``, and ``--json`` the ``json`` module.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import BorelcmpError, DomainError, ParseError, forwarding
 from .groups import dimension, is_compact
 from .literals import parse_group, parse_profile, render_dual, render_group
 from .report import Report, certificate_payload
-from .supernatural import _prime_pairs
 from .supernatural import preceq  # noqa: F401  bench/tracing.py patches this binding
 
 # Size options: flag -> (dest, largest accepted value).  Their work grows
@@ -237,7 +236,6 @@ def _reduce(command: Command):
         for left, right, count, reason, deficit in verdict.certificate.blocks:
             tail = f" ({reason.value.removeprefix('RULE_')})"
             if command.show_certificate and reason is EdgeReason.RULE_SOL_SOL:
-                deficit = _prime_pairs(deficit)
                 pairs = ", ".join(f"{g}^{d}" for g, d in deficit) or "none"
                 tail += f" [surplus: {pairs}; total {sum(d for _, d in deficit)}]"
             diagnostics += [f"{left + j} -> {right - j}{tail}" for j in range(count)]

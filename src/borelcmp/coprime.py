@@ -1,4 +1,4 @@
-"""Unsplit keys: one coprime base for verdicts, and primes for printing.
+"""Unsplit keys: one coprime base for verdicts, printing and counting.
 
 A profile built from a sequence keeps, as an unsplit key
 (``supernatural._Unsplit``), a cofactor that trial division by the primes
@@ -11,8 +11,8 @@ gamma of k the multiplicity m * v_gamma(k), with OMEGA absorbing.
   every verdict: a prime dividing a base element e is OMEGA exactly when e
   is, and two profiles over one base are equal exactly when they give
   every prime the same multiplicity.  No factoring is needed.
-* ``factored`` and ``prime_pairs`` split unsplit keys with ``factorint``,
-  within its budget, for what names or counts primes.
+* What prints or counts reads the base elements as they are: an unsplit
+  key that ``isprime`` rejects prints marked (``supernatural._Unsplit``).
 
 This module loads the first time a sequence leaves an unsplit key, so
 other inputs never compile it; ``supernatural`` reaches it only then.
@@ -20,10 +20,8 @@ other inputs never compile it; ``supernatural`` reaches it only then.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
-from .farprimes import factorint
 from .groups import Atom, AtomKind, _joined
 from .primes import isprime
 from .supernatural import OMEGA, SupernaturalProfile, _Unsplit
@@ -132,19 +130,3 @@ def runs_on_one_base(runs: tuple) -> tuple:
                if new is not atom.profile}
     return _joined(((swapped.get(id(atom), atom), count),) for atom, count in runs)
 
-
-@lru_cache(maxsize=1024)
-def primes_of(key: int) -> tuple:
-    """The (prime, exponent) pairs of an unsplit key, by ``factorint`` within
-    ``FACTOR_BUDGET``, kept for the key's next print."""
-    return tuple(factorint(int(key)).items())
-
-
-def factored(p: SupernaturalProfile) -> SupernaturalProfile:
-    """``p`` with each unsplit key split into its primes."""
-    return SupernaturalProfile._of_primes(regrouped(p.exceptions, primes_of), p.default)
-
-
-def prime_pairs(pairs) -> tuple:
-    """A surplus table with each unsplit key split into its primes, ascending."""
-    return tuple(sorted(regrouped(pairs, primes_of).items()))

@@ -1,14 +1,14 @@
-"""Walks of the prime table, the strong Lucas test and factoring, loaded
-on first use: no verdict walks primes or factors.
+"""Walks of the prime table, the strong Lucas test and factoring below
+2^32, loaded on first use: no verdict walks primes or factors.
 
 * ``primes_after``, the one prime search, bisects into the first chunk of
   ``primes``' table and chains whole chunks, in C.  Past ``SIEVE_CAP`` and
   below 2^32 it segment-sieves each span of 2^16 numbers from the flags
   and stores none; from 2^32 on it tests the candidates 6k +- 1, as
   ``nextprime`` does from ``SIEVE_CAP`` on.
-* ``factorint`` splits what trial division leaves with Pollard-Brent
-  (Brent 1980) within ``FACTOR_BUDGET`` steps, and raises
-  :class:`DomainError` past it.  It serves the printers, which name primes.
+* ``factorint`` factors the numbers below 2^32 by trial division by the
+  primes below 2^16, which is exact there, and refuses larger ones.
+  Nothing else factors: unsplit keys print as they are.
 """
 
 from __future__ import annotations
@@ -16,19 +16,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import chain, count, dropwhile, filterfalse, islice
-from math import gcd, isqrt
+from math import isqrt
 from operator import index
 
 from .errors import DomainError, checked_natural
 from .primes import _CHUNK, _SIEVE, SIEVE_CAP, _segment_primes, _sieved, _trial_division, isprime
 
-__all__ = ["nextprime", "primes_after", "factorint", "FACTOR_BUDGET"]
-
-# Pollard-Brent steps (one modular squaring each) that one ``factorint``
-# call may spend, shared by all its splits; enough to split a product of
-# two primes below 2^32 (about 0.1 s), while primes of 34 bits and more
-# can exceed it.
-FACTOR_BUDGET = 1 << 18
+__all__ = ["nextprime", "primes_after", "factorint"]
 
 
 def nextprime(n: int) -> int:
@@ -127,32 +121,20 @@ def _every_third(runs, offset: int) -> Iterator[int]:
 
 
 def factorint(n: int) -> dict:
-    """The prime factorization of ``n >= 1`` as ``{prime: exponent}``,
-    ascending.  Raises :class:`DomainError` when splitting a composite
-    cofactor takes more than ``FACTOR_BUDGET`` Pollard-Brent steps.
+    """The prime factorization of ``1 <= n < 2^32`` as ``{prime: exponent}``,
+    ascending: trial division by the primes below 2^16 leaves no composite
+    cofactor there.  A larger ``n`` is a :class:`DomainError`.
 
-    >>> factorint(360), factorint(1)
-    ({2: 3, 3: 2, 5: 1}, {})
+    >>> factorint(360), factorint(1), factorint(65521 * 65537)
+    ({2: 3, 3: 2, 5: 1}, {}, {65521: 1, 65537: 1})
     """
     checked_natural(n, "only positive integers are factored", 1)
+    if n >= _CHUNK * _CHUNK:
+        raise DomainError(f"only numbers below 2^32 are factored, got {n}")
     factors, rest = _trial_division(n)
-    if rest == 1:
-        return factors
-    pending = [rest]
-    budget = FACTOR_BUDGET
-    while pending:
-        m = pending.pop()
-        if isprime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d, budget = _pollard_brent(m, budget)
-        if d is None:
-            raise DomainError(
-                f"factoring {n} needs more than {FACTOR_BUDGET} Pollard-Brent steps, "
-                "the factoring budget"
-            )
-        pending += [d, m // d]
-    return dict(sorted(factors.items()))
+    if rest > 1:  # it has no prime factor below 2^16, so it is prime
+        factors[rest] = 1
+    return factors
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -203,37 +185,3 @@ def _halve(x: int, n: int) -> int:
     """x / 2 modulo odd ``n``."""
     x %= n
     return (x + n if x % 2 else x) // 2
-
-
-def _pollard_brent(n: int, budget: int) -> tuple:
-    """A proper divisor of the odd composite ``n`` and the budget left, or
-    ``(None, 0)`` when the next round would spend more than ``budget``
-    steps.  Brent's cycle search on x -> x^2 + c from x = 2, for c = 1, 2,
-    ... in turn, with the gcd taken once per batch of differences."""
-    batch = 128
-    for c in count(1):
-        y = 2
-        g = r = q = 1
-        while g == 1:
-            if 2 * r > budget:
-                return None, 0
-            budget -= 2 * r
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(batch, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += batch
-            r *= 2
-        if g == n:  # the batch overshot: redo it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if 1 < g < n:
-            return g, budget

@@ -292,10 +292,10 @@ def _render_runs(runs: tuple) -> str:
 
 
 def render_group(g: GroupExpr) -> str:
-    """Canonical text: one power per run, with every profile over primes.
-    It reparses to the identical expression when every key is prime, and
-    otherwise to the expression with each profile ``_factored``.  Printing
-    an unsplit key past the factoring budget is a ``DomainError``."""
+    """Canonical text: one power per run, with every profile over its
+    stored keys.  It reparses to the identical expression when every key is
+    prime; a key that ``isprime`` rejects prints marked, as ``[k]``, which
+    no literal reads."""
     return _render_runs(g.runs)
 
 

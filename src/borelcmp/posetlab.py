@@ -55,7 +55,7 @@ from .errors import DomainError, checked_natural
 from .farprimes import _every_third, _runs_outside, factorint
 from .farprimes import nextprime  # noqa: F401  bench/tracing.py patches this binding
 from .replay import Replay, _covering_prefix, _Layout, _primes_outside, _ranks, canonical_terms
-from .supernatural import OMEGA, SupernaturalProfile, _factored, _paired, preceq
+from .supernatural import OMEGA, SupernaturalProfile, _paired, preceq
 
 __all__ = [
     "UPSet",
@@ -361,7 +361,8 @@ class Family(Value):
             )
         if not preceq(p, q):
             raise DomainError("family requires p preceq q (q's relation reduces to p's)")
-        p, q = _factored(p), _factored(q)  # the d-enumeration and the layouts read primes
+        if p.unsplit or q.unsplit:  # the d-enumeration and the layouts walk primes
+            raise DomainError("family profiles must have prime keys; an S[...] entry left one unsplit")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 

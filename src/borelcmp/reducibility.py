@@ -41,7 +41,7 @@ from .errors import forwarding
 from .groups import REAL, TORUS, Atom, AtomKind, GroupExpr, solenoid
 from .matching import class_flow
 from .matching import saturating_matching_or_violator  # noqa: F401  bench/tracing.py patches this binding
-from .supernatural import OMEGA, _prime_pairs, finite_surplus_table, preceq
+from .supernatural import OMEGA, finite_surplus_table, preceq
 
 __all__ = [
     "EdgeReason",
@@ -75,7 +75,7 @@ class EdgeWitness(Value):
     solenoid/solenoid edges, ``deficit`` is the per-prime surplus of the
     target profile over the source profile; its total is finite by validity.
     When a profile has an unsplit key, ``deficit`` is keyed by the coprime
-    base of the two profiles, and ``total_deficit`` counts primes.
+    base of the two profiles, and ``total_deficit`` counts its elements.
     """
 
     __slots__ = _fields = ("left_index", "right_index", "reason", "deficit")
@@ -88,7 +88,7 @@ class EdgeWitness(Value):
 
     @property
     def total_deficit(self) -> int:
-        return sum(d for _, d in _prime_pairs(self.deficit))
+        return sum(d for _, d in self.deficit)
 
 
 EdgeBlock = namedtuple("EdgeBlock", ("left", "right", "count", "reason", "deficit"), defaults=((),))

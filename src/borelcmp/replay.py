@@ -1,8 +1,11 @@
 """Profiles as sequences, loaded on first use: the deficit, the
 refutation witness, the canonical sequences and ``oracle_replay``, which
 checks ``supernatural.preceq`` on finite windows, at a drop and a window
-computed from the layout of the canonical sequences (``_Layout``).  All of
-them name or count primes, so they read profiles ``_factored``.
+computed from the layout of the canonical sequences (``_Layout``).  They
+read the stored keys: a profile with an unsplit key (see ``coprime``) is
+named and counted by its coprime base, whose elements stand in its
+canonical sequence as primes do, and two profiles are compared over one
+base of both.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from . import supernatural  # read at call time, where bench/tracing.py patches 
 from ._value import Value
 from .errors import DomainError, checked_natural
 from .farprimes import _runs_outside
-from .supernatural import OMEGA, Mult, SupernaturalProfile, _check_prime, _factored, _paired, _prime_pairs
+from .supernatural import OMEGA, Mult, SupernaturalProfile, _check_prime, _on_one_base, _paired, _Unsplit
 
 __all__ = ["deficit", "refutation_witness", "canonical_terms", "canonical_sequence", "oracle_injection",
            "oracle_drop_bound", "sufficient_prefix_length", "Replay", "oracle_replay"]
@@ -38,7 +41,7 @@ def deficit(q: SupernaturalProfile, p: SupernaturalProfile) -> Mult:
         table = supernatural.finite_surplus_table(q, p)
     except DomainError:
         return OMEGA
-    return sum(surplus for _, surplus in _prime_pairs(table))
+    return sum(surplus for _, surplus in table)
 
 
 def _primes_outside(excluded) -> Iterator[int]:
@@ -47,39 +50,42 @@ def _primes_outside(excluded) -> Iterator[int]:
 
 
 def refutation_witness(q: SupernaturalProfile, p: SupernaturalProfile):
-    """The least prime with infinite surplus of ``q`` over ``p`` (OMEGA in q,
-    finite in p), or None when ``preceq(q, p)`` holds.
+    """The least prime or element of the coprime base of both profiles'
+    keys with infinite surplus of ``q`` over ``p`` (OMEGA in q, finite in
+    p), or None when ``preceq(q, p)`` holds.  A witness outside the keys
+    is a prime that divides none of them.
 
     Every failure of ``preceq`` in this representation has such a witness.
     """
-    q, p = _factored(q), _factored(p)
     keys, candidates = set(), []
     for gamma, tq, tp in _paired(q, p):
         keys.add(gamma)
         if tq is OMEGA and tp is not OMEGA:
             candidates.append(gamma)
     if q.default is OMEGA and p.default is not OMEGA:
-        candidates.append(next(_primes_outside(keys)))
+        candidates.append(next(gamma for gamma in _primes_outside(keys) if all(key % gamma for key in keys)))
     return min(candidates, default=None)
 
 
-def canonical_terms(p: SupernaturalProfile, start: int = 0) -> Iterator[int]:
+def canonical_terms(p: SupernaturalProfile, start: int = 0, *, unsplit=()) -> Iterator[int]:
     """The fixed representative sequence with profile ``p``, as an infinite
     iterator from position ``start`` on: finite-multiplicity exception
-    primes first (ascending, with multiplicity), then the OMEGA-multiplicity
-    primes forever.
+    keys first (ascending, with multiplicity), then the OMEGA-multiplicity
+    keys forever.  A key is a prime or an element of ``p``'s coprime base.
 
-    With default 0 the OMEGA primes cycle round-robin ascending; with
-    default OMEGA they form an infinite set, visited by dovetailing rounds
-    (first 1 of them, then the first 2, then the first 3, ...) so that every
-    one recurs infinitely often.  The terms before ``start`` are skipped by
-    arithmetic on that layout (see :class:`_Layout`), not walked:
+    With default 0 the OMEGA keys cycle round-robin ascending; with
+    default OMEGA the primes outside the exceptions form an infinite set,
+    visited by dovetailing rounds (first 1 of them, then the first 2, then
+    the first 3, ...) so that every one recurs infinitely often.  Compared
+    with a profile over a coprime base, a default-OMEGA ``p`` (whose keys
+    are primes) carries that base's ``unsplit`` elements OMEGA times: they
+    join the set ahead of its primes, ascending.  The terms before ``start`` are
+    skipped by arithmetic on that layout (see :class:`_Layout`), not walked:
 
     >>> from itertools import islice
     >>> list(islice(canonical_terms(SupernaturalProfile({2: 10**9, 3: OMEGA}), 10**9 - 1), 3))
     [2, 3, 3]
     """
-    p = _factored(p)
     if not p.has_infinite_total:
         raise DomainError(f"profile {p} has finite total multiplicity; no infinite sequence exists")
     start = checked_natural(start, "start must be a natural number")
@@ -92,25 +98,27 @@ def canonical_terms(p: SupernaturalProfile, start: int = 0) -> Iterator[int]:
         omegas = sorted(p.omega_primes)
         turn = start % len(omegas)
         return chain(head, cycle(omegas[turn:] + omegas[:turn]))
-    # round k is the running list of the first k primes outside the
-    # exceptions and starts k(k-1)/2 terms after the head; ``start`` falls
-    # in round ``rounds``
+    # round k is the running list of the first k of that set and starts
+    # k(k-1)/2 terms after the head; ``start`` falls in round ``rounds``
     rounds = (1 + isqrt(8 * start + 1)) // 2
-    walk = _primes_outside({g for g, _ in p.exceptions})
+    unsplit = sorted(unsplit)
+    walk = chain(unsplit, _primes_outside({g for g, _ in p.exceptions}.union(unsplit)))
     first = list(islice(walk, rounds))
     later = islice(accumulate(([gamma] for gamma in walk), initial=first), 1, None)
     return chain(head, first[start - rounds * (rounds - 1) // 2:], chain.from_iterable(later))
 
 
 class _Layout:
-    """Where each prime sits in ``canonical_terms(p)``, computed, not walked.
+    """Where each key sits in ``canonical_terms(p, unsplit=unsplit)``,
+    computed, not walked.
 
     The finite exceptions are runs of the head, in ascending order.  After
-    the head, the OMEGA primes of a default-0 profile cycle, and round r
+    the head, the OMEGA keys of a default-0 profile cycle, and round r
     (from 1) of a default-OMEGA profile's dovetail starts r(r-1)/2 terms
-    on and lists the first r primes outside the exceptions.  Locating such
-    a prime needs its rank among them; the ranks of ``primes`` are found in
-    one walk up to the largest, and of any other prime when it is asked for.
+    on and lists the first r of the ``unsplit`` base elements, then the
+    primes outside them and the exceptions.  Locating such a prime needs
+    its rank among them; the ranks of ``primes`` are found in one walk up
+    to the largest, and of any other prime when it is asked for.
 
     >>> p = SupernaturalProfile({2: 3}, OMEGA)  # 2, 2, 2 | 3 | 3, 5 | 3, 5, 7 | 3, 5, 7, 11 | ...
     >>> layout = _Layout(p, [7])
@@ -118,7 +126,7 @@ class _Layout:
     ([8, 11, 15], 2, None)
     """
 
-    def __init__(self, p: SupernaturalProfile, primes=()):
+    def __init__(self, p: SupernaturalProfile, primes=(), unsplit=()):
         if not p.has_infinite_total:
             raise DomainError(f"profile {p} has finite total multiplicity; no infinite sequence exists")
         self.default = p.default
@@ -127,8 +135,10 @@ class _Layout:
             self.runs[gamma] = (self.head, times)
             self.head += times
         if p.default is OMEGA:
-            outside = set(primes).difference(self.runs)
-            self.ranks = _ranks(_primes_outside(self.runs), outside)
+            self.ranks = {element: i for i, element in enumerate(sorted(unsplit))}
+            self.leading = len(self.ranks)  # the unsplit elements, which lead each round
+            self.skipped = self.runs.keys() | self.ranks.keys()  # what the prime walk leaves out
+            self._rank_primes(primes)
         else:
             self.ranks = {gamma: i for i, gamma in enumerate(sorted(p.omega_primes))}
             self.period = len(self.ranks)
@@ -160,11 +170,17 @@ class _Layout:
         return (after + self.period - 1) // self.period
 
     def _rank(self, gamma: int):
-        """``gamma``'s index among the primes after the head, or None when
-        it has none: a prime outside a default-0 profile's support."""
+        """``gamma``'s index among the keys after the head, or None when
+        it has none: a key outside a default-0 profile's support."""
         if self.default is OMEGA and gamma not in self.ranks:
-            self.ranks.update(_ranks(_primes_outside(self.runs), (gamma,)))
+            self._rank_primes((gamma,))
         return self.ranks.get(gamma)
+
+    def _rank_primes(self, primes):
+        """Rank the ``primes`` in a default-OMEGA profile's dovetail, after
+        its unsplit base elements, in one walk."""
+        found = _ranks(_primes_outside(self.skipped), set(primes).difference(self.skipped))
+        self.ranks.update((gamma, self.leading + i) for gamma, i in found.items())
 
 
 def _ranks(walk: Iterable[int], wanted) -> dict:
@@ -224,7 +240,8 @@ def oracle_drop_bound(q: SupernaturalProfile, p: SupernaturalProfile) -> int:
     By then each surplus prime has shed its deficit-many early occurrences,
     so no window can demand more of a prime than ``p`` ever supplies.
     """
-    q, p = _factored(q), _factored(p)
+    if q.unsplit or p.unsplit:
+        q, p = _on_one_base(q, p)
     table = dict(supernatural.finite_surplus_table(q, p))
     return _covering_prefix(_Layout(q, table), table)
 
@@ -232,14 +249,16 @@ def oracle_drop_bound(q: SupernaturalProfile, p: SupernaturalProfile) -> int:
 def sufficient_prefix_length(p: SupernaturalProfile, window: Iterable) -> int:
     """Length of a canonical prefix of ``p`` covering the window's multiset.
 
-    Raises :class:`DomainError` when some prime is demanded more often than
-    ``p`` supplies it in total (no prefix can ever suffice).
+    The window holds ``p``'s keys and primes.  Raises :class:`DomainError`
+    when some term is demanded more often than ``p`` supplies it in total
+    (no prefix can ever suffice).
     """
-    p = _factored(p)
     need = Counter(window)
-    exceptions = dict(p.exceptions)  # one lookup per window prime, not a scan of the exceptions
+    exceptions = dict(p.exceptions)  # one lookup per window term, not a scan of the exceptions
     for gamma, count in need.items():
-        carried = exceptions.get(_check_prime(gamma), p.default)
+        if gamma not in exceptions:
+            _check_prime(gamma)
+        carried = exceptions.get(gamma, p.default)
         if carried < count:
             raise DomainError(f"window needs {count} occurrences of {gamma} but the profile carries {carried}")
     return _covering_prefix(_Layout(p, need), need)
@@ -282,15 +301,17 @@ def oracle_replay(q: SupernaturalProfile, p: SupernaturalProfile, window: int) -
     1000000001
     """
     checked_natural(window, "window must be positive", 1)
-    q, p = _factored(q), _factored(p)
+    if q.unsplit or p.unsplit:
+        q, p = _on_one_base(q, p)
+    unsplit = {key for profile in (q, p) for key, _ in profile.exceptions if type(key) is _Unsplit}
     witness = refutation_witness(q, p)
     if witness is None:
         drop = oracle_drop_bound(q, p)
-        need = Counter(islice(canonical_terms(q, drop), window))
-        return Replay(drop, drop + window, _covering_prefix(_Layout(p, need), need))
-    needed = p.multiplicity(witness) + 1
-    end = _Layout(q, (witness,)).position(witness, needed) + 1
+        need = Counter(islice(canonical_terms(q, drop, unsplit=unsplit), window))
+        return Replay(drop, drop + window, _covering_prefix(_Layout(p, need, unsplit), need))
+    needed = dict(p.exceptions).get(witness, p.default) + 1
+    end = _Layout(q, (witness,), unsplit).position(witness, needed) + 1
     if window < end:
         return Replay(0, end, None, witness, needed, needs_window=end)
-    need = Counter(islice(canonical_terms(q), end))
-    return Replay(0, end, _covering_prefix(_Layout(p, need), need), witness, needed)
+    need = Counter(islice(canonical_terms(q, unsplit=unsplit), end))
+    return Replay(0, end, _covering_prefix(_Layout(p, need, unsplit), need), witness, needed)

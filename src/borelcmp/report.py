@@ -8,19 +8,21 @@ The JSON shape is pinned by golden tests:
       "verdict": bool | str,
       "certificate": {"edges": [{"left": int, "right": int,
                                  "reason": str,
-                                 "deficit": [[prime, int | "w"], ...]}, ...]}
+                                 "deficit": [[key, int | "w"], ...]}, ...]}
                    | {"violator": {"K": [int, ...], "NK": [int, ...]}},
       "diagnostics": [str, ...]
     }
 
-``certificate`` is present only for verbs that produce one.  Output is
-deterministic: no timestamps, fixed ordering everywhere.
+A ``deficit`` key is a prime, or an element of the coprime base of the
+edge's two profiles when one has an unsplit key.  ``certificate`` is
+present only for verbs that produce one.  Output is deterministic: no
+timestamps, fixed ordering everywhere.
 """
 
 from __future__ import annotations
 
 from ._value import Value
-from .supernatural import OMEGA, _prime_pairs
+from .supernatural import OMEGA
 
 
 def _mult_json(m) -> int | str:
@@ -83,7 +85,7 @@ def certificate_payload(v) -> dict:
         edges = []
         for left, right, count, reason, deficit in v.certificate.blocks:
             # the edges of one block share its reason and deficit list
-            tail = {"reason": reason.value, "deficit": [[gamma, _mult_json(d)] for gamma, d in _prime_pairs(deficit)]}
+            tail = {"reason": reason.value, "deficit": [[gamma, _mult_json(d)] for gamma, d in deficit]}
             edges += [{"left": left + j, "right": right - j, **tail} for j in range(count)]
         return {"edges": edges}
     return {"violator": {"K": list(v.violator.K), "NK": list(v.violator.NK)}}

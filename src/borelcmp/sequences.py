@@ -58,8 +58,8 @@ def profile_from_sequence(s: IntSeqSpec) -> SupernaturalProfile:
     (``primes._trial_division``), and a cofactor above 1 is tested with
     ``isprime``.  A composite cofactor stays whole, as an unsplit key, and
     the keys are then refined by pairwise gcds into a coprime base
-    (``coprime.refinement``).  Nothing here runs Pollard-Brent, so no entry is
-    refused; printing the profile splits its unsplit keys.
+    (``coprime.refinement``).  Nothing here factors further, so no entry is
+    refused, and the profile prints an unsplit key as it is.
 
     >>> str(profile_from_sequence(IntSeqSpec((4, 6, 8), (9,))))
     '{2:6, 3:w}'

@@ -20,13 +20,12 @@ windows; it and ``sequences``, the profiles of ``S[...]``, load on first use.
 The profile of a sequence keeps, as an *unsplit key*, any cofactor that
 trial division by the primes below 2^16 leaves composite: a key k of
 multiplicity m gives each prime gamma of k the multiplicity m * v_gamma(k).
-Verdicts (``preceq``, ``finite_surplus_table``) refine the keys of the
-profiles they compare into one coprime base by pairwise gcds, which is
-exact: a prime dividing a base element e is OMEGA exactly when e is.  So
-no verdict factors anything.  What names or counts primes (printing,
-``deficit``, ``refutation_witness``, the canonical sequences and the
-replay) reads ``_factored``, which splits unsplit keys with ``factorint``
-within its budget and refuses past it.
+Whatever compares two profiles (``preceq``, ``finite_surplus_table``, the
+replays) refines their keys into one coprime base by pairwise gcds, which
+is exact: a prime dividing a base element e is OMEGA exactly when e is.
+What prints or counts (``__str__``, ``deficit``, the canonical sequences)
+reads the base elements as they are, so nothing here factors: a key that
+``isprime`` rejects prints marked, as ``[k]``.
 """
 
 from __future__ import annotations
@@ -110,9 +109,19 @@ class _Unsplit(int):
     left whole by trial division or by a gcd with another key, composite
     or not known to be prime.  It equals and hashes as its int.  The
     module ``coprime`` handles these keys, and loads when the first is
-    made."""
+    made.
+
+    It prints as its int when ``isprime`` accepts it, else marked in
+    brackets, which no literal reads as a prime:
+
+    >>> str(_Unsplit(65537 * 65539)), str(_Unsplit(65539))
+    ('[4295229443]', '65539')
+    """
 
     __slots__ = ()
+
+    def __str__(self):
+        return int.__repr__(self) if isprime(self) else f"[{int.__repr__(self)}]"
 
 
 class SupernaturalProfile(Value):
@@ -135,8 +144,7 @@ class SupernaturalProfile(Value):
 
     A profile built from a sequence (``profile_from_sequence``) may also
     have *unsplit* keys, pairwise coprime with its other keys; ``unsplit``
-    tells whether it has one.  Equality is equality of the stored keys, and
-    ``_factored`` gives the profile over primes.
+    tells whether it has one.  Equality is equality of the stored keys.
     """
 
     _fields = ("exceptions", "default")
@@ -213,37 +221,10 @@ class SupernaturalProfile(Value):
         return self.default is OMEGA or any(v is OMEGA for _, v in self.exceptions)
 
     def __str__(self):
-        parts = ", ".join(f"{g}:{v}" for g, v in _factored(self).exceptions)
+        parts = ", ".join(f"{g}:{v}" for g, v in self.exceptions)
         if self.default is OMEGA:
             return "{" + (parts + "; " if parts else "") + "default=w}"
         return "{" + parts + "}"
-
-
-def _factored(p: SupernaturalProfile) -> SupernaturalProfile:
-    """``p`` over primes: each unsplit key split by ``factorint``, which
-    raises :class:`DomainError` past its budget.  What names or counts
-    primes reads this form; a profile with prime keys only is ``p`` itself.
-
-    >>> from borelcmp.sequences import IntSeqSpec, profile_from_sequence
-    >>> str(_factored(profile_from_sequence(IntSeqSpec((65537 * 65539,), (3,)))))
-    '{3:w, 65537:1, 65539:1}'
-    """
-    if not p.unsplit:
-        return p
-    from .coprime import factored
-
-    return factored(p)
-
-
-def _prime_pairs(pairs) -> tuple:
-    """A surplus table over primes, ascending: an unsplit key k with
-    surplus s gives each prime gamma of k the surplus s * v_gamma(k).  A
-    table with prime keys only comes back as it is."""
-    if not any(type(key) is _Unsplit for key, _ in pairs):
-        return pairs
-    from .coprime import prime_pairs
-
-    return prime_pairs(pairs)
 
 
 def _on_one_base(q: SupernaturalProfile, p: SupernaturalProfile) -> list:
@@ -295,7 +276,7 @@ def finite_surplus_table(q: SupernaturalProfile, p: SupernaturalProfile) -> tupl
     finite deficit: no surplus of OMEGA, at a listed prime or at the
     cofinitely many primes where q's default OMEGA meets p's default 0.
     When either profile has an unsplit key, the table is keyed by their
-    coprime base; ``_prime_pairs`` gives it over primes."""
+    coprime base."""
     surpluses = [(gamma, tq, tp) for gamma, tq, tp in _paired(q, p) if tq > tp]
     if (q.default is OMEGA and p.default is not OMEGA) or any(tq is OMEGA for _, tq, _ in surpluses):
         raise DomainError("surplus table requested for an infinite deficit")

@@ -477,7 +477,7 @@ def test_main_reduces_a_thousand_circles(capsys):
     assert lines[0] == "REDUCIBLE" and len(lines) == 1001
 
 
-# two 90-bit primes: factoring their product runs past the factoring budget
+# the product of two 90-bit primes, which no verb factors
 SEMIPRIME = 618970019668049015295030157 * 928455029464802529184826323
 
 
@@ -490,14 +490,14 @@ def test_main_decides_a_semiprime_over_the_factoring_budget(capsys):
     assert capsys.readouterr().out == "REDUCIBLE\n1 -> 1 (SOL_T)\n"
 
 
-def test_main_refuses_a_semiprime_over_the_factoring_budget(capsys):
-    # printing names primes, so the refusal moved to the printer
+@pytest.mark.parametrize("n", [SEMIPRIME, (2**89 - 1) ** 2], ids=["semiprime", "square"])
+def test_main_prints_a_key_past_trial_division_marked(capsys, n):
+    # normalize and dual print the unsplit key as it is, marked as no prime
     start = time.perf_counter()
-    code = main(["normalize", f"S[{SEMIPRIME}|3]"])
+    assert main(["normalize", f"S[{n}|3]"]) == EXIT_OK
+    assert main(["dual", f"S[{n}|3]"]) == EXIT_OK
     assert time.perf_counter() - start < 1.0
-    assert code == EXIT_DOMAIN
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "ERROR" and "factoring budget" in lines[1]
+    assert capsys.readouterr().out.splitlines()[:2] == [f"Sol{{3:w, [{n}]:1}}", f"Q{{3:w, [{n}]:1}}"]
 
 
 @pytest.mark.parametrize(

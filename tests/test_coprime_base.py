@@ -1,5 +1,5 @@
 """Verdicts on ``S[...]`` literals over a coprime base, against profiles
-built from known prime factors, with Pollard-Brent made to raise.
+built from known prime factors, with factoring made to raise.
 
 A sequence entry is drawn as a list of primes from ``POOL``, so its
 factors are known without factoring it.  The pool holds the Fermat
@@ -17,21 +17,33 @@ import json
 import math
 import pickle
 import random
+import time
+from collections import Counter
+from itertools import combinations, islice, product
 
 import pytest
 
-from borelcmp import coprime, farprimes
+from borelcmp import farprimes
 from borelcmp.cli import EXIT_OK, main
-from borelcmp.duality import dual_reduces
-from borelcmp.errors import DomainError
+from borelcmp.duality import dual, dual_reduces
+from borelcmp.errors import DomainError, ParseError
 from borelcmp.groups import dimension, is_compact
-from borelcmp.literals import parse_group, render_group
+from borelcmp.literals import parse_group, render_dual, render_group
 from borelcmp.posetlab import Family
 from borelcmp.reducibility import ComparisonOutcome, compare, reduces
-from borelcmp.replay import canonical_sequence, deficit, oracle_replay, refutation_witness
+from borelcmp.replay import (
+    canonical_sequence,
+    canonical_terms,
+    deficit,
+    oracle_replay,
+    refutation_witness,
+    sufficient_prefix_length,
+)
 from borelcmp.sequences import IntSeqSpec, profile_from_sequence
-from borelcmp.supernatural import OMEGA, SupernaturalProfile, _factored, finite_surplus_table, preceq
+from borelcmp.supernatural import OMEGA, SupernaturalProfile, _on_one_base, _Unsplit, finite_surplus_table, preceq
 from borelcmp.verify import verify_certificate
+
+import replay_reference
 
 P90, Q90 = 618970019668049015295030157, 928455029464802529184826323
 POOL = (2, 3, 5, 65537, 65539, 274177, 67280421310721, P90, Q90)
@@ -39,14 +51,12 @@ BIG = POOL[3:]
 
 
 @pytest.fixture
-def no_pollard(monkeypatch):
-    """Pollard-Brent raises, and no factorization is left over from an
-    earlier print."""
-    def refuse(n, budget):
-        raise AssertionError(f"Pollard-Brent ran on {n}")
+def no_factoring(monkeypatch):
+    """``factorint`` raises: no verdict, print or count factors."""
+    def refuse(n):
+        raise AssertionError(f"factorint ran on {n}")
 
-    monkeypatch.setattr(farprimes, "_pollard_brent", refuse)
-    coprime.primes_of.cache_clear()
+    monkeypatch.setattr(farprimes, "factorint", refuse)
 
 
 def _entry(rng) -> list:
@@ -111,7 +121,7 @@ def _profile_over_primes(profile: SupernaturalProfile) -> SupernaturalProfile:
     return SupernaturalProfile(_over_primes(profile.exceptions), profile.default)
 
 
-def test_profiles_agree_with_the_known_factors(no_pollard):
+def test_profiles_agree_with_the_known_factors(no_factoring):
     rng = random.Random(29)
     for _ in range(150):
         text, reference = _sequence(rng)
@@ -130,7 +140,7 @@ def test_profiles_agree_with_the_known_factors(no_pollard):
             assert _over_primes(finite_surplus_table(q, profile)) == dict(expected), (q_text, text)
 
 
-def test_products_agree_with_the_known_factors(no_pollard):
+def test_products_agree_with_the_known_factors(no_factoring):
     rng = random.Random(2029)
     for _ in range(120):
         # shared tails make solenoid edges with surplus tables
@@ -159,11 +169,7 @@ def test_products_agree_with_the_known_factors(no_pollard):
             assert dual_reduces(g, h) == dual_reduces(g_reference, h_reference) == verdict.reducible
 
 
-def test_a_gcd_with_a_prime_key_splits_a_semiprime(monkeypatch, no_pollard):
-    def refuse(n):
-        raise AssertionError(f"factorint ran on {n}")
-
-    monkeypatch.setattr(coprime, "factorint", refuse)
+def test_a_gcd_with_a_prime_key_splits_a_semiprime(no_factoring):
     # the literal's base splits P90 * Q90 by P90 and shows Q90 prime
     g = parse_group(f"S[|{P90 * Q90}] x Sol{{{P90}:w}}")
     assert render_group(g) == f"Sol{{{P90}:w, {Q90}:w}} x Sol{{{P90}:w}}"
@@ -172,7 +178,7 @@ def test_a_gcd_with_a_prime_key_splits_a_semiprime(monkeypatch, no_pollard):
     assert compare(one, parse_group(f"Sol{{{P90}:w, {Q90}:w}}")) is ComparisonOutcome.EQUIVALENT
 
 
-def test_compare_of_a_semiprime_with_its_primes_is_equivalent(capsys, no_pollard):
+def test_compare_of_a_semiprime_with_its_primes_is_equivalent(capsys, no_factoring):
     assert main(["compare", f"S[|{P90 * Q90}]", f"Sol{{{P90}:w, {Q90}:w}}"]) == EXIT_OK
     assert capsys.readouterr().out == "EQUIVALENT\n"
 
@@ -182,23 +188,43 @@ def test_equal_groups_of_one_literal_are_one_run():
     g = parse_group(f"S[{big}|3] x Sol{{65537:1, 65539:1, 3:w}}")
     assert len(g.runs) == 1 and dimension(g) == 2
     assert render_group(g) == "Sol{3:w, 65537:1, 65539:1}^2"
-    # a literal without the prime keys keeps the key whole, and prints alike
+    # a literal without the prime keys keeps the key whole, and prints it marked
     alone = parse_group(f"S[{big}|3]")
     assert alone.runs[0][0].profile.exceptions == ((3, OMEGA), (big, 1))
-    assert render_group(alone) == "Sol{3:w, 65537:1, 65539:1}"
+    assert render_group(alone) == "Sol{3:w, [4295229443]:1}"
 
 
-def test_the_render_round_trip_holds_up_to_the_prime_form():
+def test_atoms_of_one_literal_are_equal_exactly_when_their_groups_are(no_factoring):
+    rng = random.Random(33)
+    for _ in range(60):
+        tails = [[_entry(rng) for _ in range(rng.randint(1, 2))] for _ in range(2)]
+        g, g_reference = _groups(rng, tails, 6)
+        atoms, expected = list(g.factors), list(g_reference.factors)
+        for i, j in combinations(range(len(atoms)), 2):
+            assert (atoms[i] == atoms[j]) == (expected[i] == expected[j])
+
+
+def test_a_key_that_isprime_rejects_prints_marked(no_factoring):
     big = 65537 * 65539
-    for text in (f"S[{big}|3]", f"S[{big},{big * 274177}|{274177 * 3}] x T", f"(S[|{big**2}] x R)^2"):
+    cases = [
+        (f"S[{big}|3]", "Sol{3:w, [4295229443]:1}"),
+        # the gcds split one key into a prime and a marked cofactor
+        (f"S[{big},{big * 274177}|{274177 * 3}] x T", "Sol{3:w, 274177:w, [4295229443]:2} x T"),
+        (f"(S[|{big**2}] x R)^2", f"Sol{{[{big**2}]:w}} x R x Sol{{[{big**2}]:w}} x R"),
+        (f"S[|{P90 * Q90}] x S[|{P90 * 3}]", f"Sol{{{P90}:w, {Q90}:w}} x Sol{{3:w, {P90}:w}}"),
+    ]
+    for text, expected in cases:
         g = parse_group(text)
-        again = parse_group(render_group(g))
-        assert [(atom.kind, atom.profile and _factored(atom.profile), count) for atom, count in g.runs] == [
-            (atom.kind, atom.profile, count) for atom, count in again.runs
-        ]
+        assert render_group(g) == expected
+        if "[" in expected:  # no literal reads a marked key
+            with pytest.raises(ParseError):
+                parse_group(expected)
+        else:
+            assert parse_group(expected) == g
+    assert render_dual(dual(parse_group(f"S[{P90 * Q90}|3]"))) == f"Q{{3:w, [{P90 * Q90}]:1}}"
 
 
-def test_multiplicity_reads_an_unsplit_key_without_splitting_it(no_pollard):
+def test_multiplicity_reads_an_unsplit_key_without_splitting_it(no_factoring):
     profile = profile_from_sequence(IntSeqSpec((P90 * Q90, P90 * Q90), (3,)))
     assert profile.unsplit
     assert profile.multiplicity(P90) == profile.multiplicity(Q90) == 2
@@ -215,21 +241,49 @@ def test_an_unsplit_key_survives_copy_and_pickle():
         assert again == g and again.runs[0][0].profile.unsplit
 
 
-def test_what_names_or_counts_primes_reads_the_prime_form(capsys):
+def test_what_names_or_counts_reads_the_coprime_base(capsys, no_factoring):
     big = 65537 * 65539
     q, p = profile_from_sequence(IntSeqSpec((big, big), (3,))), profile_from_sequence(IntSeqSpec((), (3,)))
     assert finite_surplus_table(q, p) == ((big, 2),)  # keyed by the base
-    assert deficit(q, p) == 4
-    assert refutation_witness(profile_from_sequence(IntSeqSpec((), (big,))), p) == 65537
-    assert canonical_sequence(q, 6) == (65537, 65537, 65539, 65539, 3, 3)
-    assert oracle_replay(q, p, 10).drop == 4
-    family = Family(profile_from_sequence(IntSeqSpec((), (big,))), SupernaturalProfile.all_omega())
-    assert family.p == SupernaturalProfile({65537: OMEGA, 65539: OMEGA})
-    argv = ["reduce", "S[|3]", f"S[{big},{big}|3]"]
-    verdict = reduces(parse_group(argv[1]), parse_group(argv[2]))
-    assert [witness.total_deficit for witness in verdict.certificate] == [4]
-    assert main([*argv, "--certificate"]) == EXIT_OK
-    assert capsys.readouterr().out == "REDUCIBLE\n1 -> 1 (SOL_SOL) [surplus: 65537^2, 65539^2; total 4]\n"
-    assert main([*argv, "--json"]) == EXIT_OK
-    edge = json.loads(capsys.readouterr().out)["certificate"]["edges"][0]
-    assert edge["deficit"] == [[65537, 2], [65539, 2]]
+    assert deficit(q, p) == 2
+    assert refutation_witness(profile_from_sequence(IntSeqSpec((), (big,))), p) == big
+    assert canonical_sequence(q, 6) == (big, big, 3, 3, 3, 3)
+    assert sufficient_prefix_length(q, (3, big, big)) == 3
+    assert oracle_replay(q, p, 10).drop == 2
+    with pytest.raises(DomainError, match="prime keys"):
+        Family(profile_from_sequence(IntSeqSpec((), (big,))), SupernaturalProfile.all_omega())
+    for n in (big, P90 * Q90, (2**89 - 1) ** 2):
+        argv = ["reduce", "S[|3]", f"S[{n},{n}|3]"]
+        verdict = reduces(parse_group(argv[1]), parse_group(argv[2]))
+        assert [witness.total_deficit for witness in verdict.certificate] == [2]
+        start = time.perf_counter()
+        assert main([*argv, "--certificate"]) == EXIT_OK
+        assert capsys.readouterr().out == f"REDUCIBLE\n1 -> 1 (SOL_SOL) [surplus: [{n}]^2; total 2]\n"
+        assert main([*argv, "--json"]) == EXIT_OK
+        edge = json.loads(capsys.readouterr().out)["certificate"]["edges"][0]
+        assert edge["deficit"] == [[n, 2]]
+        assert time.perf_counter() - start < 1.0
+
+
+def test_replays_over_the_base_agree_with_the_verdict_and_the_walk(no_factoring):
+    """A default-OMEGA profile's dovetail visits the unsplit base elements
+    of the profile it is compared with first, so its layout ranks them
+    without a walk up to them."""
+    big, huge = 65537 * 65539, P90 * Q90
+    texts = [f"S[{big},{big}|3]", f"S[|{big}]", f"S[{huge}|3]", f"S[{huge}|{huge},{big * 3}]", f"S[{big * 2}|{huge}]"]
+    sequences = [parse_group(text).runs[0][0].profile for text in texts]
+    others = [SupernaturalProfile.all_omega(), SupernaturalProfile({2: 3, 65537: 1}, OMEGA),
+              SupernaturalProfile({3: OMEGA, 65537: 2}), SupernaturalProfile({5: OMEGA})]
+    for q, p in [pair for a, b in product(sequences + others, sequences) for pair in ((a, b), (b, a))]:
+        replay = oracle_replay(q, p, 30)
+        if replay.needs_window is None:
+            assert (replay.prefix is not None) == preceq(q, p), (q, p)
+        q, p = _on_one_base(q, p)  # as the replay compares them
+        unsplit = {key for profile in (q, p) for key, _ in profile.exceptions if type(key) is _Unsplit}
+        if replay.witness is None:
+            need = Counter(islice(canonical_terms(q, replay.drop, unsplit=unsplit), 30))
+            walked = replay_reference.covering_prefix_length(canonical_terms(p, unsplit=unsplit), need)
+            assert replay.prefix == walked, (q, p)
+        else:
+            walked = canonical_terms(q, unsplit=unsplit)
+            assert replay.end == replay_reference.covering_prefix_length(walked, {replay.witness: replay.needed})

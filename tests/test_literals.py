@@ -60,7 +60,7 @@ def test_parse_paths_test_each_prime_once(isprime_calls):
     assert isprime_calls == [2, 3, 5, 7]
     isprime_calls.clear()
     parse_group("S[4,6,8|9]")
-    assert isprime_calls == []  # the primes factorint finds are not tested again
+    assert isprime_calls == []  # the primes trial division finds are not tested again
 
 
 def test_parse_sequence():

@@ -34,10 +34,10 @@ LAB = ["array", "borelcmp.farprimes", "borelcmp.labverbs", "borelcmp.posetlab", 
 # is parsed without ``argparse``, which loads ``gettext`` and ``locale``.
 NEVER = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
 # AST nodes of the modules that ``reduce "R^2 x T" "T^3"`` compiles, ``cli``
-# among them; 10,817 with this layout, and each module that loads on first
+# among them; 10,754 with this layout, and each module that loads on first
 # use has more than 500, so a new top-level import of one fails here.  The
 # smaller ``rawtrees`` is caught by ``LAZY``, as no verb loads it.
-REDUCE_NODES = 11_361
+REDUCE_NODES = 11_292
 
 ROOT = pathlib.Path(__file__).parents[1]
 README = ROOT / "README.md"
@@ -75,6 +75,8 @@ def _lazy_loaded_after(code: str, modules: tuple = LAZY) -> list:
     (["family-new"], LAB),
     (["family-expand", "--a", "fin{1}", "--len", "4"], [*LAB, "borelcmp.setliterals"]),
     (["dim", "R^2 x T x Sol{2:w}^3"], []),
+    # an unsplit key loads the coprime base and factors nothing
+    (["reduce", "S[4295229443|3]", "T"], ["array", "borelcmp.coprime", *ENGINE, "borelcmp.sequences"]),
 ])
 def test_a_verb_loads_only_what_it_runs(argv, loaded):
     # nor ``typing``: the annotations use ``X | Y`` and ``collections.abc``

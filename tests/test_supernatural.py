@@ -28,7 +28,7 @@ from borelcmp.replay import (
     sufficient_prefix_length,
 )
 from borelcmp.sequences import IntSeqSpec, profile_from_sequence
-from borelcmp.supernatural import OMEGA, SupernaturalProfile, _factored, finite_surplus_table, preceq
+from borelcmp.supernatural import OMEGA, SupernaturalProfile, finite_surplus_table, preceq
 
 from borelcmp.selftest import random_profile
 
@@ -171,20 +171,19 @@ def test_profile_from_sequence_factors_each_distinct_entry_once(monkeypatch):
     assert calls == [big, 6, 77, 10]
     # trial division leaves big whole: one unsplit key, with big's two occurrences
     assert profile.unsplit and profile.exceptions == ((2, OMEGA), (3, OMEGA), (5, OMEGA), (7, 1), (11, 1), (big, 2))
-    assert _factored(profile) == _profile_by_counting_each_prime(s) == P(
-        {2: OMEGA, 3: OMEGA, 5: OMEGA, 7: 1, 11: 1, 65537: 2, 65539: 2}
-    )
+    reference = _profile_by_counting_each_prime(s)
+    assert reference == P({2: OMEGA, 3: OMEGA, 5: OMEGA, 7: 1, 11: 1, 65537: 2, 65539: 2})
+    assert all(profile.multiplicity(gamma) == m for gamma, m in reference.exceptions)
 
 
-def test_a_factoring_budget_error_names_the_key_past_the_budget():
-    # building the profile splits nothing; printing it factors the key that
-    # trial division left of 2 * semiprime and of semiprime, and fails there
+def test_a_profile_prints_a_key_past_trial_division_marked():
+    # neither building nor printing the profile splits the key that trial
+    # division left of 2 * semiprime and of semiprime
     semiprime = 618970019668049015295030157 * 928455029464802529184826323  # two 90-bit primes
     profile = profile_from_sequence(IntSeqSpec((6, 2 * semiprime), (semiprime, 3)))
     assert profile.exceptions == ((2, 2), (3, OMEGA), (semiprime, OMEGA))
     assert repr(profile) == f"SupernaturalProfile(exceptions=((2, 2), (3, OMEGA), ({semiprime}, OMEGA)), default=0)"
-    with pytest.raises(DomainError, match=f"^factoring {semiprime} needs more than"):
-        str(profile)
+    assert str(profile) == f"{{2:2, 3:w, [{semiprime}]:w}}"
 
 
 def test_int_seq_spec_rejects_small_entries():
