@@ -32,7 +32,7 @@ _LAZY_MODULES = {
     "sequences": ("IntSeqSpec", "parse_sequence", "profile_from_sequence"),
     "groups": (
         "REAL", "TORUS", "TRIVIAL_GROUP", "Atom", "AtomKind", "GroupExpr",
-        "dimension", "group", "is_compact", "normalize_group", "solenoid",
+        "dimension", "group", "is_compact", "solenoid",
     ),
     "literals": ("parse_group", "parse_profile", "render_dual", "render_group", "render_profile"),
     "setliterals": ("parse_upset", "render_upset"),
@@ -49,7 +49,7 @@ _LAZY_MODULES = {
         "Family", "MemberRef", "UPSet", "chain_demo",
         "member_crosscheck", "member_reduces", "member_sequence", "subset_star",
     ),
-    **dict.fromkeys(("cli", "coprime", "farprimes", "labverbs", "matching", "primes", "rawtrees", "report", "selftest"), ()),
+    **dict.fromkeys(("cli", "coprime", "farprimes", "labverbs", "matching", "primes", "report", "selftest"), ()),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 

@@ -11,12 +11,9 @@ where parts meet, so ``(T x R x T)^2`` is T, R, T^2, R, T.
 step per run.  The trivial group is the empty product and is admitted so
 that every command-line operation is total.  One expression has at most
 ``MAX_FACTORS`` (10^7) factors; the count of a larger one is known before
-its runs are built, and it is a ``DomainError``.
-
-The literal parser builds the runs and the factor count of each term as it
-reads it, with ``_raised``, ``_product`` and ``_capped`` below, and
-``normalize_group`` flattens a hand-built raw tree (``rawtrees``) with
-the same helpers.
+its runs are built, and it is a ``DomainError``.  The literal parser builds
+each term's runs and factor count as it reads it, with ``_raised``,
+``_product`` and ``_capped`` below.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from itertools import accumulate, chain, repeat, starmap
 from operator import attrgetter, itemgetter
 
 from ._value import Value
-from .errors import DomainError, checked_natural, forwarding
+from .errors import DomainError, checked_natural
 from .supernatural import OMEGA, SupernaturalProfile
 
 __all__ = [
@@ -39,17 +36,11 @@ __all__ = [
     "TRIVIAL_GROUP",
     "group",
     "solenoid",
-    "RawPower",
-    "RawProduct",
     "MAX_FACTORS",
-    "normalize_group",
     "run_ends",
     "dimension",
     "is_compact",
 ]
-
-# hand-built raw trees, which no literal builds, resolve on first use (PEP 562)
-__getattr__ = forwarding(globals(), {"RawPower": "rawtrees", "RawProduct": "rawtrees"})
 
 
 class AtomKind(Enum):
@@ -238,31 +229,6 @@ def _capped(runs, count: int, unsplit: list) -> GroupExpr:
 
         runs = runs_on_one_base(runs)
     return GroupExpr._of_runs(runs)
-
-
-def normalize_group(node) -> GroupExpr:
-    """Flatten a raw tree to canonical runs: powers multiply run counts,
-    nested products splice with equal atoms merged where they meet,
-    integer-sequence solenoids become solenoids of their profiles, and the
-    trivial group contributes nothing.  A ``GroupExpr`` comes back
-    unchanged.  More than ``MAX_FACTORS`` factors is a ``DomainError``.
-
-    When a sequence leaves an unsplit key, the keys of every solenoid of
-    the expression are refined into one coprime base, so two of its atoms
-    are equal exactly when they are the same group:
-
-    >>> from borelcmp.rawtrees import RawProduct
-    >>> from borelcmp.sequences import IntSeqSpec
-    >>> g = normalize_group(RawProduct((IntSeqSpec((65537 * 65539,), (3,)), solenoid({65537: 1, 65539: 1, 3: OMEGA}))))
-    >>> len(g.runs), dimension(g)
-    (1, 2)
-    """
-    if isinstance(node, GroupExpr):
-        return node
-    from .rawtrees import flattened
-
-    unsplit: list = []
-    return _capped(*flattened(node, MAX_FACTORS, unsplit), unsplit)
 
 
 def dimension(g: GroupExpr) -> int:

@@ -23,9 +23,9 @@ from ``from`` on.  ``fin{...}`` lists the members of a finite set and
 
 Profile literals must describe an infinite prime multiset (a multiplicity
 ``w`` somewhere or default ``w``); sequence literals may contain composite
-entries.  Normalization splits off their prime factors below 2^16 and
-keeps a composite cofactor whole, refined against the other keys of the
-expression by gcds; only printing factors it.
+entries.  Their prime factors below 2^16 are split off; a composite
+cofactor stays whole, refined against the other keys by gcds, and prints
+as ``[k]`` when ``isprime`` rejects it, so nothing factors it.
 
 ``seq`` and ``upset`` are parsed by ``sequences`` and ``setliterals``,
 which load on first use.
@@ -44,7 +44,7 @@ import re
 from itertools import islice
 
 from .errors import ParseError, forwarding
-from .groups import MAX_FACTORS, REAL, TORUS, Atom, GroupExpr, _capped, _product, _raised, normalize_group
+from .groups import MAX_FACTORS, REAL, TORUS, Atom, GroupExpr, _capped, _product, _raised
 from .primes import isprime
 from .supernatural import OMEGA, Mult, SupernaturalProfile
 
@@ -205,9 +205,8 @@ def parse_profile(text: str) -> SupernaturalProfile:
 
 # -- groups -------------------------------------------------------------------
 
-# Cap on nested parentheses in a group literal: the parser and group
-# normalization recurse once per level, and Python's stack gives out
-# between 200 and 400 levels.
+# Cap on nested parentheses in a group literal: the parser recurses once
+# per level, and Python's stack gives out between 200 and 400 levels.
 MAX_GROUP_NESTING = 100
 
 
@@ -257,6 +256,12 @@ def _parse_group(p: _Parser, budget: int) -> tuple:
         p.index += 1
 
 
+# A pass-through that bench/tracing.py patches for its ``groups.normalize``
+# span and ``groups.factors_out`` counter; ROADMAP item 19 deletes it.
+def normalize_group(g: GroupExpr) -> GroupExpr:
+    return g
+
+
 def parse_group(text: str) -> GroupExpr:
     """Parse and normalize a group expression.
 
@@ -264,6 +269,11 @@ def parse_group(text: str) -> GroupExpr:
     'R^2 x T'
     >>> str(parse_group("S[4,6,8|9]"))
     'Sol{2:6, 3:w}'
+
+    The solenoids of one expression share a coprime base, so equal groups are equal atoms:
+
+    >>> str(parse_group("S[4295229443|3] x Sol{65537:1, 65539:1, 3:w}"))
+    'Sol{3:w, 65537:1, 65539:1}^2'
     """
     p = _Parser(text)
     term = _parse_group(p, MAX_FACTORS)

@@ -301,12 +301,13 @@ def oracle_replay(q: SupernaturalProfile, p: SupernaturalProfile, window: int) -
     1000000001
     """
     checked_natural(window, "window must be positive", 1)
-    if q.unsplit or p.unsplit:
+    if q.unsplit or p.unsplit:  # once: the steps below find the pair over one base
         q, p = _on_one_base(q, p)
     unsplit = {key for profile in (q, p) for key, _ in profile.exceptions if type(key) is _Unsplit}
     witness = refutation_witness(q, p)
     if witness is None:
-        drop = oracle_drop_bound(q, p)
+        table = dict(supernatural.finite_surplus_table(q, p))  # as oracle_drop_bound, on the pair over one base
+        drop = _covering_prefix(_Layout(q, table), table)
         need = Counter(islice(canonical_terms(q, drop, unsplit=unsplit), window))
         return Replay(drop, drop + window, _covering_prefix(_Layout(p, need, unsplit), need))
     needed = dict(p.exceptions).get(witness, p.default) + 1

@@ -6,7 +6,13 @@ grammar's alternatives one ``take`` at a time.  This is the design that
 ``borelcmp.literals`` replaced with plain token texts and positions
 recomputed on error; it is kept as an oracle for token texts, token
 positions, results and ``ParseError`` messages.  It uses the package only
-for the values it builds (profiles, sequences, sets and normalized groups).
+for the values it builds (profiles, sequences, sets and groups) and for the
+coprime base of unsplit keys.
+
+A group parses to a tree of ``Power`` and ``Product`` nodes over atoms,
+which becomes runs only once the whole text has parsed: its factors are
+counted first, so a group past the cap builds no runs, and its runs are
+merged by the checking ``GroupExpr`` constructor.
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
+from borelcmp.coprime import on_one_base
 from borelcmp.errors import DomainError, ParseError
-from borelcmp.groups import REAL, TORUS, TRIVIAL_GROUP, Atom, AtomKind, RawPower, RawProduct, normalize_group
+from borelcmp.groups import MAX_FACTORS, REAL, TORUS, Atom, AtomKind, GroupExpr
 from borelcmp.literals import MAX_GROUP_NESTING
 from borelcmp.posetlab import UPSet
 from borelcmp.primes import isprime
-from borelcmp.sequences import IntSeqSpec
+from borelcmp.sequences import IntSeqSpec, profile_from_sequence
 from borelcmp.setliterals import MAX_SET_FROM, MAX_SET_LISTED, MAX_SET_PERIOD
 from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
@@ -154,6 +161,15 @@ def _sequence(p: Parser) -> IntSeqSpec:
         raise ParseError(str(exc), open_token.pos) from exc
 
 
+class Power(NamedTuple):
+    base: object  # an Atom, a Power or a Product
+    exponent: int
+
+
+class Product(NamedTuple):
+    parts: tuple  # the trivial group is the product of no parts
+
+
 def _atom(p: Parser):
     token = p.peek()
     if p.take("R"):
@@ -163,7 +179,7 @@ def _atom(p: Parser):
     if p.take("Sol"):
         return Atom(AtomKind.SOLENOID, _profile(p))
     if p.take("S"):
-        return _sequence(p)
+        return Atom(AtomKind.SOLENOID, profile_from_sequence(_sequence(p)))
     if p.take("("):
         if p.depth == MAX_GROUP_NESTING:
             raise ParseError(f"parentheses nest deeper than {MAX_GROUP_NESTING} levels", token.pos)
@@ -174,20 +190,56 @@ def _atom(p: Parser):
         return inner
     if token.kind == "num" and token.text == "1":
         p.advance()
-        return TRIVIAL_GROUP
+        return Product(())
     raise ParseError(f"expected a group atom but found {describe(token)}", token.pos)
 
 
 def _term(p: Parser):
     atom = _atom(p)
-    return RawPower(atom, p.expect_nat()) if p.take("^") else atom
+    return Power(atom, p.expect_nat()) if p.take("^") else atom
 
 
 def _group(p: Parser):
     parts = [_term(p)]
     while p.take("x") or p.take("*"):
         parts.append(_term(p))
-    return RawProduct(tuple(parts)) if len(parts) > 1 else parts[0]
+    return Product(tuple(parts))
+
+
+def _count(node) -> int:
+    """The factors of a tree, counted without building a run."""
+    if isinstance(node, Atom):
+        return 1
+    if isinstance(node, Power):
+        return _count(node.base) * node.exponent
+    return sum(map(_count, node.parts))
+
+
+def _flat(node) -> GroupExpr:
+    """The group of a tree whose factors are within the cap, except under a
+    power 0, which builds nothing of its base."""
+    if isinstance(node, Atom):
+        return GroupExpr(((node, 1),))
+    if isinstance(node, Product):
+        return GroupExpr(tuple(run for part in node.parts for run in _flat(part).runs))
+    if node.exponent == 0:
+        return GroupExpr()
+    runs = _flat(node.base).runs
+    if len(runs) == 1:
+        (atom, count), = runs
+        return GroupExpr(((atom, count * node.exponent),))
+    return GroupExpr(runs * node.exponent)
+
+
+def _on_one_base(g: GroupExpr) -> GroupExpr:
+    """``g`` with its solenoids over one coprime base of all their keys,
+    when one has an unsplit key, so that equal groups are equal atoms."""
+    atoms = list(dict.fromkeys(atom for atom, _ in g.runs if atom.kind is AtomKind.SOLENOID))
+    if not any(atom.profile.unsplit for atom in atoms):
+        return g
+    profiles = on_one_base([atom.profile for atom in atoms], classify=True)
+    swapped = {atom: Atom(AtomKind.SOLENOID, profile) for atom, profile in zip(atoms, profiles)}
+    return GroupExpr(tuple((swapped.get(atom, atom), count) for atom, count in g.runs))
 
 
 def _whole(text: str, parse):
@@ -205,8 +257,11 @@ def parse_sequence(text: str) -> IntSeqSpec:
     return _whole(text, _sequence)
 
 
-def parse_group(text: str):
-    return normalize_group(_whole(text, _group))
+def parse_group(text: str) -> GroupExpr:
+    tree = _whole(text, _group)
+    if _count(tree) > MAX_FACTORS:
+        raise DomainError(f"expression has more than {MAX_FACTORS} factors, the cap on one expression")
+    return _on_one_base(_flat(tree))
 
 
 def _nat_list(p: Parser, closer: str) -> list:

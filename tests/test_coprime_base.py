@@ -23,7 +23,7 @@ from itertools import combinations, islice, product
 
 import pytest
 
-from borelcmp import farprimes
+from borelcmp import coprime, farprimes
 from borelcmp.cli import EXIT_OK, main
 from borelcmp.duality import dual, dual_reduces
 from borelcmp.errors import DomainError, ParseError
@@ -32,9 +32,11 @@ from borelcmp.literals import parse_group, render_dual, render_group
 from borelcmp.posetlab import Family
 from borelcmp.reducibility import ComparisonOutcome, compare, reduces
 from borelcmp.replay import (
+    Replay,
     canonical_sequence,
     canonical_terms,
     deficit,
+    oracle_drop_bound,
     oracle_replay,
     refutation_witness,
     sufficient_prefix_length,
@@ -263,6 +265,21 @@ def test_what_names_or_counts_reads_the_coprime_base(capsys, no_factoring):
         edge = json.loads(capsys.readouterr().out)["certificate"]["edges"][0]
         assert edge["deficit"] == [[n, 2]]
         assert time.perf_counter() - start < 1.0
+
+
+def test_a_replay_refines_its_pair_once(monkeypatch, no_factoring):
+    """The replay puts the pair on one base at its entry; the steps after
+    it (the witness, the drop, the surplus table) find it there."""
+    big = 65537 * 65539
+    q, p = parse_group(f"S[{big},{big}|3]").runs[0][0].profile, parse_group("S[|3]").runs[0][0].profile
+    calls, refinement = [], coprime.refinement
+    monkeypatch.setattr(coprime, "refinement", lambda *args, **kw: calls.append(args) or refinement(*args, **kw))
+    for replay, expected in ((lambda: oracle_replay(q, p, 10), Replay(drop=2, end=12, prefix=10)),
+                             (lambda: oracle_replay(p, q, 10), Replay(drop=0, end=10, prefix=12)),
+                             (lambda: oracle_drop_bound(q, p), 2)):
+        calls.clear()
+        assert replay() == expected
+        assert len(calls) == 1
 
 
 def test_replays_over_the_base_agree_with_the_verdict_and_the_walk(no_factoring):

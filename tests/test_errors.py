@@ -8,7 +8,7 @@ import pytest
 
 from borelcmp.errors import DomainError
 from borelcmp.farprimes import factorint
-from borelcmp.groups import TORUS, GroupExpr, RawPower
+from borelcmp.groups import TORUS, GroupExpr
 from borelcmp.posetlab import Family, UPSet
 from borelcmp.replay import canonical_sequence, canonical_terms, oracle_replay
 from borelcmp.supernatural import OMEGA, SupernaturalProfile
@@ -25,8 +25,6 @@ CASES = [
     (rt_closed_form, (0, 0, -1, 0), "factor counts must be natural numbers, got -1"),
     (GroupExpr, (((TORUS, True),),), "run count must be a natural number, got True"),
     (GroupExpr, (((TORUS, -1),),), "run count must be a natural number, got -1"),
-    (RawPower, (TORUS, 1.5), "group exponent must be nonnegative, got 1.5"),
-    (RawPower, (TORUS, -1), "group exponent must be nonnegative, got -1"),
     (canonical_sequence, (TWO_ADIC, 2.5), "term count must be nonnegative, got 2.5"),
     (canonical_sequence, (TWO_ADIC, -1), "term count must be nonnegative, got -1"),
     (canonical_terms, (TWO_ADIC, 1.5), "start must be a natural number, got 1.5"),

@@ -17,16 +17,12 @@ from borelcmp.groups import (
     Atom,
     AtomKind,
     GroupExpr,
-    RawPower,
-    RawProduct,
     dimension,
     group,
     is_compact,
-    normalize_group,
     solenoid,
 )
 from borelcmp.literals import parse_group
-from borelcmp.sequences import IntSeqSpec
 from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
 from borelcmp.selftest import random_atom, random_expr
@@ -77,15 +73,10 @@ def test_products_are_canonical_runs():
 
 def test_normalize_caps_the_factor_count_before_building():
     assert MAX_FACTORS >= 10**6  # the largest product the benchmark builds
-    assert len(normalize_group(RawPower(REAL, 10**6)).factors) == 10**6
-    for raw in (
-        RawPower(TORUS, MAX_FACTORS + 1),
-        RawPower(REAL, 10**4000),
-        RawProduct((RawPower(TORUS, MAX_FACTORS), REAL)),
-        RawPower(RawPower(TORUS, 10**6), 10**6),
-    ):
+    assert len(parse_group("R^1000000").factors) == 10**6
+    for text in ("T^10000001", "R^1" + "0" * 4000, "T^10000000 x R", "(T^1000000)^1000000"):
         with pytest.raises(DomainError, match="more than 10000000 factors"):
-            normalize_group(raw)
+            parse_group(text)
     # a power of the trivial group stays trivial, however large
     assert parse_group("1^1" + "0" * 30 + " x (T^0)^1" + "0" * 30) == TRIVIAL_GROUP
 
@@ -94,17 +85,16 @@ def test_no_run_is_built_past_the_cap():
     """A term's factors are counted before its runs are built, and a term
     past what the cap leaves after the terms before it, at any depth, builds
     none: each of these would build 10^7 runs, 80 MB of pointers."""
-    nested = RawProduct((TORUS, RawProduct((REAL, RawPower(RawProduct((TORUS, REAL)), 5_000_000)))))
-    for build, error in (
-        (lambda: parse_group("(T x R)^5000001"), DomainError),
-        (lambda: parse_group("T x ((T x R)^5000000)"), DomainError),
-        (lambda: parse_group("T x ((T x R)^5000000)^1 x (T"), ParseError),  # which comes first
-        (lambda: normalize_group(nested), DomainError),
+    for text, error in (
+        ("(T x R)^5000001", DomainError),
+        ("T x ((T x R)^5000000)", DomainError),
+        ("T x ((T x R)^5000000)^1 x (T", ParseError),  # which comes first
+        ("T x (R x (T x R)^5000000)", DomainError),
     ):
         tracemalloc.start()
         try:
             with pytest.raises(error):
-                build()
+                parse_group(text)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -150,44 +140,18 @@ def test_factors_allocate_the_tuple_once():
 
 
 def test_normalize_accepts_every_leaf_kind():
-    """A raw tree's leaves are the values they denote: atoms, integer
-    sequences and normalized expressions, alone or inside powers and
-    products.  Each normalizes as its literal parses."""
-    sol, seq = solenoid({2: OMEGA}), IntSeqSpec((4,), (6,))
+    """Every kind of leaf a literal names (an atom, an integer sequence, the
+    trivial group) normalizes to its runs, alone or inside powers and
+    products."""
+    sol = solenoid({2: OMEGA})
     seq_sol = solenoid({2: OMEGA, 3: OMEGA})  # 4, then 6 = 2 * 3 forever
-    assert parse_group("R").runs[0][0] is REAL and normalize_group(TRIVIAL_GROUP) is TRIVIAL_GROUP
-    assert parse_group("Sol{2:w}").runs[0][0] == sol and parse_group("S[4|6]") == normalize_group(seq)
-    for text, leaf, runs in (("R", REAL, ((REAL, 1),)), ("Sol{2:w}", sol, ((sol, 1),)),
-                             ("S[4|6]", seq, ((seq_sol, 1),)), ("1", TRIVIAL_GROUP, ())):
-        assert normalize_group(leaf).runs == parse_group(text).runs == runs
-        assert normalize_group(RawPower(leaf, 3)).runs == tuple((atom, 3 * count) for atom, count in runs)
-        assert normalize_group(RawPower(leaf, 3)) == parse_group(f"{text}^3")
-        assert normalize_group(RawProduct((TORUS, leaf, TORUS))) == GroupExpr(((TORUS, 1), *runs, (TORUS, 1)))
-        assert normalize_group(RawProduct((TORUS, leaf, TORUS))) == parse_group(f"T x {text} x T")
-    raw = RawProduct(
-        (RawPower(RawProduct((REAL, sol)), 2), RawPower(seq, 2), RawPower(TRIVIAL_GROUP, 5), TORUS)
-    )
-    assert normalize_group(raw).runs == ((REAL, 1), (sol, 1), (REAL, 1), (sol, 1), (seq_sol, 2), (TORUS, 1))
-    assert normalize_group(raw) == parse_group("(R x Sol{2:w})^2 x S[4|6]^2 x 1^5 x T")
-
-
-def test_normalize_rejects_negative_exponent():
-    with pytest.raises(DomainError):
-        normalize_group(RawPower(TORUS, -1))
-
-
-def test_normalize_rejects_bad_sequence_entries():
-    with pytest.raises(DomainError):
-        normalize_group(IntSeqSpec((1,), (2,)))
-
-
-def test_normalize_idempotent(rng):
-    for _ in range(50):
-        g = random_expr(rng)
-        assert normalize_group(g) == g
-    raw = RawProduct((RawPower(RawProduct((REAL, TRIVIAL_GROUP)), 3), TORUS))
-    once = normalize_group(raw)
-    assert normalize_group(once) == once == group(REAL, REAL, REAL, TORUS)
+    assert parse_group("R").runs[0][0] is REAL and parse_group("Sol{2:w}").runs[0][0] == sol
+    for text, runs in (("R", ((REAL, 1),)), ("Sol{2:w}", ((sol, 1),)), ("S[4|6]", ((seq_sol, 1),)), ("1", ())):
+        assert parse_group(text).runs == runs
+        assert parse_group(f"{text}^3").runs == tuple((atom, 3 * count) for atom, count in runs)
+        assert parse_group(f"T x {text} x T") == GroupExpr(((TORUS, 1), *runs, (TORUS, 1)))
+    assert parse_group("(R x Sol{2:w})^2 x S[4|6]^2 x 1^5 x T").runs == (
+        (REAL, 1), (sol, 1), (REAL, 1), (sol, 1), (seq_sol, 2), (TORUS, 1))
 
 
 def test_dimension_examples():
@@ -208,26 +172,27 @@ def test_is_compact_examples():
     assert is_compact(TRIVIAL_GROUP)
 
 
-def _random_tree(rng, depth=3):
-    """A raw tree as the parser builds it, plus normalized leaves."""
+def _random_literal(rng, depth=3) -> str:
+    """Group literal text: atoms, the trivial group and rendered random
+    products, parenthesized, with random powers and nested products."""
     pick = rng.randrange(6 if depth else 3)
     if pick == 0:
-        return random_atom(rng)
+        return f"({random_atom(rng)})"
     if pick == 1:
-        return TRIVIAL_GROUP
+        return "1"
     if pick == 2:
-        return random_expr(rng)
+        return f"({random_expr(rng)})"
     if pick == 3:
-        return RawPower(_random_tree(rng, depth - 1), rng.randrange(4))
-    return RawProduct(tuple(_random_tree(rng, depth - 1) for _ in range(rng.randrange(4))))
+        return f"({_random_literal(rng, depth - 1)})^{rng.randrange(4)}"
+    return "(" + " x ".join(_random_literal(rng, depth - 1) for _ in range(1 + rng.randrange(3))) + ")"
 
 
 def test_trusted_runs_are_canonical(rng):
-    """``normalize_group`` and ``*`` skip the constructor's checks; their
-    runs must be what the checking constructor would make of them."""
+    """``parse_group`` and ``*`` skip the constructor's checks; their runs
+    must be what the checking constructor would make of them."""
     for _ in range(300):
-        g = normalize_group(_random_tree(rng))
-        h = g * normalize_group(_random_tree(rng))
+        g = parse_group(_random_literal(rng))
+        h = g * parse_group(_random_literal(rng))
         for expr in (g, h):
             checked = GroupExpr(expr.runs)
             assert checked == expr and hash(checked) == hash(expr)

@@ -250,12 +250,14 @@ _PIECES = (
     + ("o", "\u0663", "\u00b2", " ", "\n")
 )
 
-# Valid literals of every kind, for edits that fail deep inside them, and
-# one group a factor past the cap, whose edits fall on both sides of it.
+# Valid literals of every kind, for edits that fail deep inside them, one
+# group a factor past the cap, whose edits fall on both sides of it, and a
+# power whose copies meet in equal atoms, merged at each seam.
 _LITERALS = (
     "R^2 x T x Sol{2:6, 3:w}",
     "T^10000000 x R",
     "(T x S[4,6|9])^3 * 1 x (R)",
+    "(T x R x T)^2",
     "Sol{ 2 : 5 ; default = w }",
     "{2:6,3:w; default=0}",
     "{default=w}",

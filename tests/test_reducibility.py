@@ -17,10 +17,8 @@ from borelcmp.groups import (
     TORUS,
     TRIVIAL_GROUP,
     GroupExpr,
-    RawPower,
     dimension,
     group,
-    normalize_group,
     solenoid,
 )
 from borelcmp.literals import parse_group, render_dual, render_group
@@ -506,7 +504,7 @@ def _powered_expr(rng, compact):
     base = random_expr(rng, max_factors=4, compact=compact)
     runs = tuple((atom, rng.choice((0, 1, 1, 2, 3))) for atom in base.factors)
     exponent = rng.choice((1, 1, 2, 3))
-    g = normalize_group(RawPower(GroupExpr(runs), exponent))
+    g = parse_group(f"({GroupExpr(runs)})^{exponent}")
     assert tuple(g.factors) == tuple(atom for atom, count in runs for _ in range(count)) * exponent
     assert all(count >= 1 for _, count in g.runs)
     assert all(a != b for (a, _), (b, _) in zip(g.runs, g.runs[1:]))

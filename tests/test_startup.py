@@ -20,13 +20,12 @@ from borelcmp import cli
 # The modules that load on first use only; ``array`` loads with the first
 # chunk of the prime table, when a verb first walks the primes or
 # trial-divides, ``matching`` with the product engine or the dual route,
-# ``coprime`` with the first unsplit key of a sequence, ``labverbs`` with
-# the handler of a verb that ``cli`` does not hold, and ``rawtrees`` with a
-# hand-built raw tree, which no verb builds.
+# ``coprime`` with the first unsplit key of a sequence, and ``labverbs``
+# with the handler of a verb that ``cli`` does not hold.
 LAZY = ("borelcmp.reducibility", "borelcmp.matching", "borelcmp.duality", "borelcmp.posetlab",
         "borelcmp.selftest", "borelcmp.coprime", "borelcmp.replay", "borelcmp.sequences",
         "borelcmp.farprimes", "borelcmp.setliterals", "borelcmp.verify", "borelcmp.labverbs",
-        "borelcmp.rawtrees", "json", "array")
+        "json", "array")
 ENGINE = ["borelcmp.matching", "borelcmp.reducibility"]
 LAB = ["array", "borelcmp.farprimes", "borelcmp.labverbs", "borelcmp.posetlab", "borelcmp.replay"]
 # A dataclass compiles its methods when its class is created, and
@@ -34,10 +33,9 @@ LAB = ["array", "borelcmp.farprimes", "borelcmp.labverbs", "borelcmp.posetlab", 
 # is parsed without ``argparse``, which loads ``gettext`` and ``locale``.
 NEVER = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
 # AST nodes of the modules that ``reduce "R^2 x T" "T^3"`` compiles, ``cli``
-# among them; 10,754 with this layout, and each module that loads on first
-# use has more than 500, so a new top-level import of one fails here.  The
-# smaller ``rawtrees`` is caught by ``LAZY``, as no verb loads it.
-REDUCE_NODES = 11_292
+# among them; 10,716 with this layout, and each module that loads on first
+# use has more than 500, so a new top-level import of one fails here.
+REDUCE_NODES = 11_252
 
 ROOT = pathlib.Path(__file__).parents[1]
 README = ROOT / "README.md"

@@ -16,7 +16,7 @@ import pickle
 import pytest
 
 from borelcmp.duality import INTEGERS, DualExpr, RationalType
-from borelcmp.groups import REAL, TORUS, Atom, AtomKind, GroupExpr, RawPower, RawProduct
+from borelcmp.groups import TORUS, Atom, AtomKind, GroupExpr
 from borelcmp.posetlab import ChainDemo, CrosscheckReport, Family, MemberRef, UPSet
 from borelcmp.reducibility import Certificate, EdgeBlock, EdgeReason, EdgeWitness, HallViolator, IndexRanges, Verdict
 from borelcmp.report import Report
@@ -47,10 +47,6 @@ CASES = [
      "Atom(kind=<AtomKind.TORUS: 'T'>, profile=None)"),
     (GroupExpr, (((TORUS, 2), (TORUS, 1)),), {"runs": ((TORUS, 3),)},
      "GroupExpr(runs=((Atom(kind=<AtomKind.TORUS: 'T'>, profile=None), 3),))"),
-    (RawPower, (TORUS, 3), {"base": TORUS, "exponent": 3},
-     "RawPower(base=Atom(kind=<AtomKind.TORUS: 'T'>, profile=None), exponent=3)"),
-    (RawProduct, ((REAL, IntSeqSpec((), (4,))),), {"parts": (REAL, IntSeqSpec(tail=(4,)))},
-     "RawProduct(parts=(Atom(kind=<AtomKind.REAL: 'R'>, profile=None), IntSeqSpec(prefix=(), tail=(4,))))"),
     (EdgeWitness, (1, 1, T_T, ()), {"left_index": 1, "right_index": 1, "reason": T_T},
      "EdgeWitness(left_index=1, right_index=1, reason=<EdgeReason.RULE_T_T: 'RULE_T_T'>, deficit=())"),
     (Certificate, ((EdgeBlock(1, 2, 2, T_T),),), {"blocks": ((1, 2, 2, T_T, ()),)},
