@@ -49,7 +49,7 @@ _LAZY_MODULES = {
         "Family", "MemberRef", "UPSet", "chain_demo",
         "member_crosscheck", "member_reduces", "member_sequence", "subset_star",
     ),
-    **dict.fromkeys(("cli", "coprime", "farprimes", "labverbs", "matching", "primes", "report", "selftest"), ()),
+    **dict.fromkeys(("cli", "coprime", "farprimes", "labverbs", "matching", "primes", "selftest"), ()),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 

@@ -24,6 +24,25 @@ Every verb loads the expressions, the profiles and their literals.
 and ``setliterals`` for ``--a``/``--b``, ``selftest`` with all of these.
 ``S[...]`` adds ``sequences``, or with a composite cofactor also
 ``coprime``, and ``--json`` the ``json`` module.
+
+``run`` returns the report of a command as the dict that ``--json`` prints,
+a shape the golden tests pin:
+
+    {
+      "verb": str,
+      "inputs": [str, ...],
+      "verdict": bool | str,
+      "certificate": {"edges": [{"left": int, "right": int,
+                                 "reason": str,
+                                 "deficit": [[key, int | "w"], ...]}, ...]}
+                   | {"violator": {"K": [int, ...], "NK": [int, ...]}},
+      "diagnostics": [str, ...]
+    }
+
+A ``deficit`` key is a prime, or an element of the coprime base of the
+edge's two profiles when one has an unsplit key.  ``certificate`` is
+present only for verbs that produce one.  Output is deterministic: no
+timestamps, fixed ordering everywhere.
 """
 
 from __future__ import annotations
@@ -36,7 +55,7 @@ from .errors import EXIT_DOMAIN, EXIT_FALSE_VERDICT, EXIT_INTERNAL, EXIT_OK, EXI
 from .errors import BorelcmpError, DomainError, ParseError, forwarding
 from .groups import dimension, is_compact
 from .literals import parse_group, parse_profile, render_dual, render_group
-from .report import Report, certificate_payload
+from .supernatural import OMEGA
 from .supernatural import preceq  # noqa: F401  bench/tracing.py patches this binding
 
 # Size options: flag -> (dest, largest accepted value).  Their work grows
@@ -215,13 +234,29 @@ def _refusal(error: DomainError):
 
 
 def run(command: Command):
-    """Run a parsed command's handler and build its report; domain errors
-    become exit code 2."""
+    """Run a parsed command's handler and build its report, the dict that
+    ``--json`` prints; domain errors become exit code 2."""
     try:
         fields, code = command.handler(command)
     except DomainError as exc:
         fields, code = {"verdict": "ERROR", "diagnostics": (str(exc),)}, EXIT_DOMAIN
-    return Report(verb=command.verb, inputs=command.inputs, **fields), code
+    report = {"verb": command.verb, "inputs": list(command.inputs), "verdict": fields["verdict"]}
+    if "certificate" in fields:
+        report["certificate"] = fields["certificate"]
+    report["diagnostics"] = list(fields.get("diagnostics", ()))
+    return report, code
+
+
+def certificate_payload(v) -> dict:
+    """JSON form of the certificate or violator of a ``reducibility.Verdict``."""
+    if v.reducible:
+        edges = []
+        for left, right, count, reason, deficit in v.certificate.blocks:
+            # the edges of one block share its reason and deficit list
+            tail = {"reason": reason.value, "deficit": [[gamma, "w" if d is OMEGA else d] for gamma, d in deficit]}
+            edges += [{"left": left + j, "right": right - j, **tail} for j in range(count)]
+        return {"edges": edges}
+    return {"violator": {"K": list(v.violator.K), "NK": list(v.violator.NK)}}
 
 
 # -- one handler per verb: each returns (report fields, exit code) ---------------
@@ -245,12 +280,9 @@ def _reduce(command: Command):
             f"N(K)={{{', '.join(map(str, verdict.violator.NK))}}}"
         )
     code = EXIT_FALSE_VERDICT if command.exit_verdict and not verdict.reducible else EXIT_OK
-    fields = {
-        "verdict": verdict.reducible,
-        # only the JSON form prints the certificate
-        "certificate": certificate_payload(verdict) if command.format == "json" else None,
-        "diagnostics": tuple(diagnostics),
-    }
+    fields = {"verdict": verdict.reducible, "diagnostics": diagnostics}
+    if command.format == "json":  # only the JSON form prints the certificate
+        fields["certificate"] = certificate_payload(verdict)
     return fields, code
 
 
@@ -279,21 +311,25 @@ def _normalize(command: Command):
     return {"verdict": render_group(command.g)}, EXIT_OK
 
 
-def render_text(report: Report) -> str:
-    verdict = report.verdict
+def render_text(report: dict) -> str:
+    verdict = report["verdict"]
     if verdict is True:
-        head = "PRECEQ" if report.verb == "preceq" else "REDUCIBLE"
+        head = "PRECEQ" if report["verb"] == "preceq" else "REDUCIBLE"
     elif verdict is False:
-        head = "NOT PRECEQ" if report.verb == "preceq" else "NOT REDUCIBLE"
+        head = "NOT PRECEQ" if report["verb"] == "preceq" else "NOT REDUCIBLE"
     else:
         head = str(verdict)
-    return "\n".join([head, *report.diagnostics])
+    return "\n".join([head, *report["diagnostics"]])
 
 
-def render(command: Command, report: Report) -> str:
+def render(command: Command, report: dict) -> str:
     """The report in the command's format.  bench/tracing.py reads
     ``format`` off the first argument."""
-    return report.to_json() if command.format == "json" else render_text(report)
+    if command.format == "json":
+        import json  # loaded by the --json path only
+
+        return json.dumps(report, indent=2)
+    return render_text(report)
 
 
 def _emit(text: str):

@@ -7,10 +7,11 @@ gamma of k the multiplicity m * v_gamma(k), with OMEGA absorbing.
 
 * ``refinement`` refines keys by pairwise gcds into a coprime base, and
   ``on_one_base`` writes profiles over one such base (``runs_on_one_base``
-  the solenoids of a group's runs).  That is exact for
-  every verdict: a prime dividing a base element e is OMEGA exactly when e
-  is, and two profiles over one base are equal exactly when they give
-  every prime the same multiplicity.  No factoring is needed.
+  the solenoids of a group's runs), refining only when two keys share a
+  factor.  That is exact for every verdict: a prime dividing a base
+  element e is OMEGA exactly when e is, and two profiles over one base are
+  equal exactly when they give every prime the same multiplicity.  No
+  factoring is needed.
 * What prints or counts reads the base elements as they are: an unsplit
   key that ``isprime`` rejects prints marked (``supernatural._Unsplit``).
 
@@ -94,24 +95,17 @@ def regrouped(pairs, split) -> dict:
     return multiplicities
 
 
-def refined_entries(factors: dict, unsplit: list) -> dict:
-    """``profile_from_sequence``'s ``{entry: {key: exponent}}``, with the
-    ``unsplit`` keys refined against each other and the prime keys, and
-    each derived base element tested with ``isprime``."""
-    primes = {key for found in factors.values() for key in found if type(key) is not _Unsplit}
-    split = refinement(unsplit, primes, classify=True).__getitem__
-    return {entry: regrouped(found.items(), split) for entry, found in factors.items()}
-
-
 def on_one_base(profiles, classify: bool = False) -> list:
-    """The ``profiles`` over one coprime base of all their keys.  A profile
-    with prime keys only comes back as it is: its primes are base elements.
+    """The ``profiles`` over one coprime base of all their keys.  They come
+    back as they are when their keys are pairwise coprime already, and so
+    does each profile with prime keys only: its primes are base elements.
     ``classify`` tests each derived base element with ``isprime``."""
     unsplit, primes = {}, {}
     for profile in profiles:
         for key, _ in profile.exceptions:
             (unsplit if type(key) is _Unsplit else primes)[key] = None
-    if not unsplit:
+    keys = [*unsplit, *primes]
+    if all(gcd(u, k) == 1 for u in unsplit for k in keys if k != u):
         return list(profiles)
     split = refinement(unsplit, primes, classify).__getitem__
     return [

@@ -22,9 +22,9 @@ Both are kept in run form, so neither grows with the counts, and that run
 form is the only one ``verify_certificate`` (module ``verify``, loaded on
 first use) reads.  The assignment is a ``Certificate``: a tuple of
 ``EdgeBlock``s, each one map ``left + j -> right - j`` for ``j < count``
-with one reason.  The
-violator's index sets are ``IndexRanges``.  Only their rendering by the
-command line and the JSON report still costs one line or entry per factor.
+with one reason.  The violator's index sets are ``IndexRanges``, which
+compare as ranges.  Only their rendering by the command line and the JSON
+report still costs one line or entry per factor.
 
 The trivial group (empty product) reduces to everything, and nothing
 nontrivial reduces to it.  All factor indices in certificates are 1-based.
@@ -119,10 +119,9 @@ class Certificate(Value):
 
 
 class IndexRanges(Value):
-    """Ascending 1-based factor indices as a tuple of ``range``s of step 1.
-    Its ``len`` and iteration are those of the indices, at a cost of one
-    step per range; it equals a tuple of the same indices, and hashes like
-    one, so ``violator.K == (1, 2)`` still holds."""
+    """Ascending 1-based factor indices as a tuple of ``range``s of step 1;
+    equal when the ranges are equal.  Its ``len`` and iteration are those
+    of the indices, at a cost of one step per range."""
 
     __slots__ = _fields = ("ranges",)
 
@@ -134,14 +133,6 @@ class IndexRanges(Value):
 
     def __iter__(self):
         return chain.from_iterable(self.ranges)
-
-    def __eq__(self, other):
-        if not isinstance(other, (IndexRanges, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(i == j for i, j in zip(self, other))
-
-    def __hash__(self):
-        return hash(tuple(self))
 
 
 class HallViolator(Value):

@@ -306,8 +306,7 @@ def oracle_replay(q: SupernaturalProfile, p: SupernaturalProfile, window: int) -
     unsplit = {key for profile in (q, p) for key, _ in profile.exceptions if type(key) is _Unsplit}
     witness = refutation_witness(q, p)
     if witness is None:
-        table = dict(supernatural.finite_surplus_table(q, p))  # as oracle_drop_bound, on the pair over one base
-        drop = _covering_prefix(_Layout(q, table), table)
+        drop = oracle_drop_bound(q, p)
         need = Counter(islice(canonical_terms(q, drop, unsplit=unsplit), window))
         return Replay(drop, drop + window, _covering_prefix(_Layout(p, need, unsplit), need))
     needed = dict(p.exceptions).get(witness, p.default) + 1

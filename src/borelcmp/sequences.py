@@ -56,35 +56,36 @@ def profile_from_sequence(s: IntSeqSpec) -> SupernaturalProfile:
 
     Each distinct entry is trial-divided once by the primes below 2^16
     (``primes._trial_division``), and a cofactor above 1 is tested with
-    ``isprime``.  A composite cofactor stays whole, as an unsplit key, and
-    the keys are then refined by pairwise gcds into a coprime base
-    (``coprime.refinement``).  Nothing here factors further, so no entry is
-    refused, and the profile prints an unsplit key as it is.
+    ``isprime``.  A composite cofactor stays whole, as an unsplit key.  When
+    two keys share a factor, they are refined by pairwise gcds into a
+    coprime base (``coprime.on_one_base``).  Nothing here factors further,
+    so no entry is refused, and the profile prints an unsplit key as it is.
 
     >>> str(profile_from_sequence(IntSeqSpec((4, 6, 8), (9,))))
     '{2:6, 3:w}'
     >>> profile_from_sequence(IntSeqSpec((65537 * 65539,), (3,))).exceptions
     ((3, OMEGA), (4295229443, 1))
     """
-    factors, unsplit = {}, []
+    factors, unsplit = {}, False
     for entry in dict.fromkeys(s.prefix + s.tail):
         found, rest = _trial_division(entry)
         if rest > 1:
             if not supernatural.isprime(rest):
                 rest = _Unsplit(rest)
-                unsplit.append(rest)
+                unsplit = True
             found[rest] = 1
         factors[entry] = found
-    if unsplit:
-        from .coprime import refined_entries
-
-        factors = refined_entries(factors, unsplit)
     counts = {}
     for entry, times in Counter(s.prefix).items():
         for gamma, exponent in factors[entry].items():
             counts[gamma] = counts.get(gamma, 0) + exponent * times
     omega = dict.fromkeys((gamma for entry in s.tail for gamma in factors[entry]), OMEGA)
-    return SupernaturalProfile._of_primes({**counts, **omega}, 0, unsplit=bool(unsplit))
+    profile = SupernaturalProfile._of_primes({**counts, **omega}, 0, unsplit=unsplit)
+    if unsplit:
+        from .coprime import on_one_base
+
+        (profile,) = on_one_base([profile], classify=True)
+    return profile
 
 
 def _sequence_term(s: IntSeqSpec, unsplit: list) -> tuple:

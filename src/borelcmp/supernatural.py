@@ -31,7 +31,6 @@ reads the base elements as they are, so nothing here factors: a key that
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from math import gcd
 from operator import itemgetter
 
 from ._value import Value
@@ -235,18 +234,12 @@ def _on_one_base(q: SupernaturalProfile, p: SupernaturalProfile) -> list:
     return on_one_base((q, p))
 
 
-def _over_one_base(q: SupernaturalProfile, p: SupernaturalProfile) -> bool:
-    """Whether the keys of ``q`` and ``p`` are pairwise coprime, as ``_on_one_base`` leaves them."""
-    keys = {key for profile in (q, p) for key, _ in profile.exceptions}
-    return all(gcd(u, k) == 1 for u in keys if type(u) is _Unsplit for k in keys if k != u)
-
-
 def _paired(q: SupernaturalProfile, p: SupernaturalProfile) -> Iterator[tuple]:
     """(key, multiplicity in q, multiplicity in p) for every exception key
     of either profile, ascending, over one coprime base when either has
     an unsplit key.  Reads the stored multiplicities: the keys were
     validated when the profiles were built."""
-    if (q.unsplit or p.unsplit) and not _over_one_base(q, p):
+    if q.unsplit or p.unsplit:
         q, p = _on_one_base(q, p)
     in_q, in_p = dict(q.exceptions), dict(p.exceptions)
     for gamma in sorted(in_q.keys() | in_p.keys()):
@@ -268,7 +261,7 @@ def preceq(q: SupernaturalProfile, p: SupernaturalProfile) -> bool:
     Profiles with an unsplit key are decided over one coprime base of both
     profiles' keys, which is exact and splits no key.
     """
-    if (q.unsplit or p.unsplit) and not _over_one_base(q, p):
+    if q.unsplit or p.unsplit:
         q, p = _on_one_base(q, p)
     if q.default is OMEGA:
         return p.default is OMEGA and {g for g, _ in p.exceptions} <= {g for g, _ in q.exceptions}

@@ -267,19 +267,49 @@ def test_what_names_or_counts_reads_the_coprime_base(capsys, no_factoring):
         assert time.perf_counter() - start < 1.0
 
 
-def test_a_replay_refines_its_pair_once(monkeypatch, no_factoring):
-    """The replay puts the pair on one base at its entry; the steps after
-    it (the witness, the drop, the surplus table) find it there."""
-    big = 65537 * 65539
-    q, p = parse_group(f"S[{big},{big}|3]").runs[0][0].profile, parse_group("S[|3]").runs[0][0].profile
+@pytest.fixture
+def refinements(monkeypatch) -> list:
+    """The calls of ``coprime.refinement``, recorded as they happen."""
     calls, refinement = [], coprime.refinement
     monkeypatch.setattr(coprime, "refinement", lambda *args, **kw: calls.append(args) or refinement(*args, **kw))
-    for replay, expected in ((lambda: oracle_replay(q, p, 10), Replay(drop=2, end=12, prefix=10)),
-                             (lambda: oracle_replay(p, q, 10), Replay(drop=0, end=10, prefix=12)),
-                             (lambda: oracle_drop_bound(q, p), 2)):
-        calls.clear()
-        assert replay() == expected
-        assert len(calls) == 1
+    return calls
+
+
+# three Mersenne primes, above the trial-division bound, so S[p*q|3] and
+# S[p*r|3] each leave one unsplit key and the two keys share the factor p
+MERSENNE = 2**61 - 1, 2**89 - 1, 2**107 - 1
+
+
+def test_a_replay_refines_its_pair_once(refinements, no_factoring):
+    """The replay puts the pair on one base at its entry, and only when two
+    of its keys share a factor; the steps after it (the witness, the drop,
+    the surplus table) find it there."""
+    big = 65537 * 65539
+    p, q, r = MERSENNE
+    pairs = [(f"S[{big},{big}|3]", "S[|3]", 0,
+              (Replay(drop=2, end=12, prefix=10), Replay(drop=0, end=10, prefix=12), 2)),
+             (f"S[{p * q}|3]", f"S[{p * r}|3]", 1,
+              (Replay(drop=2, end=12, prefix=12), Replay(drop=2, end=12, prefix=12), 2))]
+    for q_text, p_text, refined, expected in pairs:
+        q_profile, p_profile = (parse_group(text).runs[0][0].profile for text in (q_text, p_text))
+        for replay, outcome in zip((lambda: oracle_replay(q_profile, p_profile, 10),
+                                    lambda: oracle_replay(p_profile, q_profile, 10),
+                                    lambda: oracle_drop_bound(q_profile, p_profile)), expected):
+            refinements.clear()
+            assert replay() == outcome
+            assert len(refinements) == refined, (q_text, p_text)
+
+
+def test_a_parse_refines_only_keys_that_share_a_factor(refinements, no_factoring):
+    """Keys that are pairwise coprime are already over one base."""
+    big = 65537 * 65539
+    p, q, r = MERSENNE
+    for text, refined in ((f"S[{big}|3]", 0), (f"S[{big}|3] x S[{big}|3]", 0),
+                          (f"S[{big}|3] x Sol{{65537:1, 65539:1, 3:w}}", 1),
+                          (f"S[{p * q}|3] x S[{p * r}|3]", 1)):
+        refinements.clear()
+        parse_group(text)
+        assert len(refinements) == refined, text
 
 
 def test_replays_over_the_base_agree_with_the_verdict_and_the_walk(no_factoring):

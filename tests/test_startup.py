@@ -33,9 +33,10 @@ LAB = ["array", "borelcmp.farprimes", "borelcmp.labverbs", "borelcmp.posetlab", 
 # is parsed without ``argparse``, which loads ``gettext`` and ``locale``.
 NEVER = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
 # AST nodes of the modules that ``reduce "R^2 x T" "T^3"`` compiles, ``cli``
-# among them; 10,716 with this layout, and each module that loads on first
-# use has more than 500, so a new top-level import of one fails here.
-REDUCE_NODES = 11_252
+# among them: 10,403 with this layout, plus a 5 % margin.  Each module that
+# loads on first use has more than 500, so a new top-level import of one
+# fails here.
+REDUCE_NODES = 10_923
 
 ROOT = pathlib.Path(__file__).parents[1]
 README = ROOT / "README.md"
