@@ -105,7 +105,8 @@ def _joined(parts) -> tuple:
     for part in parts:
         if runs and part:
             (atom, count), (first, first_count) = runs[-1], part[0]
-            if atom is first or atom == first:  # the identity test spares most calls of Value.__eq__
+            # the identity and kind tests spare most calls of Value.__eq__
+            if atom is first or (atom.kind is first.kind and atom == first):
                 runs[-1] = (atom, count + first_count)
                 runs.extend(part[1:])
                 continue

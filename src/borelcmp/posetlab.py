@@ -391,6 +391,11 @@ class Family(Value):
         return tuple(islice(self._d_walk(), checked_natural(k, "count must be a natural number")))
 
 
+def _d_budget(family: Family) -> int:
+    """How many d-primes lie below 2^32, the segmented sieve's reach."""
+    return 203_280_221 - sum(gamma < 2**32 for gamma in family._not_d())  # pi(2^32), OEIS A007053
+
+
 def _at_positions(items: Iterator, positions) -> Iterator:
     """The items of ``items`` at the naturals ``positions``, in turn.  The
     positions must ascend.  Only the crosscheck's finite surplus, a sorted
@@ -429,35 +434,37 @@ def member_sequence(m: MemberRef, n: int) -> tuple:
     checked_natural(n, "term count must be nonnegative")
     if n == 0:  # even when p has no infinite sequence
         return ()
-    return tuple(islice(_member_terms(m), n))
+    terms = [None] * n
+    a_layer, p0, base = _layer_window(m, 0, n)
+    if m.a.is_cofinite:
+        terms[0::2], terms[1::2] = p0, base
+    else:
+        terms[0::2], terms[1::4], terms[3::4] = a_layer, p0, base
+    return tuple(terms)
 
 
-def _member_terms(m: MemberRef, tagged: bool = False):
-    """The member's concrete prime sequence as an infinite iterator.
-
-    Walked: each d-layer reads every third prime of the d-enumeration's
-    runs on its own, as slices, so the A layer, which runs far ahead of
-    P_0', holds no d-prime back for it.  The A layer's slices hold d_{1+3c}
-    for every c, so it keeps the non-members c by ``compress`` over A's
-    mask, in C, not by a seek per non-member.  ``tagged`` pairs each
-    d-layer entry with its index in the layer: j for d_{3j}, c for
-    d_{1+3c}; every stream is drawn as far as without it.
+def _layer_window(m: MemberRef, start: int, end: int, tagged: bool = False) -> tuple:
+    """The A-layer, P_0' and base(P) entries at positions ``[start, end)``
+    of the member's sequence, as three lists: one ``islice`` of each
+    layer's own stream, over the indices that ``_MemberLayout`` places
+    there.  The d-layers read every third prime of the d-enumeration's
+    runs, as slices; the A layer keeps d_{1+3c} for the non-members c by
+    ``compress`` over A's mask, in C.  ``tagged`` pairs each d-layer entry
+    with its index in the layer: j for d_{3j}, c for d_{1+3c}.  Every
+    stream is infinite, so each list has its full length.
     """
-    family = m.family
-    d0, d1 = family._d_layer(0), family._d_layer(1)
+    family, a = m.family, m.a
+    d0, d1, base = family._d_layer(0), family._d_layer(1), canonical_terms(family.p)
     if tagged:
         d0, d1 = zip(d0, count()), zip(d1, count())
-    # P_0' interleave base(P)
-    terms = _alternate(d0, canonical_terms(family.p))
-    if not m.a.is_cofinite:
-        # P_A' interleave (P_0' interleave base(P))
-        terms = _alternate(compress(d1, m.a._outside_mask()), terms)
-    return terms
+    s = 2 if a.is_cofinite else 4  # P_0' entry j at s*j + s/2 - 1, base(P) entry k at s*k + s - 1
+    a_layer = [] if a.is_cofinite else _entries(compress(d1, a._outside_mask()), start, end, 2, 0)
+    return a_layer, _entries(d0, start, end, s, s // 2 - 1), _entries(base, start, end, s, s - 1)
 
 
-def _alternate(first: Iterator, second: Iterator) -> Iterator:
-    """first(0), second(0), first(1), second(1), ... until either runs out."""
-    return chain.from_iterable(zip(first, second))
+def _entries(layer: Iterator, start: int, end: int, stride: int, offset: int) -> list:
+    """The entries k of ``layer`` at positions ``stride * k + offset`` in ``[start, end)``."""
+    return list(islice(layer, -((offset - start) // stride), -((offset - end) // stride)))  # ceilings
 
 
 def _check_same_family(m_a: MemberRef, m_b: MemberRef):
@@ -476,7 +483,7 @@ def member_reduces(m_a: MemberRef, m_b: MemberRef) -> bool:
 
 class _MemberLayout:
     """Where each prime sits in a member's sequence, computed from the
-    layout of ``_member_terms``: nothing of the sequence is walked, and
+    layout ``_layer_window`` reads: nothing of the sequence is walked, and
     ``position`` counts the occurrences before the one asked for.
 
     For A not cofinite, A-layer entry k sits at 2k, P_0' entry j (that is
@@ -486,21 +493,13 @@ class _MemberLayout:
     j sits at 2j and base(P) entry k at 2k+1.  A prime occurs at most once
     in the d-layers, and base(P), a default-0 profile's canonical sequence,
     may hold it too.  ``d_indices`` maps each d-prime asked for to its
-    index in the d-enumeration; ``layers`` reads the layers back off a
-    walked stretch of the sequence.
+    index in the d-enumeration.
     """
 
     def __init__(self, m: MemberRef, d_indices: dict):
         self.a, self.d_indices = m.a, d_indices
         self.base = _Layout(m.family.p)
         self.stride, self.offset = (2, 1) if m.a.is_cofinite else (4, 3)  # base(P) entry k at stride*k+offset
-
-    def layers(self, terms: list, start: int) -> tuple:
-        """The A-layer, P_0' and base(P) entries among ``terms``, the
-        sequence's terms from position ``start`` on, each layer ascending."""
-        s = self.stride
-        a_layer = [] if self.a.is_cofinite else terms[start % 2 :: 2]
-        return a_layer, terms[(s // 2 - 1 - start) % s :: s], terms[(self.offset - start) % s :: s]
 
     def _d_position(self, i: int):
         """Where d_i sits in the d-layers, or None when they skip it."""
@@ -558,8 +557,8 @@ def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> Cros
     sequence at most, once, and compare the multiset after the drop with
     the source's (A's) occurrences, counted from its layout at a few
     primes.  Inconsistencies are recorded in the report, never raised.  An
-    element of A minus B past ``sys.maxsize``, whose surplus prime no walk
-    reaches, is refused.
+    element c of A minus B whose surplus prime d_{1+3c} lies past the
+    d-primes below 2^32 (``_d_budget``) is refused before any walk.
 
     >>> fam = Family.default()
     >>> member_crosscheck(MemberRef(fam, UPSet.from_finite(range(3))), MemberRef(fam, UPSet()), 10).replay
@@ -569,8 +568,8 @@ def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> Cros
     checked_natural(window, "window must be positive", 1)
     verdict = member_reduces(m_a, m_b)
     finite, elements = set_difference(m_a.a, m_b.a)
-    if elements and elements[-1] > sys.maxsize:
-        raise DomainError(f"A minus B holds {elements[-1]}, past sys.maxsize: no d-walk reaches its surplus prime")
+    if elements and (index := 1 + 3 * elements[-1]) >= (budget := _d_budget(m_a.family)):
+        raise DomainError(f"A minus B holds {elements[-1]}: d-index {index} is past the {budget} d-primes below 2^32")
     surplus = tuple(_at_positions(m_a.family._d_layer(1), elements))
     replay = _member_replay(m_a, m_b, finite, dict(zip(surplus, (1 + 3 * c for c in elements))), window)
 
@@ -614,17 +613,17 @@ def _member_replay(m_a: MemberRef, m_b: MemberRef, finite: bool, surplus: dict, 
         drop, end = 0, target.position(witness, needed) + 1
         if window < end:
             return Replay(0, end, None, witness, needed, needs_window=end)
-    return Replay(drop, end, _window_prefix(m_a, m_b, target, drop, end), witness, needed)
+    return Replay(drop, end, _window_prefix(m_a, m_b, drop, end), witness, needed)
 
 
-def _window_prefix(m_a: MemberRef, m_b: MemberRef, target: _MemberLayout, drop: int, end: int):
+def _window_prefix(m_a: MemberRef, m_b: MemberRef, drop: int, end: int):
     """Length of the shortest prefix of A's sequence holding the multiset
     of B's terms ``[drop, end)``, or None when A's holds too few of some
-    prime; ``target`` is B's layout.
+    prime.
 
-    B's window is walked once, tagged, so its d-layer entries come with
-    their d-indices: A-layer entry k is d_{1+3c_k}, tagged c_k, and P_0'
-    entry j is d_{3j}, tagged j.  A prime outside base(P) occurs at most
+    B's window is read once, layer by layer and tagged, so its d-layer
+    entries come with their d-indices: A-layer entry k is d_{1+3c_k},
+    tagged c_k, and P_0' entry j is d_{3j}, tagged j.  A prime outside base(P) occurs at most
     once in a member's sequence, in its d-layers, and A's holds d_{3j} at a
     position that rises with j and d_{1+3c}, for c outside A, at one that
     rises with c.  So once no window c_k lies in A (tested in bulk, by
@@ -634,7 +633,7 @@ def _window_prefix(m_a: MemberRef, m_b: MemberRef, target: _MemberLayout, drop: 
     up to it.
     """
     family, a = m_a.family, m_a.a
-    a_layer, p0, base = target.layers(list(islice(_member_terms(m_b, tagged=True), drop, end)), drop)
+    a_layer, p0, base = _layer_window(m_b, drop, end, tagged=True)
     need = Counter(chain(map(itemgetter(0), a_layer), map(itemgetter(0), p0), base))
     special = {gamma for gamma, _ in family.p.exceptions}  # base(P)'s primes
     # the window's A-layer entries that A's A layer lacks: all of them when A is cofinite

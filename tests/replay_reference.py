@@ -7,13 +7,15 @@ walked versions it replaced: ``covering_prefix_length`` reads a sequence
 term by term until each prime has occurred often enough, and the two
 profile helpers and ``member_replay_prefix`` are built on it.  Their cost
 grows with the positions they find, so they serve as oracles on small
-inputs only.
+inputs only.  ``member_terms`` is the zip interleave a member's sequence
+was once built by, and ``layer_window`` cuts a walked stretch of it back
+into layers, as the package's ``_layer_window`` reads them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
+from itertools import chain, compress, count, islice
 
 from borelcmp.replay import canonical_terms
 from borelcmp.supernatural import finite_surplus_table
@@ -57,6 +59,29 @@ def member_replay_prefix(source_terms, target_terms, drop: int, end: int, horizo
     enough."""
     need = Counter(islice(target_terms, drop, end))
     return covering_prefix_length(islice(source_terms, horizon), need)
+
+
+def member_terms(m, tagged: bool = False):
+    """The member's sequence P_A' interleave (P_0' interleave base(P)) as
+    one infinite iterator of nested ``zip`` interleaves; ``tagged`` pairs
+    each d-layer entry with its index in the layer."""
+    family = m.family
+    d0, d1 = family._d_layer(0), family._d_layer(1)
+    if tagged:
+        d0, d1 = zip(d0, count()), zip(d1, count())
+    terms = chain.from_iterable(zip(d0, canonical_terms(family.p)))
+    if not m.a.is_cofinite:
+        terms = chain.from_iterable(zip(compress(d1, m.a._outside_mask()), terms))
+    return terms
+
+
+def layer_window(m, start: int, end: int, tagged: bool = False) -> tuple:
+    """The A-layer, P_0' and base(P) entries among the terms ``[start,
+    end)`` of ``member_terms``, walked and then cut apart by position."""
+    terms = list(islice(member_terms(m, tagged), start, end))
+    stride, offset = (2, 1) if m.a.is_cofinite else (4, 3)  # base(P) entry k at stride*k+offset
+    a_layer = [] if m.a.is_cofinite else terms[start % 2 :: 2]
+    return a_layer, terms[(stride // 2 - 1 - start) % stride :: stride], terms[(offset - start) % stride :: stride]
 
 
 def member_crosscheck(m_a, m_b, window: int, horizon: int):

@@ -122,6 +122,9 @@ def test_main_reads_flags_anywhere_and_in_either_form(argv, same_as, capsys):
         # long flags are never abbreviated
         (["reduce", "T", "T", "--cert"], EXIT_USAGE, "usage error: unrecognized arguments: --cert"),
         (["family-expand", "--a", "fin{}", "--le", "3"], EXIT_USAGE, "usage error: unrecognized arguments: --le"),
+        # a surplus prime past the spare primes below 2^32 is refused before any walk
+        (["family-compare", "--a", "fin{1000000000}", "--b", "fin{}", "--crosscheck", "10"], EXIT_DOMAIN,
+         "ERROR\nA minus B holds 1000000000: d-index 3000000001 is past the 203280220 d-primes below 2^32\n"),
     ],
 )
 def test_main_exit_codes_of_the_grammar(argv, code, fragment, capsys):

@@ -33,6 +33,7 @@ from borelcmp.replay import Replay, oracle_injection
 from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
 from borelcmp.selftest import trial_division_primes
+from borelcmp.setliterals import parse_upset
 
 import replay_reference as reference
 from upset_reference import sparse_from_bits
@@ -268,11 +269,33 @@ def test_member_sequence_of_a_far_rule_or_flip_in_small_memory(a, first_outside)
 @pytest.mark.parametrize("a, b", [
     (UPSet.from_finite([10**19]), UPSet()),  # a finite surplus
     (UPSet.multiples_of(2**70), UPSet.from_finite([0])),  # an infinite one, from 2^70 on
+    (UPSet.from_finite([10**9]), UPSet()),  # d_{3*10^9+1}, far past 2^32
 ])
 def test_crosscheck_refuses_a_surplus_element_past_sys_maxsize(a, b):
     fam = Family.default()
-    with pytest.raises(DomainError, match="past sys.maxsize"):
+    with pytest.raises(DomainError, match=r"past the 203280220 d-primes below 2\^32"):
         member_crosscheck(MemberRef(fam, a), MemberRef(fam, b), 10)
+
+
+def test_crosscheck_budget_counts_the_d_primes_below_2_32(monkeypatch):
+    # pi(2^32) = 203,280,221, less the excluded primes below 2^32; 4294967311
+    # is the least prime past 2^32 and costs the budget nothing
+    assert posetlab._d_budget(Family.default()) == 203_280_220  # 2 is excluded
+    far = Family(SupernaturalProfile({2: OMEGA}), SupernaturalProfile({13: 0, 4294967311: 0}, OMEGA))
+    assert far._not_d() == {2, 13, 4294967311} and posetlab._d_budget(far) == 203_280_219
+
+    class Walked(Exception):
+        pass
+
+    def no_walk(items, positions):
+        raise Walked(positions)
+
+    monkeypatch.setattr(posetlab, "_at_positions", no_walk)
+    fam, c = Family.default(), (203_280_220 - 1) // 3  # d-index 1 + 3c = 203,280,220, the budget
+    with pytest.raises(DomainError, match=f"holds {c}: d-index 203280220 is past"):
+        member_crosscheck(MemberRef(fam, UPSet.from_finite([2, c])), MemberRef(fam, UPSet()), 10)
+    with pytest.raises(Walked):  # d-index 203,280,217 is inside the budget, so the walk starts
+        member_crosscheck(MemberRef(fam, UPSet.from_finite([2, c - 1])), MemberRef(fam, UPSet()), 10)
 
 
 @pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3", None])
@@ -353,6 +376,58 @@ def test_member_sequence_terms_prime_and_star_layer_exact():
     cof = UPSet.from_cofinite([1])
     inner_terms = member_sequence(MemberRef(fam, cof), 120)
     assert inner_terms[0::2] == d[0:180:3]
+
+
+def _layer_corpus() -> list:
+    """80 seeded finite, cofinite and ``ups{...}`` sets with flips."""
+    rng = random.Random(20261020)
+
+    def upset():
+        roll = rng.random()
+        if roll < 0.2:
+            return UPSet.from_cofinite(rng.sample(range(12), rng.randrange(4)))
+        if roll < 0.4:
+            return UPSet.from_finite(rng.sample(range(60), rng.randrange(6)))
+        period = rng.randrange(1, 7)
+        word = "".join(rng.choice("01") for _ in range(period))
+        start = rng.randrange(25)
+        flips = ",".join(map(str, sorted(rng.sample(range(start), min(start, rng.randrange(4))))))
+        listed = f"except={flips}; " if flips else ""
+        return parse_upset(f"ups{{{listed}from={start}; period={period}; word={word}}}")
+
+    return [upset() for _ in range(80)]
+
+
+@pytest.mark.parametrize("family", [
+    Family.default(),
+    # base(P) is 3, 3, 5, 5, 5, ...: two primes, and 3 is a d-prime too
+    Family(SupernaturalProfile({3: 2, 5: OMEGA}), SupernaturalProfile.all_omega()),
+])
+def test_layer_windows_equal_the_zip_interleave(family):
+    rng, corpus = random.Random(7), _layer_corpus()
+    assert all(any(map(kind, corpus)) for kind in (
+        UPSet.is_finite.fget, UPSet.is_cofinite.fget, lambda a: a.flips and not (a.is_finite or a.is_cofinite)))
+    for a in corpus:
+        m = MemberRef(family, a)
+        n = rng.randrange(1, 160)
+        assert member_sequence(m, n) == tuple(itertools.islice(reference.member_terms(m), n)), a
+        ends = (0, 1, 2, 3, n, n + 1)
+        windows = {(drop, end) for end in ends for drop in (0, end, end // 2, max(end - 5, 0)) if drop <= end}
+        assert {drop % 2 for drop, end in windows if drop < end} == {0, 1}
+        for (drop, end), tagged in itertools.product(windows, (False, True)):
+            assert posetlab._layer_window(m, drop, end, tagged) == reference.layer_window(m, drop, end, tagged), (
+                a, drop, end, tagged)
+
+
+def test_a_finite_total_base_refuses_a_layer_window_as_the_zip_interleave_does():
+    m = MemberRef(Family(SupernaturalProfile({2: 3}), SupernaturalProfile.all_omega()), UPSet.multiples_of(2))
+    with pytest.raises(DomainError) as expected:
+        list(itertools.islice(reference.member_terms(m), 4))
+    for call in (lambda: member_sequence(m, 4), lambda: posetlab._layer_window(m, 0, 4)):
+        with pytest.raises(DomainError) as refused:
+            call()
+        assert str(refused.value) == str(expected.value)
+    assert member_sequence(m, 0) == ()
 
 
 # -- member order ------------------------------------------------------------------
