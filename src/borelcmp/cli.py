@@ -18,7 +18,7 @@ q = {default=w}); ``family-new`` validates and describes an arbitrary one.
 A process loads only what its verb runs, and none loads ``argparse``.
 Every verb loads the expressions, the profiles and their literals.
 ``reduce`` and ``compare`` add ``reducibility`` and ``matching``, ``dual``
-``duality`` and ``matching``, and ``preceq``, the ``family-*`` verbs and
+``duality``, and ``preceq``, the ``family-*`` verbs and
 ``selftest`` their handlers in ``labverbs``: ``preceq`` with ``replay`` and
 ``farprimes``, the ``family-*`` verbs with ``posetlab`` (which loads both)
 and ``setliterals`` for ``--a``/``--b``, ``selftest`` with all of these.
@@ -249,7 +249,7 @@ def run(command: Command):
 
 def certificate_payload(v) -> dict:
     """JSON form of the certificate or violator of a ``reducibility.Verdict``."""
-    if v.reducible:
+    if v.certificate is not None:
         edges = []
         for left, right, count, reason, deficit in v.certificate.blocks:
             # the edges of one block share its reason and deficit list
@@ -266,7 +266,9 @@ def _reduce(command: Command):
 
     verdict = reduces(command.g, command.h)
     diagnostics = []
-    if verdict.reducible:
+    # the lines list the witness the verdict carries, so a verdict whose flag
+    # contradicts its witness prints both rather than ending in an internal error
+    if verdict.certificate is not None:
         # one line per edge, rendered from the blocks without a witness per edge
         for left, right, count, reason, deficit in verdict.certificate.blocks:
             tail = f" ({reason.value.removeprefix('RULE_')})"

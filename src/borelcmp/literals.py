@@ -64,13 +64,14 @@ __getattr__ = forwarding(globals(), {"parse_upset": "setliterals"})
 # alternatives are tried in order, so a keyword must come after every keyword
 # it is a prefix of (``S`` after ``Sol``).  ``findall`` skips every character
 # no token starts at: whitespace, and characters outside the alphabet.
-# ``_ALPHABET`` matches the longest prefix made of tokens and whitespace, so
-# the first character it stops at is the first one outside; it runs only on
-# a bad literal, since its backtracking state grows with the prefix.
+# A bad literal alone is matched against the longest prefix made of tokens
+# and whitespace, so the first character the match stops at is the first
+# one outside; its backtracking state grows with the prefix.  ``re.match``
+# compiles (and caches) that pattern on the first bad literal, so a process
+# that parses only valid ones compiles this one pattern.
 _TOKEN = re.compile(
     r"[0-9]+|[{}\[\]():,;=|^*]|default|except|period|cofin|word|from|Sol|ups|fin|R|T|S|w|x"
 )
-_ALPHABET = re.compile(rf"(?:\s+|{_TOKEN.pattern})*")
 
 
 def _describe(token: str) -> str:
@@ -84,7 +85,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _TOKEN.findall(text)
         if "".join(self.tokens) != "".join(text.split()):  # findall skipped a non-space
-            end = _ALPHABET.match(text).end()
+            end = re.match(rf"(?:\s+|{_TOKEN.pattern})*", text).end()
             raise ParseError(f"unexpected character {text[end]!r}", end)
         self.tokens.append("")
         self.text = text

@@ -40,7 +40,6 @@ from ._value import Value
 from .errors import forwarding
 from .groups import REAL, TORUS, Atom, AtomKind, GroupExpr, solenoid
 from .matching import class_flow
-from .matching import saturating_matching_or_violator  # noqa: F401  bench/tracing.py patches this binding
 from .supernatural import OMEGA, finite_surplus_table, preceq
 
 __all__ = [
@@ -58,8 +57,9 @@ __all__ = [
     "compare",
 ]
 
-# bench/tracing.py patches this binding; it resolves on first use (PEP 562)
-__getattr__ = forwarding(globals(), {"verify_certificate": "verify"})
+# bench/tracing.py patches these bindings; they resolve on first use (PEP 562)
+__getattr__ = forwarding(globals(), {"verify_certificate": "verify",
+                                     "saturating_matching_or_violator": "duality"})
 
 
 class EdgeReason(Enum):
@@ -245,6 +245,12 @@ def _classes(runs: tuple) -> tuple:
     return list(index), counts, of_run
 
 
+def _rows(sources: list, targets: list) -> list:
+    """The rule table's rows between classes: per source atom, the indices
+    of the target atoms it reduces to."""
+    return [[t for t, b in enumerate(targets) if atom_reduces(a, b)] for a in sources]
+
+
 def reduces(g: GroupExpr, h: GroupExpr) -> Verdict:
     """Decide reducibility of the product ``g`` into the product ``h``.
 
@@ -272,7 +278,7 @@ def reduces(g: GroupExpr, h: GroupExpr) -> Verdict:
     """
     sources, caps, source_of = _classes(g.runs)
     targets, room, target_of = _classes(h.runs)
-    rows = [[t for t, b in enumerate(targets) if atom_reduces(a, b)] for a in sources]
+    rows = _rows(sources, targets)
     flow, violator = class_flow(caps, room, rows)
     if flow is not None:
         free: list = [[] for _ in targets]  # per target class: [lowest unused factor, how many] per run
@@ -332,9 +338,19 @@ def reduces(g: GroupExpr, h: GroupExpr) -> Verdict:
 
 
 def compare(g: GroupExpr, h: GroupExpr) -> ComparisonOutcome:
-    """Both directions at once; LEFT_STRICT means ``g`` sits strictly below."""
-    forward = reduces(g, h).reducible
-    backward = reduces(h, g).reducible
+    """Both directions at once; LEFT_STRICT means ``g`` sits strictly below.
+
+    Each side is grouped into classes once, and each direction is decided
+    by ``class_flow`` on the rule table's rows, as ``reduces`` decides it.
+    No certificate, violator or surplus table is built, and ``compare
+    --json`` carries none.  A direction into fewer factors fails before
+    its rows are read, since an assignment is injective.
+    """
+    left, left_counts, _ = _classes(g.runs)
+    right, right_counts, _ = _classes(h.runs)
+    m, n = sum(left_counts), sum(right_counts)
+    forward = m <= n and class_flow(left_counts, right_counts, _rows(left, right))[0] is not None
+    backward = n <= m and class_flow(right_counts, left_counts, _rows(right, left))[0] is not None
     if forward and backward:
         return ComparisonOutcome.EQUIVALENT
     if forward:

@@ -461,6 +461,19 @@ def test_main_internal_error(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_reduce_prints_the_witness_a_contradicted_verdict_carries(monkeypatch, capsys):
+    def flipped(g, h, _reduces=reducibility.reduces):
+        verdict = _reduces(g, h)
+        return reducibility.Verdict(not verdict.reducible, verdict.certificate, verdict.violator)
+
+    monkeypatch.setattr(reducibility, "reduces", flipped)  # the binding the handler reads
+    assert main(["reduce", "R^2 x T", "T^3"]) == EXIT_OK
+    assert capsys.readouterr().out == "NOT REDUCIBLE\n1 -> 3 (R_ANY)\n2 -> 2 (R_ANY)\n3 -> 1 (T_T)\n"
+    assert main(["reduce", "T", "R", "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["certificate"]) == (True, {"violator": {"K": [1], "NK": []}})
+
+
 def test_a_reader_that_closes_stdout_early_changes_no_exit_code():
     # about 590 KB of terms, far more than a pipe holds: a write meets the closed pipe
     argv = [sys.executable, "-m", "borelcmp.cli", "family-expand", "--a", "fin{}", "--len", "100000"]

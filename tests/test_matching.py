@@ -1,6 +1,6 @@
-"""Matching layer: the class flow against brute force, the iterative search
-against the recursive reference, and run-based rule-table rows against
-per-factor ones."""
+"""Matching: the class flow against brute force, and the dual route's
+iterative search against the recursive reference and its run-based
+rule-table rows against per-factor ones."""
 
 from __future__ import annotations
 
@@ -9,10 +9,11 @@ import random
 
 import pytest
 
-from borelcmp import matching, reducibility
+from borelcmp import duality, reducibility
 from borelcmp.groups import REAL, TORUS, group, solenoid
 from borelcmp.literals import parse_group
-from borelcmp.matching import class_flow, run_rows, saturating_matching_or_violator
+from borelcmp.duality import run_rows, saturating_matching_or_violator
+from borelcmp.matching import class_flow
 from borelcmp.selftest import brute_force_reducible
 from borelcmp.supernatural import OMEGA
 from borelcmp.verify import verify_certificate
@@ -156,7 +157,7 @@ def no_per_factor_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("per-factor search called")
 
-    for module in (matching, reducibility):
+    for module in (reducibility, duality):  # the forward resolves before duality is patched
         monkeypatch.setattr(module, "saturating_matching_or_violator", refuse)
 
 

@@ -276,6 +276,55 @@ def test_strictness_chain_between_real_and_torus(rng):
         assert compare(sol, group(TORUS)) is ComparisonOutcome.LEFT_STRICT
 
 
+# Atoms of the differential corpus: R, T, solenoids with default-0 and
+# default-w profiles, and one whose key is the product of two 90-bit primes,
+# which stays unsplit.
+_SEMIPRIME = 618970019668049015295030157 * 928455029464802529184826323
+_COMPARE_ATOMS = ("R", "T", "Sol{2:w}", "Sol{3:w}", "Sol{2:5,3:w}", "Sol{2:9,3:w}", "Sol{2:w,3:w}",
+                  "Sol{default=w}", "Sol{2:3; default=w}", "Sol{2:0,5:1; default=w}", f"S[{_SEMIPRIME}|3]")
+_OUTCOMES = {(True, True): ComparisonOutcome.EQUIVALENT, (True, False): ComparisonOutcome.LEFT_STRICT,
+             (False, True): ComparisonOutcome.RIGHT_STRICT, (False, False): ComparisonOutcome.INCOMPARABLE}
+
+
+def _compare_corpus(rng):
+    """Seeded products of up to four atoms of ``_COMPARE_ATOMS`` with
+    powers, the trivial group among them."""
+    corpus = [TRIVIAL_GROUP]
+    for _ in range(120):
+        atoms = rng.choices(_COMPARE_ATOMS, k=rng.randrange(1, 5))
+        corpus.append(parse_group(" x ".join(f"{atom}^{rng.choice((1, 1, 2, 3))}" for atom in atoms)))
+    return corpus
+
+
+def test_compare_equals_the_two_verdicts_of_reduces():
+    rng = random.Random(20261020)
+    corpus = _compare_corpus(rng)
+    pairs = [(rng.choice(corpus), rng.choice(corpus)) for _ in range(3000)]
+    pairs += [(g, GroupExpr(g.runs[::-1])) for g in corpus]  # equivalent, in another order
+    pairs += [(parse_group("T^10000000"), parse_group("T^9999999"))]
+    seen = dict.fromkeys(ComparisonOutcome, 0)
+    for g, h in pairs:
+        outcome = compare(g, h)
+        assert outcome is _OUTCOMES[reduces(g, h).reducible, reduces(h, g).reducible], (g, h)
+        seen[outcome] += 1
+    assert min(seen.values()) > 150
+    assert compare(parse_group("T^10000000"), parse_group("T^9999999")) is ComparisonOutcome.RIGHT_STRICT
+
+
+def test_compare_builds_no_certificate_or_violator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare built a verdict")
+
+    for name in ("reduces", "_edge", "Certificate", "HallViolator"):
+        monkeypatch.setattr(reducibility, name, refuse)
+    rng = random.Random(20261021)
+    corpus = _compare_corpus(rng)
+    for g, h in itertools.product(corpus[:40], repeat=2):
+        assert isinstance(compare(g, h), ComparisonOutcome)
+    g, h = parse_group("R^5000000 x T^5000000"), parse_group("T^5000000 x R^5000000")
+    assert compare(g, h) is ComparisonOutcome.EQUIVALENT
+
+
 # -- certificates --------------------------------------------------------------
 
 def _neighborhood(g, h, K):

@@ -19,7 +19,7 @@ from borelcmp import cli
 
 # The modules that load on first use only; ``array`` loads with the first
 # chunk of the prime table, when a verb first walks the primes or
-# trial-divides, ``matching`` with the product engine or the dual route,
+# trial-divides, ``matching`` with the product engine,
 # ``coprime`` with the first unsplit key of a sequence, and ``labverbs``
 # with the handler of a verb that ``cli`` does not hold.
 LAZY = ("borelcmp.reducibility", "borelcmp.matching", "borelcmp.duality", "borelcmp.posetlab",
@@ -33,10 +33,10 @@ LAB = ["array", "borelcmp.farprimes", "borelcmp.labverbs", "borelcmp.posetlab", 
 # is parsed without ``argparse``, which loads ``gettext`` and ``locale``.
 NEVER = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
 # AST nodes of the modules that ``reduce "R^2 x T" "T^3"`` compiles, ``cli``
-# among them: 10,403 with this layout, plus a 5 % margin.  Each module that
+# among them: 10,058 with this layout, plus a 5 % margin.  Each module that
 # loads on first use has more than 500, so a new top-level import of one
 # fails here.
-REDUCE_NODES = 10_923
+REDUCE_NODES = 10_560
 
 ROOT = pathlib.Path(__file__).parents[1]
 README = ROOT / "README.md"
@@ -61,7 +61,7 @@ def _lazy_loaded_after(code: str, modules: tuple = LAZY) -> list:
 @pytest.mark.parametrize("argv, loaded", [
     (["reduce", "R^2 x T", "T^3"], ENGINE),
     (["reduce", "R^2 x T", "T^3", "--json"], [*ENGINE, "json"]),
-    (["dual", "T^2 x Sol{2:6,3:w}"], ["borelcmp.duality", "borelcmp.matching"]),
+    (["dual", "T^2 x Sol{2:6,3:w}"], ["borelcmp.duality"]),
     (["family-demo", "--depth", "2"], LAB),
     (["selftest"], ["array", "borelcmp.duality", "borelcmp.farprimes", "borelcmp.labverbs", "borelcmp.matching",
                     "borelcmp.posetlab", "borelcmp.reducibility", "borelcmp.replay", "borelcmp.selftest",
