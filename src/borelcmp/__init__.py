@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 _LAZY_MODULES = {
     "supernatural": ("OMEGA", "SupernaturalProfile", "preceq"),
     "replay": ("canonical_sequence", "deficit", "oracle_injection"),
-    "sequences": ("IntSeqSpec", "parse_sequence", "profile_from_sequence"),
+    "sequences": ("parse_sequence", "profile_from_sequence"),
     "groups": (
         "REAL", "TORUS", "TRIVIAL_GROUP", "Atom", "AtomKind", "GroupExpr",
         "dimension", "group", "is_compact", "solenoid",

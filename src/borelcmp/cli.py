@@ -116,7 +116,7 @@ Command = SimpleNamespace
 # module; each resolves on first use (PEP 562).  The handlers read the
 # module's own binding at call time.  Kept only for the benchmark, like the
 # tracer imports in ``reducibility``, ``supernatural``, ``literals`` and
-# ``posetlab`` (ROADMAP items 1/4).
+# ``posetlab`` (ROADMAP item 19).
 __getattr__ = forwarding(globals(), {
     "reduces": "reducibility",
     "member_crosscheck": "posetlab",

@@ -37,7 +37,11 @@ def checked_natural(n, message: str, least: int = 0) -> int:
 
 def forwarding(namespace: dict, forwarded: dict):
     """A module ``__getattr__`` (PEP 562) that resolves each name of
-    ``forwarded`` (name -> module) on first use and binds it in ``namespace``."""
+    ``forwarded`` (name -> module) on first use and binds it in ``namespace``.
+
+    The first read binds whatever the target module holds at that moment.
+    So a patcher patches the forwarding module before the target, as
+    ``bench/tracing.py`` does; else its undo leaves the patch bound here."""
     def __getattr__(name):
         if name not in forwarded:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")

@@ -1,7 +1,7 @@
 """Walks of the prime table, the strong Lucas test and factoring below
 2^32, loaded on first use: no verdict walks primes or factors.
 
-* ``primes_after``, the one prime search, bisects into the first chunk of
+* The chunk walk under every prime search bisects into the first chunk of
   ``primes``' table and chains whole chunks, in C.  Past ``SIEVE_CAP`` and
   below 2^32 it segment-sieves each span of 2^16 numbers from the flags
   and stores none; from 2^32 on it tests the candidates 6k +- 1, as

@@ -190,43 +190,39 @@ class ComparisonOutcome(Enum):
     INCOMPARABLE = "INCOMPARABLE"
 
 
-def atom_reduces(a: Atom, b: Atom) -> bool:
-    """Rule table entry: does the relation induced by ``a`` reduce to the
-    one induced by ``b``?
+def edge_reason(a: Atom, b: Atom) -> EdgeReason | None:
+    """The rule table: the rule that reduces the relation induced by ``a``
+    to the one induced by ``b``, or None off the table.
 
-    >>> atom_reduces(REAL, solenoid({2: OMEGA}))
+    >>> edge_reason(REAL, solenoid({2: OMEGA}))
+    <EdgeReason.RULE_R_ANY: 'RULE_R_ANY'>
+    >>> edge_reason(TORUS, REAL) is None
     True
-    >>> atom_reduces(TORUS, solenoid({2: OMEGA}))
-    False
     """
-    if a.kind is AtomKind.REAL:
-        return True
-    if a.kind is AtomKind.TORUS:
-        return b.kind is AtomKind.TORUS
-    # a solenoid
-    if b.kind is AtomKind.TORUS:
-        return True
-    if b.kind is AtomKind.REAL:
-        return False
-    return preceq(b.profile, a.profile)
-
-
-def edge_reason(a: Atom, b: Atom) -> EdgeReason:
     if a.kind is AtomKind.REAL:
         return EdgeReason.RULE_R_ANY
     if a.kind is AtomKind.TORUS:
-        return EdgeReason.RULE_T_T
+        return EdgeReason.RULE_T_T if b.kind is AtomKind.TORUS else None
+    # a solenoid
     if b.kind is AtomKind.TORUS:
         return EdgeReason.RULE_SOL_T
-    return EdgeReason.RULE_SOL_SOL
+    if b.kind is AtomKind.SOLENOID and preceq(b.profile, a.profile):
+        return EdgeReason.RULE_SOL_SOL
+    return None
 
 
-def _edge(a: Atom, b: Atom) -> tuple:
-    """Reason and surplus table of an edge from atom ``a`` to atom ``b``."""
+def atom_reduces(a: Atom, b: Atom) -> bool:
+    """Is there a rule table entry from ``a`` to ``b``?"""
+    return edge_reason(a, b) is not None
+
+
+def _edge(a: Atom, b: Atom) -> tuple | None:
+    """Reason and surplus table of the edge from atom ``a`` to atom ``b``,
+    or None off the rule table."""
     reason = edge_reason(a, b)
     if reason is EdgeReason.RULE_SOL_SOL:
         return reason, finite_surplus_table(b.profile, a.profile)
-    return reason, ()
+    return None if reason is None else (reason, ())
 
 
 def _classes(runs: tuple) -> tuple:

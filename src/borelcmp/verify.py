@@ -97,7 +97,7 @@ def verify_certificate(g: GroupExpr, h: GroupExpr, v: Verdict) -> bool:
                 q = bisect_right(h_ends, right - j - 1)
                 a, b = g.runs[r][0], h.runs[q][0]
                 if (a, b) not in expected:
-                    expected[a, b] = reducibility._edge(a, b) if reducibility.atom_reduces(a, b) else None
+                    expected[a, b] = reducibility._edge(a, b)
                 if (reason, deficit) != expected[a, b]:
                     return False
                 # the piece ends where the source factor leaves run r or the target factor run q

@@ -26,7 +26,7 @@ from borelcmp.groups import MAX_FACTORS, REAL, TORUS, Atom, AtomKind, GroupExpr
 from borelcmp.literals import MAX_GROUP_NESTING
 from borelcmp.posetlab import UPSet
 from borelcmp.primes import isprime
-from borelcmp.sequences import IntSeqSpec, profile_from_sequence
+from borelcmp.sequences import profile_from_sequence
 from borelcmp.setliterals import MAX_SET_FROM, MAX_SET_LISTED, MAX_SET_PERIOD
 from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
@@ -149,14 +149,14 @@ def _profile(p: Parser) -> SupernaturalProfile:
     return profile
 
 
-def _sequence(p: Parser) -> IntSeqSpec:
+def _sequence(p: Parser) -> SupernaturalProfile:
     open_token = p.expect("[")
     prefix = [] if p.peek().text == "|" else _nats(p)
     p.expect("|")
     tail = _nats(p)
     p.expect("]")
     try:
-        return IntSeqSpec(tuple(prefix), tuple(tail))
+        return profile_from_sequence(prefix, tail)
     except DomainError as exc:
         raise ParseError(str(exc), open_token.pos) from exc
 
@@ -179,7 +179,7 @@ def _atom(p: Parser):
     if p.take("Sol"):
         return Atom(AtomKind.SOLENOID, _profile(p))
     if p.take("S"):
-        return Atom(AtomKind.SOLENOID, profile_from_sequence(_sequence(p)))
+        return Atom(AtomKind.SOLENOID, _sequence(p))
     if p.take("("):
         if p.depth == MAX_GROUP_NESTING:
             raise ParseError(f"parentheses nest deeper than {MAX_GROUP_NESTING} levels", token.pos)
@@ -253,7 +253,7 @@ def parse_profile(text: str) -> SupernaturalProfile:
     return _whole(text, _profile)
 
 
-def parse_sequence(text: str) -> IntSeqSpec:
+def parse_sequence(text: str) -> SupernaturalProfile:
     return _whole(text, _sequence)
 
 

@@ -41,7 +41,7 @@ from borelcmp.replay import (
     refutation_witness,
     sufficient_prefix_length,
 )
-from borelcmp.sequences import IntSeqSpec, profile_from_sequence
+from borelcmp.sequences import profile_from_sequence
 from borelcmp.supernatural import OMEGA, SupernaturalProfile, _on_one_base, _Unsplit, finite_surplus_table, preceq
 from borelcmp.verify import verify_certificate
 
@@ -227,11 +227,11 @@ def test_a_key_that_isprime_rejects_prints_marked(no_factoring):
 
 
 def test_multiplicity_reads_an_unsplit_key_without_splitting_it(no_factoring):
-    profile = profile_from_sequence(IntSeqSpec((P90 * Q90, P90 * Q90), (3,)))
+    profile = profile_from_sequence((P90 * Q90, P90 * Q90), (3,))
     assert profile.unsplit
     assert profile.multiplicity(P90) == profile.multiplicity(Q90) == 2
     assert profile.multiplicity(3) is OMEGA and profile.multiplicity(5) == 0
-    squared = profile_from_sequence(IntSeqSpec(((65537 * 65539) ** 2,), (3,)))
+    squared = profile_from_sequence(((65537 * 65539) ** 2,), (3,))
     assert squared.exceptions == ((3, OMEGA), ((65537 * 65539) ** 2, 1))
     assert squared.multiplicity(65537) == 2
 
@@ -245,15 +245,15 @@ def test_an_unsplit_key_survives_copy_and_pickle():
 
 def test_what_names_or_counts_reads_the_coprime_base(capsys, no_factoring):
     big = 65537 * 65539
-    q, p = profile_from_sequence(IntSeqSpec((big, big), (3,))), profile_from_sequence(IntSeqSpec((), (3,)))
+    q, p = profile_from_sequence((big, big), (3,)), profile_from_sequence((), (3,))
     assert finite_surplus_table(q, p) == ((big, 2),)  # keyed by the base
     assert deficit(q, p) == 2
-    assert refutation_witness(profile_from_sequence(IntSeqSpec((), (big,))), p) == big
+    assert refutation_witness(profile_from_sequence((), (big,)), p) == big
     assert canonical_sequence(q, 6) == (big, big, 3, 3, 3, 3)
     assert sufficient_prefix_length(q, (3, big, big)) == 3
     assert oracle_replay(q, p, 10).drop == 2
     with pytest.raises(DomainError, match="prime keys"):
-        Family(profile_from_sequence(IntSeqSpec((), (big,))), SupernaturalProfile.all_omega())
+        Family(profile_from_sequence((), (big,)), SupernaturalProfile.all_omega())
     for n in (big, P90 * Q90, (2**89 - 1) ** 2):
         argv = ["reduce", "S[|3]", f"S[{n},{n}|3]"]
         verdict = reduces(parse_group(argv[1]), parse_group(argv[2]))

@@ -21,7 +21,7 @@ from borelcmp.literals import (
     render_profile,
 )
 from borelcmp.posetlab import UPSet
-from borelcmp.sequences import IntSeqSpec, parse_sequence
+from borelcmp.sequences import parse_sequence
 from borelcmp.setliterals import parse_upset, render_upset
 from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
@@ -64,8 +64,8 @@ def test_parse_paths_test_each_prime_once(isprime_calls):
 
 
 def test_parse_sequence():
-    assert parse_sequence("[4,6,8|9]") == IntSeqSpec((4, 6, 8), (9,))
-    assert parse_sequence("[|2,3]") == IntSeqSpec((), (2, 3))
+    assert parse_sequence("[4,6,8|9]") == SupernaturalProfile({2: 6, 3: OMEGA})
+    assert parse_sequence("[|2,3]") == SupernaturalProfile({2: OMEGA, 3: OMEGA})
     with pytest.raises(ParseError):
         parse_sequence("[2|]")
     with pytest.raises(ParseError):
@@ -195,7 +195,7 @@ def test_upset_render_round_trip(rng):
         ("group", "T^1" + "0" * 4400, "number of 4401 digits is too long", 2),
         ("group", "(" * 101 + "T" + ")" * 101, "parentheses nest deeper than 100 levels", 100),
         ("group", "(T x R", "expected ')' but found end of input", 6),
-        ("group", "S[2|1]", "IntSeqSpec entries must be integers > 1, got 1", 1),
+        ("group", "S[2|1]", "sequence entries must be integers > 1, got 1", 1),
         ("group", "S{2:w}", "expected '[' but found '{'", 1),
         ("group", "Sol{4:w}", "profile key 4 is not prime", 4),
         ("group", "Sol{2:w, 2:w}", "duplicate profile key 2", 9),
@@ -214,7 +214,7 @@ def test_upset_render_round_trip(rng):
         ("sequence", "[2|]", "expected a number but found ']'", 3),
         ("sequence", "[2,3", "expected '|' but found end of input", 4),
         ("sequence", "[|2,3] 4", "unexpected trailing '4'", 7),
-        ("sequence", "[2|1]", "IntSeqSpec entries must be integers > 1, got 1", 0),
+        ("sequence", "[2|1]", "sequence entries must be integers > 1, got 1", 0),
         ("upset", "set{}", "unexpected character 's'", 0),
         ("upset", "fin{1,}", "expected a number but found '}'", 6),
         ("upset", "fin{1 2}", "expected a number but found '2'", 6),

@@ -24,7 +24,7 @@ from borelcmp import farprimes, primes
 from borelcmp.errors import DomainError
 from borelcmp.farprimes import factorint, nextprime, primes_after
 from borelcmp.primes import isprime
-from borelcmp.sequences import IntSeqSpec, profile_from_sequence
+from borelcmp.sequences import profile_from_sequence
 from borelcmp.supernatural import OMEGA
 
 # The two 90-bit primes whose product the benchmark's cli_mix reduces.
@@ -213,7 +213,7 @@ def test_factoring_a_prime_sequence_runs_no_miller_rabin(monkeypatch, fresh_siev
     calls = []
     strong = primes._strong_probable_prime
     monkeypatch.setattr(primes, "_strong_probable_prime", lambda n, a: calls.append(n) or strong(n, a))
-    assert profile_from_sequence(IntSeqSpec((), first)).exceptions == tuple((p, OMEGA) for p in first)
+    assert profile_from_sequence((), first).exceptions == tuple((p, OMEGA) for p in first)
     assert calls == []
     assert isprime(first[-1]) and calls  # the counter sees the rounds it should
 

@@ -34,6 +34,7 @@ from borelcmp.reducibility import (
     Verdict,
     atom_reduces,
     compare,
+    edge_reason,
     reduces,
 )
 from borelcmp.supernatural import OMEGA, SupernaturalProfile, preceq
@@ -54,17 +55,21 @@ def test_atom_rule_examples():
 
 
 def test_atom_rule_table_full(rng):
+    """``edge_reason`` names the rule on the table and is None off it, exactly
+    where ``atom_reduces`` is false."""
+    R_ANY, T_T = EdgeReason.RULE_R_ANY, EdgeReason.RULE_T_T
+    SOL_T, SOL_SOL = EdgeReason.RULE_SOL_T, EdgeReason.RULE_SOL_SOL
     for _ in range(25):
         s, t = solenoid(random_profile(rng)), solenoid(random_profile(rng))
-        assert atom_reduces(REAL, REAL)
-        assert atom_reduces(REAL, TORUS)
-        assert atom_reduces(REAL, s)
-        assert not atom_reduces(TORUS, REAL)
-        assert atom_reduces(TORUS, TORUS)
-        assert not atom_reduces(TORUS, s)
-        assert not atom_reduces(s, REAL)
-        assert atom_reduces(s, TORUS)
-        assert atom_reduces(s, t) == preceq(t.profile, s.profile)
+        table = [
+            (REAL, REAL, R_ANY), (REAL, TORUS, R_ANY), (REAL, s, R_ANY),
+            (TORUS, REAL, None), (TORUS, TORUS, T_T), (TORUS, s, None),
+            (s, REAL, None), (s, TORUS, SOL_T), (s, s, SOL_SOL),
+            (s, t, SOL_SOL if preceq(t.profile, s.profile) else None),
+        ]
+        for a, b, reason in table:
+            assert edge_reason(a, b) is reason, (a, b)
+            assert atom_reduces(a, b) is (reason is not None), (a, b)
 
 
 def test_solenoid_direction_regression():
@@ -459,6 +464,8 @@ def test_certificate_cross_claims_rejected():
         ("T^2", "T^2", ((1, 3, 2, T_T),)),
         # one block across the R and the T run, with R's reason for both
         ("R x T", "T^2", ((1, 2, 2, R_ANY),)),
+        # off the rule table: T into R, under the circle's rule
+        ("T", "R", ((1, 1, 1, T_T),)),
     ):
         forged = Verdict(True, certificate=Certificate(tuple(EdgeBlock(*block) for block in blocks)))
         assert not verify_certificate(parse_group(g_text), parse_group(h_text), forged), blocks

@@ -27,7 +27,7 @@ from borelcmp.replay import (
     refutation_witness,
     sufficient_prefix_length,
 )
-from borelcmp.sequences import IntSeqSpec, profile_from_sequence
+from borelcmp.sequences import profile_from_sequence
 from borelcmp.supernatural import OMEGA, SupernaturalProfile, finite_surplus_table, preceq
 
 from borelcmp.selftest import random_profile
@@ -59,13 +59,14 @@ def profiles(draw):
 
 
 @st.composite
-def seqspecs(draw):
-    """Sequences whose entries are primes of the pool and products of two
-    or three of them, so that composite entries share prime factors."""
+def prefix_tails(draw):
+    """Sequences ``(prefix, tail)`` whose entries are primes of the pool and
+    products of two or three of them, so that composite entries share prime
+    factors."""
     entries = st.lists(st.sampled_from(PRIME_POOL), min_size=1, max_size=3).map(math.prod)
     prefix = draw(st.lists(entries, max_size=6))
     tail = draw(st.lists(entries, min_size=1, max_size=4))
-    return IntSeqSpec(tuple(prefix), tuple(tail))
+    return tuple(prefix), tuple(tail)
 
 
 # -- Mult ---------------------------------------------------------------------
@@ -105,25 +106,25 @@ def test_multiplicity_examples():
 # -- profile_from_sequence ----------------------------------------------------
 
 def test_profile_from_sequence_examples():
-    assert profile_from_sequence(IntSeqSpec((2, 2, 2, 3, 2, 2, 2), (3,))) == P({2: 6, 3: OMEGA})
-    assert profile_from_sequence(IntSeqSpec((4, 6, 8), (9,))) == P({2: 6, 3: OMEGA})
-    assert profile_from_sequence(IntSeqSpec((), (2,))) == P({2: OMEGA})
-    assert profile_from_sequence(IntSeqSpec((5, 5, 7), (2, 3))) == P(
+    assert profile_from_sequence((2, 2, 2, 3, 2, 2, 2), (3,)) == P({2: 6, 3: OMEGA})
+    assert profile_from_sequence((4, 6, 8), (9,)) == P({2: 6, 3: OMEGA})
+    assert profile_from_sequence((), (2,)) == P({2: OMEGA})
+    assert profile_from_sequence((5, 5, 7), (2, 3)) == P(
         {2: OMEGA, 3: OMEGA, 5: 2, 7: 1}
     )
-    assert profile_from_sequence(IntSeqSpec((), (2, 3, 4, 5, 6))) == P({2: OMEGA, 3: OMEGA, 5: OMEGA})
+    assert profile_from_sequence((), (2, 3, 4, 5, 6)) == P({2: OMEGA, 3: OMEGA, 5: OMEGA})
     # a repeated composite entry counts its exponents once per occurrence
-    assert profile_from_sequence(IntSeqSpec((12, 12, 10), (15,))) == P({2: 5, 3: OMEGA, 5: OMEGA})
+    assert profile_from_sequence((12, 12, 10), (15,)) == P({2: 5, 3: OMEGA, 5: OMEGA})
 
 
-def _profile_by_counting_each_prime(s: IntSeqSpec) -> SupernaturalProfile:
+def _profile_by_counting_each_prime(s: tuple) -> SupernaturalProfile:
     """The definition: each entry refined into its prime factors with
     multiplicity (by sympy), then OMEGA for a prime of the refined tail,
     else its count in the refined prefix."""
     def refined(entries):
         return [gamma for entry in entries for gamma, e in sympy.factorint(entry).items() for _ in range(e)]
 
-    prefix, tail = refined(s.prefix), refined(s.tail)
+    prefix, tail = map(refined, s)
     exceptions = {gamma: OMEGA for gamma in tail}
     for gamma in prefix:
         if gamma not in exceptions:
@@ -131,31 +132,31 @@ def _profile_by_counting_each_prime(s: IntSeqSpec) -> SupernaturalProfile:
     return SupernaturalProfile(exceptions)
 
 
-@given(seqspecs())
+@given(prefix_tails())
 @settings(max_examples=200)
 def test_profile_from_sequence_matches_the_definition(s):
-    assert profile_from_sequence(s) == _profile_by_counting_each_prime(s)
+    assert profile_from_sequence(*s) == _profile_by_counting_each_prime(s)
 
 
-@given(seqspecs(), st.randoms(use_true_random=False), st.integers(1, 3))
+@given(prefix_tails(), st.randoms(use_true_random=False), st.integers(1, 3))
 @settings(max_examples=60)
 def test_profile_from_sequence_reads_prefix_counts_and_tail_primes_only(s, rng, times):
     # reordering the prefix, rotating and repeating the tail, or copying a
     # tail entry into the prefix leaves the profile as it is
-    prefix, tail = list(s.prefix), list(s.tail)
+    prefix, tail = map(list, s)
     rng.shuffle(prefix)
     k = rng.randrange(len(tail))
     rotated = tuple(tail[k:] + tail[:k]) * times
-    assert profile_from_sequence(IntSeqSpec(tuple(prefix), rotated)) == profile_from_sequence(s)
-    assert profile_from_sequence(IntSeqSpec(s.prefix + (tail[k],), s.tail)) == profile_from_sequence(s)
+    assert profile_from_sequence(tuple(prefix), rotated) == profile_from_sequence(*s)
+    assert profile_from_sequence(s[0] + (tail[k],), s[1]) == profile_from_sequence(*s)
 
 
 def test_profile_from_sequence_is_linear_in_the_prefix():
     # the first 30,000 primes, each once: counting each prime's occurrences
     # in turn would read the prefix 30,000 times
-    s = IntSeqSpec(tuple(islice(primes_after(1), 30_000)), (3,))
+    prefix = tuple(islice(primes_after(1), 30_000))
     start = time.perf_counter()
-    profile = profile_from_sequence(s)
+    profile = profile_from_sequence(prefix, (3,))
     assert time.perf_counter() - start < 1.0
     assert len(profile.exceptions) == 30_000 and profile.multiplicity(3) is OMEGA
 
@@ -163,11 +164,11 @@ def test_profile_from_sequence_is_linear_in_the_prefix():
 def test_profile_from_sequence_factors_each_distinct_entry_once(monkeypatch):
     # a composite past trial division, and entries shared by the prefix and the tail
     big = 65537 * 65539
-    s = IntSeqSpec((big, 6, big, 77), (10, 6))
+    s = (big, 6, big, 77), (10, 6)
     calls = []
     trial_division = sequences._trial_division
     monkeypatch.setattr(sequences, "_trial_division", lambda n: calls.append(n) or trial_division(n))
-    profile = profile_from_sequence(s)
+    profile = profile_from_sequence(*s)
     assert calls == [big, 6, 77, 10]
     # trial division leaves big whole: one unsplit key, with big's two occurrences
     assert profile.unsplit and profile.exceptions == ((2, OMEGA), (3, OMEGA), (5, OMEGA), (7, 1), (11, 1), (big, 2))
@@ -180,17 +181,19 @@ def test_a_profile_prints_a_key_past_trial_division_marked():
     # neither building nor printing the profile splits the key that trial
     # division left of 2 * semiprime and of semiprime
     semiprime = 618970019668049015295030157 * 928455029464802529184826323  # two 90-bit primes
-    profile = profile_from_sequence(IntSeqSpec((6, 2 * semiprime), (semiprime, 3)))
+    profile = profile_from_sequence((6, 2 * semiprime), (semiprime, 3))
     assert profile.exceptions == ((2, 2), (3, OMEGA), (semiprime, OMEGA))
     assert repr(profile) == f"SupernaturalProfile(exceptions=((2, 2), (3, OMEGA), ({semiprime}, OMEGA)), default=0)"
     assert str(profile) == f"{{2:2, 3:w, [{semiprime}]:w}}"
 
 
 def test_int_seq_spec_rejects_small_entries():
-    with pytest.raises(DomainError):
-        IntSeqSpec((1,), (2,))
-    with pytest.raises(DomainError):
-        IntSeqSpec((), (0,))
+    """``profile_from_sequence`` refuses an entry that is no integer > 1 and an empty tail."""
+    for prefix, tail, entry in (((1,), (2,), "1"), ((), (0,), "0"), ((2,), (True,), "True")):
+        with pytest.raises(DomainError, match=f"^sequence entries must be integers > 1, got {entry}$"):
+            profile_from_sequence(prefix, tail)
+    with pytest.raises(DomainError, match="^sequence tail must be nonempty"):
+        profile_from_sequence((2,), ())
 
 
 def test_parsing_solenoids_builds_no_omega_prime_set(monkeypatch):

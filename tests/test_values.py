@@ -20,7 +20,6 @@ from borelcmp.groups import TORUS, Atom, AtomKind, GroupExpr
 from borelcmp.posetlab import ChainDemo, CrosscheckReport, Family, MemberRef, UPSet
 from borelcmp.reducibility import Certificate, EdgeBlock, EdgeReason, EdgeWitness, HallViolator, IndexRanges, Verdict
 from borelcmp.replay import Replay
-from borelcmp.sequences import IntSeqSpec
 from borelcmp.supernatural import OMEGA, SupernaturalProfile
 
 T_T = EdgeReason.RULE_T_T
@@ -38,8 +37,6 @@ VERDICT_FIELDS = [(True, CERTIFICATE, None), (False, None, VIOLATOR)]
 CASES = [
     (SupernaturalProfile, ({3: OMEGA, 2: 6}, 0), {"exceptions": {2: 6, 3: OMEGA}},
      "SupernaturalProfile(exceptions=((2, 6), (3, OMEGA)), default=0)"),
-    (IntSeqSpec, ((), (9, 9)), {"tail": (9,)},
-     "IntSeqSpec(prefix=(), tail=(9,))"),
     (Replay, (0, 1, None, 5, 1), {"drop": 0, "end": 1, "witness": 5, "needed": 1},
      "Replay(drop=0, end=1, prefix=None, witness=5, needed=1, needs_window=None)"),
     (Atom, (AtomKind.TORUS, None), {"kind": AtomKind.TORUS},
@@ -98,11 +95,11 @@ def test_value_semantics(cls, args, keywords, text):
 
 
 def test_values_equal_only_values_of_the_same_class():
-    class Subclass(IntSeqSpec):
+    class Subclass(Replay):
         __slots__ = ()
 
-    assert IntSeqSpec((2,), (3,)) != Subclass((2,), (3,))
-    assert Subclass((2,), (3,)) != IntSeqSpec((2,), (3,))
+    assert Replay(0, 10, 10) != Subclass(0, 10, 10)
+    assert Subclass(0, 10, 10) != Replay(0, 10, 10)
     assert HallViolator((1,), ()) != ((1,), ()) and GroupExpr() != ()
     assert EdgeWitness(1, 2, T_T) != EdgeWitness(1, 3, T_T)
     # an IndexRanges equals an IndexRanges of the same ranges, and not its indices
@@ -113,7 +110,7 @@ def test_values_equal_only_values_of_the_same_class():
 def test_values_hash_as_the_tuple_of_their_fields():
     assert hash(HallViolator((1, 2), (1,))) == hash(((1, 2), (1,)))
     assert hash(GroupExpr(((TORUS, 2),))) == hash((((TORUS, 2),),))
-    assert hash(IntSeqSpec((5,), (2, 3))) == hash(((5,), (2, 3)))
+    assert hash(Replay(0, 1, None, 5, 1)) == hash((0, 1, None, 5, 1, None))
 
 
 def test_cached_properties_need_the_instance_dict():
