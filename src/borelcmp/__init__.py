@@ -13,7 +13,7 @@ order on ultimately periodic sets inside the reducibility order.
 name, and every submodule read as an attribute (``borelcmp.literals``),
 loads its module on first use (PEP 562), so a process imports only the
 modules of the names it reads: a parse or a normalization loads neither
-the product engine (``reducibility``, which loads ``matching``) nor the
+the product engine (``reducibility``, with its class flow) nor the
 dual route (``duality``), the poset laboratory (``posetlab``), the replays
 (``replay``) or the certificate check (``verify``), and a group literal
 without ``S[...]`` loads no ``sequences``.  The import lock makes that
@@ -49,7 +49,7 @@ _LAZY_MODULES = {
         "Family", "MemberRef", "UPSet", "chain_demo",
         "member_crosscheck", "member_reduces", "member_sequence", "subset_star",
     ),
-    **dict.fromkeys(("cli", "coprime", "farprimes", "labverbs", "matching", "primes", "selftest"), ()),
+    **dict.fromkeys(("cli", "coprime", "farprimes", "labverbs", "primes", "selftest"), ()),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 

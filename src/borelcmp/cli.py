@@ -17,11 +17,11 @@ q = {default=w}); ``family-new`` validates and describes an arbitrary one.
 
 A process loads only what its verb runs, and none loads ``argparse``.
 Every verb loads the expressions, the profiles and their literals.
-``reduce`` and ``compare`` add ``reducibility`` and ``matching``, ``dual``
-``duality``, and ``preceq``, the ``family-*`` verbs and
-``selftest`` their handlers in ``labverbs``: ``preceq`` with ``replay`` and
-``farprimes``, the ``family-*`` verbs with ``posetlab`` (which loads both)
-and ``setliterals`` for ``--a``/``--b``, ``selftest`` with all of these.
+``reduce`` and ``compare`` add ``reducibility``, ``dual`` ``duality``,
+and ``preceq``, the ``family-*`` verbs and ``selftest`` their handlers in
+``labverbs``: ``preceq`` with ``replay`` and ``farprimes``, the
+``family-*`` verbs with ``posetlab`` (which loads both) and
+``setliterals`` for ``--a``/``--b``, ``selftest`` with all of these.
 ``S[...]`` adds ``sequences``, or with a composite cofactor also
 ``coprime``, and ``--json`` the ``json`` module.
 
@@ -34,7 +34,7 @@ a shape the golden tests pin:
       "verdict": bool | str,
       "certificate": {"edges": [{"left": int, "right": int,
                                  "reason": str,
-                                 "deficit": [[key, int | "w"], ...]}, ...]}
+                                 "deficit": [[key, int], ...]}, ...]}
                    | {"violator": {"K": [int, ...], "NK": [int, ...]}},
       "diagnostics": [str, ...]
     }
@@ -55,7 +55,6 @@ from .errors import EXIT_DOMAIN, EXIT_FALSE_VERDICT, EXIT_INTERNAL, EXIT_OK, EXI
 from .errors import BorelcmpError, DomainError, ParseError, forwarding
 from .groups import dimension, is_compact
 from .literals import parse_group, parse_profile, render_dual, render_group
-from .supernatural import OMEGA
 from .supernatural import preceq  # noqa: F401  bench/tracing.py patches this binding
 
 # Size options: flag -> (dest, largest accepted value).  Their work grows
@@ -253,7 +252,7 @@ def certificate_payload(v) -> dict:
         edges = []
         for left, right, count, reason, deficit in v.certificate.blocks:
             # the edges of one block share its reason and deficit list
-            tail = {"reason": reason.value, "deficit": [[gamma, "w" if d is OMEGA else d] for gamma, d in deficit]}
+            tail = {"reason": reason.value, "deficit": [[gamma, d] for gamma, d in deficit]}
             edges += [{"left": left + j, "right": right - j, **tail} for j in range(count)]
         return {"edges": edges}
     return {"violator": {"K": list(v.violator.K), "NK": list(v.violator.NK)}}

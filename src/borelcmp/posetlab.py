@@ -397,10 +397,8 @@ def _d_budget(family: Family) -> int:
 
 
 def _at_positions(items: Iterator, positions) -> Iterator:
-    """The items of ``items`` at the naturals ``positions``, in turn.  The
-    positions must ascend.  Only the crosscheck's finite surplus, a sorted
-    set difference of a few elements, is picked this way; the A layer of a
-    member sequence reads a mask of every position instead."""
+    """The items of ``items`` at the ascending naturals ``positions``: the
+    crosscheck's surplus primes, a sorted set difference of a few elements."""
     taken = 0  # the items drawn so far
     for i in positions:
         yield next(islice(items, i - taken, None))
@@ -434,37 +432,11 @@ def member_sequence(m: MemberRef, n: int) -> tuple:
     checked_natural(n, "term count must be nonnegative")
     if n == 0:  # even when p has no infinite sequence
         return ()
-    terms = [None] * n
-    a_layer, p0, base = _layer_window(m, 0, n)
-    if m.a.is_cofinite:
-        terms[0::2], terms[1::2] = p0, base
-    else:
-        terms[0::2], terms[1::4], terms[3::4] = a_layer, p0, base
+    layout, terms = _MemberLayout(m), [None] * n
+    for slot, entries in zip(layout.slots, layout.window(0, n)):
+        if slot:
+            terms[slot[1]::slot[0]] = entries
     return tuple(terms)
-
-
-def _layer_window(m: MemberRef, start: int, end: int, tagged: bool = False) -> tuple:
-    """The A-layer, P_0' and base(P) entries at positions ``[start, end)``
-    of the member's sequence, as three lists: one ``islice`` of each
-    layer's own stream, over the indices that ``_MemberLayout`` places
-    there.  The d-layers read every third prime of the d-enumeration's
-    runs, as slices; the A layer keeps d_{1+3c} for the non-members c by
-    ``compress`` over A's mask, in C.  ``tagged`` pairs each d-layer entry
-    with its index in the layer: j for d_{3j}, c for d_{1+3c}.  Every
-    stream is infinite, so each list has its full length.
-    """
-    family, a = m.family, m.a
-    d0, d1, base = family._d_layer(0), family._d_layer(1), canonical_terms(family.p)
-    if tagged:
-        d0, d1 = zip(d0, count()), zip(d1, count())
-    s = 2 if a.is_cofinite else 4  # P_0' entry j at s*j + s/2 - 1, base(P) entry k at s*k + s - 1
-    a_layer = [] if a.is_cofinite else _entries(compress(d1, a._outside_mask()), start, end, 2, 0)
-    return a_layer, _entries(d0, start, end, s, s // 2 - 1), _entries(base, start, end, s, s - 1)
-
-
-def _entries(layer: Iterator, start: int, end: int, stride: int, offset: int) -> list:
-    """The entries k of ``layer`` at positions ``stride * k + offset`` in ``[start, end)``."""
-    return list(islice(layer, -((offset - start) // stride), -((offset - end) // stride)))  # ceilings
 
 
 def _check_same_family(m_a: MemberRef, m_b: MemberRef):
@@ -482,49 +454,78 @@ def member_reduces(m_a: MemberRef, m_b: MemberRef) -> bool:
 
 
 class _MemberLayout:
-    """Where each prime sits in a member's sequence, computed from the
-    layout ``_layer_window`` reads: nothing of the sequence is walked, and
-    ``position`` counts the occurrences before the one asked for.
+    """Where each term sits in a member's sequence, stated once: entry k of
+    a layer sits at ``stride * k + offset``, one pair per layer in ``slots``.
 
-    For A not cofinite, A-layer entry k sits at 2k, P_0' entry j (that is
-    d_{3j}) at 4j+1 and base(P) entry k at 4k+3; A-layer entry k is
-    d_{1+3c} for the k-th c outside A, so d_{1+3c} with c outside A sits
-    at twice the number of non-members below c.  For cofinite A, P_0' entry
-    j sits at 2j and base(P) entry k at 2k+1.  A prime occurs at most once
-    in the d-layers, and base(P), a default-0 profile's canonical sequence,
-    may hold it too.  ``d_indices`` maps each d-prime asked for to its
-    index in the d-enumeration.
+        layer    | entry k                        | A not cofinite | A cofinite
+        A layer  | d_{1+3c}, c the k-th outside A | 2k             | dropped
+        P_0'     | d_{3k}                         | 4k + 1         | 2k
+        base(P)  | the k-th canonical term        | 4k + 3         | 2k + 1
+
+    ``window`` reads the layers, and ``position`` locates a prime without a
+    walk: it occurs at most once in the d-layers, and base(P) may hold it
+    too.  ``d_indices`` maps each d-prime asked about to its d-index.
     """
 
-    def __init__(self, m: MemberRef, d_indices: dict):
-        self.a, self.d_indices = m.a, d_indices
-        self.base = _Layout(m.family.p)
-        self.stride, self.offset = (2, 1) if m.a.is_cofinite else (4, 3)  # base(P) entry k at stride*k+offset
+    A, P0, BASE = range(3)  # the layers, in the order of ``slots`` and ``window``
+    RESIDUES = (1, 0)  # d-layer entry tagged e is d_{3e + RESIDUES[layer]}: d_{1+3c}, d_{3j}
+
+    def __init__(self, m: MemberRef, d_indices: dict | None = None):
+        self.family, self.a = m.family, m.a
+        self.d_indices = {} if d_indices is None else d_indices
+        self.slots = (None, (2, 0), (2, 1)) if m.a.is_cofinite else ((2, 0), (4, 1), (4, 3))
+
+    @classmethod
+    def d_index(cls, layer: int, tag: int) -> int:
+        return 3 * tag + cls.RESIDUES[layer]
+
+    @cached_property
+    def _base(self) -> _Layout:
+        return _Layout(self.family.p)
+
+    def _before(self, layer: int, x: int) -> int:
+        """How many entries of ``layer`` sit before position ``x``."""
+        stride, offset = self.slots[layer]
+        return -((offset - x) // stride)  # a ceiling
+
+    def _at(self, layer: int, entry: int) -> int:
+        stride, offset = self.slots[layer]
+        return stride * entry + offset
+
+    def window(self, start: int, end: int, tagged: bool = False) -> tuple:
+        """The A-layer, P_0' and base(P) entries at positions ``[start,
+        end)``: an ``islice`` of each layer's stream, none of a dropped one.
+        ``tagged`` pairs each d-layer entry with its tag: j for d_{3j}, c
+        for d_{1+3c}; the A layer is ``compress``ed by A's mask, in C."""
+        streams = [self.family._d_layer(residue) if slot else () for residue, slot in zip(self.RESIDUES, self.slots)]
+        if tagged:
+            streams = [zip(stream, count()) for stream in streams]
+        streams.append(canonical_terms(self.family.p))
+        if self.slots[self.A]:
+            streams[self.A] = compress(streams[self.A], self.a._outside_mask())
+        return tuple([list(islice(stream, self._before(layer, start), self._before(layer, end))) if slot else []
+                      for layer, (stream, slot) in enumerate(zip(streams, self.slots))])
 
     def _d_position(self, i: int):
         """Where d_i sits in the d-layers, or None when they skip it."""
-        j, layer = divmod(i, 3)
-        if layer == 0:
-            return self.stride * j + self.stride // 2 - 1  # 4j+1, or 2j when A is cofinite
-        if layer == 1 and not self.a.is_cofinite and j not in self.a:
-            return 2 * (j - self.a.count_below(j))
+        tag, residue = divmod(i, 3)
+        if residue == self.RESIDUES[self.P0]:
+            return self._at(self.P0, tag)
+        if residue == self.RESIDUES[self.A] and self.slots[self.A] and tag not in self.a:
+            return self._at(self.A, tag - self.a.count_below(tag))  # c's rank among the non-members
         return None
-
-    def _base_position(self, gamma: int, k: int):
-        b = self.base.position(gamma, k)
-        return None if b is None else self.stride * b + self.offset
 
     def position(self, gamma: int, k: int):
         """Where the k-th occurrence (from 1) of ``gamma`` sits, or None
         when the sequence holds fewer than k."""
-        i = self.d_indices.get(gamma)
-        x = None if i is None else self._d_position(i)
-        if x is None:
-            return self._base_position(gamma, k)
-        before = self.base.count(gamma, (x - self.offset + self.stride - 1) // self.stride)
-        if k == before + 1:  # the base(P) entries before x hold ``before`` of them
-            return x
-        return self._base_position(gamma, k if k <= before else k - 1)
+        x = self._d_position(self.d_indices[gamma]) if gamma in self.d_indices else None
+        if x is not None:
+            before = self._base.count(gamma, self._before(self.BASE, x))
+            if k == before + 1:  # the base(P) entries before x hold ``before`` of them
+                return x
+            k -= k > before  # past x, the k-th occurrence is base(P)'s (k-1)-th
+        b = self._base.position(gamma, k)
+        return None if b is None else self._at(self.BASE, b)
 
 
 class CrosscheckReport(Value):
@@ -568,10 +569,11 @@ def member_crosscheck(m_a: MemberRef, m_b: MemberRef, window: int = 100) -> Cros
     checked_natural(window, "window must be positive", 1)
     verdict = member_reduces(m_a, m_b)
     finite, elements = set_difference(m_a.a, m_b.a)
-    if elements and (index := 1 + 3 * elements[-1]) >= (budget := _d_budget(m_a.family)):
+    indices = [_MemberLayout.d_index(_MemberLayout.A, c) for c in elements]
+    if indices and (index := indices[-1]) >= (budget := _d_budget(m_a.family)):
         raise DomainError(f"A minus B holds {elements[-1]}: d-index {index} is past the {budget} d-primes below 2^32")
-    surplus = tuple(_at_positions(m_a.family._d_layer(1), elements))
-    replay = _member_replay(m_a, m_b, finite, dict(zip(surplus, (1 + 3 * c for c in elements))), window)
+    surplus = tuple(_at_positions(m_a.family._d_layer(_MemberLayout.RESIDUES[_MemberLayout.A]), elements))
+    replay = _member_replay(m_a, m_b, finite, dict(zip(surplus, indices)), window)
 
     notes = []
     if finite != verdict:
@@ -622,18 +624,17 @@ def _window_prefix(m_a: MemberRef, m_b: MemberRef, drop: int, end: int):
     prime.
 
     B's window is read once, layer by layer and tagged, so its d-layer
-    entries come with their d-indices: A-layer entry k is d_{1+3c_k},
-    tagged c_k, and P_0' entry j is d_{3j}, tagged j.  A prime outside base(P) occurs at most
-    once in a member's sequence, in its d-layers, and A's holds d_{3j} at a
-    position that rises with j and d_{1+3c}, for c outside A, at one that
-    rises with c.  So once no window c_k lies in A (tested in bulk, by
-    residue and flips), only the last such prime of each layer and the
-    window's primes of base(P) need a ``position`` in A's sequence.  A
-    d-prime of base(P) gets its d-index from a walk of the d-enumeration
-    up to it.
+    entries come with their d-indices.  A prime outside base(P) occurs at
+    most once in a member's sequence, in its d-layers, and A's holds d_{3j}
+    at a position that rises with j and d_{1+3c}, for c outside A, at one
+    that rises with c.  So once no A-layer tag c of the window lies in A
+    (tested in bulk, by residue and flips), only the last such prime of
+    each layer and the window's primes of base(P) need a ``position`` in
+    A's sequence.  A d-prime of base(P) gets its d-index from a walk of the
+    d-enumeration up to it.
     """
     family, a = m_a.family, m_a.a
-    a_layer, p0, base = _layer_window(m_b, drop, end, tagged=True)
+    a_layer, p0, base = layers = _MemberLayout(m_b).window(drop, end, tagged=True)
     need = Counter(chain(map(itemgetter(0), a_layer), map(itemgetter(0), p0), base))
     special = {gamma for gamma, _ in family.p.exceptions}  # base(P)'s primes
     # the window's A-layer entries that A's A layer lacks: all of them when A is cofinite
@@ -642,10 +643,10 @@ def _window_prefix(m_a: MemberRef, m_b: MemberRef, drop: int, end: int):
         return None
     counted = need.keys() & special
     d_indices = _ranks(family._d_walk(), counted - family._not_d())
-    for layer, entries in enumerate((p0, a_layer)):
-        last = next((entry for entry in reversed(entries) if entry[0] not in special), None)
+    for layer in (_MemberLayout.P0, _MemberLayout.A):
+        last = next((entry for entry in reversed(layers[layer]) if entry[0] not in special), None)
         if last is not None:
-            d_indices[last[0]] = 3 * last[1] + layer
+            d_indices[last[0]] = _MemberLayout.d_index(layer, last[1])
             counted.add(last[0])
     return _covering_prefix(_MemberLayout(m_a, d_indices), {gamma: need[gamma] for gamma in counted})
 

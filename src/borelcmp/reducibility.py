@@ -12,9 +12,11 @@ Note the direction reversal in the solenoid/solenoid cell: the *target's*
 profile must embed into the *source's*.  A product reduces to a product
 exactly when an injective assignment of source factors to target factors
 exists with every assigned pair in the table.  Equal atoms can be swapped
-for one another, so this is decided on classes of equal atoms by a
-capacitated flow (``matching.class_flow``), at a cost that depends on the
-number of distinct atoms and not on their counts.  The outcome ships either
+for one another, so this is Hall's condition for multisets, decided on
+classes of equal atoms by a capacitated flow (``class_flow``; Hall 1935,
+Ford-Fulkerson 1956), at a cost that depends on the number of distinct
+atoms and not on their counts.  The dual route's per-factor Kuhn search
+(``duality``) shares no code with it.  The outcome ships either
 the assignment (with a per-edge reason and, for solenoid pairs, the
 recomputable surplus table), or a Hall violator refuting every assignment.
 
@@ -32,14 +34,14 @@ nontrivial reduces to it.  All factor indices in certificates are 1-based.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
+from collections.abc import Sequence
 from enum import Enum
 from itertools import chain
 
 from ._value import Value
 from .errors import forwarding
 from .groups import REAL, TORUS, Atom, AtomKind, GroupExpr, solenoid
-from .matching import class_flow
 from .supernatural import OMEGA, finite_surplus_table, preceq
 
 __all__ = [
@@ -247,6 +249,80 @@ def _rows(sources: list, targets: list) -> list:
     return [[t for t, b in enumerate(targets) if atom_reduces(a, b)] for a in sources]
 
 
+def class_flow(caps: Sequence[int], room: Sequence[int], rows: Sequence[Sequence[int]]):
+    """Route ``caps[s]`` units out of every source class ``s`` into the target
+    classes of ``rows[s]``, at most ``room[t]`` units into target class ``t``.
+
+    Returns ``(flow, None)`` when every source class is routed in full, with
+    ``flow[s]`` a dict from target class to a positive amount, or ``(None,
+    (C, NC))`` otherwise: C, the source classes that an unrouted class
+    reaches in the residual graph of a maximum flow, and NC, the target
+    classes their rows reach, both sorted.  Every class of NC is full and
+    fed from C only, so the counts of NC sum to less than those of C.
+
+    Each class first fills its row greedily, in row order; then augmenting
+    paths found by breadth-first search from every unrouted class carry
+    their bottleneck amount (Edmonds-Karp), so the number of rounds does not
+    depend on the counts.  Deterministic: classes and rows in given order.
+    """
+    room = list(room)
+    short = list(caps)  # what each source class has still to route
+    flow: list[dict] = [{} for _ in caps]
+    for s, row in enumerate(rows):
+        for t in row:
+            amount = min(short[s], room[t])
+            if amount:
+                flow[s][t] = amount
+                short[s] -= amount
+                room[t] -= amount
+    if not any(short):
+        return flow, None
+    into: list[dict] = [{} for _ in room]  # into[t][s] == flow[s][t]
+    for s, out in enumerate(flow):
+        for t, amount in out.items():
+            into[t][s] = amount
+    while True:
+        came = {s: None for s, rest in enumerate(short) if rest}  # source -> target it was reached from
+        if not came:
+            return flow, None
+        reached: dict = {}  # target -> source it was reached from
+        queue = deque(came)
+        end = None
+        while queue and end is None:
+            s = queue.popleft()
+            for t in rows[s]:
+                if t in reached:
+                    continue
+                reached[t] = s
+                if room[t]:
+                    end = t
+                    break
+                for back in into[t]:
+                    if back not in came:
+                        came[back] = t
+                        queue.append(back)
+        if end is None:
+            return None, (tuple(sorted(came)), tuple(sorted(reached)))
+        path = []  # (source, target it routes more into, target it routes less into)
+        t = end
+        while t is not None:
+            s = reached[t]
+            path.append((s, t, came[s]))
+            t = came[s]
+        start = path[-1][0]
+        amount = min(room[end], short[start], *(flow[s][back] for s, _, back in path[:-1]))
+        room[end] -= amount
+        short[start] -= amount
+        for s, t, back in path:
+            flow[s][t] = into[t][s] = flow[s].get(t, 0) + amount
+            if back is not None:
+                rest = flow[s][back] - amount
+                if rest:
+                    flow[s][back] = into[back][s] = rest
+                else:
+                    del flow[s][back], into[back][s]
+
+
 def reduces(g: GroupExpr, h: GroupExpr) -> Verdict:
     """Decide reducibility of the product ``g`` into the product ``h``.
 
@@ -265,12 +341,11 @@ def reduces(g: GroupExpr, h: GroupExpr) -> Verdict:
       that stays in one source run, one flow route and one target run is
       one ``EdgeBlock``, so the ``Certificate`` has at most (source runs +
       target runs + flow routes) blocks, whatever the counts.
-    - Negative: C is the set of source classes that an unrouted class
-      reaches in the residual graph of a maximum flow, and N(C) the target
-      factors their rows reach.  K is the first |N(C)| + 1 factors of the
-      classes in C, in index order, and N(K) the exact rule-table
-      neighborhood of K's classes, so |N(K)| <= |N(C)| < |K|.  Both are
-      ``IndexRanges`` of at most one range per run.
+    - Negative: (C, N(C)) is ``class_flow``'s violator, with N(C) read as
+      the target factors of its classes.  K is the first |N(C)| + 1
+      factors of the classes in C, in index order, and N(K) the exact
+      rule-table neighborhood of K's classes, so |N(K)| <= |N(C)| < |K|.
+      Both are ``IndexRanges`` of at most one range per run.
     """
     sources, caps, source_of = _classes(g.runs)
     targets, room, target_of = _classes(h.runs)

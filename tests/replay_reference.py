@@ -9,7 +9,7 @@ profile helpers and ``member_replay_prefix`` are built on it.  Their cost
 grows with the positions they find, so they serve as oracles on small
 inputs only.  ``member_terms`` is the zip interleave a member's sequence
 was once built by, and ``layer_window`` cuts a walked stretch of it back
-into layers, as the package's ``_layer_window`` reads them.
+into layers, as the package's ``_MemberLayout.window`` reads them.
 """
 
 from __future__ import annotations

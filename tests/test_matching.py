@@ -13,7 +13,7 @@ from borelcmp import duality, reducibility
 from borelcmp.groups import REAL, TORUS, group, solenoid
 from borelcmp.literals import parse_group
 from borelcmp.duality import run_rows, saturating_matching_or_violator
-from borelcmp.matching import class_flow
+from borelcmp.reducibility import class_flow
 from borelcmp.selftest import brute_force_reducible
 from borelcmp.supernatural import OMEGA
 from borelcmp.verify import verify_certificate

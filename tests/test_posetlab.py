@@ -415,15 +415,15 @@ def test_layer_windows_equal_the_zip_interleave(family):
         windows = {(drop, end) for end in ends for drop in (0, end, end // 2, max(end - 5, 0)) if drop <= end}
         assert {drop % 2 for drop, end in windows if drop < end} == {0, 1}
         for (drop, end), tagged in itertools.product(windows, (False, True)):
-            assert posetlab._layer_window(m, drop, end, tagged) == reference.layer_window(m, drop, end, tagged), (
-                a, drop, end, tagged)
+            assert posetlab._MemberLayout(m).window(drop, end, tagged) == reference.layer_window(
+                m, drop, end, tagged), (a, drop, end, tagged)
 
 
 def test_a_finite_total_base_refuses_a_layer_window_as_the_zip_interleave_does():
     m = MemberRef(Family(SupernaturalProfile({2: 3}), SupernaturalProfile.all_omega()), UPSet.multiples_of(2))
     with pytest.raises(DomainError) as expected:
         list(itertools.islice(reference.member_terms(m), 4))
-    for call in (lambda: member_sequence(m, 4), lambda: posetlab._layer_window(m, 0, 4)):
+    for call in (lambda: member_sequence(m, 4), lambda: posetlab._MemberLayout(m).window(0, 4)):
         with pytest.raises(DomainError) as refused:
             call()
         assert str(refused.value) == str(expected.value)
@@ -631,6 +631,30 @@ def test_member_layout_locates_every_walked_term(family, a):
         assert [layout.position(gamma, k) for k in range(1, len(walked) + 1)] == walked
         beyond = layout.position(gamma, len(walked) + 1)
         assert beyond is None or beyond >= len(terms)
+
+
+@pytest.mark.parametrize("family, a", [
+    (Family.default(), UPSet.multiples_of(2)),
+    (Family.default(), parse_upset("cofin{0,2}")),
+    (Family.default(), sparse_from_bits((True, False, False, True, True), 3, (False, True, True))),
+    (_BASE_HOLDS_D, UPSet.multiples_of(2)),
+    (_BASE_HOLDS_D, parse_upset("cofin{1}")),
+])
+def test_member_layout_locates_every_d_prime(family, a):
+    """``position`` on each of the first 60 d-primes, the ones the sequence
+    skips among them: d_{2+3j}, d_{1+3c} for c in A, and every d_{1+3c}
+    when A is cofinite."""
+    member, d = MemberRef(family, a), family.d_terms(60)
+    terms = member_sequence(member, 400)
+    layout = posetlab._MemberLayout(member, {gamma: i for i, gamma in enumerate(d)})
+    skipped = 0
+    for i, gamma in enumerate(d):
+        walked = reference.occurrences(terms, gamma)
+        assert [layout.position(gamma, k) for k in range(1, len(walked) + 1)] == walked, (i, gamma)
+        beyond = layout.position(gamma, len(walked) + 1)
+        assert beyond is None or beyond >= len(terms), (i, gamma)
+        skipped += not walked
+    assert skipped >= 20 + (20 if a.is_cofinite else 0), skipped
 
 
 @given(_families(), _upsets(), _upsets(), st.integers(1, 120))

@@ -22,7 +22,6 @@ from borelcmp.groups import (
     solenoid,
 )
 from borelcmp.literals import parse_group, render_dual, render_group
-from borelcmp.matching import class_flow
 from borelcmp.reducibility import (
     Certificate,
     ComparisonOutcome,
@@ -33,6 +32,7 @@ from borelcmp.reducibility import (
     IndexRanges,
     Verdict,
     atom_reduces,
+    class_flow,
     compare,
     edge_reason,
     reduces,

@@ -19,24 +19,23 @@ from borelcmp import cli
 
 # The modules that load on first use only; ``array`` loads with the first
 # chunk of the prime table, when a verb first walks the primes or
-# trial-divides, ``matching`` with the product engine,
-# ``coprime`` with the first unsplit key of a sequence, and ``labverbs``
-# with the handler of a verb that ``cli`` does not hold.
-LAZY = ("borelcmp.reducibility", "borelcmp.matching", "borelcmp.duality", "borelcmp.posetlab",
+# trial-divides, ``coprime`` with the first unsplit key of a sequence, and
+# ``labverbs`` with the handler of a verb that ``cli`` does not hold.
+LAZY = ("borelcmp.reducibility", "borelcmp.duality", "borelcmp.posetlab",
         "borelcmp.selftest", "borelcmp.coprime", "borelcmp.replay", "borelcmp.sequences",
         "borelcmp.farprimes", "borelcmp.setliterals", "borelcmp.verify", "borelcmp.labverbs",
         "json", "array")
-ENGINE = ["borelcmp.matching", "borelcmp.reducibility"]
+ENGINE = ["borelcmp.reducibility"]
 LAB = ["array", "borelcmp.farprimes", "borelcmp.labverbs", "borelcmp.posetlab", "borelcmp.replay"]
 # A dataclass compiles its methods when its class is created, and
 # ``dataclasses`` loads ``inspect``: no verb loads either.  The command line
 # is parsed without ``argparse``, which loads ``gettext`` and ``locale``.
 NEVER = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
 # AST nodes of the modules that ``reduce "R^2 x T" "T^3"`` compiles, ``cli``
-# among them: 10,058 with this layout, plus a 5 % margin.  Each module that
+# among them: 10,029 with this layout, plus a 5 % margin.  Each module that
 # loads on first use has more than 500, so a new top-level import of one
 # fails here.
-REDUCE_NODES = 10_560
+REDUCE_NODES = 10_530
 
 ROOT = pathlib.Path(__file__).parents[1]
 README = ROOT / "README.md"
@@ -63,9 +62,9 @@ def _lazy_loaded_after(code: str, modules: tuple = LAZY) -> list:
     (["reduce", "R^2 x T", "T^3", "--json"], [*ENGINE, "json"]),
     (["dual", "T^2 x Sol{2:6,3:w}"], ["borelcmp.duality"]),
     (["family-demo", "--depth", "2"], LAB),
-    (["selftest"], ["array", "borelcmp.duality", "borelcmp.farprimes", "borelcmp.labverbs", "borelcmp.matching",
-                    "borelcmp.posetlab", "borelcmp.reducibility", "borelcmp.replay", "borelcmp.selftest",
-                    "borelcmp.sequences", "borelcmp.verify"]),
+    (["selftest"], ["array", "borelcmp.duality", "borelcmp.farprimes", "borelcmp.labverbs", "borelcmp.posetlab",
+                    "borelcmp.reducibility", "borelcmp.replay", "borelcmp.selftest", "borelcmp.sequences",
+                    "borelcmp.verify"]),
     (["reduce", "Sol{2:5,3:w}", "Sol{2:9,3:w}", "--certificate"], ENGINE),
     (["compare", "Sol{2:5,3:w}", "Sol{2:9,3:w}"], ENGINE),
     (["dim", "R^2 x T"], []),
@@ -136,9 +135,8 @@ def test_import_loads_no_lazy_module_until_a_name_is_used():
 
 def test_the_readme_library_import_runs_in_a_fresh_interpreter():
     statement = re.search(r"^from borelcmp import \(.*?\)$", README.read_text(), re.M | re.S)[0]
-    assert _lazy_loaded_after(statement) == ["borelcmp.duality", "borelcmp.farprimes", "borelcmp.matching",
-                                             "borelcmp.posetlab", "borelcmp.reducibility", "borelcmp.replay",
-                                             "borelcmp.verify"]
+    assert _lazy_loaded_after(statement) == ["borelcmp.duality", "borelcmp.farprimes", "borelcmp.posetlab",
+                                             "borelcmp.reducibility", "borelcmp.replay", "borelcmp.verify"]
 
 
 def test_every_public_name_resolves_to_its_defining_module():
